@@ -25,14 +25,6 @@ BenchDriver::BenchDriver(int argc, const char* const* argv,
       seedsPerSize_(opts_.getUInt("seeds", 1)),
       engine_(configFrom(opts_)) {}
 
-SweepSpec BenchDriver::sweepSpec() const {
-  SweepSpec spec;
-  spec.sizes = sizes_;
-  spec.masterSeed = seed_;
-  spec.seedsPerSize = seedsPerSize_;
-  return spec;
-}
-
 void BenchDriver::printHeader(const std::string& title) const {
   std::cout << title << " (seed=" << seed_ << ", jobs=" << jobs() << ")\n\n";
 }

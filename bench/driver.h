@@ -53,9 +53,6 @@ class BenchDriver {
   /// The engine all of this bench's work runs through.
   [[nodiscard]] ExperimentEngine& engine() noexcept { return engine_; }
 
-  /// A SweepSpec with sizes and masterSeed prefilled from the CLI.
-  [[nodiscard]] SweepSpec sweepSpec() const;
-
   /// One-line run banner: "<title> (seed=S, jobs=J)\n\n".
   void printHeader(const std::string& title) const;
 

@@ -36,10 +36,9 @@
 #include "src/adversary/adaptive.h"
 #include "src/adversary/beam.h"
 #include "src/adversary/lookahead.h"
-#include "src/adversary/oblivious.h"
 #include "src/adversary/portfolio.h"
 #include "src/dynamics/registry.h"
-#include "src/engine/experiment_engine.h"
+#include "src/engine/scenario.h"
 #include "src/graph/bitmatrix.h"
 #include "src/service/job.h"
 #include "src/service/manifest.h"
@@ -332,44 +331,29 @@ struct BatchSweepTiming {
 };
 
 BatchSweepTiming timeBatchedSweep(std::size_t n, std::uint64_t seed) {
-  SweepSpec spec;
+  ScenarioSpec spec;
   spec.sizes = {n};
   spec.masterSeed = seed;
   spec.seedsPerSize = kBatchBenchWidth;
-  spec.portfolio = [](std::size_t count, std::uint64_t memberSeed) {
-    // Static-path dominates the wall time (t* = n − 1 rounds); the
-    // alternating and random paths add shared-tree and per-lane-tree
-    // rounds so both batched code paths are in the measurement.
-    std::vector<PortfolioMember> members;
-    members.push_back({"static-path", [count] {
-                         return std::unique_ptr<Adversary>(
-                             new StaticPathAdversary(count));
-                       }});
-    members.push_back({"alternating-path", [count] {
-                         return std::unique_ptr<Adversary>(
-                             new AlternatingPathAdversary(count));
-                       }});
-    members.push_back({"random-path", [count, memberSeed] {
-                         return std::unique_ptr<Adversary>(
-                             new RandomPathAdversary(count, memberSeed));
-                       }});
-    return members;
-  };
-  ExperimentEngine engine({/*jobs=*/1, /*recordHistory=*/false});
+  // Static-path dominates the wall time (t* = n − 1 rounds); the
+  // alternating and random paths add shared-tree and per-lane-tree
+  // rounds so both batched code paths are in the measurement.
+  spec.adversaries = {"static-path", "alternating-path", "random-path"};
+  ExperimentEngine engine(EngineConfig{/*jobs=*/1});
   BatchSweepTiming t;
   t.n = n;
   spec.batch = {BatchPolicy::Mode::kOff, 0};
   std::vector<SweepRow> scalarRows;
   {
     const auto start = Clock::now();
-    SweepResult result = engine.runSweep(spec);
+    ScenarioResult result = runScenario(spec, engine);
     t.scalarMs = secondsSince(start) * 1e3;
     scalarRows = std::move(result.rows);
   }
   spec.batch = {BatchPolicy::Mode::kFixed, kBatchBenchWidth};
   {
     const auto start = Clock::now();
-    const SweepResult result = engine.runSweep(spec);
+    const ScenarioResult result = runScenario(spec, engine);
     t.batchedMs = secondsSince(start) * 1e3;
     if (result.rows != scalarRows) {
       std::cerr << "FATAL: batched sweep rows diverged from scalar\n";

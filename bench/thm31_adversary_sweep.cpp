@@ -16,4 +16,6 @@
 // dynbcast-lint: allow(layer-include) -- historical forwarder to the CLI
 #include "tools/cli.h"
 
-int main(int argc, char** argv) { return dynbcast::cli::runSweep(argc, argv); }
+int main(int argc, char** argv) {
+  return dynbcast::cli::runSweepCommand(argc, argv);
+}

@@ -440,26 +440,6 @@ void registerBuiltins(DynamicsRegistry& reg) {
   // Nonsplit graphs ([2]/[9]) ------------------------------------------------
   {
     DynamicsInfo info;
-    info.name = "nonsplit";
-    info.description =
-        "DEPRECATED alias: generator names ride in the adversaries list "
-        "(old scenario form)";
-    info.literature = "Charron-Bost & Schiper [2]; Fuegger-Nowak-Winkler [9]";
-    info.mode = DynamicsMode::kGeneratorList;
-    info.graphClass = DynamicsClass::kNonsplit;
-    info.stochastic = true;
-    info.params = {};  // no parameters, deliberately
-    info.defaultAdversaries = [](const DynamicsParams&) {
-      return std::vector<std::string>{"nonsplit-random", "nonsplit-skewed"};
-    };
-    info.deprecation =
-        "name the generator as the dynamics instead: "
-        "--dynamics=nonsplit-random (or nonsplit-skewed); the "
-        "adversaries-field form is kept for old invocations only";
-    reg.add(std::move(info));
-  }
-  {
-    DynamicsInfo info;
     info.name = "nonsplit-random";
     info.description =
         "fresh random nonsplit graph every round: random extra edges + "
@@ -669,12 +649,6 @@ std::unique_ptr<DynamicsModel> DynamicsRegistry::make(
     const DynamicsSpec& spec, std::size_t n, std::uint64_t seed) const {
   validate(spec);
   const DynamicsInfo& entry = info(spec.name);
-  if (entry.mode == DynamicsMode::kGeneratorList) {
-    throw std::invalid_argument(
-        "dynamics '" + spec.name +
-        "' is a deprecated alias with no standalone graph model; " +
-        entry.deprecation);
-  }
   if (entry.mode != DynamicsMode::kGraphModel) {
     throw std::invalid_argument(
         "dynamics '" + spec.name +

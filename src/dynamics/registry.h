@@ -9,7 +9,7 @@
 // through here, with the same parse/print round-trip, declared parameter
 // docs, and edit-distance typo suggestions the adversary registry has.
 //
-// Three modes of registered entry:
+// Two modes of registered entry:
 //
 //   * kAdversaryTrees — the per-round graph is the ADVERSARY's move
 //     (rooted-tree, restricted). These entries have no graph factory;
@@ -19,8 +19,6 @@
 //     seed (nonsplit-random, nonsplit-skewed, edge-markovian,
 //     t-interval). Scenarios run these through runDynamicsBroadcast with
 //     position-derived seeds; the adversary list must be empty.
-//   * kGeneratorList — the deprecated "nonsplit" alias kept for old
-//     invocations, whose adversaries field smuggles generator names.
 #pragma once
 
 #include <cstdint>
@@ -62,7 +60,7 @@ struct DynamicsParamDoc {
 
 /// How a registered dynamics entry produces its graphs (see file
 /// comment).
-enum class DynamicsMode { kAdversaryTrees, kGraphModel, kGeneratorList };
+enum class DynamicsMode { kAdversaryTrees, kGraphModel };
 
 /// Factory: builds a fresh model for an (n, seed) instance. All model
 /// randomness must derive from `seed` (reset() rewinds to it); parameter
@@ -77,9 +75,8 @@ struct DynamicsInfo {
   /// printed by `dynbcast list` as the model ↔ paper map.
   std::string literature;
   DynamicsMode mode = DynamicsMode::kGraphModel;
-  /// Structural property every emitted graph satisfies (kGraphModel /
-  /// kGeneratorList) or that the admissible adversaries' moves satisfy
-  /// (kAdversaryTrees).
+  /// Structural property every emitted graph satisfies (kGraphModel) or
+  /// that the admissible adversaries' moves satisfy (kAdversaryTrees).
   DynamicsClass graphClass = DynamicsClass::kNone;
   /// True when runs draw fresh randomness from the instance seed (and so
   /// need the engine's position-derived seeding to stay deterministic).
@@ -97,17 +94,12 @@ struct DynamicsInfo {
   std::function<void(const DynamicsParams&)> validateParams;
   /// Graph-model constructor; null unless mode == kGraphModel.
   DynamicsFactory factory;
-  /// Default adversary (kAdversaryTrees) or generator (kGeneratorList)
-  /// spec list when ScenarioSpec::adversaries is empty; may be null for
-  /// kGraphModel.
+  /// Default adversary spec list (kAdversaryTrees) when
+  /// ScenarioSpec::adversaries is empty; null for kGraphModel.
   std::function<std::vector<std::string>(const DynamicsParams&)>
       defaultAdversaries;
   /// Adversary base names a kAdversaryTrees entry admits; empty = all.
   std::vector<std::string> admissibleAdversaries;
-  /// Non-empty marks the entry deprecated; the note says what to use
-  /// instead (printed by `dynbcast list` and by make()'s error when the
-  /// alias is asked for a standalone model).
-  std::string deprecation;
 };
 
 /// Name → model registry. The process-wide instance() comes with every

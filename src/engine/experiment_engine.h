@@ -1,26 +1,19 @@
-// ExperimentEngine: the shared parallel sweep substrate for benches and
-// tests.
+// ExperimentEngine: the shared parallel substrate for benches, tests,
+// scenarios and service workers.
 //
 // Every number this repo reports comes from embarrassingly parallel
-// per-(n, seed, adversary) runs. The engine owns the one correct way to
-// shard them: a declarative SweepSpec (sizes × seed replicates × portfolio
-// members) is flattened into tasks, each task's seed is derived from its
-// POSITION via SeedSequence (never from execution order), the tasks fan
-// out over a work-stealing ThreadPool, and every result lands in a
-// preallocated slot indexed by position. Consequence: the collected rows
-// are bit-identical at any --jobs value, so parallelism is free to use
-// everywhere — including inside determinism tests.
-//
-// Two entry points:
-//   * runSweep(spec)      — the portfolio workload (rows + per-instance
-//                           aggregates, Definition 2.3's max);
-//   * map(count, seed, f) — generic sharding for everything else (beam
-//                           witness searches, gossip scenarios, …).
+// per-(n, seed, adversary) runs. The engine owns the pool they shard
+// over and one primitive, map(count, seed, f): each task's seed is
+// derived from its POSITION via SeedSequence (never from execution
+// order), the tasks fan out over a work-stealing ThreadPool, and every
+// result lands in a preallocated slot indexed by position. Consequence:
+// collected results are bit-identical at any --jobs value, so
+// parallelism is free to use everywhere — including inside determinism
+// tests. Scenario grids (sizes × seed replicates × members) are planned
+// and executed on top of map by src/engine/task_plan.h.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <optional>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -35,22 +28,21 @@ namespace dynbcast {
 struct EngineConfig {
   /// Worker threads; 0 = one per hardware thread.
   std::size_t jobs = 1;
-  /// Capture per-round metrics in every row (costly at large n).
-  bool recordHistory = false;
 };
 
-/// How runSweep schedules the replicates of a (size, member) cell.
+/// How the scenario executor schedules the replicates of a (size,
+/// member) cell.
 ///
 /// Replicates of an OBLIVIOUS member are independent runs of the same
-/// tree process, so the engine can advance a whole chunk of them in
+/// tree process, so the executor can advance a whole chunk of them in
 /// lockstep through one BatchBroadcastSim — decoding each round's tree
 /// once for the chunk instead of once per replicate, with the row work
 /// going through the SIMD dispatch table as contiguous lane-planes.
 /// Batching never changes a single byte of output: the batched
 /// recurrence is bit-identical to the scalar runs (see runObliviousBatch)
 /// and every row still lands in its position-indexed slot. Cells that
-/// cannot batch — adaptive members, history recording, member lists that
-/// differ across replicates — always run the scalar path.
+/// cannot batch — adaptive members, history recording, gossip, graph
+/// models — always run the scalar path.
 struct BatchPolicy {
   enum class Mode {
     kAuto,  ///< batch eligible cells with >= kAutoWidth replicates
@@ -71,29 +63,6 @@ struct BatchPolicy {
 /// throwing std::invalid_argument with suggestions on anything else.
 [[nodiscard]] BatchPolicy parseBatchPolicy(const std::string& text);
 [[nodiscard]] std::string batchPolicyName(const BatchPolicy& policy);
-
-/// Declarative description of a portfolio sweep. The factory is invoked
-/// once per (n, seed) instance on the calling thread; the returned
-/// members' make() closures are then called concurrently, so they must
-/// not share mutable state (standardPortfolio's are pure).
-struct SweepSpec {
-  std::vector<std::size_t> sizes;
-  std::uint64_t masterSeed = 1;
-  /// Independent seed replicates per size (instance seeds are derived,
-  /// so replicate r of size n is decorrelated from every other task).
-  std::size_t seedsPerSize = 1;
-  /// Portfolio members per instance; empty = standardPortfolio.
-  std::function<std::vector<PortfolioMember>(std::size_t n,
-                                             std::uint64_t seed)>
-      portfolio;
-  /// Round cap per instance; 0 = defaultRoundCap(n).
-  std::size_t roundCap = 0;
-  /// Per-sweep history override; unset = the engine's
-  /// EngineConfig::recordHistory.
-  std::optional<bool> recordHistory;
-  /// Replicate batching strategy (see BatchPolicy); output-invariant.
-  BatchPolicy batch;
-};
 
 /// One member's run inside a sweep — the atomic unit of work.
 struct SweepRow {
@@ -138,9 +107,6 @@ class ExperimentEngine {
     return pool_.threadCount();
   }
 
-  /// Fans the sweep out across the pool; see SweepResult for ordering.
-  [[nodiscard]] SweepResult runSweep(const SweepSpec& spec);
-
   /// Generic sharded map: evaluates fn(index, seed) for every index in
   /// [0, count), where seed = SeedSequence(masterSeed).at(index), and
   /// returns results in index order. R must be default-constructible.
@@ -159,7 +125,6 @@ class ExperimentEngine {
   }
 
  private:
-  EngineConfig config_;
   ThreadPool pool_;
 };
 

@@ -7,17 +7,14 @@
 // latter as AdversaryRegistry spec strings ("freeze-path:depth=3",
 // "beam:width=64"). Both axes are data, so composing a new experiment
 // never means writing a new main(). runScenario() executes the spec on an
-// ExperimentEngine:
-//
-//   * adversary-driven dynamics (rooted-tree, restricted) route broadcast
-//     through ExperimentEngine::runSweep and gossip through map();
-//   * graph-model dynamics (nonsplit-random, edge-markovian, t-interval,
-//     …) construct the model per (n, seed) with position-derived seeds
-//     and drive runDynamicsBroadcast through map().
-//
-// Every path returns the same unified SweepRow rows in the same
-// deterministic (size, replicate, member) order — byte-identical at any
-// job count.
+// ExperimentEngine through the task plan's executor
+// (src/engine/task_plan.h): every row is a position in the (size,
+// replicate, member) grid, seeded from that position, so the rows come
+// back in the same deterministic order — byte-identical at any job count
+// and in any service worker that runs the same positions. Broadcast over
+// adversary-driven trees batches the replicates of oblivious members
+// (see BatchPolicy); adversary-driven gossip and graph-model dynamics
+// (nonsplit-random, edge-markovian, t-interval, …) run one row per task.
 #pragma once
 
 #include <cstdint>
@@ -70,9 +67,6 @@ struct ScenarioSpec {
   /// Adversary spec strings; empty = the dynamics' declared default list
   /// (the standard portfolio for rooted trees). Graph-model dynamics
   /// take no adversaries — the model emits the graphs itself.
-  /// DEPRECATED: under the legacy dynamics="nonsplit" alias these name
-  /// graph generators ("nonsplit-random", "nonsplit-skewed"); spell the
-  /// generator as the dynamics spec instead.
   std::vector<std::string> adversaries;
   /// Capture per-round metrics in every row (costly at large n).
   bool recordHistory = false;
@@ -87,9 +81,9 @@ struct ScenarioSpec {
 };
 
 /// The default member list for a dynamics spec: the standard portfolio
-/// for rooted trees, small-k class members for restricted, both
-/// generators for the legacy nonsplit alias, the model itself for graph
-/// models. Throws std::invalid_argument on unknown dynamics.
+/// for rooted trees, small-k class members for restricted, the model
+/// itself for graph models. Throws std::invalid_argument on unknown
+/// dynamics.
 [[nodiscard]] std::vector<std::string> defaultAdversarySpecs(
     const std::string& dynamics);
 
@@ -107,12 +101,10 @@ void validateScenario(const ScenarioSpec& spec);
 using ScenarioRow = SweepRow;
 using ScenarioResult = SweepResult;
 
-/// Executes the scenario on the engine. Broadcast over (un)restricted
-/// trees delegates to ExperimentEngine::runSweep — a default rooted-tree
-/// broadcast scenario reproduces runSweep(standardPortfolio) rows
-/// bit-for-bit. Gossip and graph-model dynamics fan out through
-/// ExperimentEngine::map with the same instance planning, so determinism
-/// guarantees carry over.
+/// Validates the scenario, then runs every row position through
+/// runScenarioPositions on the engine. A default rooted-tree broadcast
+/// scenario reproduces runPortfolio(n, instanceSeed) per instance
+/// bit-for-bit.
 [[nodiscard]] ScenarioResult runScenario(const ScenarioSpec& spec,
                                          ExperimentEngine& engine);
 

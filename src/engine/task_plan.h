@@ -1,13 +1,12 @@
-// The scenario task plan: every scenario, flattened into addressable,
-// independently executable row positions.
+// The scenario task plan and its executor: every scenario, flattened into
+// addressable, independently executable row positions.
 //
-// runScenario() executes a ScenarioSpec as one engine fan-out, but a
-// distributed service needs the same work in a different shape: a
-// SERIALIZABLE plan whose unit is "row position p of scenario S", so a
-// manifest can record per-position completion, a cache can key results by
-// (spec, seed, position), and a worker process can execute any subset of
-// positions and land byte-identical rows in the same slots. This header
-// is that shape:
+// A ScenarioSpec's rows form a grid (sizes × seed replicates × members)
+// whose unit is "row position p of scenario S". Everything about a
+// position is a pure function of (spec, p), so a manifest can record
+// per-position completion, a cache can key results by (spec, seed,
+// position), and any process can execute any subset of positions and
+// land byte-identical rows in the same slots:
 //
 //   * scenarioRowCount(spec)        — the grid size (sizes × replicates ×
 //                                     members), fixed by the spec alone;
@@ -15,22 +14,23 @@
 //                                     seedIndex, memberIndex), its n, its
 //                                     position-derived instance seed, and
 //                                     the canonical member spec string;
-//   * runScenarioRow(spec, p)       — executes exactly the row that
-//                                     runScenario() would put at p, on
-//                                     the calling thread (the scalar
-//                                     path; batching is output-invariant,
-//                                     so this is byte-identical);
+//   * runScenarioRow(spec, p)       — executes position p on the calling
+//                                     thread (the scalar path);
+//   * runScenarioPositions          — the executor: runs any set of
+//                                     positions on an engine, batching
+//                                     oblivious replicate lanes under the
+//                                     spec's BatchPolicy;
 //   * aggregateScenarioInstances    — regroups rows into the per-instance
 //                                     portfolio view, same order.
 //
-// runScenario()'s gossip and graph-model paths are implemented ON these
-// functions (scenario.cpp maps runScenarioRow over [0, rowCount)), so the
-// engine and the service cannot drift apart. The broadcast-over-trees
-// path keeps ExperimentEngine::runSweep for replicate batching; its rows
-// are pinned to runScenarioRow by the task-plan equivalence test.
+// runScenario() runs every position through runScenarioPositions, and a
+// service worker runs its pending positions through the same call, so
+// the two cannot drift apart. Batching is output-invariant: every row
+// the executor produces equals runScenarioRow's at that position.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -49,16 +49,16 @@ struct ScenarioRowPlan {
   std::size_t n = 0;
   std::uint64_t instanceSeed = 0;  // SeedSequence(masterSeed) position seed
   /// Canonical spec string of the member at memberIndex: an adversary
-  /// spec under adversary-driven dynamics, the dynamics/generator spec
-  /// under graph models. Sorted-key canonical form — usable as a cache
-  /// key component as-is.
+  /// spec under adversary-driven dynamics, the dynamics spec under graph
+  /// models. Sorted-key canonical form — usable as a cache key component
+  /// as-is, and the row's member name.
   std::string memberSpec;
 };
 
 /// The resolved member spec list, canonicalized: the spec's adversaries
 /// (or the dynamics' default list) under adversary-driven dynamics, the
-/// model itself (or the legacy generator list) under graph models. The
-/// spec must already satisfy validateScenario().
+/// model itself under graph models. The spec must already satisfy
+/// validateScenario().
 [[nodiscard]] std::vector<std::string> resolvedScenarioMemberSpecs(
     const ScenarioSpec& spec);
 
@@ -77,6 +77,25 @@ struct ScenarioRowPlan {
 /// already satisfy validateScenario().
 [[nodiscard]] SweepRow runScenarioRow(const ScenarioSpec& spec,
                                       std::size_t position);
+
+/// Receives each row the executor finishes, with its position. Called
+/// from pool threads, once per position, in no particular order.
+using ScenarioRowSink =
+    std::function<void(std::size_t position, SweepRow row)>;
+
+/// The executor: runs every listed position (each < scenarioRowCount,
+/// no duplicates) on the engine's pool and hands each finished row to
+/// `sink`. Member specs are resolved once per call. Positions sharing a
+/// size and an oblivious member run as runObliviousBatch lanes when the
+/// spec's BatchPolicy engages (broadcast over adversary-driven trees,
+/// no history; auto needs seedsPerSize >= BatchPolicy::kAutoWidth);
+/// every other position runs runScenarioRow's scalar body. Each row
+/// equals runScenarioRow(spec, position). The spec must already satisfy
+/// validateScenario(); the lowest-indexed task's exception propagates.
+void runScenarioPositions(const ScenarioSpec& spec,
+                          const std::vector<std::size_t>& positions,
+                          ExperimentEngine& engine,
+                          const ScenarioRowSink& sink);
 
 /// Regroups a full row vector (ordered by position) into per-instance
 /// aggregates — runScenario()'s instances field, reproduced from rows.

@@ -13,22 +13,17 @@ namespace {
 /// rows, so everything normalizes to "dense" and requests differing
 /// only in backend choice share cache cells. Above it, the resolution
 /// mirrors runScenarioRow's: explicit sparse, or auto over a
-/// sparse-capable model — looked up on the MEMBER model (which under
-/// the legacy generator-list alias differs from the dynamics entry).
-/// Registry sparseCapable and the constructed model's
-/// supportsSparseRounds agree; validateScenario enforces the former
-/// wherever the latter could run.
+/// sparse-capable model. Registry sparseCapable and the constructed
+/// model's supportsSparseRounds agree; validateScenario enforces the
+/// former wherever the latter could run.
 [[nodiscard]] std::string rowBackendToken(const ScenarioSpec& spec,
                                           const DynamicsInfo& entry,
-                                          const std::string& memberSpec,
                                           std::size_t n) {
   if (entry.mode == DynamicsMode::kAdversaryTrees) return "dense";
   if (n <= kAutoSparseThreshold) return "dense";
-  const DynamicsInfo& memberEntry = DynamicsRegistry::instance().info(
-      DynamicsSpec::parse(memberSpec).name);
   const bool sparse = spec.backend == BackendChoice::kSparse ||
                       (spec.backend == BackendChoice::kAuto &&
-                       memberEntry.sparseCapable && !spec.recordHistory);
+                       entry.sparseCapable && !spec.recordHistory);
   return sparse ? "sparse" : "dense";
 }
 
@@ -77,7 +72,7 @@ std::string serviceTaskKey(const ServiceRequest& request,
   return "row/1 obj=" + objectiveName(spec.objective) +
          " dyn=" + dynamics.toString() + " cap=" +
          std::to_string(spec.roundCap) + " backend=" +
-         rowBackendToken(spec, entry, row.memberSpec, row.n) +
+         rowBackendToken(spec, entry, row.n) +
          " member=" + row.memberSpec +
          " n=" + std::to_string(row.n) + " seed=" +
          std::to_string(row.instanceSeed) + " mpos=" +

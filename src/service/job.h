@@ -13,7 +13,9 @@
 // where its output lands (assembleServiceRows) are all derivable by any
 // process independently. That is the whole distribution story — a
 // manifest records positions, workers execute arbitrary subsets, and the
-// merged results are byte-identical to a single-process run.
+// merged results are byte-identical to a single-process run. Workers run
+// their row tasks through runScenarioPositions, the executor runScenario
+// uses, so served rows batch exactly as `dynbcast sweep` rows do.
 #pragma once
 
 #include <cstdint>

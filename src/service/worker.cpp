@@ -1,14 +1,15 @@
 #include "src/service/worker.h"
 
-#include <atomic>
+#include <algorithm>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "src/engine/experiment_engine.h"
 #include "src/service/cache.h"
 #include "src/service/job.h"
 #include "src/service/manifest.h"
 #include "src/service/protocol.h"
-#include "src/support/assert.h"
 
 namespace dynbcast {
 
@@ -47,39 +48,57 @@ WorkerReport runManifestWorker(const WorkerOptions& options) {
   if (pending.empty()) return report;
 
   ResultCache cache(options.cacheDir);
-  std::atomic<std::size_t> cacheHits{0};
-  std::atomic<std::size_t> executed{0};
-
   EngineConfig config;
   config.jobs = options.jobs;
   ExperimentEngine engine(config);
-  // The seeds map() derives are unused — every task derives its own
-  // seeds from (request, position), which is what makes re-execution by
-  // any process byte-identical.
-  (void)engine.map<char>(
+
+  // Cache pass: a pending task whose key is cached is recorded without
+  // executing anything. The seeds map() derives are unused here and
+  // below — every task derives its own from (request, position), which
+  // is what makes re-execution by any process byte-identical.
+  std::vector<std::string> keys(pending.size());
+  const std::vector<char> hits = engine.map<char>(
       pending.size(), 0, [&](std::size_t index, std::uint64_t) -> char {
-        const std::size_t position = pending[index];
-        const std::string key = serviceTaskKey(request, position);
-        ServiceTaskResult result;
-        if (const auto hit = cache.get(key); hit.has_value()) {
-          result.rounds = hit->rounds;
-          result.completed = hit->completed;
-          cacheHits.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          result = executeServiceTask(request, position);
-          cache.put(key, {result.rounds, result.completed});
-          executed.fetch_add(1, std::memory_order_relaxed);
-        }
-        // The durability contract: the task is "done" once this record
-        // is fsynced — and only then.
+        keys[index] = serviceTaskKey(request, pending[index]);
+        const auto hit = cache.get(keys[index]);
+        if (!hit.has_value()) return 0;
         appendTaskRecord(options.manifestPath,
-                         {position, result.rounds, result.completed});
-        return 0;
+                         {pending[index], hit->rounds, hit->completed});
+        return 1;
       });
 
-  report.cacheHits = cacheHits.load(std::memory_order_relaxed);
-  report.executed = executed.load(std::memory_order_relaxed);
-  DYNBCAST_ASSERT(report.cacheHits + report.executed == pending.size());
+  // The durability contract: a task is "done" once its record is
+  // fsynced — and only then.
+  const auto finish = [&](std::size_t position, std::size_t rounds,
+                          bool completed) {
+    const auto index = static_cast<std::size_t>(
+        std::lower_bound(pending.begin(), pending.end(), position) -
+        pending.begin());
+    cache.put(keys[index], {rounds, completed});
+    appendTaskRecord(options.manifestPath, {position, rounds, completed});
+  };
+  std::vector<std::size_t> rows;
+  std::vector<std::size_t> beams;
+  for (std::size_t index = 0; index < pending.size(); ++index) {
+    if (hits[index] != 0) continue;
+    (pending[index] < plan.rowCount ? rows : beams).push_back(pending[index]);
+  }
+  report.cacheHits = pending.size() - rows.size() - beams.size();
+  report.executed = rows.size() + beams.size();
+
+  // Row tasks run on the scenario executor — batched exactly as
+  // runScenario batches them — and beam tasks one per pool task.
+  runScenarioPositions(request.scenario, rows, engine,
+                       [&](std::size_t position, SweepRow row) {
+                         finish(position, row.rounds, row.completed);
+                       });
+  (void)engine.map<char>(
+      beams.size(), 0, [&](std::size_t index, std::uint64_t) -> char {
+        const ServiceTaskResult result =
+            executeServiceTask(request, beams[index]);
+        finish(beams[index], result.rounds, result.completed);
+        return 0;
+      });
   return report;
 }
 

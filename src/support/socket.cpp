@@ -78,11 +78,14 @@ OwnedFd connectUnix(const std::string& path) {
 void writeAll(int fd, const std::string& data) {
   std::size_t written = 0;
   while (written < data.size()) {
-    const ssize_t n =
-        ::write(fd, data.data() + written, data.size() - written);
+    // MSG_NOSIGNAL: a peer that hung up surfaces as EPIPE, not as a
+    // SIGPIPE that would kill the whole process (a server outliving its
+    // clients is the point).
+    const ssize_t n = ::send(fd, data.data() + written,
+                             data.size() - written, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      throwErrno("write");
+      throwErrno("send");
     }
     written += static_cast<std::size_t>(n);
   }

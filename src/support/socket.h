@@ -69,7 +69,9 @@ class UnixListener {
 /// Connects to the unix-domain socket at `path`.
 [[nodiscard]] OwnedFd connectUnix(const std::string& path);
 
-/// Writes all of `data` to `fd`, retrying short writes and EINTR.
+/// Writes all of `data` to the socket `fd`, retrying short writes and
+/// EINTR. A disconnected peer throws std::runtime_error (EPIPE); it
+/// never raises SIGPIPE.
 void writeAll(int fd, const std::string& data);
 
 /// Buffered newline-delimited reads/writes over one connection fd.

@@ -57,11 +57,11 @@ TEST(DynamicsSpecTest, MalformedSpecsThrow) {
 TEST(DynamicsRegistryTest, TheModelZooIsRegistered) {
   const DynamicsRegistry& registry = DynamicsRegistry::instance();
   for (const char* name :
-       {"rooted-tree", "restricted", "nonsplit", "nonsplit-random",
-        "nonsplit-skewed", "edge-markovian", "t-interval"}) {
+       {"rooted-tree", "restricted", "nonsplit-random", "nonsplit-skewed",
+        "edge-markovian", "t-interval"}) {
     EXPECT_TRUE(registry.contains(name)) << name;
   }
-  EXPECT_GE(registry.names().size(), 7u);
+  EXPECT_GE(registry.names().size(), 6u);
 }
 
 TEST(DynamicsRegistryTest, EveryGraphModelEmitsItsDeclaredClass) {
@@ -195,14 +195,6 @@ TEST(DynamicsRegistryTest, AdversaryDrivenEntriesHaveNoStandaloneModel) {
                std::invalid_argument);
   EXPECT_THROW((void)registry.make("restricted", 8, 1),
                std::invalid_argument);
-  EXPECT_THROW((void)registry.make("nonsplit", 8, 1),
-               std::invalid_argument);
-}
-
-TEST(DynamicsRegistryTest, LegacyAliasIsMarkedDeprecated) {
-  const DynamicsInfo& alias = DynamicsRegistry::instance().info("nonsplit");
-  EXPECT_EQ(alias.mode, DynamicsMode::kGeneratorList);
-  EXPECT_FALSE(alias.deprecation.empty());
 }
 
 TEST(DynamicsRegistryTest, DuplicateOrInconsistentRegistrationThrows) {

@@ -6,8 +6,10 @@
 #include <string>
 
 #include "src/adversary/adversary.h"
+#include "src/adversary/portfolio.h"
 #include "src/bounds/bounds.h"
 #include "src/sim/gossip.h"
+#include "src/support/seed_sequence.h"
 
 namespace dynbcast {
 namespace {
@@ -51,6 +53,9 @@ TEST(ScenarioVocabularyTest, DefaultAdversarySpecsFollowTheDynamics) {
 }
 
 TEST(ScenarioTest, DefaultBroadcastScenarioMatchesRunSweepBitForBit) {
+  // A default rooted-tree broadcast scenario is the standard portfolio
+  // sweep: each instance's rows are exactly runPortfolio at the
+  // instance's position-derived seed.
   ExperimentEngine engine({.jobs = 2});
   ScenarioSpec scenario;
   scenario.sizes = {6, 9};
@@ -58,23 +63,27 @@ TEST(ScenarioTest, DefaultBroadcastScenarioMatchesRunSweepBitForBit) {
   scenario.seedsPerSize = 2;
   const ScenarioResult viaScenario = runScenario(scenario, engine);
 
-  SweepSpec sweep;
-  sweep.sizes = {6, 9};
-  sweep.masterSeed = 11;
-  sweep.seedsPerSize = 2;
-  const SweepResult direct = engine.runSweep(sweep);
-
-  ASSERT_EQ(viaScenario.rows.size(), direct.rows.size());
-  for (std::size_t i = 0; i < direct.rows.size(); ++i) {
-    EXPECT_EQ(viaScenario.rows[i], direct.rows[i]) << "row " << i;
+  const SeedSequence seeds(11);
+  ASSERT_EQ(viaScenario.instances.size(), 4u);
+  std::size_t row = 0;
+  for (std::size_t i = 0; i < viaScenario.instances.size(); ++i) {
+    const SweepInstance& instance = viaScenario.instances[i];
+    const PortfolioResult direct = runPortfolio(instance.n, seeds.at(i));
+    EXPECT_EQ(instance.instanceSeed, seeds.at(i));
+    EXPECT_EQ(instance.portfolio.bestRounds, direct.bestRounds);
+    EXPECT_EQ(instance.portfolio.bestName, direct.bestName);
+    for (const PortfolioEntry& entry : direct.entries) {
+      ASSERT_LT(row, viaScenario.rows.size());
+      const SweepRow& actual = viaScenario.rows[row++];
+      EXPECT_EQ(actual.n, instance.n);
+      EXPECT_EQ(actual.seedIndex, i % 2);
+      EXPECT_EQ(actual.instanceSeed, seeds.at(i));
+      EXPECT_EQ(actual.member, entry.name);
+      EXPECT_EQ(actual.rounds, entry.rounds) << entry.name;
+      EXPECT_EQ(actual.completed, entry.completed) << entry.name;
+    }
   }
-  ASSERT_EQ(viaScenario.instances.size(), direct.instances.size());
-  for (std::size_t i = 0; i < direct.instances.size(); ++i) {
-    EXPECT_EQ(viaScenario.instances[i].portfolio.bestRounds,
-              direct.instances[i].portfolio.bestRounds);
-    EXPECT_EQ(viaScenario.instances[i].portfolio.bestName,
-              direct.instances[i].portfolio.bestName);
-  }
+  EXPECT_EQ(row, viaScenario.rows.size());
 }
 
 TEST(ScenarioTest, ExplicitSpecListControlsRowsAndOrder) {
@@ -168,45 +177,21 @@ TEST(ScenarioTest, RestrictedClassParamsNarrowTheDefaultMembers) {
   EXPECT_THROW((void)runScenario(scenario, engine), std::invalid_argument);
 }
 
-TEST(ScenarioTest, LegacyNonsplitAliasStaysWithinTheLogBound) {
-  // The deprecated dynamics="nonsplit" form: generator names ride in the
-  // adversaries field (default = both generators). Kept working so old
-  // invocations and scripts survive the model-zoo migration.
+TEST(ScenarioTest, NonsplitModelsStayWithinTheLogBound) {
   ExperimentEngine engine;
-  ScenarioSpec scenario;
-  scenario.dynamics = "nonsplit";
-  scenario.sizes = {16, 32};
-  scenario.seedsPerSize = 2;
-  const ScenarioResult result = runScenario(scenario, engine);
-  ASSERT_EQ(result.rows.size(), 2u * 2u * 2u);
-  for (const ScenarioRow& row : result.rows) {
-    EXPECT_TRUE(row.completed) << row.member;
-    EXPECT_LE(row.rounds, bounds::nonsplitLogUpper(row.n) + 8)
-        << row.member;
-  }
-}
-
-TEST(ScenarioTest, SingleModelRunsReproduceTheLegacyAliasBitForBit) {
-  // Migration guarantee: naming a generator as the dynamics spec yields
-  // exactly the rows the old alias produced for that member — same
-  // member-index seed derivation, same caps, same graphs.
-  ExperimentEngine engine;
-  ScenarioSpec alias;
-  alias.dynamics = "nonsplit";
-  alias.sizes = {16, 24};
-  alias.seedsPerSize = 2;
-  alias.masterSeed = 7;
-  alias.adversaries = {"nonsplit-random", "nonsplit-skewed"};
-  const ScenarioResult old = runScenario(alias, engine);
-
-  ScenarioSpec direct = alias;
-  direct.dynamics = "nonsplit-random";
-  direct.adversaries = {};
-  const ScenarioResult fresh = runScenario(direct, engine);
-
-  ASSERT_EQ(old.rows.size(), 2 * fresh.rows.size());
-  for (std::size_t i = 0; i < fresh.rows.size(); ++i) {
-    EXPECT_EQ(fresh.rows[i], old.rows[2 * i]) << "instance " << i;
+  for (const std::string& dynamics :
+       {std::string("nonsplit-random"), std::string("nonsplit-skewed")}) {
+    ScenarioSpec scenario;
+    scenario.dynamics = dynamics;
+    scenario.sizes = {16, 32};
+    scenario.seedsPerSize = 2;
+    const ScenarioResult result = runScenario(scenario, engine);
+    ASSERT_EQ(result.rows.size(), 2u * 2u);
+    for (const ScenarioRow& row : result.rows) {
+      EXPECT_TRUE(row.completed) << row.member;
+      EXPECT_LE(row.rounds, bounds::nonsplitLogUpper(row.n) + 8)
+          << row.member;
+    }
   }
 }
 
@@ -234,7 +219,7 @@ TEST(ScenarioTest, GraphModelDynamicsRejectAdversaries) {
 TEST(ScenarioTest, GossipIsRejectedOnGraphModelDynamics) {
   ExperimentEngine engine;
   for (const std::string& dynamics :
-       {std::string("nonsplit"), std::string("nonsplit-skewed"),
+       {std::string("nonsplit-random"), std::string("nonsplit-skewed"),
         std::string("edge-markovian")}) {
     ScenarioSpec scenario;
     scenario.objective = Objective::kGossip;
@@ -246,17 +231,18 @@ TEST(ScenarioTest, GossipIsRejectedOnGraphModelDynamics) {
   }
 }
 
-TEST(ScenarioTest, UnknownNonsplitGeneratorSuggests) {
+TEST(ScenarioTest, NonsplitIsAnUnknownDynamicsName) {
+  // The generator-list alias is gone: dynamics=nonsplit gets the
+  // registry's unknown-name error, like any other typo.
   ExperimentEngine engine;
   ScenarioSpec scenario;
   scenario.dynamics = "nonsplit";
   scenario.sizes = {8};
-  scenario.adversaries = {"nonsplit-rando"};
   try {
     (void)runScenario(scenario, engine);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("nonsplit-random"),
+    EXPECT_NE(std::string(e.what()).find("unknown dynamics model 'nonsplit'"),
               std::string::npos)
         << e.what();
   }
@@ -289,7 +275,7 @@ TEST(ScenarioTest, RowsAreBitIdenticalAcrossJobCounts) {
   // position, so any --jobs value produces the same rows — including
   // for the stochastic model-zoo dynamics.
   for (const std::string& dynamics :
-       {std::string("rooted-tree"), std::string("nonsplit"),
+       {std::string("rooted-tree"), std::string("nonsplit-random"),
         std::string("edge-markovian:p=0.2,q=0.1"),
         std::string("t-interval:T=3")}) {
     ScenarioSpec scenario;
@@ -428,8 +414,6 @@ TEST(ScenarioBackendTest, SparseIsRejectedWhereItCannotRun) {
       // Adversary-driven dynamics read the dense simulator state.
       {"rooted-tree", "adversary-driven"},
       {"restricted", "adversary-driven"},
-      // The deprecated alias must point at the direct spelling.
-      {"nonsplit", "nonsplit-random"},
       // A graph model without a sparse path must name the capable ones.
       {"nonsplit-skewed", "sparse-capable"},
   };

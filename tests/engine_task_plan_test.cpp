@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/engine/scenario.h"
 #include "src/engine/task_plan.h"
 #include "src/support/seed_sequence.h"
@@ -66,18 +70,45 @@ TEST(TaskPlanTest, PlanFieldsAreAPureFunctionOfPosition) {
   }
 }
 
-// Broadcast over rooted trees runs through ExperimentEngine::runSweep
-// (with replicate batching) — the one path NOT implemented on the plan,
-// so this equivalence is the anti-drift pin.
-TEST(TaskPlanTest, BroadcastTreePathMatchesRunSweep) {
+// The anti-drift pin for the executor: whatever the batch policy and
+// job count, every row runScenario (and so runScenarioPositions) lands
+// must equal the scalar runScenarioRow at that position. Nine replicates
+// make auto engage (one full 8-lane batch plus a 1-lane remainder) and
+// split width 3 evenly; static-path batches on a shared tree,
+// random-path on per-lane trees, and the adaptive heard-asc-path falls
+// back to scalar tasks.
+TEST(TaskPlanTest, BroadcastTreeExecutorMatchesScalarRows) {
   ScenarioSpec spec;
-  spec.sizes = {4, 6, 8};
-  spec.seedsPerSize = 2;
+  spec.sizes = {5, 33};
+  spec.seedsPerSize = 9;
   spec.masterSeed = 7;
+  spec.adversaries = {"static-path", "random-path", "heard-asc-path"};
+  const std::vector<SweepRow> scalar = rowsFromPlan(spec);
 
-  ExperimentEngine engine = makeEngine(4);
-  const ScenarioResult direct = runScenario(spec, engine);
-  expectRowsEqual(direct.rows, rowsFromPlan(spec));
+  for (const char* batch : {"auto", "off", "3"}) {
+    spec.batch = parseBatchPolicy(batch);
+    for (const std::size_t jobs : {1u, 8u}) {
+      SCOPED_TRACE(std::string("batch=") + batch +
+                   " jobs=" + std::to_string(jobs));
+      ExperimentEngine engine = makeEngine(jobs);
+      expectRowsEqual(scalar, runScenario(spec, engine).rows);
+
+      // A subset of positions — every other one, so each member's batch
+      // cells arrive partial — lands the same rows through the sink.
+      std::vector<std::size_t> positions;
+      for (std::size_t p = 0; p < scalar.size(); p += 2) {
+        positions.push_back(p);
+      }
+      std::vector<SweepRow> rows(scalar.size());
+      runScenarioPositions(spec, positions, engine,
+                           [&rows](std::size_t position, SweepRow row) {
+                             rows[position] = std::move(row);
+                           });
+      for (const std::size_t p : positions) {
+        EXPECT_EQ(rows[p], scalar[p]) << "position " << p;
+      }
+    }
+  }
 }
 
 TEST(TaskPlanTest, GossipPathMatchesRunScenario) {
@@ -116,20 +147,6 @@ TEST(TaskPlanTest, GraphModelPathMatchesRunScenario) {
     EXPECT_EQ(instances[i].portfolio.bestName,
               direct.instances[i].portfolio.bestName);
   }
-}
-
-// The legacy generator-list alias resolves its members through the
-// dynamics axis; the plan must canonicalize the same way.
-TEST(TaskPlanTest, GeneratorListAliasMatchesRunScenario) {
-  ScenarioSpec spec;
-  spec.dynamics = "nonsplit";
-  spec.sizes = {5, 7};
-  spec.seedsPerSize = 2;
-  spec.masterSeed = 9;
-
-  ExperimentEngine engine = makeEngine(2);
-  const ScenarioResult direct = runScenario(spec, engine);
-  expectRowsEqual(direct.rows, rowsFromPlan(spec));
 }
 
 TEST(TaskPlanTest, BeamSeedMatchesSweepDerivation) {

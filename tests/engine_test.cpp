@@ -1,61 +1,42 @@
-// ExperimentEngine: the sharded sweep layer. The load-bearing contract is
-// determinism — a SweepSpec must produce bit-identical rows at any job
-// count, because seeds are derived from task positions and results land
-// in position-indexed slots. Everything the benches print flows through
-// this, so these tests are what make --jobs safe to default on.
+// ExperimentEngine and the scenario executor on top of it. The
+// load-bearing contract is determinism — a ScenarioSpec must produce
+// bit-identical rows at any job count, because seeds are derived from
+// row positions and results land in position-indexed slots. Everything
+// the benches print flows through this, so these tests are what make
+// --jobs safe to default on.
 #include "src/engine/experiment_engine.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "src/adversary/adversary.h"
-#include "src/adversary/oblivious.h"
+#include "src/adversary/portfolio.h"
+#include "src/adversary/registry.h"
+#include "src/engine/scenario.h"
 #include "src/support/seed_sequence.h"
 
 namespace dynbcast {
 namespace {
 
-// A member whose reset() count exposes how many runs it performed.
-class CountingAdversary : public Adversary {
- public:
-  CountingAdversary(std::size_t n, std::atomic<int>& runs)
-      : path_(n), runs_(runs) {}
-  RootedTree nextTree(const BroadcastSim& state) override {
-    return path_.nextTree(state);
-  }
-  std::string name() const override { return "counting"; }
-  void reset() override {
-    ++runs_;
-    path_.reset();
-  }
-
- private:
-  StaticPathAdversary path_;
-  std::atomic<int>& runs_;
-};
-
 TEST(EngineTest, EmptySweepProducesNoRows) {
   ExperimentEngine engine;
-  SweepSpec spec;  // no sizes
-  const SweepResult result = engine.runSweep(spec);
+  const ScenarioSpec spec;  // no sizes
+  const ScenarioResult result = runScenario(spec, engine);
   EXPECT_TRUE(result.rows.empty());
   EXPECT_TRUE(result.instances.empty());
 }
 
 TEST(EngineTest, SingletonSweepMatchesDirectPortfolioRun) {
-  SweepSpec spec;
+  ScenarioSpec spec;
   spec.sizes = {10};
   spec.masterSeed = 99;
   ExperimentEngine engine;
-  const SweepResult result = engine.runSweep(spec);
+  const ScenarioResult result = runScenario(spec, engine);
 
-  // The engine's instance seed is position-derived; a serial
-  // runPortfolio with that same seed must reproduce every row.
+  // The instance seed is position-derived; a serial runPortfolio with
+  // that same seed must reproduce every row.
   const std::uint64_t instanceSeed = SeedSequence(99).at(0);
   const PortfolioResult direct = runPortfolio(10, instanceSeed);
   ASSERT_EQ(result.rows.size(), direct.entries.size());
@@ -71,39 +52,41 @@ TEST(EngineTest, SingletonSweepMatchesDirectPortfolioRun) {
 }
 
 TEST(EngineTest, RowsAreOrderedBySizeThenSeedThenMember) {
-  SweepSpec spec;
+  ScenarioSpec spec;
   spec.sizes = {6, 9};
   spec.seedsPerSize = 2;
   spec.masterSeed = 5;
-  ExperimentEngine engine(EngineConfig{.jobs = 4, .recordHistory = false});
-  const SweepResult result = engine.runSweep(spec);
+  ExperimentEngine engine(EngineConfig{.jobs = 4});
+  const ScenarioResult result = runScenario(spec, engine);
 
-  const std::size_t membersPerInstance = standardPortfolio(6, 1).size();
-  ASSERT_EQ(result.rows.size(), 2 * 2 * membersPerInstance);
+  const std::vector<std::string> members = standardPortfolioSpecs();
+  ASSERT_EQ(result.rows.size(), 2 * 2 * members.size());
   std::size_t row = 0;
   for (const std::size_t n : {6, 9}) {
     for (std::size_t r = 0; r < 2; ++r) {
-      for (std::size_t m = 0; m < membersPerInstance; ++m, ++row) {
+      for (std::size_t m = 0; m < members.size(); ++m, ++row) {
         EXPECT_EQ(result.rows[row].n, static_cast<std::size_t>(n));
         EXPECT_EQ(result.rows[row].seedIndex, r);
+        EXPECT_EQ(result.rows[row].member,
+                  AdversarySpec::parse(members[m]).toString());
       }
     }
   }
 }
 
-// Satellite: the determinism regression — the same SweepSpec at jobs=1
-// and jobs=8 must produce identical rows (and hence identical CSVs),
-// because seed derivation is position-based, not schedule-based.
+// The determinism regression — the same ScenarioSpec at jobs=1 and
+// jobs=8 must produce identical rows (and hence identical CSVs), because
+// seed derivation is position-based, not schedule-based.
 TEST(EngineTest, SweepIsBitIdenticalAcrossJobCounts) {
-  SweepSpec spec;
+  ScenarioSpec spec;
   spec.sizes = {4, 7, 12, 16};
   spec.seedsPerSize = 3;
   spec.masterSeed = 2026;
 
   ExperimentEngine serial(EngineConfig{.jobs = 1});
   ExperimentEngine parallel(EngineConfig{.jobs = 8});
-  const SweepResult a = serial.runSweep(spec);
-  const SweepResult b = parallel.runSweep(spec);
+  const ScenarioResult a = runScenario(spec, serial);
+  const ScenarioResult b = runScenario(spec, parallel);
 
   ASSERT_EQ(a.rows.size(), b.rows.size());
   for (std::size_t i = 0; i < a.rows.size(); ++i) {
@@ -149,35 +132,31 @@ TEST(EngineTest, MapEmptyAndSingleton) {
 }
 
 TEST(EngineTest, RecordHistoryFillsEveryRowInItsSingleRun) {
-  std::atomic<int> runs{0};
-  SweepSpec spec;
+  // Eight replicates of oblivious members would batch under auto, and
+  // batches never record history — so history must force every row onto
+  // the scalar path, where the one run that yields t* also records it.
+  ScenarioSpec spec;
   spec.sizes = {8, 11};
+  spec.seedsPerSize = BatchPolicy::kAutoWidth;
   spec.masterSeed = 3;
-  spec.portfolio = [&runs](std::size_t n, std::uint64_t) {
-    std::vector<PortfolioMember> members;
-    members.push_back({"counting", [n, &runs] {
-                         return std::make_unique<CountingAdversary>(n, runs);
-                       }});
-    return members;
-  };
-  ExperimentEngine engine(EngineConfig{.jobs = 2, .recordHistory = true});
-  const SweepResult result = engine.runSweep(spec);
-  ASSERT_EQ(result.rows.size(), 2u);
+  spec.adversaries = {"static-path", "random-path", "greedy-delay"};
+  spec.recordHistory = true;
+  ExperimentEngine engine(EngineConfig{.jobs = 2});
+  const ScenarioResult result = runScenario(spec, engine);
+  ASSERT_EQ(result.rows.size(), 2u * BatchPolicy::kAutoWidth * 3u);
   for (const SweepRow& row : result.rows) {
-    EXPECT_TRUE(row.completed);
+    EXPECT_TRUE(row.completed) << row.member;
     EXPECT_EQ(row.history.size(), row.rounds)
         << "history must cover every round of " << row.member;
   }
-  // One reset per member run: history recording never costs a re-run.
-  EXPECT_EQ(runs.load(), 2);
 }
 
 TEST(EngineTest, CustomRoundCapLimitsRuns) {
-  SweepSpec spec;
+  ScenarioSpec spec;
   spec.sizes = {16};
   spec.roundCap = 3;  // static path needs 15 rounds; it must be cut off
   ExperimentEngine engine;
-  const SweepResult result = engine.runSweep(spec);
+  const ScenarioResult result = runScenario(spec, engine);
   ASSERT_FALSE(result.rows.empty());
   for (const SweepRow& row : result.rows) {
     EXPECT_FALSE(row.completed) << row.member;
@@ -187,17 +166,14 @@ TEST(EngineTest, CustomRoundCapLimitsRuns) {
 }
 
 TEST(EngineTest, TaskExceptionPropagatesToCaller) {
-  SweepSpec spec;
+  // validateScenario checks names and keys only; k-leaf's factory
+  // rejects k > n - 1 when a pool task constructs it, and that error
+  // must reach the caller.
+  ScenarioSpec spec;
   spec.sizes = {6};
-  spec.portfolio = [](std::size_t, std::uint64_t) {
-    std::vector<PortfolioMember> members;
-    members.push_back({"broken", []() -> std::unique_ptr<Adversary> {
-                         throw std::runtime_error("factory exploded");
-                       }});
-    return members;
-  };
+  spec.adversaries = {"static-path", "k-leaf:k=50"};
   ExperimentEngine engine(EngineConfig{.jobs = 2});
-  EXPECT_THROW((void)engine.runSweep(spec), std::runtime_error);
+  EXPECT_THROW((void)runScenario(spec, engine), std::invalid_argument);
 }
 
 }  // namespace

@@ -18,7 +18,10 @@ namespace {
 class ServiceManifestTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "dynbcast_manifest_test";
+    // One directory per test: ctest runs the cases as parallel
+    // processes, and a shared one would be removed under a sibling.
+    dir_ = ::testing::TempDir() + "dynbcast_manifest_test_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name();
     std::filesystem::remove_all(dir_);  // stale state from prior runs
     makeDirectories(dir_);
   }

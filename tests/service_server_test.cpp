@@ -21,6 +21,7 @@
 #include "src/service/protocol.h"
 #include "src/service/server.h"
 #include "src/support/file_lock.h"
+#include "src/support/socket.h"
 
 namespace dynbcast {
 namespace {
@@ -118,6 +119,42 @@ TEST_F(ServiceServerTest, BeamTasksStreamBackForTheoremSweeps) {
   ASSERT_EQ(outcome.beamRounds.size(), 2u);
   EXPECT_GT(outcome.beamRounds[0], 0u);   // verified witness at n=4
   EXPECT_EQ(outcome.beamRounds[1], 0u);   // skipped above beamMaxN
+  server.join();
+}
+
+TEST_F(ServiceServerTest, ClientThatHangsUpMidJobDoesNotKillTheServer) {
+  // Enough rows (greedy-delay and local-search among them) that the
+  // server still has PROGRESS/TASK lines to write after the client is
+  // gone: each of those writes must fail as EPIPE, not raise SIGPIPE.
+  ServiceRequest request;
+  request.scenario.sizes = {32, 48};
+  request.scenario.seedsPerSize = 2;
+  request.scenario.masterSeed = 5;
+  request.beamMaxN = 4;  // both sizes skip the beam search
+
+  std::thread server = startServer(2);
+  const std::string socket = dir_ + "/sock";
+  {
+    LineChannel channel(connectUnix(socket));
+    channel.writeLine(std::string(kServiceProtocol) + " SUBMIT");
+    for (const std::string& line : encodeRequest(request)) {
+      channel.writeLine(line);
+    }
+    channel.writeLine("");
+    std::string greeting;
+    ASSERT_TRUE(channel.readLine(&greeting));
+    ASSERT_NE(greeting.find("ACCEPTED"), std::string::npos) << greeting;
+  }  // hang up right after ACCEPTED
+
+  // The server is still up: the same spec resubmitted completes, with
+  // the engine's rows.
+  const SubmitOutcome outcome = submitRequest(socket, request, nullptr);
+  ExperimentEngine engine(EngineConfig{.jobs = 2});
+  const ScenarioResult direct = runScenario(request.scenario, engine);
+  ASSERT_EQ(outcome.rows.size(), direct.rows.size());
+  for (std::size_t i = 0; i < outcome.rows.size(); ++i) {
+    EXPECT_EQ(outcome.rows[i], direct.rows[i]) << "row " << i;
+  }
   server.join();
 }
 

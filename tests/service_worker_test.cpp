@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -253,6 +254,72 @@ TEST_F(ServiceWorkerTest, OverlappingSweepsExecuteOnlyTheDelta) {
   EXPECT_EQ(thirdReport.cacheHits, 4u);
   EXPECT_EQ(thirdReport.executed, 0u);
   EXPECT_EQ(manifestCsv(again, small), manifestCsv(smallRef, small));
+}
+
+/// A rooted-tree request whose cells batch under the executor's auto
+/// policy: 9 replicates (one 8-lane batch plus a remainder) of two
+/// oblivious members and one adaptive one, plus two trivial beam tasks
+/// (both sizes above beamMaxN).
+[[nodiscard]] ServiceRequest makeBatchedRequest() {
+  ServiceRequest request;
+  request.scenario.sizes = {5, 33};
+  request.scenario.seedsPerSize = 9;
+  request.scenario.masterSeed = 7;
+  request.scenario.adversaries = {"static-path", "random-path",
+                                  "heard-asc-path"};
+  request.beamMaxN = 4;
+  return request;
+}
+
+/// Every TASK record of a drained manifest equals the scalar execution of
+/// its position (executeServiceTask runs a row through runScenarioRow).
+void expectRecordsMatchScalarRows(const std::string& manifestPath,
+                                  const ServiceRequest& request) {
+  const auto state = loadManifest(manifestPath);
+  ASSERT_TRUE(state.has_value() && state->complete());
+  for (std::size_t p = 0; p < state->taskCount; ++p) {
+    const ServiceTaskResult expected = executeServiceTask(request, p);
+    EXPECT_EQ(state->records[p]->rounds, expected.rounds) << "position " << p;
+    EXPECT_EQ(state->records[p]->completed, expected.completed)
+        << "position " << p;
+  }
+}
+
+TEST_F(ServiceWorkerTest, BatchedCellsSplitAcrossRangesAndResumes) {
+  const ServiceRequest request = makeBatchedRequest();
+  const ServiceJobPlan plan = planServiceJob(request);
+  ASSERT_EQ(plan.rowCount, 2u * 9u * 3u);
+
+  // Two ranges that split the (n=5, static-path) cell: its positions are
+  // 0, 3, …, 24, so [0, 13) takes five lanes and the rest take four.
+  const std::string sharded = path("sharded.manifest");
+  writeManifestFor(sharded, request);
+  WorkerOptions low;
+  low.manifestPath = sharded;
+  low.jobs = 8;
+  low.rangeEnd = 13;
+  WorkerOptions high = low;
+  high.rangeBegin = 13;
+  high.rangeEnd = std::numeric_limits<std::size_t>::max();
+  EXPECT_EQ(runManifestWorker(low).executed, 13u);
+  EXPECT_EQ(runManifestWorker(high).executed, plan.taskCount() - 13);
+  expectRecordsMatchScalarRows(sharded, request);
+
+  // A budget that stops mid-cell, then a resume that finishes the job.
+  const std::string resumed = path("resumed.manifest");
+  writeManifestFor(resumed, request);
+  WorkerOptions budget;
+  budget.manifestPath = resumed;
+  budget.maxTasks = 20;
+  const WorkerReport first = runManifestWorker(budget);
+  EXPECT_EQ(first.executed, 20u);
+  EXPECT_EQ(loadManifest(resumed)->doneCount, 20u);
+  WorkerOptions finish;
+  finish.manifestPath = resumed;
+  const WorkerReport second = runManifestWorker(finish);
+  EXPECT_EQ(second.alreadyDone, 20u);
+  EXPECT_EQ(second.executed, plan.taskCount() - 20);
+  expectRecordsMatchScalarRows(resumed, request);
 }
 
 TEST_F(ServiceWorkerTest, MissingManifestThrows) {

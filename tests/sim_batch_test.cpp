@@ -7,8 +7,8 @@
 //      matrices of independent scalar simulators.
 //   2. runObliviousBatch against runAdversary: same rounds, same
 //      completed flag per lane, including round-cap stalls.
-//   3. ExperimentEngine::runSweep: batch=K produces byte-identical rows
-//      to batch=off for widths that divide, straddle, and exceed the
+//   3. runScenario's executor: batch=K produces byte-identical rows to
+//      batch=off for widths that divide, straddle, and exceed the
 //      replicate count, at jobs=1 and jobs=8.
 #include <gtest/gtest.h>
 
@@ -20,7 +20,7 @@
 
 #include "src/adversary/adversary.h"
 #include "src/adversary/oblivious.h"
-#include "src/engine/experiment_engine.h"
+#include "src/engine/scenario.h"
 #include "src/graph/bitmatrix.h"
 #include "src/sim/batch_sim.h"
 #include "src/sim/broadcast_sim.h"
@@ -194,72 +194,46 @@ TEST(ObliviousBatchTest, SingleProcessCompletesAtRoundZero) {
 
 // --- engine-level bit identity --------------------------------------
 
-SweepSpec mixedSweepSpec() {
-  SweepSpec spec;
+ScenarioSpec mixedScenario() {
+  ScenarioSpec spec;
   spec.sizes = {5, 33, 64};
   spec.masterSeed = 2026;
   spec.seedsPerSize = 9;  // not a multiple of any tested width
-  spec.portfolio = [](std::size_t n, std::uint64_t seed) {
-    std::vector<PortfolioMember> members;
-    members.push_back({"static-path", [n] {
-                         return std::unique_ptr<Adversary>(
-                             new StaticPathAdversary(n));
-                       }});
-    members.push_back({"random-path", [n, seed] {
-                         return std::unique_ptr<Adversary>(
-                             new RandomPathAdversary(n, seed));
-                       }});
-    members.push_back({"k-leaf", [n, seed] {
-                         return std::unique_ptr<Adversary>(
-                             new KLeafAdversary(n, 2, seed + 1));
-                       }});
-    return members;
-  };
+  spec.adversaries = {"static-path", "random-path", "k-leaf:k=2"};
   return spec;
 }
 
 TEST(BatchedSweepTest, WidthsAndJobsAreOutputInvariant) {
-  SweepSpec spec = mixedSweepSpec();
+  ScenarioSpec spec = mixedScenario();
   spec.batch = {BatchPolicy::Mode::kOff, 0};
-  ExperimentEngine serial({/*jobs=*/1, /*recordHistory=*/false});
-  const SweepResult reference = serial.runSweep(spec);
+  ExperimentEngine serial(EngineConfig{/*jobs=*/1});
+  const ScenarioResult reference = runScenario(spec, serial);
   ASSERT_FALSE(reference.rows.empty());
   for (const std::size_t width : {1ul, 3ul, 8ul, 64ul}) {
     spec.batch = {BatchPolicy::Mode::kFixed, width};
-    EXPECT_EQ(serial.runSweep(spec).rows, reference.rows)
+    EXPECT_EQ(runScenario(spec, serial).rows, reference.rows)
         << "batch width " << width << ", jobs=1";
-    ExperimentEngine threaded({/*jobs=*/8, /*recordHistory=*/false});
-    EXPECT_EQ(threaded.runSweep(spec).rows, reference.rows)
+    ExperimentEngine threaded(EngineConfig{/*jobs=*/8});
+    EXPECT_EQ(runScenario(spec, threaded).rows, reference.rows)
         << "batch width " << width << ", jobs=8";
   }
   spec.batch = {BatchPolicy::Mode::kAuto, 0};
-  EXPECT_EQ(serial.runSweep(spec).rows, reference.rows) << "batch=auto";
+  EXPECT_EQ(runScenario(spec, serial).rows, reference.rows) << "batch=auto";
 }
 
 TEST(BatchedSweepTest, AdaptiveMembersFallBackToScalarUnchanged) {
-  // A portfolio mixing oblivious and adaptive members batches only the
+  // A member list mixing oblivious and adaptive members batches only the
   // oblivious positions; the adaptive rows must be untouched.
-  SweepSpec spec;
+  ScenarioSpec spec;
   spec.sizes = {12};
   spec.masterSeed = 77;
   spec.seedsPerSize = 8;
-  spec.portfolio = [](std::size_t n, std::uint64_t seed) {
-    std::vector<PortfolioMember> members;
-    members.push_back({"static-path", [n] {
-                         return std::unique_ptr<Adversary>(
-                             new StaticPathAdversary(n));
-                       }});
-    members.push_back({"uniform-random", [n, seed] {
-                         return std::unique_ptr<Adversary>(
-                             new UniformRandomAdversary(n, seed));
-                       }});
-    return members;
-  };
-  ExperimentEngine engine({/*jobs=*/1, /*recordHistory=*/false});
+  spec.adversaries = {"static-path", "heard-asc-path"};
+  ExperimentEngine engine(EngineConfig{/*jobs=*/1});
   spec.batch = {BatchPolicy::Mode::kOff, 0};
-  const SweepResult reference = engine.runSweep(spec);
+  const ScenarioResult reference = runScenario(spec, engine);
   spec.batch = {BatchPolicy::Mode::kFixed, 4};
-  EXPECT_EQ(engine.runSweep(spec).rows, reference.rows);
+  EXPECT_EQ(runScenario(spec, engine).rows, reference.rows);
 }
 
 TEST(BatchPolicyTest, ParseAndNameRoundTrip) {

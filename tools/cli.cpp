@@ -269,7 +269,7 @@ std::vector<std::string> splitSpecList(const std::string& text) {
   return specs;
 }
 
-int runSweep(int argc, const char* const* argv) {
+int runSweepCommand(int argc, const char* const* argv) {
   return guarded([&] {
     BenchDriver driver(argc, argv, "4:128:2", 1);
     const bool wantSummary = driver.options().has("summary");
@@ -503,9 +503,7 @@ int runList(int argc, const char* const* argv) {
       std::cout << "  " << name << "  ["
                 << (info.mode == DynamicsMode::kGraphModel
                         ? "graph model"
-                        : info.mode == DynamicsMode::kGeneratorList
-                              ? "deprecated generator-list alias"
-                              : "adversary-driven")
+                        : "adversary-driven")
                 << ", class=" << dynamicsClassName(info.graphClass)
                 << (info.stochastic ? ", stochastic" : "")
                 << (info.sparseCapable ? ", sparse-capable" : "")
@@ -516,9 +514,6 @@ int runList(int argc, const char* const* argv) {
       for (const DynamicsParamDoc& param : info.params) {
         std::cout << "      " << param.key << "=" << param.defaultValue
                   << "  " << param.description << '\n';
-      }
-      if (!info.deprecation.empty()) {
-        std::cout << "      deprecated: " << info.deprecation << '\n';
       }
     }
 
@@ -717,7 +712,7 @@ int runWork(int argc, const char* const* argv) {
 int dispatch(int argc, const char* const* argv) {
   if (argc < 2) return usage(std::cerr);
   const std::string subcommand = argv[1];
-  if (subcommand == "sweep") return runSweep(argc - 1, argv + 1);
+  if (subcommand == "sweep") return runSweepCommand(argc - 1, argv + 1);
   if (subcommand == "portfolio") return runPortfolio(argc - 1, argv + 1);
   if (subcommand == "duel") return runDuel(argc - 1, argv + 1);
   if (subcommand == "witness") return runWitness(argc - 1, argv + 1);

@@ -2,7 +2,7 @@
 //
 // Subcommands (each also callable as a library function, so bench
 // binaries can forward to them — bench_thm31_adversary_sweep is
-// `cli::runSweep` under its historical name):
+// `cli::runSweepCommand` under its historical name):
 //
 //   sweep      Theorem 3.1 reproduction under the default rooted-tree
 //              dynamics: portfolio sweep + beam witnesses vs the paper's
@@ -48,7 +48,7 @@ namespace dynbcast::cli {
 /// Subcommand entry points. argv[0] is the program/subcommand name;
 /// flags follow. Each returns a process exit code and reports
 /// std::invalid_argument errors on stderr.
-int runSweep(int argc, const char* const* argv);
+int runSweepCommand(int argc, const char* const* argv);
 int runPortfolio(int argc, const char* const* argv);
 int runDuel(int argc, const char* const* argv);
 int runWitness(int argc, const char* const* argv);
