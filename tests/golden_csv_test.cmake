@@ -7,6 +7,7 @@
 #   -DSIZES=<--sizes sweep spec, e.g. 4:128:4>
 #   -DDYNAMICS=<optional --dynamics spec, e.g. edge-markovian:p=0.2,q=0.1>
 #   -DSEEDS=<optional --seeds replicate count>
+#   -DOBJECTIVE=<optional --objective, e.g. gossip>
 #   -DBACKEND=<optional --backend selection: dense|sparse|auto — dense
 #             and sparse must reproduce the SAME golden bytes at mirror
 #             sizes, pinning the backends to each other>
@@ -21,6 +22,9 @@ if(SEEDS)
 endif()
 if(BACKEND)
   list(APPEND extra_args "--backend=${BACKEND}")
+endif()
+if(OBJECTIVE)
+  list(APPEND extra_args "--objective=${OBJECTIVE}")
 endif()
 execute_process(
   COMMAND ${BENCH} ${SUBCOMMAND} --sizes=${SIZES} --jobs=${JOBS}
