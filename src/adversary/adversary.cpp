@@ -14,25 +14,14 @@ const RootedTree& Adversary::obliviousTree(std::size_t) {
 }
 
 BroadcastRun runAdversary(std::size_t n, Adversary& adversary,
-                          std::size_t maxRounds, bool recordHistory) {
+                          std::size_t maxRounds, bool recordHistory,
+                          Objective objective) {
   adversary.reset();
-  return runBroadcast(
-      n,
-      [&adversary](const BroadcastSim& state) {
-        return adversary.nextTree(state);
-      },
-      maxRounds, recordHistory);
-}
-
-BroadcastRun runAdversaryGossip(std::size_t n, Adversary& adversary,
-                                std::size_t maxRounds, bool recordHistory) {
-  adversary.reset();
-  return runGossip(
-      n,
-      [&adversary](const BroadcastSim& state) {
-        return adversary.nextTree(state);
-      },
-      maxRounds, recordHistory);
+  BroadcastSim sim(n);
+  return runUntil(sim, objective, maxRounds, recordHistory,
+                  [&adversary](BroadcastSim& state) {
+                    state.applyTree(adversary.nextTree(state));
+                  });
 }
 
 std::vector<BroadcastRun> runObliviousBatch(

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/sim/broadcast_sim.h"
+#include "src/sim/sim_backend.h"
 #include "src/tree/rooted_tree.h"
 
 namespace dynbcast {
@@ -60,19 +61,13 @@ class Adversary {
   virtual void reset() {}
 };
 
-/// Runs `adversary` from the initial state until broadcast completes or
-/// `maxRounds` is reached; resets the adversary first.
-[[nodiscard]] BroadcastRun runAdversary(std::size_t n, Adversary& adversary,
-                                        std::size_t maxRounds,
-                                        bool recordHistory = false);
-
-/// Same, but runs to GOSSIP completion (everyone heard everyone). Use
-/// defaultGossipRoundCap(n) for the cap, not defaultRoundCap(n): the
+/// Runs `adversary` on a fresh BroadcastSim through runUntil until the
+/// objective holds or `maxRounds` is reached; resets the adversary first.
+/// For gossip use defaultGossipRoundCap(n), not defaultRoundCap(n): the
 /// latter encodes the paper's broadcast bound, which gossip may exceed.
-[[nodiscard]] BroadcastRun runAdversaryGossip(std::size_t n,
-                                              Adversary& adversary,
-                                              std::size_t maxRounds,
-                                              bool recordHistory = false);
+[[nodiscard]] BroadcastRun runAdversary(
+    std::size_t n, Adversary& adversary, std::size_t maxRounds,
+    bool recordHistory = false, Objective objective = Objective::kBroadcast);
 
 /// Default round cap used by drivers: comfortably above the paper's upper
 /// bound ⌈(1+√2)n−1⌉, so hitting it means something is wrong (and tests

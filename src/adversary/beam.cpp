@@ -134,8 +134,10 @@ void validateBeamConfig(const BeamConfig& config) {
 
 BeamResult beamSearchWitness(std::size_t n, std::uint64_t seed,
                              BeamConfig config) {
-  DYNBCAST_ASSERT(n >= 2);
+  DYNBCAST_ASSERT(n > 0);
   validateBeamConfig(config);
+  // One process is broadcast-complete at round 0: the witness is empty.
+  if (n == 1) return {};
   Rng rng(seed);
   const std::size_t cap =
       config.maxRounds != 0 ? config.maxRounds : n * n;

@@ -80,7 +80,8 @@ struct BeamResult {
 
 /// Runs the search. Deterministic for a fixed (n, seed, config).
 /// Throws std::invalid_argument on an invalid config (see
-/// validateBeamConfig).
+/// validateBeamConfig). At n = 1 the start state is already
+/// broadcast-complete, so the witness is empty and rounds is 0.
 [[nodiscard]] BeamResult beamSearchWitness(std::size_t n, std::uint64_t seed,
                                            BeamConfig config = {});
 

@@ -38,6 +38,14 @@ std::vector<PortfolioMember> standardPortfolio(std::size_t n,
   return membersFromSpecs(standardPortfolioSpecs(), n, seed);
 }
 
+void PortfolioResult::add(PortfolioEntry entry) {
+  if (entry.completed && (bestName.empty() || entry.rounds > bestRounds)) {
+    bestRounds = entry.rounds;
+    bestName = entry.name;
+  }
+  entries.push_back(std::move(entry));
+}
+
 PortfolioResult runPortfolio(std::size_t n, std::uint64_t seed,
                              bool recordHistory) {
   return runPortfolio(n, seed, standardPortfolio(n, seed), recordHistory);
@@ -54,12 +62,8 @@ PortfolioResult runPortfolio(std::size_t n, std::uint64_t seed,
     // One run per member: history is recorded in the same run that
     // produces the t* witness, never by replaying the member.
     BroadcastRun run = runAdversary(n, *adversary, cap, recordHistory);
-    result.entries.push_back(
+    result.add(
         {member.name, run.rounds, run.completed, std::move(run.history)});
-    if (run.completed && run.rounds > result.bestRounds) {
-      result.bestRounds = run.rounds;
-      result.bestName = member.name;
-    }
   }
   return result;
 }

@@ -52,10 +52,17 @@ struct PortfolioEntry {
 };
 
 struct PortfolioResult {
-  /// The strongest (largest) completed t* among members.
+  /// The strongest (largest) completed t* among members; bestName stays
+  /// empty only when no member completed.
   std::size_t bestRounds = 0;
   std::string bestName;
   std::vector<PortfolioEntry> entries;
+
+  /// Appends a member's entry. The first completed member sets the best
+  /// (even at t* = 0, as every member has at n = 1); a later one
+  /// replaces it only with strictly more rounds. Member names are
+  /// canonical specs, never empty.
+  void add(PortfolioEntry entry);
 };
 
 /// Runs each member to completion (cap defaultRoundCap(n)) and collects

@@ -53,25 +53,12 @@ BroadcastRun runDynamicsBroadcast(std::size_t n, DynamicsModel& model,
                                   std::size_t maxRounds, bool recordHistory) {
   model.reset();
   BroadcastSim sim(n);
-  BroadcastRun run;
-  if (sim.broadcastDone()) {
-    run.completed = true;
-    return run;
-  }
-  while (sim.round() < maxRounds) {
-    const BitMatrix g = model.nextGraph(sim);
-    assertClass(g, n, model.graphClass());
-    sim.applyGraph(g);
-    if (recordHistory) run.history.push_back(sim.metrics());
-    if (sim.broadcastDone()) {
-      run.rounds = sim.round();
-      run.completed = true;
-      return run;
-    }
-  }
-  run.rounds = sim.round();
-  run.completed = false;
-  return run;
+  return runUntil(sim, Objective::kBroadcast, maxRounds, recordHistory,
+                  [&model, n](BroadcastSim& state) {
+                    const BitMatrix g = model.nextGraph(state);
+                    assertClass(g, n, model.graphClass());
+                    state.applyGraph(g);
+                  });
 }
 
 BroadcastRun runFrontierDynamicsBroadcast(std::size_t n, DynamicsModel& model,
@@ -95,25 +82,13 @@ BroadcastRun runFrontierDynamicsBroadcast(std::size_t n, DynamicsModel& model,
   // match the dense driver's bit for bit.
   model.reset();
   FrontierSim sim(n);
-  BroadcastRun run;
-  if (sim.broadcastDone()) {
-    run.completed = true;
-    return run;
-  }
   SparseRound round;
-  while (sim.round() < maxRounds) {
-    model.nextSparseRound(round);
-    sim.applyEdges(round);
-    run.history.push_back(sim.metrics());
-    if (sim.broadcastDone()) {
-      run.rounds = sim.round();
-      run.completed = true;
-      return run;
-    }
-  }
-  run.rounds = sim.round();
-  run.completed = false;
-  return run;
+  return runUntil(sim, Objective::kBroadcast, maxRounds,
+                  /*recordHistory=*/true,
+                  [&model, &round](FrontierSim& state) {
+                    model.nextSparseRound(round);
+                    state.applyEdges(round);
+                  });
 }
 
 }  // namespace dynbcast

@@ -29,6 +29,7 @@
 #include "src/graph/bitmatrix.h"
 #include "src/sim/broadcast_sim.h"
 #include "src/sim/frontier_sim.h"
+#include "src/sim/sim_backend.h"
 
 namespace dynbcast {
 
@@ -115,10 +116,10 @@ class DynamicsRoundSource final : public SparseRoundSource {
   SparseRound round_;
 };
 
-/// Drives a BroadcastSim with graphs from `model` (reset first) until
-/// broadcast completes or maxRounds is hit, asserting the model's
-/// declared graph class every round. The stochastic twin of
-/// runAdversary().
+/// Drives a BroadcastSim through runUntil with graphs from `model` (reset
+/// first) until broadcast completes or maxRounds is hit; each step
+/// asserts the model's declared graph class before applying the graph.
+/// The stochastic twin of runAdversary().
 [[nodiscard]] BroadcastRun runDynamicsBroadcast(std::size_t n,
                                                 DynamicsModel& model,
                                                 std::size_t maxRounds,
@@ -126,15 +127,16 @@ class DynamicsRoundSource final : public SparseRoundSource {
 
 /// The sparse twin of runDynamicsBroadcast: drives `model` through its
 /// nextSparseRound() stream (the model must supportSparseRounds()).
-/// Without history it runs the O(n)-memory t*-only frontier mode; with
-/// recordHistory it runs the exact FrontierSim so per-round metrics come
-/// out identical to the dense driver's. Either way rounds/completed are
-/// bit-identical to runDynamicsBroadcast whenever the model's sparse
-/// generation mirrors its dense one (always at n ≤
-/// kSparseDenseMirrorMaxN). `sampleSeed` tunes the t*-mode sampling and
-/// never affects results. Unlike the dense driver, the declared graph
-/// class is not re-asserted per round (that check is O(n²)); the
-/// differential suite enforces it at overlapping sizes instead.
+/// Without history it runs the O(n)-memory t*-only frontier mode
+/// (runFrontierTStar); with recordHistory it drives the exact FrontierSim
+/// through runUntil, so per-round metrics come out identical to the
+/// dense driver's. Either way rounds/completed are bit-identical to
+/// runDynamicsBroadcast whenever the model's sparse generation mirrors
+/// its dense one (always at n ≤ kSparseDenseMirrorMaxN). `sampleSeed`
+/// tunes the t*-mode sampling and never affects results. Unlike the
+/// dense driver, the declared graph class is not re-asserted per round
+/// (that check is O(n²)); the differential suite enforces it at
+/// overlapping sizes instead.
 [[nodiscard]] BroadcastRun runFrontierDynamicsBroadcast(
     std::size_t n, DynamicsModel& model, std::size_t maxRounds,
     bool recordHistory = false, std::uint64_t sampleSeed = 0);

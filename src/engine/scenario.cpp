@@ -69,6 +69,12 @@ void validateScenario(const ScenarioSpec& spec) {
   if (spec.seedsPerSize == 0) {
     throw std::invalid_argument("scenario: seedsPerSize must be >= 1");
   }
+  for (const std::size_t n : spec.sizes) {
+    if (n == 0) {
+      throw std::invalid_argument(
+          "scenario: size 0 has no processes; every size must be >= 1");
+    }
+  }
   const DynamicsSpec dynamics = DynamicsSpec::parse(spec.dynamics);
   const DynamicsRegistry& dynRegistry = DynamicsRegistry::instance();
   dynRegistry.validate(dynamics);

@@ -22,12 +22,9 @@
 #include <vector>
 
 #include "src/engine/experiment_engine.h"
+#include "src/sim/sim_backend.h"
 
 namespace dynbcast {
-
-/// What a run must complete: one row of the product graph (broadcast) or
-/// all of them (gossip).
-enum class Objective { kBroadcast, kGossip };
 
 [[nodiscard]] Objective parseObjective(const std::string& text);
 [[nodiscard]] std::string objectiveName(Objective objective);

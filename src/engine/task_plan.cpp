@@ -114,15 +114,10 @@ class ResolvedScenario {
                             plan.n, *instance, cap, spec_.recordHistory, seed)
                       : runDynamicsBroadcast(plan.n, *instance, cap,
                                              spec_.recordHistory);
-    } else if (spec_.objective == Objective::kGossip) {
-      const std::unique_ptr<Adversary> adversary = makeAdversary(plan);
-      const std::size_t cap =
-          spec_.roundCap != 0 ? spec_.roundCap : defaultGossipRoundCap(plan.n);
-      run = runAdversaryGossip(plan.n, *adversary, cap, spec_.recordHistory);
     } else {
       const std::unique_ptr<Adversary> adversary = makeAdversary(plan);
-      run = runAdversary(plan.n, *adversary, broadcastCap(plan.n),
-                         spec_.recordHistory);
+      run = runAdversary(plan.n, *adversary, adversaryCap(plan.n),
+                         spec_.recordHistory, spec_.objective);
     }
     SweepRow row = rowOf(plan);
     row.rounds = run.rounds;
@@ -145,7 +140,7 @@ class ResolvedScenario {
     }
     const std::size_t n = lanes.front().n;
     const std::vector<BroadcastRun> runs =
-        runObliviousBatch(n, adversaries, broadcastCap(n));
+        runObliviousBatch(n, adversaries, adversaryCap(n));
     std::vector<SweepRow> rows;
     rows.reserve(lanes.size());
     for (std::size_t i = 0; i < lanes.size(); ++i) {
@@ -157,8 +152,12 @@ class ResolvedScenario {
   }
 
  private:
-  [[nodiscard]] std::size_t broadcastCap(std::size_t n) const {
-    return spec_.roundCap != 0 ? spec_.roundCap : defaultRoundCap(n);
+  /// The objective's stall cap for adversary-driven runs: gossip has no
+  /// theorem bound, so it gets the wider defaultGossipRoundCap.
+  [[nodiscard]] std::size_t adversaryCap(std::size_t n) const {
+    if (spec_.roundCap != 0) return spec_.roundCap;
+    return spec_.objective == Objective::kGossip ? defaultGossipRoundCap(n)
+                                                 : defaultRoundCap(n);
   }
 
   /// The row's identity columns. Adversary members are named by their
@@ -284,12 +283,7 @@ std::vector<SweepInstance> aggregateScenarioInstances(
       const SweepRow& row = rows[p * width + m];
       // History stays in rows only — copying the per-round metrics here
       // would double the sweep's dominant allocation at large n.
-      aggregate.portfolio.entries.push_back(
-          {row.member, row.rounds, row.completed, {}});
-      if (row.completed && row.rounds > aggregate.portfolio.bestRounds) {
-        aggregate.portfolio.bestRounds = row.rounds;
-        aggregate.portfolio.bestName = row.member;
-      }
+      aggregate.portfolio.add({row.member, row.rounds, row.completed, {}});
     }
     instances.push_back(std::move(aggregate));
   }

@@ -73,27 +73,18 @@ BitMatrix skewedNonsplitGraph(std::size_t n, Rng& rng) {
   return g;
 }
 
-NonsplitRun runNonsplitBroadcast(
+BroadcastRun runNonsplitBroadcast(
     std::size_t n, const std::function<BitMatrix(Rng&)>& makeGraph,
     std::size_t maxRounds, Rng& rng) {
   BroadcastSim sim(n);
-  NonsplitRun run;
-  if (sim.broadcastDone()) {
-    run.completed = true;
-    return run;
-  }
-  while (sim.round() < maxRounds) {
-    const BitMatrix g = makeGraph(rng);
-    DYNBCAST_ASSERT_MSG(isNonsplit(g), "adversary move must be nonsplit");
-    sim.applyGraph(g);
-    if (sim.broadcastDone()) {
-      run.rounds = sim.round();
-      run.completed = true;
-      return run;
-    }
-  }
-  run.rounds = sim.round();
-  return run;
+  return runUntil(sim, Objective::kBroadcast, maxRounds,
+                  /*recordHistory=*/false,
+                  [&makeGraph, &rng](BroadcastSim& state) {
+                    const BitMatrix g = makeGraph(rng);
+                    DYNBCAST_ASSERT_MSG(isNonsplit(g),
+                                        "adversary move must be nonsplit");
+                    state.applyGraph(g);
+                  });
 }
 
 }  // namespace dynbcast

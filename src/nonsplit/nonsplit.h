@@ -18,6 +18,7 @@
 
 #include "src/graph/bitmatrix.h"
 #include "src/graph/properties.h"
+#include "src/sim/sim_backend.h"
 #include "src/support/rng.h"
 
 namespace dynbcast {
@@ -42,15 +43,11 @@ namespace dynbcast {
 [[nodiscard]] BitMatrix bernoulliNonsplitGraph(std::size_t n, double p,
                                                Rng& rng);
 
-/// Runs broadcast where every round's graph is produced by `makeGraph`
-/// (must be reflexive; nonsplitness is asserted). Returns rounds until
-/// some node is heard by everyone, or maxRounds when incomplete.
-struct NonsplitRun {
-  std::size_t rounds = 0;
-  bool completed = false;
-};
-
-[[nodiscard]] NonsplitRun runNonsplitBroadcast(
+/// Runs broadcast through runUntil on a BroadcastSim, one graph from
+/// `makeGraph` per round (must be reflexive; each step asserts
+/// nonsplitness before applying it). A stalled run reports maxRounds,
+/// not completed.
+[[nodiscard]] BroadcastRun runNonsplitBroadcast(
     std::size_t n, const std::function<BitMatrix(Rng&)>& makeGraph,
     std::size_t maxRounds, Rng& rng);
 

@@ -132,49 +132,4 @@ RoundMetrics BroadcastSim::metrics() const {
   return computeMetrics(reachMatrix(), round_);
 }
 
-namespace {
-
-BroadcastRun runUntil(
-    std::size_t n,
-    const std::function<RootedTree(const BroadcastSim&)>& nextTree,
-    std::size_t maxRounds, bool recordHistory,
-    const std::function<bool(const BroadcastSim&)>& done) {
-  BroadcastSim sim(n);
-  BroadcastRun run;
-  if (done(sim)) {
-    run.completed = true;
-    return run;
-  }
-  while (sim.round() < maxRounds) {
-    sim.applyTree(nextTree(sim));
-    if (recordHistory) run.history.push_back(sim.metrics());
-    if (done(sim)) {
-      run.rounds = sim.round();
-      run.completed = true;
-      return run;
-    }
-  }
-  run.rounds = sim.round();
-  run.completed = false;
-  return run;
-}
-
-}  // namespace
-
-BroadcastRun runBroadcast(
-    std::size_t n,
-    const std::function<RootedTree(const BroadcastSim&)>& nextTree,
-    std::size_t maxRounds, bool recordHistory) {
-  return runUntil(n, nextTree, maxRounds, recordHistory,
-                  [](const BroadcastSim& s) { return s.broadcastDone(); });
-}
-
-BroadcastRun runGossip(
-    std::size_t n,
-    const std::function<RootedTree(const BroadcastSim&)>& nextTree,
-    std::size_t maxRounds, bool recordHistory) {
-  return runUntil(n, nextTree, maxRounds, recordHistory,
-                  [](const BroadcastSim& s) { return s.gossipDone(); });
-}
-
 }  // namespace dynbcast

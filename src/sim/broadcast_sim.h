@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "src/graph/bitmatrix.h"
@@ -121,29 +120,5 @@ class BroadcastSim {
   std::size_t fullRows_ = 0;
   std::vector<std::size_t> orderScratch_;  // reused BFS-order buffer
 };
-
-/// Outcome of a driven simulation run.
-struct BroadcastRun {
-  /// Rounds executed until completion (== t* when completed).
-  std::size_t rounds = 0;
-  bool completed = false;
-  /// Per-round metrics (entry r describes the state after round r+1);
-  /// empty unless requested.
-  std::vector<RoundMetrics> history;
-};
-
-/// Drives a BroadcastSim with trees supplied by `nextTree` (which may
-/// inspect the state — adaptive adversaries do) until broadcast completes
-/// or maxRounds is hit.
-[[nodiscard]] BroadcastRun runBroadcast(
-    std::size_t n,
-    const std::function<RootedTree(const BroadcastSim&)>& nextTree,
-    std::size_t maxRounds, bool recordHistory = false);
-
-/// Same driver but runs to gossip completion (everyone heard everyone).
-[[nodiscard]] BroadcastRun runGossip(
-    std::size_t n,
-    const std::function<RootedTree(const BroadcastSim&)>& nextTree,
-    std::size_t maxRounds, bool recordHistory = false);
 
 }  // namespace dynbcast

@@ -1,5 +1,7 @@
 #include "src/sim/gossip.h"
 
+#include "src/sim/sim_backend.h"
+
 namespace dynbcast {
 
 GossipComparison runGossipComparison(
@@ -8,27 +10,19 @@ GossipComparison runGossipComparison(
     std::size_t maxRounds) {
   BroadcastSim sim(n);
   GossipComparison cmp;
-  if (sim.broadcastDone()) {
-    cmp.broadcastCompleted = true;
-  }
-  if (sim.gossipDone()) {
-    cmp.gossipCompleted = true;
-    return cmp;
-  }
-  while (sim.round() < maxRounds) {
-    sim.applyTree(nextTree(sim));
-    if (!cmp.broadcastCompleted && sim.broadcastDone()) {
-      cmp.broadcastCompleted = true;
-      cmp.broadcastRounds = sim.round();
-    }
-    if (sim.gossipDone()) {
-      cmp.gossipCompleted = true;
-      cmp.gossipRounds = sim.round();
-      return cmp;
-    }
-  }
-  cmp.gossipRounds = sim.round();
-  if (!cmp.broadcastCompleted) cmp.broadcastRounds = sim.round();
+  cmp.broadcastCompleted = sim.broadcastDone();
+  const BroadcastRun gossip = runUntil(
+      sim, Objective::kGossip, maxRounds, /*recordHistory=*/false,
+      [&nextTree, &cmp](BroadcastSim& state) {
+        state.applyTree(nextTree(state));
+        if (!cmp.broadcastCompleted && state.broadcastDone()) {
+          cmp.broadcastCompleted = true;
+          cmp.broadcastRounds = state.round();
+        }
+      });
+  cmp.gossipRounds = gossip.rounds;
+  cmp.gossipCompleted = gossip.completed;
+  if (!cmp.broadcastCompleted) cmp.broadcastRounds = gossip.rounds;
   return cmp;
 }
 

@@ -24,8 +24,9 @@ struct GossipComparison {
   bool gossipCompleted = false;
 };
 
-/// Runs one simulation to gossip completion, recording when broadcast
-/// completed along the way. `nextTree` sees the live state.
+/// Runs one simulation to gossip completion through runUntil, noting
+/// when broadcast completed along the way. `nextTree` sees the live
+/// state. A stalled run reports maxRounds for both objectives it missed.
 [[nodiscard]] GossipComparison runGossipComparison(
     std::size_t n,
     const std::function<RootedTree(const BroadcastSim&)>& nextTree,

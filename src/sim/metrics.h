@@ -31,6 +31,7 @@ struct RoundMetrics {
   std::size_t completeCols = 0;
 
   [[nodiscard]] std::string toString() const;
+  bool operator==(const RoundMetrics&) const = default;
 };
 
 /// Computes metrics from the reach matrix (row x = who x has reached).

@@ -24,12 +24,21 @@
 // state. All backends are EXACT — same t*, same counts, bit for bit —
 // which is what lets the engine pick a backend per workload without
 // changing any result.
+//
+// runUntil is the one round loop every driver shares. It checks the
+// objective at round 0 (so n = 1 completes with rounds 0 and an empty
+// history), then calls step(sim) — which must advance exactly one round —
+// until the objective holds or sim.round() reaches maxRounds. History
+// entry r is sim.metrics() after round r+1, recorded only when asked. A
+// stall reports rounds == maxRounds, completed == false.
 #pragma once
 
 #include <concepts>
 #include <cstddef>
+#include <vector>
 
 #include "src/graph/bitmatrix.h"
+#include "src/sim/metrics.h"
 #include "src/tree/rooted_tree.h"
 
 namespace dynbcast {
@@ -46,5 +55,41 @@ concept SimBackend = requires(S sim, const S& csim, const RootedTree& tree,
   { csim.broadcastDone() } -> std::convertible_to<bool>;
   { csim.gossipDone() } -> std::convertible_to<bool>;
 };
+
+/// What a run must complete: one row of the product graph (broadcast) or
+/// all of them (gossip).
+enum class Objective { kBroadcast, kGossip };
+
+/// Outcome of a driven simulation run.
+struct BroadcastRun {
+  /// Rounds executed until completion (== t* when completed).
+  std::size_t rounds = 0;
+  bool completed = false;
+  /// Per-round metrics (entry r describes the state after round r+1);
+  /// empty unless requested.
+  std::vector<RoundMetrics> history;
+};
+
+/// Drives `sim` from its current (round-0) state with `step`, one round
+/// per call, until `objective` holds or maxRounds is reached (contract
+/// in the file comment). Recording history needs Sim::metrics().
+template <SimBackend Sim, class Step>
+[[nodiscard]] BroadcastRun runUntil(Sim& sim, Objective objective,
+                                    std::size_t maxRounds,
+                                    bool recordHistory, Step&& step) {
+  const auto done = [&sim, objective] {
+    return objective == Objective::kGossip ? sim.gossipDone()
+                                           : sim.broadcastDone();
+  };
+  BroadcastRun run;
+  run.completed = done();
+  while (!run.completed && sim.round() < maxRounds) {
+    step(sim);
+    if (recordHistory) run.history.push_back(sim.metrics());
+    run.completed = done();
+  }
+  run.rounds = sim.round();
+  return run;
+}
 
 }  // namespace dynbcast

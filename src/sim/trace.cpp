@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "src/sim/sim_backend.h"
 #include "src/support/assert.h"
 #include "src/support/format.h"
 
@@ -18,14 +19,7 @@ std::size_t SimTrace::replayAndVerify() const {
   std::size_t broadcastRound = 0;
   for (std::size_t r = 0; r < trees_.size(); ++r) {
     sim.applyTree(trees_[r]);
-    const RoundMetrics live = sim.metrics();
-    const RoundMetrics& recorded = metrics_[r];
-    DYNBCAST_ASSERT_MSG(live.totalEdges == recorded.totalEdges &&
-                            live.minHeard == recorded.minHeard &&
-                            live.maxHeard == recorded.maxHeard &&
-                            live.maxCoverage == recorded.maxCoverage &&
-                            live.completeRows == recorded.completeRows &&
-                            live.completeCols == recorded.completeCols,
+    DYNBCAST_ASSERT_MSG(sim.metrics() == metrics_[r],
                         "trace replay diverged at round " +
                             std::to_string(r + 1));
     if (broadcastRound == 0 && sim.broadcastDone()) {
@@ -54,14 +48,14 @@ SimTrace recordBroadcastTrace(
     std::size_t maxRounds, std::uint64_t seed, bool* completedOut) {
   BroadcastSim sim(n);
   SimTrace trace(n, seed);
-  bool completed = sim.broadcastDone();
-  while (!completed && sim.round() < maxRounds) {
-    RootedTree t = nextTree(sim);
-    sim.applyTree(t);
-    trace.record(t, sim.metrics());
-    completed = sim.broadcastDone();
-  }
-  if (completedOut != nullptr) *completedOut = completed;
+  const BroadcastRun run = runUntil(
+      sim, Objective::kBroadcast, maxRounds, /*recordHistory=*/false,
+      [&nextTree, &trace](BroadcastSim& state) {
+        const RootedTree tree = nextTree(state);
+        state.applyTree(tree);
+        trace.record(tree, state.metrics());
+      });
+  if (completedOut != nullptr) *completedOut = run.completed;
   return trace;
 }
 

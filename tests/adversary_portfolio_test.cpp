@@ -116,6 +116,17 @@ TEST(PortfolioTest, HistoryComesFromASingleRunPerMember) {
   EXPECT_EQ(traced.entries[0].history.size(), traced.entries[0].rounds);
 }
 
+TEST(PortfolioTest, SingleProcessHasAWinnerAtRoundZero) {
+  // Every member completes at round 0, so the first one is the best.
+  const PortfolioResult result = runPortfolio(1, 3);
+  for (const auto& e : result.entries) {
+    EXPECT_TRUE(e.completed) << e.name;
+    EXPECT_EQ(e.rounds, 0u) << e.name;
+  }
+  EXPECT_EQ(result.bestName, result.entries.front().name);
+  EXPECT_EQ(result.bestRounds, 0u);
+}
+
 TEST(PortfolioTest, HistoryEmptyByDefault) {
   const PortfolioResult result = runPortfolio(8, 2);
   for (const auto& e : result.entries) {

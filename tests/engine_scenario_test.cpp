@@ -144,6 +144,24 @@ TEST(ScenarioTest, GossipDominatesBroadcastMemberwise) {
   }
 }
 
+TEST(ScenarioTest, SingleProcessInstanceHasAWinnerAtRoundZero) {
+  ExperimentEngine engine;
+  ScenarioSpec scenario;
+  scenario.sizes = {1};
+  const ScenarioResult result = runScenario(scenario, engine);
+  ASSERT_EQ(result.instances.size(), 1u);
+  EXPECT_FALSE(result.instances[0].portfolio.bestName.empty());
+  EXPECT_EQ(result.instances[0].portfolio.bestRounds, 0u);
+}
+
+TEST(ScenarioTest, SizeZeroIsRejected) {
+  ScenarioSpec scenario;
+  scenario.sizes = {0};
+  EXPECT_THROW(validateScenario(scenario), std::invalid_argument);
+  scenario.sizes = {8, 0};
+  EXPECT_THROW(validateScenario(scenario), std::invalid_argument);
+}
+
 TEST(ScenarioTest, RestrictedDynamicsValidatesTheClass) {
   ExperimentEngine engine;
   ScenarioSpec scenario;

@@ -28,10 +28,10 @@ TEST_P(UpperBoundFuzzTest, RandomSequencesRespectUpperBound) {
   Rng rng(n * 1009 + 7);
   for (int trial = 0; trial < 30; ++trial) {
     Rng seq = rng.split();
-    const BroadcastRun run = runBroadcast(
-        n,
-        [&seq, n](const BroadcastSim&) { return randomRootedTree(n, seq); },
-        defaultRoundCap(n));
+    BroadcastSim sim(n);
+    const BroadcastRun run = runUntil(
+        sim, Objective::kBroadcast, defaultRoundCap(n), false,
+        [&seq, n](BroadcastSim& s) { s.applyTree(randomRootedTree(n, seq)); });
     ASSERT_TRUE(run.completed) << "hit cap: upper bound violated?";
     const TheoremCheck check = checkTheorem31(n, run.rounds);
     EXPECT_TRUE(check.withinUpper) << check.toString();

@@ -35,7 +35,7 @@ TEST(NonsplitBroadcastTest, FinishesWithinLogBound) {
   // [2]: broadcast under nonsplit adversaries takes ≤ ⌈log₂ n⌉ rounds.
   Rng rng(3);
   for (const std::size_t n : {4u, 16u, 64u, 128u}) {
-    const NonsplitRun run = runNonsplitBroadcast(
+    const BroadcastRun run = runNonsplitBroadcast(
         n,
         [n](Rng& r) { return randomNonsplitGraph(n, 2 * n, r); },
         bounds::nonsplitLogUpper(n) + 5, rng);
@@ -47,7 +47,7 @@ TEST(NonsplitBroadcastTest, FinishesWithinLogBound) {
 TEST(NonsplitBroadcastTest, SkewedAlsoLogarithmic) {
   Rng rng(4);
   const std::size_t n = 64;
-  const NonsplitRun run = runNonsplitBroadcast(
+  const BroadcastRun run = runNonsplitBroadcast(
       n, [n](Rng& r) { return skewedNonsplitGraph(n, r); },
       bounds::nonsplitLogUpper(n) + 5, rng);
   EXPECT_TRUE(run.completed);

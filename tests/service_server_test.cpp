@@ -122,6 +122,27 @@ TEST_F(ServiceServerTest, BeamTasksStreamBackForTheoremSweeps) {
   server.join();
 }
 
+TEST_F(ServiceServerTest, SingleProcessTheoremSweepCompletes) {
+  // n = 1 is broadcast-complete at round 0: every row and the beam
+  // witness report 0 rounds instead of tripping an assertion.
+  ServiceRequest request;
+  request.scenario.sizes = {1};
+
+  std::thread server = startServer(1);
+  const SubmitOutcome outcome =
+      submitRequest(dir_ + "/sock", request, nullptr);
+  server.join();
+
+  ExperimentEngine engine;
+  const ScenarioResult direct = runScenario(request.scenario, engine);
+  ASSERT_EQ(outcome.rows.size(), direct.rows.size());
+  for (std::size_t i = 0; i < outcome.rows.size(); ++i) {
+    EXPECT_EQ(outcome.rows[i], direct.rows[i]) << "row " << i;
+  }
+  ASSERT_EQ(outcome.beamRounds.size(), 1u);
+  EXPECT_EQ(outcome.beamRounds[0], 0u);
+}
+
 TEST_F(ServiceServerTest, ClientThatHangsUpMidJobDoesNotKillTheServer) {
   // Enough rows (greedy-delay and local-search among them) that the
   // server still has PROGRESS/TASK lines to write after the client is

@@ -4,7 +4,8 @@
 // concept name in the error. The runtime probe then drives all four
 // backends through one shared round sequence and checks they agree on
 // every observable the concept exposes, which is the semantic half of
-// the contract ("all backends are EXACT").
+// the contract ("all backends are EXACT"). The runUntil suite checks the
+// shared round driver gives the same run on the dense and sparse backends.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -17,6 +18,7 @@
 #include "src/sim/process_sim.h"
 #include "src/sim/sim_backend.h"
 #include "src/support/rng.h"
+#include "src/tree/families.h"
 #include "src/tree/generators.h"
 #include "src/tree/rooted_tree.h"
 
@@ -89,6 +91,82 @@ TEST(SimBackendTest, AllBackendsAgreeOnTheConceptSurface) {
     EXPECT_EQ(run(batch, trees, g), reference)
         << "BatchBroadcastSim, n=" << n;
   }
+}
+
+// --- the runUntil driver ------------------------------------------------
+
+/// Runs a fresh Sim on the random tree sequence drawn from `seed`.
+template <SimBackend Sim>
+BroadcastRun runSeededTrees(std::size_t n, Objective objective,
+                            std::size_t maxRounds, std::uint64_t seed) {
+  Sim sim(n);
+  Rng rng(seed);
+  return runUntil(sim, objective, maxRounds, /*recordHistory=*/true,
+                  [&rng, n](Sim& s) {
+                    s.applyTree(randomRootedTree(n, rng));
+                  });
+}
+
+constexpr Objective kObjectives[] = {Objective::kBroadcast, Objective::kGossip};
+
+template <class Sim>
+class RunUntilTest : public ::testing::Test {};
+
+using DrivenBackends = ::testing::Types<BroadcastSim, FrontierSim>;
+TYPED_TEST_SUITE(RunUntilTest, DrivenBackends);
+
+TYPED_TEST(RunUntilTest, MatchesTheDenseRunOnSeededTrees) {
+  for (const Objective objective : kObjectives) {
+    for (const std::size_t n : {2ul, 5ul, 16ul, 33ul}) {
+      for (std::uint64_t seed = 0; seed < 4; ++seed) {
+        const BroadcastRun run =
+            runSeededTrees<TypeParam>(n, objective, 50 * n, seed);
+        const BroadcastRun dense =
+            runSeededTrees<BroadcastSim>(n, objective, 50 * n, seed);
+        EXPECT_TRUE(run.completed) << "n=" << n << " seed=" << seed;
+        EXPECT_EQ(run.rounds, dense.rounds) << "n=" << n << " seed=" << seed;
+        EXPECT_EQ(run.completed, dense.completed);
+        EXPECT_EQ(run.history.size(), run.rounds);
+        EXPECT_TRUE(run.history == dense.history)
+            << "n=" << n << " seed=" << seed;
+      }
+    }
+  }
+}
+
+TYPED_TEST(RunUntilTest, SingleProcessCompletesAtRoundZero) {
+  for (const Objective objective : kObjectives) {
+    TypeParam sim(1);
+    const BroadcastRun run =
+        runUntil(sim, objective, 10, true, [](TypeParam&) {
+          ADD_FAILURE() << "no round may run once the objective holds";
+        });
+    EXPECT_TRUE(run.completed);
+    EXPECT_EQ(run.rounds, 0u);
+    EXPECT_TRUE(run.history.empty());
+  }
+}
+
+TYPED_TEST(RunUntilTest, ZeroCapRunsNoRound) {
+  TypeParam sim(5);
+  const BroadcastRun run = runUntil(
+      sim, Objective::kBroadcast, 0, true,
+      [](TypeParam& s) { s.applyTree(makePath(5)); });
+  EXPECT_FALSE(run.completed);
+  EXPECT_EQ(run.rounds, 0u);
+  EXPECT_TRUE(run.history.empty());
+}
+
+TYPED_TEST(RunUntilTest, StaticPathStallsGossipAtTheCap) {
+  // A leaf's id never leaves it under a static tree, so gossip stalls.
+  constexpr std::size_t kCap = 20;
+  TypeParam sim(6);
+  const BroadcastRun run = runUntil(
+      sim, Objective::kGossip, kCap, true,
+      [](TypeParam& s) { s.applyTree(makePath(6)); });
+  EXPECT_FALSE(run.completed);
+  EXPECT_EQ(run.rounds, kCap);
+  EXPECT_EQ(run.history.size(), kCap);
 }
 
 }  // namespace

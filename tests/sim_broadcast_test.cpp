@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/graph/properties.h"
+#include "src/sim/sim_backend.h"
 #include "src/support/assert.h"
 #include "src/support/rng.h"
 #include "src/tree/families.h"
@@ -182,10 +183,10 @@ TEST(BroadcastSimTest, FromHeardRejectsMissingSelfBit) {
 
 TEST(RunnersTest, RunBroadcastCompletesOnRandomTrees) {
   Rng rng(41);
-  const BroadcastRun run = runBroadcast(
-      10,
-      [&rng](const BroadcastSim&) { return randomRootedTree(10, rng); },
-      1000);
+  BroadcastSim sim(10);
+  const BroadcastRun run = runUntil(
+      sim, Objective::kBroadcast, 1000, false,
+      [&rng](BroadcastSim& s) { s.applyTree(randomRootedTree(10, rng)); });
   EXPECT_TRUE(run.completed);
   EXPECT_GT(run.rounds, 0u);
 }
@@ -193,15 +194,19 @@ TEST(RunnersTest, RunBroadcastCompletesOnRandomTrees) {
 TEST(RunnersTest, RunBroadcastHonorsCap) {
   // An adversary that starves one branch: identity path forever takes
   // exactly n−1, so a cap of 3 must report incomplete for n = 10.
-  const BroadcastRun run = runBroadcast(
-      10, [](const BroadcastSim&) { return makePath(10); }, 3);
+  BroadcastSim sim(10);
+  const BroadcastRun run =
+      runUntil(sim, Objective::kBroadcast, 3, false,
+               [](BroadcastSim& s) { s.applyTree(makePath(10)); });
   EXPECT_FALSE(run.completed);
   EXPECT_EQ(run.rounds, 3u);
 }
 
 TEST(RunnersTest, HistoryRecordedWhenRequested) {
-  const BroadcastRun run = runBroadcast(
-      5, [](const BroadcastSim&) { return makePath(5); }, 100, true);
+  BroadcastSim sim(5);
+  const BroadcastRun run =
+      runUntil(sim, Objective::kBroadcast, 100, true,
+               [](BroadcastSim& s) { s.applyTree(makePath(5)); });
   EXPECT_TRUE(run.completed);
   EXPECT_EQ(run.history.size(), run.rounds);
   // Metrics rounds are 1-based and increasing.
@@ -216,12 +221,14 @@ TEST(RunnersTest, GossipTakesAtLeastBroadcast) {
     Rng r1 = rng.split();
     Rng r2 = r1;  // identical tree sequences for both runs
     const std::size_t n = 4 + rng.uniform(8);
-    const BroadcastRun b = runBroadcast(
-        n, [&r1, n](const BroadcastSim&) { return randomRootedTree(n, r1); },
-        5000);
-    const BroadcastRun g = runGossip(
-        n, [&r2, n](const BroadcastSim&) { return randomRootedTree(n, r2); },
-        5000);
+    BroadcastSim bsim(n);
+    const BroadcastRun b = runUntil(
+        bsim, Objective::kBroadcast, 5000, false,
+        [&r1, n](BroadcastSim& s) { s.applyTree(randomRootedTree(n, r1)); });
+    BroadcastSim gsim(n);
+    const BroadcastRun g = runUntil(
+        gsim, Objective::kGossip, 5000, false,
+        [&r2, n](BroadcastSim& s) { s.applyTree(randomRootedTree(n, r2)); });
     ASSERT_TRUE(b.completed);
     ASSERT_TRUE(g.completed);
     EXPECT_GE(g.rounds, b.rounds);
@@ -232,8 +239,10 @@ class StaticPathSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(StaticPathSweep, ExactlyNMinus1) {
   const std::size_t n = GetParam();
-  const BroadcastRun run = runBroadcast(
-      n, [n](const BroadcastSim&) { return makePath(n); }, n + 2);
+  BroadcastSim sim(n);
+  const BroadcastRun run =
+      runUntil(sim, Objective::kBroadcast, n + 2, false,
+               [n](BroadcastSim& s) { s.applyTree(makePath(n)); });
   EXPECT_TRUE(run.completed);
   EXPECT_EQ(run.rounds, n - 1);
 }
