@@ -1,7 +1,8 @@
 // perf_harness: the repo's perf telemetry source of truth.
 //
 // Times (a) the raw-word kernels (through the runtime SIMD dispatch
-// table) and the blocked boolean product against naive references,
+// table), the damage-greedy tree builder, and the blocked boolean
+// product against naive references,
 // (b) BroadcastSim round throughput — scalar and batched across 8
 // lockstep lanes — and (c) the end-to-end thm31 portfolio sweep plus a
 // batched-vs-scalar engine sweep over oblivious members, then emits
@@ -49,6 +50,7 @@
 #include "src/sim/broadcast_sim.h"
 #include "src/sim/frontier_sim.h"
 #include "src/support/bitset.h"
+#include "src/support/eval_scratch.h"
 #include "src/support/rng.h"
 #include "src/support/table.h"
 #include "src/tree/generators.h"
@@ -154,6 +156,35 @@ KernelResult benchIntersectAny(std::size_t bits, double minSeconds,
   r.nsPerOp = secs * 1e9 / static_cast<double>(reps);
   r.gibPerS = static_cast<double>(reps) * static_cast<double>(nwords) *
               kBytesPerWordRead2 / secs / (1024.0 * 1024.0 * 1024.0);
+  return r;
+}
+
+/// One damage-greedy tree per op (DamageTrees::greedy, or ::noisy at
+/// the beam's amplitude 8) on a state greedy-delay itself reaches after
+/// n/2 rounds, the kind of state the thm31 sweep builds its trees on.
+/// The state is bound once, as the beam binds each frontier state once
+/// for its ten trees, so ns/op is the per-tree Prim cost (n relax-kernel
+/// calls + argmin scans) without the transpose.
+KernelResult benchDamageTree(std::size_t n, bool noisy, double minSeconds,
+                             Rng& rng) {
+  BroadcastSim sim(n);
+  GreedyDelayAdversary greedy(n, rng());
+  for (std::size_t r = 0; r < n / 2 && !sim.broadcastDone(); ++r) {
+    sim.applyTree(greedy.nextTree(sim));
+  }
+  const std::vector<std::size_t> coverage = coverageCounts(sim);
+  EvalScratch scratch = EvalScratch::forProcessCount(n);
+  DamageTrees trees(sim.heardMatrix(), coverage, scratch);
+  std::size_t root = 0;
+  auto [reps, secs] = timeLoop(minSeconds, [&] {
+    const RootedTree t =
+        noisy ? trees.noisy(root, 8.0, rng) : trees.greedy(root);
+    root = (root + 1) % n;
+    consume(t.parent(n - 1));
+  });
+  KernelResult r{noisy ? "noisyDamageTree" : "damageTree", n, reps, 0.0,
+                 0.0};
+  r.nsPerOp = secs * 1e9 / static_cast<double>(reps);
   return r;
 }
 
@@ -587,6 +618,10 @@ int main(int argc, char** argv) {
   kernels.insert(kernels.end(), products.begin(), products.end());
   const double productSpeedup =
       products[0].nsPerOp / products[1].nsPerOp;  // naive / blocked
+  // Fixed sizes in quick and full mode alike (CI gates damageTree:256):
+  // the beam's noisy n = 32 regime and greedy-delay's plain n = 256 one.
+  kernels.push_back(benchDamageTree(32, /*noisy=*/true, minSeconds, rng));
+  kernels.push_back(benchDamageTree(256, /*noisy=*/false, minSeconds, rng));
   kernels.push_back(benchSimRound(sweepN, minSeconds, rng));
   const KernelResult simRound = kernels.back();
   kernels.push_back(benchBatchRound(sweepN, minSeconds, rng));

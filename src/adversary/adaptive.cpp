@@ -69,9 +69,10 @@ DelayScore evaluateCandidate(const std::vector<DynBitset>& heard,
 }
 
 std::vector<std::size_t> freezeOrdering(
-    const BroadcastSim& state, const std::vector<std::size_t>& leaders,
+    const std::vector<DynBitset>& heard,
+    const std::vector<std::size_t>& leaders,
     const std::vector<std::size_t>& baseOrder) {
-  const std::size_t n = state.processCount();
+  const std::size_t n = heard.size();
   DYNBCAST_ASSERT(baseOrder.size() == n);
   // Stable sort by the knower signature only: for the primary leader,
   // non-knowers strictly before knowers; ties resolved by the next
@@ -81,8 +82,8 @@ std::vector<std::size_t> freezeOrdering(
   std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t a, std::size_t b) {
                      for (const std::size_t x : leaders) {
-                       const bool ka = state.heardBy(a).test(x);
-                       const bool kb = state.heardBy(b).test(x);
+                       const bool ka = heard[a].test(x);
+                       const bool kb = heard[b].test(x);
                        if (ka != kb) return !ka;  // non-knowers first
                      }
                      return false;  // equal signature: keep stable order
@@ -90,85 +91,20 @@ std::vector<std::size_t> freezeOrdering(
   return order;
 }
 
-namespace {
-
-RootedTree buildDamageTreeImpl(const BroadcastSim& state,
-                               const std::vector<std::size_t>& coverage,
-                               std::size_t root, double noiseAmplitude,
-                               Rng* rng) {
-  const std::size_t n = state.processCount();
-  DYNBCAST_ASSERT(root < n && coverage.size() == n);
-  // Exponential coverage weights: leaking a process with coverage c costs
-  // 2^min(c, 50); a process at coverage n−1 would finish the game, so it
-  // dominates every other consideration. Optional multiplicative noise
-  // diversifies the construction for search adversaries.
-  std::vector<double> weight(n);
-  for (std::size_t x = 0; x < n; ++x) {
-    const double capped = static_cast<double>(std::min<std::size_t>(
-        coverage[x], 50));
-    weight[x] = std::exp2(capped) * (coverage[x] + 1 >= n ? 1e6 : 1.0);
-    if (noiseAmplitude > 0.0 && rng != nullptr) {
-      weight[x] *= 1.0 + noiseAmplitude * rng->uniformReal();
-    }
-  }
-  // Prim evaluates O(n²) candidate edges, so the per-edge delta must not
-  // allocate: the kernel iterates (p & ~y) straight off the raw words in
-  // ascending bit order, accumulating the weights in one pass.
-  const std::size_t nwords = state.heardBy(0).wordCount();
-  const auto damage = [&](std::size_t p, std::size_t y) {
-    double d = 0.0;
-    bitword::forEachInDifference(state.heardBy(p).wordData(),
-                                 state.heardBy(y).wordData(), nwords,
-                                 [&](std::size_t x) { d += weight[x]; });
-    return d;
-  };
-  // Prim's algorithm over the complete damage graph: heard sets are
-  // start-of-round snapshots, so edge costs never change mid-build.
-  std::vector<std::size_t> parent(n, n);
-  std::vector<double> bestCost(n, 0.0);
-  std::vector<bool> attached(n, false);
-  parent[root] = root;
-  attached[root] = true;
-  for (std::size_t y = 0; y < n; ++y) {
-    if (y != root) {
-      parent[y] = root;
-      bestCost[y] = damage(root, y);
-    }
-  }
-  for (std::size_t step = 1; step < n; ++step) {
-    std::size_t pick = n;
-    for (std::size_t y = 0; y < n; ++y) {
-      if (!attached[y] && (pick == n || bestCost[y] < bestCost[pick])) {
-        pick = y;
-      }
-    }
-    attached[pick] = true;
-    for (std::size_t y = 0; y < n; ++y) {
-      if (!attached[y]) {
-        const double c = damage(pick, y);
-        if (c < bestCost[y]) {
-          bestCost[y] = c;
-          parent[y] = pick;
-        }
-      }
-    }
-  }
-  return RootedTree(root, std::move(parent));
-}
-
-}  // namespace
-
 RootedTree buildDamageGreedyTree(const BroadcastSim& state,
                                  const std::vector<std::size_t>& coverage,
                                  std::size_t root) {
-  return buildDamageTreeImpl(state, coverage, root, 0.0, nullptr);
+  EvalScratch scratch;
+  return DamageTrees(state.heardMatrix(), coverage, scratch).greedy(root);
 }
 
 RootedTree buildNoisyDamageTree(const BroadcastSim& state,
                                 const std::vector<std::size_t>& coverage,
                                 std::size_t root, double amplitude,
                                 Rng& rng) {
-  return buildDamageTreeImpl(state, coverage, root, amplitude, &rng);
+  EvalScratch scratch;
+  return DamageTrees(state.heardMatrix(), coverage, scratch)
+      .noisy(root, amplitude, rng);
 }
 
 namespace {
@@ -209,7 +145,8 @@ void FreezePathAdversary::reset() { order_ = identityOrder(n_); }
 RootedTree FreezePathAdversary::nextTree(const BroadcastSim& state) {
   DYNBCAST_ASSERT(state.processCount() == n_);
   const std::vector<std::size_t> coverage = coverageCounts(state);
-  order_ = freezeOrdering(state, topLeaders(coverage, depth_), order_);
+  order_ = freezeOrdering(state.heardMatrix(), topLeaders(coverage, depth_),
+                          order_);
   return makePath(order_);
 }
 
@@ -228,7 +165,8 @@ void FreezeBroomAdversary::reset() { order_ = identityOrder(n_); }
 RootedTree FreezeBroomAdversary::nextTree(const BroadcastSim& state) {
   DYNBCAST_ASSERT(state.processCount() == n_);
   const std::vector<std::size_t> coverage = coverageCounts(state);
-  order_ = freezeOrdering(state, topLeaders(coverage, 2), order_);
+  order_ = freezeOrdering(state.heardMatrix(), topLeaders(coverage, 2),
+                          order_);
   return makeBroom(order_, handleLen_);
 }
 
@@ -285,7 +223,7 @@ RootedTree GreedyDelayAdversary::nextTree(const BroadcastSim& state) {
     orders.push_back(order_);
   }
   for (std::size_t d = 1; d <= config_.freezeDepthMax && d <= n_; ++d) {
-    orders.push_back(freezeOrdering(state, topLeaders(coverage, d), order_));
+    orders.push_back(freezeOrdering(heard, topLeaders(coverage, d), order_));
   }
   if (config_.includeRotations && n_ >= 2) {
     std::vector<std::size_t> headToTail(order_.begin() + 1, order_.end());
@@ -310,7 +248,7 @@ RootedTree GreedyDelayAdversary::nextTree(const BroadcastSim& state) {
     // Broom over the primary freeze order: the knower block becomes the
     // bristles (they receive but feed nobody).
     const std::vector<std::size_t> freezeOrder =
-        freezeOrdering(state, topLeaders(coverage, 1), order_);
+        freezeOrdering(heard, topLeaders(coverage, 1), order_);
     const std::size_t leader = topLeaders(coverage, 1).front();
     std::size_t firstKnower = n_;
     for (std::size_t i = 0; i < n_; ++i) {
@@ -345,8 +283,9 @@ RootedTree GreedyDelayAdversary::nextTree(const BroadcastSim& state) {
     while (roots.size() < config_.damageTreeRoots) {
       roots.push_back(rng_.uniform(n_));
     }
+    DamageTrees damageTrees(heard, coverage, scratch_);
     for (const std::size_t r : roots) {
-      extraTrees.push_back(buildDamageGreedyTree(state, coverage, r));
+      extraTrees.push_back(damageTrees.greedy(r));
     }
   }
 

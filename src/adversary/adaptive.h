@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "src/adversary/adversary.h"
+#include "src/support/bitset.h"
 #include "src/support/eval_scratch.h"
 #include "src/support/rng.h"
 
@@ -182,25 +183,87 @@ class GreedyDelayAdversary final : public Adversary {
 /// Builds the stable freeze ordering over `baseOrder`: every process that
 /// knows leader x_1 is moved after everyone who does not, with nested
 /// stable sub-partitions for x_2 … x_d; all other relative positions in
-/// `baseOrder` are preserved. Exposed for tests.
+/// `baseOrder` are preserved. Takes the heard matrix (not a sim) so the
+/// search adversaries can call it on their own state copies.
 [[nodiscard]] std::vector<std::size_t> freezeOrdering(
-    const BroadcastSim& state, const std::vector<std::size_t>& leaders,
+    const std::vector<DynBitset>& heard,
+    const std::vector<std::size_t>& leaders,
     const std::vector<std::size_t>& baseOrder);
 
-/// Builds the damage-greedy tree rooted at `root`: nodes are attached
-/// Prim-style, each to the already-attached parent that teaches it the
-/// least, where teaching process x costs exponentially in x's current
-/// coverage (a process one step from broadcast is catastrophic to leak).
-/// This mirrors the balanced-coverage structure of exact optimal play,
-/// which uses general branching trees rather than paths.
+/// Damage-greedy trees: the balanced-coverage move family that exact
+/// optimal play favors, built by greedy-delay, lookahead, the beam and
+/// the exact solver's structured pool. Exact optimal play uses general
+/// branching trees rather than paths, and these mirror its structure.
+///
+/// The tree rooted at r is Prim's algorithm over the complete damage
+/// graph of the state: cost(p → y) = Σ weight[x] over
+/// x ∈ Heard(p) \ Heard(y), with weight[x] = 2^min(cov(x), 50), times
+/// 1e6 when cov(x) ≥ n−1 (leaking a process one step from broadcast is
+/// catastrophic). The root step assigns every cost without comparing;
+/// each later step attaches the unattached y of least cost (strict <
+/// in ascending y, so the lowest index wins a tie) and relaxes the rest
+/// against it (strict <).
+///
+/// Exactness: every cost starts at +0.0 and receives its weights in
+/// ascending x, the very IEEE additions a serial per-pair loop performs,
+/// so every tree is bit-identical to that loop on every kernel tier,
+/// plain or noisy. The speed comes from the order of work, not of
+/// arithmetic: the heard matrix is transposed once per state, and each
+/// relax (bitword::Kernels::damageRelax) adds weight[x] for
+/// x ∈ Heard(pick) to all open y unaware of x at once, one lane per y.
+///
+/// RNG draws: noisy(root, amplitude, rng) with amplitude > 0 draws
+/// exactly n rng.uniformReal() values, in ascending x, before Prim
+/// starts, and scales weight[x] by 1 + amplitude·u_x. amplitude <= 0
+/// draws nothing and builds the plain tree. Amplitudes must be finite
+/// (validateBeamConfig enforces it), so every weight is finite and
+/// positive.
+///
+/// Cost: binding a state is one 64×64-block transpose of the heard
+/// matrix (O(n²/64) words) plus n exp2 calls. A tree is n−1 argmin scans
+/// of O(n) plus n relax calls of about |Heard(pick)| · ⌈open/lanes⌉
+/// vector additions: 8 lanes over the packed open y of each 64-y block
+/// with AVX-512, 4 lanes up to the highest open y with AVX2, and exactly
+/// the needed additions on the scalar tier. That is O(n³/lanes) in the
+/// worst case (measured per tree: `damageTree` in BENCH_kernels.json),
+/// and nothing but the returned tree is allocated.
+class DamageTrees {
+ public:
+  /// Binds scratch.damage to the state: transposes `heard` and derives
+  /// the weights from `coverage`. `heard` must outlive this object
+  /// unchanged. Every tree of the state reuses the binding, and
+  /// evaluateCandidate on the same scratch leaves it intact; binding the
+  /// same scratch again (another state) invalidates this object. `kernels`
+  /// selects the relax tier (tests pin each tier; callers keep the
+  /// process-wide dispatch).
+  DamageTrees(const std::vector<DynBitset>& heard,
+              const std::vector<std::size_t>& coverage, EvalScratch& scratch,
+              const bitword::Kernels& kernels = bitword::dispatch());
+
+  /// The damage-greedy tree rooted at `root`.
+  [[nodiscard]] RootedTree greedy(std::size_t root);
+
+  /// The tree over noisy weights (see "RNG draws" above), so repeated
+  /// calls explore different balanced-coverage trees.
+  [[nodiscard]] RootedTree noisy(std::size_t root, double amplitude,
+                                 Rng& rng);
+
+ private:
+  [[nodiscard]] RootedTree build(std::size_t root, const double* weight);
+
+  const std::vector<DynBitset>& heard_;
+  EvalScratch::DamageBuffers& buf_;
+  const bitword::Kernels& kernels_;
+};
+
+/// One-shot DamageTrees(state, coverage).greedy(root) on a fresh
+/// scratch. Callers building several trees per state bind a DamageTrees
+/// to a long-lived EvalScratch instead.
 [[nodiscard]] RootedTree buildDamageGreedyTree(
     const BroadcastSim& state, const std::vector<std::size_t>& coverage,
     std::size_t root);
 
-/// Randomized variant of buildDamageGreedyTree: per-process weights are
-/// multiplied by noise in [1, 1+amplitude), so repeated calls explore
-/// different balanced-coverage trees. Search adversaries (beam, MCTS-
-/// style rollouts) rely on this for structured-but-diverse move pools.
+/// One-shot DamageTrees(state, coverage).noisy(root, amplitude, rng).
 [[nodiscard]] RootedTree buildNoisyDamageTree(
     const BroadcastSim& state, const std::vector<std::size_t>& coverage,
     std::size_t root, double amplitude, Rng& rng);

@@ -11,6 +11,7 @@
 #include "src/adversary/search_tree.h"
 #include "src/sim/broadcast_sim.h"
 #include "src/support/assert.h"
+#include "src/support/format.h"
 #include "src/support/hashing.h"
 #include "src/tree/families.h"
 #include "src/tree/generators.h"
@@ -65,34 +66,33 @@ std::vector<std::size_t> topLeaders(const std::vector<std::size_t>& coverage,
 }
 
 std::vector<RootedTree> movesFor(const FrontierState& state, Rng& rng,
-                                 const BeamConfig& config) {
+                                 const BeamConfig& config,
+                                 EvalScratch& scratch) {
   const std::size_t n = state.heard.size();
   std::vector<RootedTree> moves;
   if (config.structuredMoves) {
-    const BroadcastSim sim =
-        BroadcastSim::fromHeard(std::vector<DynBitset>(state.heard));
     std::vector<std::size_t> base(n);
     std::iota(base.begin(), base.end(), std::size_t{0});
-    moves.push_back(
-        makePath(freezeOrdering(sim, topLeaders(state.coverage, 1), base)));
-    moves.push_back(
-        makePath(freezeOrdering(sim, topLeaders(state.coverage, 2), base)));
+    moves.push_back(makePath(
+        freezeOrdering(state.heard, topLeaders(state.coverage, 1), base)));
+    moves.push_back(makePath(
+        freezeOrdering(state.heard, topLeaders(state.coverage, 2), base)));
+    // Every damage tree of this state shares one binding (transpose +
+    // weights) in the search's scratch.
+    DamageTrees damageTrees(state.heard, state.coverage, scratch);
     const std::size_t minCov = static_cast<std::size_t>(
         std::min_element(state.coverage.begin(), state.coverage.end()) -
         state.coverage.begin());
-    moves.push_back(buildDamageGreedyTree(sim, state.coverage, minCov));
-    moves.push_back(
-        buildDamageGreedyTree(sim, state.coverage, rng.uniform(n)));
+    moves.push_back(damageTrees.greedy(minCov));
+    moves.push_back(damageTrees.greedy(rng.uniform(n)));
     // Noisy damage trees: balanced-coverage structure with variety — the
     // beam's main exploration device (plain random trees are too weak).
     for (std::size_t i = 0; i < config.randomMovesPerState; ++i) {
       if (config.noiseAmplitude > 0.0) {
-        moves.push_back(buildNoisyDamageTree(
-            sim, state.coverage, rng.uniform(n), config.noiseAmplitude,
-            rng));
+        moves.push_back(damageTrees.noisy(
+            rng.uniform(n), config.noiseAmplitude, rng));
       } else {
-        moves.push_back(
-            buildDamageGreedyTree(sim, state.coverage, rng.uniform(n)));
+        moves.push_back(damageTrees.greedy(rng.uniform(n)));
       }
     }
   }
@@ -129,6 +129,13 @@ void validateBeamConfig(const BeamConfig& config) {
     throw std::invalid_argument(
         "beam config: diversity must be <= 100 percent (got " +
         std::to_string(config.diversityPercent) + ")");
+  }
+  // The damage-tree kernel's input contract: every weight finite and
+  // positive, so the noise factor 1 + noise·u must be.
+  if (!std::isfinite(config.noiseAmplitude) || config.noiseAmplitude < 0.0) {
+    throw std::invalid_argument(
+        "beam config: noise must be finite and >= 0 (got " +
+        fmtDouble(config.noiseAmplitude, 3) + ")");
   }
 }
 
@@ -172,7 +179,7 @@ BeamResult beamSearchWitness(std::size_t n, std::uint64_t seed,
     std::vector<Candidate> successors;
     table.clear();
     for (FrontierState& state : frontier) {
-      std::vector<RootedTree> moves = movesFor(state, rng, config);
+      std::vector<RootedTree> moves = movesFor(state, rng, config, scratch);
       for (std::size_t mi = 0; mi < moves.size(); ++mi) {
         ++result.movesGenerated;
         if (isDuplicateMove(moves, mi)) continue;

@@ -34,8 +34,8 @@ struct BeamConfig {
   /// Structured moves (freezes, damage trees) per expanded state.
   bool structuredMoves = true;
   /// Multiplicative noise on the damage-tree weights (0 = deterministic
-  /// damage trees only). Noise is the beam's main exploration device:
-  /// plain random trees are far weaker moves.
+  /// damage trees only; must be finite and >= 0). Noise is the beam's
+  /// main exploration device: plain random trees are far weaker moves.
   double noiseAmplitude = 8.0;
   /// Fraction of beam slots reserved for random (non-elite) survivors,
   /// in percent (must be <= 100). Pure elitism collapses the beam into
@@ -46,9 +46,11 @@ struct BeamConfig {
 };
 
 /// Throws std::invalid_argument unless the config is usable: beamWidth
-/// must be >= 1 (an empty beam has no lineage to report) and
+/// must be >= 1 (an empty beam has no lineage to report),
 /// diversityPercent <= 100 (larger values used to underflow the elite
-/// slot count). Called eagerly by beamSearchWitness and the registry.
+/// slot count) and noiseAmplitude finite and >= 0 (the damage-tree
+/// weights must stay finite and positive). Called eagerly by
+/// beamSearchWitness and the registry.
 void validateBeamConfig(const BeamConfig& config);
 
 struct BeamResult {

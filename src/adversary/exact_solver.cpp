@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "src/adversary/adaptive.h"
-#include "src/sim/broadcast_sim.h"
 #include "src/support/assert.h"
 #include "src/support/eval_scratch.h"
 #include "src/support/hashing.h"
@@ -466,12 +465,13 @@ struct StructuredWitness {
     return out;
   }
 
-  std::vector<RootedTree> movePool(const BroadcastSim& sim,
+  std::vector<RootedTree> movePool(const std::vector<DynBitset>& heard,
                                    const std::vector<std::size_t>& coverage,
                                    std::uint64_t nodeSeed) {
     std::vector<RootedTree> pool;
+    DamageTrees damageTrees(heard, coverage, scratch);
     for (std::size_t r = 0; r < n; ++r) {
-      pool.push_back(buildDamageGreedyTree(sim, coverage, r));
+      pool.push_back(damageTrees.greedy(r));
     }
     std::vector<std::size_t> base(n);
     std::iota(base.begin(), base.end(), std::size_t{0});
@@ -487,13 +487,13 @@ struct StructuredWitness {
                           return a < b;
                         });
       ids.resize(d);
-      pool.push_back(makePath(freezeOrdering(sim, ids, base)));
+      pool.push_back(makePath(freezeOrdering(heard, ids, base)));
     }
     std::vector<std::size_t> asc(n);
     std::iota(asc.begin(), asc.end(), std::size_t{0});
     std::stable_sort(asc.begin(), asc.end(),
                      [&](std::size_t a, std::size_t b) {
-                       return sim.heardCount(a) < sim.heardCount(b);
+                       return heard[a].count() < heard[b].count();
                      });
     pool.push_back(makePath(asc));
     std::reverse(asc.begin(), asc.end());
@@ -502,8 +502,7 @@ struct StructuredWitness {
     // so revisits expand identically and the search stays reproducible.
     Rng rng(nodeSeed);
     for (std::size_t i = 0; i < opts.noisyMovesPerNode; ++i) {
-      pool.push_back(
-          buildNoisyDamageTree(sim, coverage, rng.uniform(n), 8.0, rng));
+      pool.push_back(damageTrees.noisy(rng.uniform(n), 8.0, rng));
     }
     return pool;
   }
@@ -523,10 +522,8 @@ struct StructuredWitness {
     const Rows key = heardToRows(heard);
     const auto it = failedAt.find(key);
     if (it != failedAt.end() && remaining >= it->second) return false;
-    const BroadcastSim sim =
-        BroadcastSim::fromHeard(std::vector<DynBitset>(heard));
     std::vector<RootedTree> pool = movePool(
-        sim, coverage,
+        heard, coverage,
         hashHeardMatrix(heard) ^ (remaining * 0x9e3779b97f4a7c15ull));
     std::vector<Child> children;
     for (RootedTree& mv : pool) {

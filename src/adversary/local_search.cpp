@@ -61,7 +61,7 @@ RootedTree LocalSearchPathAdversary::nextTree(const BroadcastSim& state) {
 
   // Start from the stable freeze of the carried order, then hill-climb.
   std::vector<std::size_t> order = freezeOrdering(
-      state, leadersByCoverage(coverage, config_.freezeDepth), order_);
+      heard, leadersByCoverage(coverage, config_.freezeDepth), order_);
   DelayScore best =
       evaluateCandidate(heard, coverage, makePath(order), scratch_);
 

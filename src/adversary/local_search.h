@@ -23,7 +23,8 @@ struct LocalSearchConfig {
   std::size_t iterations = 64;
   /// Freeze depth of the starting ordering.
   std::size_t freezeDepth = 2;
-  /// Probability a move is a segment reversal instead of a swap.
+  /// Probability a move is a segment reversal instead of a swap, in
+  /// [0, 1] (the registry rejects anything else, NaN included).
   double reversalProbability = 0.25;
 };
 

@@ -33,36 +33,39 @@ std::vector<std::size_t> topLeaders(const std::vector<std::size_t>& coverage,
   return ids;
 }
 
-/// The structured move pool expanded at every search node.
+/// The structured move pool expanded at every search node; the damage
+/// trees bind `scratch` (the node's own level) to the node's state.
 std::vector<RootedTree> generateCandidates(
-    const BroadcastSim& sim, const std::vector<std::size_t>& coverage,
+    const std::vector<DynBitset>& heard,
+    const std::vector<std::size_t>& coverage,
     const std::vector<std::size_t>& baseOrder, Rng& rng,
-    const LookaheadConfig& config) {
-  const std::size_t n = sim.processCount();
+    const LookaheadConfig& config, EvalScratch& scratch) {
+  const std::size_t n = heard.size();
   std::vector<RootedTree> out;
   out.push_back(makePath(baseOrder));  // continuity move
   out.push_back(
-      makePath(freezeOrdering(sim, topLeaders(coverage, 1), baseOrder)));
+      makePath(freezeOrdering(heard, topLeaders(coverage, 1), baseOrder)));
   out.push_back(
-      makePath(freezeOrdering(sim, topLeaders(coverage, 2), baseOrder)));
+      makePath(freezeOrdering(heard, topLeaders(coverage, 2), baseOrder)));
+  DamageTrees damageTrees(heard, coverage, scratch);
   // Damage-greedy roots: safest spreader and best-informed receiver.
   if (config.damageRoots >= 1) {
     const std::size_t minCov = static_cast<std::size_t>(
         std::min_element(coverage.begin(), coverage.end()) -
         coverage.begin());
-    out.push_back(buildDamageGreedyTree(sim, coverage, minCov));
+    out.push_back(damageTrees.greedy(minCov));
   }
   if (config.damageRoots >= 2 && n >= 2) {
     std::size_t maxHeard = 0;
     for (std::size_t y = 1; y < n; ++y) {
-      if (sim.heardCount(y) > sim.heardCount(maxHeard)) {
+      if (heard[y].count() > heard[maxHeard].count()) {
         maxHeard = y;
       }
     }
-    out.push_back(buildDamageGreedyTree(sim, coverage, maxHeard));
+    out.push_back(damageTrees.greedy(maxHeard));
   }
   for (std::size_t extra = 2; extra < config.damageRoots; ++extra) {
-    out.push_back(buildDamageGreedyTree(sim, coverage, rng.uniform(n)));
+    out.push_back(damageTrees.greedy(rng.uniform(n)));
   }
   for (std::size_t i = 0; i < config.randomMoves; ++i) {
     out.push_back(randomPath(n, rng));
@@ -119,10 +122,8 @@ Eval search(const std::vector<DynBitset>& heard,
       return cache->entries[found].eval;
     }
   }
-  const BroadcastSim sim =
-      BroadcastSim::fromHeard(std::vector<DynBitset>(heard));
-  const std::vector<RootedTree> candidates =
-      generateCandidates(sim, coverage, baseOrder, rng, config);
+  const std::vector<RootedTree> candidates = generateCandidates(
+      heard, coverage, baseOrder, rng, config, arena[level]);
 
   Eval best;  // survived = 0, potential = inf: "every move finishes"
   const RootedTree* bestTree = &candidates.front();

@@ -4,6 +4,7 @@
 #include "src/adversary/registry.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -222,7 +223,8 @@ void registerBuiltins(AdversaryRegistry& reg) {
            "reversals)",
            {{"iters", "64", "move attempts per round"},
             {"freeze-depth", "2", "freeze depth of the starting ordering"},
-            {"rev-p", "0.25", "probability a move is a segment reversal"}},
+            {"rev-p", "0.25", "probability a move is a segment reversal "
+                              "(0 <= rev-p <= 1)"}},
            [](std::size_t n, std::uint64_t seed,
               const AdversaryParams& params) {
              LocalSearchConfig config;
@@ -231,6 +233,13 @@ void registerBuiltins(AdversaryRegistry& reg) {
                  params.getUInt("freeze-depth", config.freezeDepth);
              config.reversalProbability =
                  params.getDouble("rev-p", config.reversalProbability);
+             if (!(config.reversalProbability >= 0.0 &&
+                   config.reversalProbability <= 1.0)) {
+               throw std::invalid_argument(
+                   "adversary 'local-search': rev-p must satisfy 0 <= "
+                   "rev-p <= 1 (got rev-p=" +
+                   params.getString("rev-p", "") + ")");
+             }
              return std::make_unique<LocalSearchPathAdversary>(
                  n, seed ^ 0xf00dull, config);
            }});
@@ -263,7 +272,8 @@ void registerBuiltins(AdversaryRegistry& reg) {
            "(strongest known heuristic; costs real search time)",
            {{"width", "128", "beam width"},
             {"rand-moves", "4", "random moves per expanded state"},
-            {"noise", "8.0", "damage-tree weight noise amplitude"},
+            {"noise", "8.0", "damage-tree weight noise amplitude "
+                             "(finite, >= 0; 0 = no noise)"},
             {"diversity", "25", "percent of beam slots kept non-elite "
                                 "(0 <= diversity <= 100)"},
             {"max-rounds", "0", "cap on achieved rounds; 0 = the trivial "
@@ -280,6 +290,12 @@ void registerBuiltins(AdversaryRegistry& reg) {
                  params.getUInt("rand-moves", config.randomMovesPerState);
              config.noiseAmplitude =
                  params.getDouble("noise", config.noiseAmplitude);
+             if (!std::isfinite(config.noiseAmplitude) ||
+                 config.noiseAmplitude < 0.0) {
+               throw std::invalid_argument(
+                   "adversary 'beam': noise must be finite and >= 0 (got "
+                   "noise=" + params.getString("noise", "") + ")");
+             }
              config.diversityPercent =
                  params.getUInt("diversity", config.diversityPercent);
              if (config.diversityPercent > 100) {

@@ -51,6 +51,31 @@ enum class SimdLevel { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 /// Human-readable tier name ("scalar", "avx2", "avx512").
 [[nodiscard]] const char* simdLevelName(SimdLevel level) noexcept;
 
+/// Operands of one Prim pick of the damage-greedy tree builder
+/// (DamageTrees, src/adversary/adaptive.h). For every open y the kernel
+/// forms acc[y] = +0.0 + Σ weight[x] over x ∈ Heard(pick) \ Heard(y),
+/// adding the terms in ascending x, and then either
+///   assign (root step):  cost[y] = acc[y], parent[y] = pick, or
+///   relax:               if acc[y] < cost[y], the same two stores.
+/// Entries of closed y are never written. Every tier gives each y its
+/// own lane and performs exactly these IEEE additions in exactly this
+/// order (no horizontal reduction, no reassociation), so all tiers, and
+/// a per-pair serial loop, agree bit for bit.
+struct DamageRelax {
+  const std::uint64_t* pickHeard;  ///< Heard(pick): nwords words
+  /// Transposed complement of the heard matrix, block-major: bit j of
+  /// unaware[b * n + x] is set iff y = 64b + j < n and x ∉ Heard(y).
+  const std::uint64_t* unaware;
+  const double* weight;       ///< n per-process weights
+  const std::uint64_t* open;  ///< unattached y: nwords words
+  double* cost;               ///< nwords * 64 entries
+  std::size_t* parent;        ///< nwords * 64 entries
+  std::size_t n;
+  std::size_t nwords;
+  std::size_t pick;
+  bool assign;
+};
+
 /// A resolved kernel table: one function pointer per bulk operation, all
 /// drop-in equivalent to the scalar loops below.
 struct Kernels {
@@ -70,13 +95,16 @@ struct Kernels {
   /// defers per-lane popcounts to end of round).
   void (*andAssign)(std::uint64_t* dst, const std::uint64_t* src,
                     std::size_t nwords) noexcept;
+  /// One damage-tree Prim pick (see DamageRelax). Always dispatched,
+  /// whatever n: one call covers O(n · |Heard(pick)|) lane additions.
+  void (*damageRelax)(const DamageRelax& args) noexcept;
   SimdLevel level;
   const char* name;
 };
 
 /// True when the running CPU and OS can execute `level`'s kernels.
 /// kScalar is always true; kAvx512 additionally requires avx512f,
-/// avx512bw, and avx512vpopcntdq.
+/// avx512bw, avx512vpopcntdq and bmi2.
 [[nodiscard]] bool simdSupported(SimdLevel level) noexcept;
 
 /// The kernel table for `level`, falling back to the scalar table when

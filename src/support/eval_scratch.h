@@ -11,12 +11,18 @@
 // Recursive searches (lookahead) keep one EvalScratch per depth level:
 // level d's buffers must stay alive while level d+1 evaluates its own
 // candidates into the next slot.
+//
+// The same arena holds the damage-greedy tree builder's buffers
+// (DamageTrees, src/adversary/adaptive.h): they are bound to one heard
+// state at a time and are separate from `heard`/`coverage`, so building
+// a state's trees and evaluating candidates can interleave freely.
 // Allocation-free hot path: dynbcast_lint bans allocation in function
 // bodies here (rule hot-alloc); setup/diagnostic exceptions carry allow().
 // dynbcast-lint: hot-path
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "src/support/bitset.h"
@@ -35,6 +41,34 @@ struct EvalScratch {
   /// Reused BFS-order buffer.
   std::vector<std::size_t> order;
 
+  /// Damage-greedy tree buffers for an n-process state (nwords = ⌈n/64⌉).
+  struct DamageBuffers {
+    /// Transposed complement of the bound heard matrix, nwords × n
+    /// words (layout: bitword::DamageRelax::unaware).
+    std::vector<std::uint64_t> unaware;
+    /// Coverage weights of the bound state, and one tree's noisy copy.
+    std::vector<double> weight;
+    std::vector<double> noisyWeight;
+    /// Prim state of the tree being built: unattached y (nwords words),
+    /// and best attachment cost/parent per y (nwords × 64, padded so a
+    /// 64-lane block never reads past the end).
+    std::vector<std::uint64_t> open;
+    std::vector<double> cost;
+    std::vector<std::size_t> parent;
+
+    /// Sizes every buffer for n processes; a no-op once they fit.
+    void resize(std::size_t n) {
+      const std::size_t nwords = (n + 63) / 64;
+      unaware.resize(nwords * n);
+      weight.resize(n);
+      noisyWeight.resize(n);
+      open.resize(nwords);
+      cost.resize(nwords * 64);
+      parent.resize(nwords * 64);
+    }
+  };
+  DamageBuffers damage;
+
   /// The one sanctioned constructor: a scratch pre-sized for n-process
   /// evaluation, so even the FIRST evaluateCandidate call at this n is
   /// allocation-free. Every search adversary builds its scratch here.
@@ -43,6 +77,7 @@ struct EvalScratch {
     scratch.heard.assign(n, DynBitset(n));
     scratch.coverage.assign(n, 0);
     scratch.order.reserve(n);
+    scratch.damage.resize(n);
     return scratch;
   }
 

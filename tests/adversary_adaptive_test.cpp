@@ -71,7 +71,8 @@ TEST(FreezeOrderingTest, NonKnowersPrecedeKnowers) {
   const auto cov = coverageCounts(sim);
   const std::size_t leader = static_cast<std::size_t>(
       std::max_element(cov.begin(), cov.end()) - cov.begin());
-  const auto order = freezeOrdering(sim, {leader}, identityBase(10));
+  const auto order =
+      freezeOrdering(sim.heardMatrix(), {leader}, identityBase(10));
   bool seenKnower = false;
   for (const std::size_t y : order) {
     const bool knows = sim.heardBy(y).test(leader);
@@ -90,7 +91,7 @@ TEST(FreezeOrderingTest, StablePartitionPreservesRelativeOrder) {
   const std::size_t leader = static_cast<std::size_t>(
       std::max_element(cov.begin(), cov.end()) - cov.begin());
   const auto base = identityBase(12);
-  const auto order = freezeOrdering(sim, {leader}, base);
+  const auto order = freezeOrdering(sim.heardMatrix(), {leader}, base);
   // Within the non-knower block and within the knower block, ids must
   // stay in base (ascending) order — that is the stability guarantee.
   std::vector<std::size_t> nonKnowers, knowers;

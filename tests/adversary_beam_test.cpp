@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "src/adversary/exact_solver.h"
@@ -86,6 +88,23 @@ TEST(BeamWitnessTest, RejectsDiversityAboveHundredPercent) {
   cfg.diversityPercent = 101;
   EXPECT_THROW((void)beamSearchWitness(8, 1, cfg), std::invalid_argument);
   EXPECT_THROW(validateBeamConfig(cfg), std::invalid_argument);
+}
+
+TEST(BeamWitnessTest, RejectsNonFiniteOrNegativeNoise) {
+  // The noise scales the damage-tree weights by 1 + noise·u: a NaN or
+  // negative amplitude used to be accepted and silently ran noise-free.
+  for (const double bad : {std::nan(""), -3.0, -1e-9,
+                           std::numeric_limits<double>::infinity()}) {
+    BeamConfig cfg = testConfig();
+    cfg.noiseAmplitude = bad;
+    EXPECT_THROW((void)beamSearchWitness(8, 1, cfg), std::invalid_argument)
+        << bad;
+    EXPECT_THROW(validateBeamConfig(cfg), std::invalid_argument) << bad;
+  }
+  // Zero stays legal: deterministic damage trees only.
+  BeamConfig quiet = testConfig();
+  quiet.noiseAmplitude = 0.0;
+  EXPECT_NO_THROW(validateBeamConfig(quiet));
 }
 
 TEST(BeamWitnessTest, TinyMaxRoundsIsARealCap) {

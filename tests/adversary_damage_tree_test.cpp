@@ -1,0 +1,337 @@
+// Oracle test for the damage-greedy tree builder.
+//
+// DamageTrees promises the exact trees of the plain per-pair Prim below:
+// the same picks, the same tie breaks and the same IEEE additions, plain
+// and noisy, on every kernel tier kernelsFor() hands out. The reference
+// is kept here verbatim in spirit: for every (pick p, open y) pair it
+// sums weight[x] over x ∈ Heard(p) \ Heard(y) in ascending x.
+//
+// States are reachable ones, chosen to hit every corner of the contract:
+// sizes straddling the 64-lane block and the 8/4-lane vector groups,
+// zero-cost ties (Heard(root) ⊆ Heard(y) for many y), coverage past the
+// 2^50 weight cap, and coverage n−1 (the 1e6 factor).
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "src/adversary/adaptive.h"
+#include "src/sim/broadcast_sim.h"
+#include "src/support/bitset.h"
+#include "src/support/eval_scratch.h"
+#include "src/support/rng.h"
+#include "src/tree/families.h"
+#include "src/tree/generators.h"
+
+namespace dynbcast {
+namespace {
+
+using bitword::kernelsFor;
+using bitword::SimdLevel;
+using bitword::simdSupported;
+
+/// The per-pair Prim the builder replaced, kept as the reference.
+RootedTree referenceDamageTree(const std::vector<DynBitset>& heard,
+                               const std::vector<std::size_t>& coverage,
+                               std::size_t root, double noiseAmplitude,
+                               Rng* rng) {
+  const std::size_t n = heard.size();
+  std::vector<double> weight(n);
+  for (std::size_t x = 0; x < n; ++x) {
+    const double capped = static_cast<double>(std::min<std::size_t>(
+        coverage[x], 50));
+    weight[x] = std::exp2(capped) * (coverage[x] + 1 >= n ? 1e6 : 1.0);
+    if (noiseAmplitude > 0.0 && rng != nullptr) {
+      weight[x] *= 1.0 + noiseAmplitude * rng->uniformReal();
+    }
+  }
+  const std::size_t nwords = heard[0].wordCount();
+  const auto damage = [&](std::size_t p, std::size_t y) {
+    double d = 0.0;
+    bitword::forEachInDifference(heard[p].wordData(), heard[y].wordData(),
+                                 nwords,
+                                 [&](std::size_t x) { d += weight[x]; });
+    return d;
+  };
+  std::vector<std::size_t> parent(n, n);
+  std::vector<double> bestCost(n, 0.0);
+  std::vector<bool> attached(n, false);
+  parent[root] = root;
+  attached[root] = true;
+  for (std::size_t y = 0; y < n; ++y) {
+    if (y != root) {
+      parent[y] = root;
+      bestCost[y] = damage(root, y);
+    }
+  }
+  for (std::size_t step = 1; step < n; ++step) {
+    std::size_t pick = n;
+    for (std::size_t y = 0; y < n; ++y) {
+      if (!attached[y] && (pick == n || bestCost[y] < bestCost[pick])) {
+        pick = y;
+      }
+    }
+    attached[pick] = true;
+    for (std::size_t y = 0; y < n; ++y) {
+      if (!attached[y]) {
+        const double c = damage(pick, y);
+        if (c < bestCost[y]) {
+          bestCost[y] = c;
+          parent[y] = pick;
+        }
+      }
+    }
+  }
+  return RootedTree(root, std::move(parent));
+}
+
+std::vector<SimdLevel> supportedLevels() {
+  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
+  if (simdSupported(SimdLevel::kAvx2)) levels.push_back(SimdLevel::kAvx2);
+  if (simdSupported(SimdLevel::kAvx512)) levels.push_back(SimdLevel::kAvx512);
+  return levels;
+}
+
+const char* tierName(SimdLevel level) { return kernelsFor(level).name; }
+
+struct State {
+  std::string label;
+  std::vector<DynBitset> heard;
+  std::vector<std::size_t> coverage;
+};
+
+State snapshot(const std::string& label, const BroadcastSim& sim) {
+  return {label, sim.heardMatrix(), coverageCounts(sim)};
+}
+
+/// Reachable, unfinished states of an n-process game.
+std::vector<State> statesFor(std::size_t n, Rng& rng) {
+  std::vector<State> states;
+  BroadcastSim identity(n);
+  states.push_back(snapshot("identity", identity));
+  if (n < 3) return states;
+  {
+    // Root 0 feeds 1..n−2, and n−1 hangs off 1: afterwards
+    // Heard(0) = {0} ⊆ Heard(y) for y = 1..n−2, so a tree rooted at 0
+    // opens with n−2 zero-cost ties, yet n−1 never heard 0.
+    std::vector<std::size_t> parent(n, 0);
+    parent[n - 1] = 1;
+    BroadcastSim sim(n);
+    sim.applyTree(RootedTree(0, parent));
+    states.push_back(snapshot("zero-ties", sim));
+  }
+  {
+    // k rounds of the static path 0 → 1 → … → n−1 give Heard(y) =
+    // [y−k, y], so cov(0) = k+1: k = n−2 is one round from broadcast
+    // (coverage n−1), and past 50 once n ≥ 53.
+    std::vector<std::size_t> order(n);
+    for (std::size_t i = 0; i < n; ++i) order[i] = i;
+    const RootedTree path = makePath(order);
+    BroadcastSim sim(n);
+    for (std::size_t k = 1; k <= n - 2; ++k) {
+      sim.applyTree(path);
+      if (k == 1 || k == n / 2 || k == n - 2) {
+        states.push_back(snapshot("path-k" + std::to_string(k), sim));
+      }
+    }
+  }
+  {
+    BroadcastSim sim(n);
+    for (int r = 1; r <= 3; ++r) {
+      sim.applyTree(r % 2 == 0 ? randomPath(n, rng)
+                               : randomRootedTree(n, rng));
+      if (sim.broadcastDone()) break;
+      states.push_back(snapshot("random-r" + std::to_string(r), sim));
+    }
+  }
+  return states;
+}
+
+std::vector<std::size_t> rootsFor(std::size_t n, Rng& rng) {
+  std::vector<std::size_t> roots = {0, n - 1, n / 2, rng.uniform(n)};
+  std::sort(roots.begin(), roots.end());
+  roots.erase(std::unique(roots.begin(), roots.end()), roots.end());
+  return roots;
+}
+
+TEST(DamageTreeOracleTest, MatchesPerPairPrimOnEveryTier) {
+  const std::size_t sizes[] = {1,  2,  3,   31,  32,  33,  63, 64,
+                               65, 127, 128, 129, 255, 256, 257};
+  const std::vector<SimdLevel> levels = supportedLevels();
+  // One scratch per tier for the whole sweep: rebinding across sizes
+  // (growing and shrinking) must not leak state between trees.
+  std::vector<EvalScratch> scratches(levels.size());
+  Rng rng(0xda3a6e);
+  bool sawCapped = false;
+  bool sawNearlyDone = false;
+  bool sawZeroTies = false;
+  for (const std::size_t n : sizes) {
+    for (const State& state : statesFor(n, rng)) {
+      const std::size_t maxCov =
+          *std::max_element(state.coverage.begin(), state.coverage.end());
+      if (n > 1) {
+        ASSERT_LT(maxCov, n) << "states must be unfinished";
+      }
+      sawCapped = sawCapped || maxCov > 50;
+      sawNearlyDone = sawNearlyDone || (n >= 3 && maxCov == n - 1);
+      sawZeroTies = sawZeroTies || state.label == "zero-ties";
+      // One binding per tier, reused for every root and variant below.
+      std::vector<DamageTrees> tiers;
+      for (std::size_t li = 0; li < levels.size(); ++li) {
+        ASSERT_EQ(kernelsFor(levels[li]).level, levels[li]);
+        tiers.emplace_back(state.heard, state.coverage, scratches[li],
+                           kernelsFor(levels[li]));
+      }
+      for (const std::size_t root : rootsFor(n, rng)) {
+        const RootedTree plain = referenceDamageTree(
+            state.heard, state.coverage, root, 0.0, nullptr);
+        for (std::size_t li = 0; li < levels.size(); ++li) {
+          EXPECT_EQ(tiers[li].greedy(root), plain)
+              << tierName(levels[li]) << " n=" << n << " " << state.label
+              << " root=" << root << " plain";
+        }
+        for (const double amplitude : {8.0, 0.5}) {
+          const std::uint64_t seed = rng();
+          Rng expectRng(seed);
+          const RootedTree noisy = referenceDamageTree(
+              state.heard, state.coverage, root, amplitude, &expectRng);
+          const std::uint64_t expectNext = expectRng();
+          for (std::size_t li = 0; li < levels.size(); ++li) {
+            Rng actualRng(seed);
+            EXPECT_EQ(tiers[li].noisy(root, amplitude, actualRng), noisy)
+                << tierName(levels[li]) << " n=" << n << " " << state.label
+                << " root=" << root << " noisy amplitude=" << amplitude;
+            EXPECT_EQ(actualRng(), expectNext)
+                << tierName(levels[li]) << " n=" << n
+                << ": rng position after a noisy build";
+          }
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(sawCapped) << "no state had coverage past the 2^50 cap";
+  EXPECT_TRUE(sawNearlyDone) << "no state had coverage n-1";
+  EXPECT_TRUE(sawZeroTies) << "no zero-cost tie state";
+}
+
+TEST(DamageTreeOracleTest, RelaxSumsAreBitIdenticalToSerialLoop) {
+  // Trees only expose the argmin decisions; this checks the sums
+  // themselves. Weights span 2^1 .. 2^50 × 1e6 with noise, so most
+  // sums round, and any reordering of the additions would show up in
+  // the last bit. Closed entries must keep their sentinels.
+  const std::vector<SimdLevel> levels = supportedLevels();
+  Rng rng(0x5e1a);
+  for (const std::size_t n : {5, 63, 64, 65, 130, 257}) {
+    BroadcastSim sim(n);
+    for (int r = 0; r < 2; ++r) sim.applyTree(randomRootedTree(n, rng));
+    const std::vector<std::size_t> coverage = coverageCounts(sim);
+    const std::vector<DynBitset>& heard = sim.heardMatrix();
+    const std::size_t nwords = heard[0].wordCount();
+    EvalScratch scratch;
+    DamageTrees bind(heard, coverage, scratch);
+    std::vector<double> weight(n);
+    for (double& w : weight) {
+      w = std::exp2(static_cast<double>(1 + rng.uniform(50))) *
+          (rng.uniform(4) == 0 ? 1e6 : 1.0) * (1.0 + 8.0 * rng.uniformReal());
+    }
+    for (int trial = 0; trial < 6; ++trial) {
+      const std::size_t pick = rng.uniform(n);
+      std::vector<std::uint64_t> open(nwords, 0);
+      for (std::size_t y = 0; y < n; ++y) {
+        if (y != pick && rng.uniform(3) != 0) open[y / 64] |= 1ull << (y % 64);
+      }
+      std::vector<double> expect(n, 0.0);
+      for (std::size_t y = 0; y < n; ++y) {
+        bitword::forEachInDifference(heard[pick].wordData(),
+                                     heard[y].wordData(), nwords,
+                                     [&](std::size_t x) {
+                                       expect[y] += weight[x];
+                                     });
+      }
+      std::vector<double> base(nwords * 64);
+      for (double& c : base) c = rng.uniformReal() * expect[rng.uniform(n)];
+      for (const SimdLevel level : levels) {
+        for (const bool assign : {true, false}) {
+          std::vector<double> cost = base;
+          std::vector<std::size_t> parent(nwords * 64, n + 7);
+          bitword::DamageRelax relax{heard[pick].wordData(),
+                                     scratch.damage.unaware.data(),
+                                     weight.data(),
+                                     open.data(),
+                                     cost.data(),
+                                     parent.data(),
+                                     n,
+                                     nwords,
+                                     pick,
+                                     assign};
+          kernelsFor(level).damageRelax(relax);
+          for (std::size_t y = 0; y < nwords * 64; ++y) {
+            const bool isOpen = y < n && ((open[y / 64] >> (y % 64)) & 1);
+            const bool updated =
+                isOpen && (assign || expect[y] < base[y]);
+            const std::string where = std::string(tierName(level)) +
+                                      " n=" + std::to_string(n) +
+                                      " y=" + std::to_string(y) +
+                                      (assign ? " assign" : " relax");
+            if (updated) {
+              EXPECT_EQ(std::bit_cast<std::uint64_t>(cost[y]),
+                        std::bit_cast<std::uint64_t>(expect[y]))
+                  << where;
+              EXPECT_EQ(parent[y], pick) << where;
+            } else {
+              EXPECT_EQ(std::bit_cast<std::uint64_t>(cost[y]),
+                        std::bit_cast<std::uint64_t>(base[y]))
+                  << where << " must stay untouched";
+              EXPECT_EQ(parent[y], n + 7) << where << " must stay untouched";
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DamageTreeOracleTest, NoisyDrawsExactlyNValues) {
+  const std::size_t n = 40;
+  BroadcastSim sim(n);
+  Rng setup(7);
+  sim.applyTree(randomRootedTree(n, setup));
+  const std::vector<std::size_t> cov = coverageCounts(sim);
+  EvalScratch scratch;
+  DamageTrees trees(sim.heardMatrix(), cov, scratch);
+  Rng used(99);
+  Rng skipped(99);
+  (void)trees.noisy(3, 8.0, used);
+  for (std::size_t i = 0; i < n; ++i) (void)skipped.uniformReal();
+  EXPECT_EQ(used(), skipped());
+  // amplitude 0 draws nothing and builds the plain tree.
+  Rng idle(5);
+  Rng fresh(5);
+  EXPECT_EQ(trees.noisy(3, 0.0, idle), trees.greedy(3));
+  EXPECT_EQ(idle(), fresh());
+}
+
+TEST(DamageTreeOracleTest, BindingSurvivesInterleavedEvaluation) {
+  // The beam and lookahead evaluate candidates into the same scratch
+  // their damage trees are bound to; the binding must be unaffected.
+  const std::size_t n = 70;
+  BroadcastSim sim(n);
+  Rng rng(13);
+  for (int r = 0; r < 2; ++r) sim.applyTree(randomPath(n, rng));
+  const std::vector<std::size_t> cov = coverageCounts(sim);
+  EvalScratch scratch = EvalScratch::forProcessCount(n);
+  DamageTrees trees(sim.heardMatrix(), cov, scratch);
+  const RootedTree first = trees.greedy(5);
+  (void)evaluateCandidate(sim.heardMatrix(), cov, first, scratch);
+  (void)evaluateCandidate(sim.heardMatrix(), cov, randomPath(n, rng),
+                          scratch);
+  EXPECT_EQ(trees.greedy(5), first);
+  EXPECT_EQ(buildDamageGreedyTree(sim, cov, 5), first);
+}
+
+}  // namespace
+}  // namespace dynbcast

@@ -5,6 +5,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "src/adversary/exact_solver.h"
 #include "src/adversary/portfolio.h"
@@ -172,6 +173,33 @@ TEST(AdversaryRegistryTest, BeamSpecValidationMatchesRegistryStyle) {
   }
   // The boundary values themselves stay legal.
   EXPECT_NO_THROW((void)registry.make("beam:width=1,diversity=100", 4, 1));
+}
+
+TEST(AdversaryRegistryTest, SearchParamRangesAreRejectedAtMake) {
+  // beam noise must be finite and >= 0 and local-search rev-p a
+  // probability; all of these used to build and run.
+  const AdversaryRegistry& registry = AdversaryRegistry::instance();
+  const std::pair<const char*, const char*> bad[] = {
+      {"beam:width=4,noise=nan", "adversary 'beam'"},
+      {"beam:width=4,noise=-3", "adversary 'beam'"},
+      {"beam:width=4,noise=inf", "adversary 'beam'"},
+      {"local-search:rev-p=7", "adversary 'local-search'"},
+      {"local-search:rev-p=-0.5", "adversary 'local-search'"},
+      {"local-search:rev-p=nan", "adversary 'local-search'"},
+  };
+  for (const auto& [spec, prefix] : bad) {
+    try {
+      (void)registry.make(spec, 8, 1);
+      ADD_FAILURE() << spec << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(prefix), std::string::npos)
+          << spec << ": " << e.what();
+    }
+  }
+  // The boundary values themselves stay legal.
+  EXPECT_NO_THROW((void)registry.make("beam:width=1,noise=0", 4, 1));
+  EXPECT_NO_THROW((void)registry.make("local-search:rev-p=0", 4, 1));
+  EXPECT_NO_THROW((void)registry.make("local-search:rev-p=1", 4, 1));
 }
 
 TEST(AdversaryRegistryTest, LookaheadTranspositionToggleIsASpecParam) {

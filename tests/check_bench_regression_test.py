@@ -28,12 +28,16 @@ gate = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(gate)
 
 
-def kernels_doc(gib=12.0, ns=5.0):
+def kernels_doc(gib=12.0, ns=5.0, tree_ns=400000.0):
     return {"kernels": [
         {"name": "orAssign", "bits": 1024, "gib_per_s": gib, "ns_per_op": ns},
         {"name": "orCount", "bits": 1024, "gib_per_s": gib, "ns_per_op": ns},
         {"name": "intersectAny", "bits": 1024, "gib_per_s": gib,
          "ns_per_op": ns},
+        {"name": "noisyDamageTree", "bits": 32, "gib_per_s": 0.0,
+         "ns_per_op": tree_ns / 100.0},
+        {"name": "damageTree", "bits": 256, "gib_per_s": 0.0,
+         "ns_per_op": tree_ns},
     ]}
 
 
@@ -100,6 +104,7 @@ class TestFlatten(unittest.TestCase):
         self.assertEqual(flat["kernel:orAssign:1024:gib_per_s"], 7.5)
         self.assertEqual(flat["kernel:orAssign:1024:ns_per_op"], 2.0)
         self.assertEqual(flat["sweep:batch_round_speedup"], 4.0)
+        self.assertEqual(flat["kernel:damageTree:256:ns_per_op"], 400000.0)
 
     def test_unknown_sweep_fields_ignored(self):
         flat = gate.flatten({"kernels": []}, {"not_a_gate": 1.0})
@@ -146,6 +151,21 @@ class TestGate(GateHarness):
         # The same growth in a throughput metric would NOT fail: check a
         # faster kernel passes.
         code, _, _ = self.run_gate(baseline, kernels_doc(gib=20.0),
+                                   sweep_doc())
+        self.assertEqual(code, 0)
+
+    def test_damage_tree_time_regresses_upward(self):
+        baseline, _ = self.write_fresh_baseline()
+        # kernel:damageTree:256:ns_per_op (60% tolerance) regresses by
+        # GROWING: 1.5x slower passes, 2x slower fails, faster passes.
+        code, _, _ = self.run_gate(baseline, kernels_doc(tree_ns=600000.0),
+                                   sweep_doc())
+        self.assertEqual(code, 0)
+        code, out, _ = self.run_gate(
+            baseline, kernels_doc(tree_ns=800000.0), sweep_doc())
+        self.assertNotEqual(code, 0)
+        self.assertIn("kernel:damageTree:256:ns_per_op", out)
+        code, _, _ = self.run_gate(baseline, kernels_doc(tree_ns=100000.0),
                                    sweep_doc())
         self.assertEqual(code, 0)
 
