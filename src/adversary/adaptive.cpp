@@ -24,16 +24,6 @@ std::vector<std::size_t> coverageCounts(const BroadcastSim& state) {
 
 DelayScore evaluateCandidate(const std::vector<DynBitset>& heard,
                              const std::vector<std::size_t>& coverage,
-                             const RootedTree& tree,
-                             std::vector<std::size_t>* coverageOut) {
-  EvalScratch scratch = EvalScratch::forProcessCount(heard.size());
-  const DelayScore score = evaluateCandidate(heard, coverage, tree, scratch);
-  if (coverageOut != nullptr) *coverageOut = std::move(scratch.coverage);
-  return score;
-}
-
-DelayScore evaluateCandidate(const std::vector<DynBitset>& heard,
-                             const std::vector<std::size_t>& coverage,
                              const RootedTree& tree, EvalScratch& scratch) {
   const std::size_t n = heard.size();
   DYNBCAST_ASSERT(tree.size() == n && coverage.size() == n);
@@ -62,10 +52,67 @@ DelayScore evaluateCandidate(const std::vector<DynBitset>& heard,
   for (const std::size_t c : scratch.coverage) {
     score.maxCoverage = std::max(score.maxCoverage, c);
     if (c == n) score.finishes = true;
-    score.potential +=
-        std::exp2(static_cast<double>(std::min<std::size_t>(c, 50)));
   }
+  score.potential = coveragePotential(scratch.coverage);
   return score;
+}
+
+std::vector<std::size_t> identityOrder(std::size_t n) {
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  return order;
+}
+
+std::vector<std::size_t> coverageLeaders(
+    const std::vector<std::size_t>& coverage, std::size_t depth) {
+  std::vector<std::size_t> ids = identityOrder(coverage.size());
+  const std::size_t take = std::min(depth, ids.size());
+  std::partial_sort(ids.begin(),
+                    ids.begin() + static_cast<std::ptrdiff_t>(take),
+                    ids.end(), [&](std::size_t a, std::size_t b) {
+                      if (coverage[a] != coverage[b]) {
+                        return coverage[a] > coverage[b];
+                      }
+                      return a < b;
+                    });
+  ids.resize(take);
+  return ids;
+}
+
+std::size_t leastCoveredProcess(const std::vector<std::size_t>& coverage) {
+  return static_cast<std::size_t>(
+      std::min_element(coverage.begin(), coverage.end()) - coverage.begin());
+}
+
+std::size_t mostInformedProcess(const std::vector<DynBitset>& heard) {
+  std::size_t best = 0;
+  for (std::size_t y = 1; y < heard.size(); ++y) {
+    if (heard[y].count() > heard[best].count()) best = y;
+  }
+  return best;
+}
+
+std::vector<std::size_t> heardSizeOrder(const std::vector<DynBitset>& heard,
+                                        bool ascending) {
+  std::vector<std::size_t> heardSize(heard.size());
+  for (std::size_t y = 0; y < heard.size(); ++y) {
+    heardSize[y] = heard[y].count();
+  }
+  std::vector<std::size_t> order = identityOrder(heard.size());
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return ascending ? heardSize[a] < heardSize[b]
+                                      : heardSize[a] > heardSize[b];
+                   });
+  return order;
+}
+
+double coveragePotential(const std::vector<std::size_t>& coverage) {
+  double potential = 0.0;
+  for (const std::size_t c : coverage) {
+    potential += std::exp2(static_cast<double>(std::min<std::size_t>(c, 50)));
+  }
+  return potential;
 }
 
 std::vector<std::size_t> freezeOrdering(
@@ -91,50 +138,6 @@ std::vector<std::size_t> freezeOrdering(
   return order;
 }
 
-RootedTree buildDamageGreedyTree(const BroadcastSim& state,
-                                 const std::vector<std::size_t>& coverage,
-                                 std::size_t root) {
-  EvalScratch scratch;
-  return DamageTrees(state.heardMatrix(), coverage, scratch).greedy(root);
-}
-
-RootedTree buildNoisyDamageTree(const BroadcastSim& state,
-                                const std::vector<std::size_t>& coverage,
-                                std::size_t root, double amplitude,
-                                Rng& rng) {
-  EvalScratch scratch;
-  return DamageTrees(state.heardMatrix(), coverage, scratch)
-      .noisy(root, amplitude, rng);
-}
-
-namespace {
-
-std::vector<std::size_t> identityOrder(std::size_t n) {
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  return order;
-}
-
-/// Top-`depth` coverage leaders, highest coverage first (ties by id).
-std::vector<std::size_t> topLeaders(const std::vector<std::size_t>& coverage,
-                                    std::size_t depth) {
-  std::vector<std::size_t> ids(coverage.size());
-  std::iota(ids.begin(), ids.end(), std::size_t{0});
-  const std::size_t take = std::min(depth, ids.size());
-  std::partial_sort(ids.begin(),
-                    ids.begin() + static_cast<std::ptrdiff_t>(take),
-                    ids.end(), [&](std::size_t a, std::size_t b) {
-                      if (coverage[a] != coverage[b]) {
-                        return coverage[a] > coverage[b];
-                      }
-                      return a < b;
-                    });
-  ids.resize(take);
-  return ids;
-}
-
-}  // namespace
-
 FreezePathAdversary::FreezePathAdversary(std::size_t n, std::size_t depth)
     : n_(n), depth_(depth), order_(identityOrder(n)) {
   DYNBCAST_ASSERT(depth >= 1);
@@ -145,8 +148,8 @@ void FreezePathAdversary::reset() { order_ = identityOrder(n_); }
 RootedTree FreezePathAdversary::nextTree(const BroadcastSim& state) {
   DYNBCAST_ASSERT(state.processCount() == n_);
   const std::vector<std::size_t> coverage = coverageCounts(state);
-  order_ = freezeOrdering(state.heardMatrix(), topLeaders(coverage, depth_),
-                          order_);
+  order_ = freezeOrdering(state.heardMatrix(),
+                          coverageLeaders(coverage, depth_), order_);
   return makePath(order_);
 }
 
@@ -165,7 +168,7 @@ void FreezeBroomAdversary::reset() { order_ = identityOrder(n_); }
 RootedTree FreezeBroomAdversary::nextTree(const BroadcastSim& state) {
   DYNBCAST_ASSERT(state.processCount() == n_);
   const std::vector<std::size_t> coverage = coverageCounts(state);
-  order_ = freezeOrdering(state.heardMatrix(), topLeaders(coverage, 2),
+  order_ = freezeOrdering(state.heardMatrix(), coverageLeaders(coverage, 2),
                           order_);
   return makeBroom(order_, handleLen_);
 }
@@ -180,17 +183,7 @@ HeardOrderPathAdversary::HeardOrderPathAdversary(std::size_t n,
 
 RootedTree HeardOrderPathAdversary::nextTree(const BroadcastSim& state) {
   DYNBCAST_ASSERT(state.processCount() == n_);
-  std::vector<std::size_t> order = identityOrder(n_);
-  std::vector<std::size_t> heardSize(n_);
-  for (std::size_t y = 0; y < n_; ++y) {
-    heardSize[y] = state.heardCount(y);
-  }
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return ascending_ ? heardSize[a] < heardSize[b]
-                                       : heardSize[a] > heardSize[b];
-                   });
-  return makePath(order);
+  return makePath(heardSizeOrder(state.heardMatrix(), ascending_));
 }
 
 std::string HeardOrderPathAdversary::name() const {
@@ -219,13 +212,12 @@ RootedTree GreedyDelayAdversary::nextTree(const BroadcastSim& state) {
   // Candidate orders (paths); trees that are not plain paths are kept in
   // a separate list so the winning PATH can seed next round's stability.
   std::vector<std::vector<std::size_t>> orders;
-  if (config_.includePrevious) {
-    orders.push_back(order_);
-  }
+  orders.push_back(order_);
   for (std::size_t d = 1; d <= config_.freezeDepthMax && d <= n_; ++d) {
-    orders.push_back(freezeOrdering(heard, topLeaders(coverage, d), order_));
+    orders.push_back(
+        freezeOrdering(heard, coverageLeaders(coverage, d), order_));
   }
-  if (config_.includeRotations && n_ >= 2) {
+  if (n_ >= 2) {
     std::vector<std::size_t> headToTail(order_.begin() + 1, order_.end());
     headToTail.push_back(order_.front());
     orders.push_back(std::move(headToTail));
@@ -233,26 +225,22 @@ RootedTree GreedyDelayAdversary::nextTree(const BroadcastSim& state) {
     tailToHead.insert(tailToHead.end(), order_.begin(), order_.end() - 1);
     orders.push_back(std::move(tailToHead));
   }
-  if (config_.includeHeardOrders) {
-    HeardOrderPathAdversary asc(n_, true);
-    HeardOrderPathAdversary desc(n_, false);
-    orders.push_back(asc.nextTree(state).bfsOrder());
-    orders.push_back(desc.nextTree(state).bfsOrder());
-  }
+  orders.push_back(heardSizeOrder(heard, true));
+  orders.push_back(heardSizeOrder(heard, false));
   for (std::size_t i = 0; i < config_.randomPaths; ++i) {
     orders.push_back(rng_.permutation(n_));
   }
 
   std::vector<RootedTree> extraTrees;
-  if (config_.includeBrooms && n_ >= 3) {
+  if (n_ >= 3) {
     // Broom over the primary freeze order: the knower block becomes the
     // bristles (they receive but feed nobody).
+    const std::vector<std::size_t> leaders = coverageLeaders(coverage, 1);
     const std::vector<std::size_t> freezeOrder =
-        freezeOrdering(heard, topLeaders(coverage, 1), order_);
-    const std::size_t leader = topLeaders(coverage, 1).front();
+        freezeOrdering(heard, leaders, order_);
     std::size_t firstKnower = n_;
     for (std::size_t i = 0; i < n_; ++i) {
-      if (state.heardBy(freezeOrder[i]).test(leader)) {
+      if (heard[freezeOrder[i]].test(leaders.front())) {
         firstKnower = i;
         break;
       }
@@ -266,19 +254,11 @@ RootedTree GreedyDelayAdversary::nextTree(const BroadcastSim& state) {
   }
   if (config_.damageTreeRoots > 0) {
     // Damage-greedy trees: the balanced-coverage move family that exact
-    // optimal play favors. Root picks: lowest-coverage process (its info
-    // is safest to spread), highest-heard process (it gains nothing by
-    // receiving anyway), plus random extras.
-    std::vector<std::size_t> roots;
-    roots.push_back(static_cast<std::size_t>(
-        std::min_element(coverage.begin(), coverage.end()) -
-        coverage.begin()));
+    // optimal play favors, rooted at the least-covered process, the most
+    // informed one, then random extras.
+    std::vector<std::size_t> roots{leastCoveredProcess(coverage)};
     if (config_.damageTreeRoots >= 2) {
-      std::size_t maxHeard = 0;
-      for (std::size_t y = 1; y < n_; ++y) {
-        if (state.heardCount(y) > state.heardCount(maxHeard)) maxHeard = y;
-      }
-      roots.push_back(maxHeard);
+      roots.push_back(mostInformedProcess(heard));
     }
     while (roots.size() < config_.damageTreeRoots) {
       roots.push_back(rng_.uniform(n_));

@@ -73,21 +73,11 @@ struct DelayScore {
 
 /// Evaluates one candidate tree against the current heard state without
 /// mutating it. `coverage` must equal coverageCounts of the same state.
-/// When `coverageOut` is non-null it receives the post-round coverage
-/// vector (used by search adversaries to avoid recomputation).
-///
-/// Convenience wrapper over the scratch overload below; allocates a fresh
-/// scratch per call, so hot loops should hold an EvalScratch instead.
-[[nodiscard]] DelayScore evaluateCandidate(
-    const std::vector<DynBitset>& heard,
-    const std::vector<std::size_t>& coverage, const RootedTree& tree,
-    std::vector<std::size_t>* coverageOut = nullptr);
-
-/// Allocation-free evaluation: all working state lives in `scratch`,
-/// which is reused across calls. On return, scratch.heard holds the
-/// candidate's post-round heard matrix and scratch.coverage its
-/// post-round coverage — callers that keep a successor state (beam,
-/// lookahead) copy from there instead of re-applying the tree.
+/// All working state lives in `scratch`, which is reused across calls.
+/// On return, scratch.heard holds the candidate's post-round heard
+/// matrix and scratch.coverage its post-round coverage — callers that
+/// keep a successor state (beam, lookahead) copy from there instead of
+/// re-applying the tree.
 [[nodiscard]] DelayScore evaluateCandidate(
     const std::vector<DynBitset>& heard,
     const std::vector<std::size_t>& coverage, const RootedTree& tree,
@@ -152,16 +142,15 @@ struct GreedyDelayConfig {
   std::size_t freezeDepthMax = 4;  ///< stable freezes with depth 1..max
   std::size_t randomPaths = 3;     ///< random path candidates per round
   std::size_t randomTrees = 2;     ///< uniform random tree candidates
-  bool includeBrooms = true;       ///< broom variants of the freeze order
-  bool includeHeardOrders = true;  ///< asc/desc heard-size paths
-  bool includePrevious = true;     ///< the unchanged previous path
-  bool includeRotations = true;    ///< head-to-tail / tail-to-head moves
   std::size_t damageTreeRoots = 3; ///< damage-greedy trees per round
 };
 
 /// The portfolio-greedy delaying adversary: evaluates every candidate one
 /// round ahead with evaluateCandidate and plays the minimum DelayScore.
-/// Keeps its path order across rounds (stability, see header comment).
+/// Besides the configurable families above, the pool always holds the
+/// unchanged previous path, its two rotations, both heard-size orders and
+/// the broom over the primary freeze order. Keeps its path order across
+/// rounds (stability, see header comment).
 class GreedyDelayAdversary final : public Adversary {
  public:
   GreedyDelayAdversary(std::size_t n, std::uint64_t seed,
@@ -179,6 +168,48 @@ class GreedyDelayAdversary final : public Adversary {
   std::vector<std::size_t> order_;
   EvalScratch scratch_;  // reused across all candidate evaluations
 };
+
+// --- The move vocabulary -----------------------------------------------
+//
+// Every delaying adversary and witness search (greedy-delay,
+// local-search, lookahead, the beam and the exact solver's structured
+// pool) builds its candidate pool from the helpers below, so a pool is a
+// list of these moves and not a private copy of them. Ties go to the
+// lowest process id unless stated otherwise; each pool's trees, and the
+// order of its RNG draws, follow from these rules.
+
+/// The order 0, 1, …, n−1: the carried path every adversary starts from.
+[[nodiscard]] std::vector<std::size_t> identityOrder(std::size_t n);
+
+/// The min(depth, n) processes of highest coverage, highest first; equal
+/// coverage goes to the lower id first.
+[[nodiscard]] std::vector<std::size_t> coverageLeaders(
+    const std::vector<std::size_t>& coverage, std::size_t depth);
+
+/// The process of least coverage (lowest id on ties): its information
+/// is the safest to spread, so it roots a damage-greedy tree.
+[[nodiscard]] std::size_t leastCoveredProcess(
+    const std::vector<std::size_t>& coverage);
+
+/// The process with the largest |Heard| (lowest id on ties): it gains
+/// least by receiving, so it roots a damage-greedy tree.
+[[nodiscard]] std::size_t mostInformedProcess(
+    const std::vector<DynBitset>& heard);
+
+/// All processes stably sorted by |Heard|, ascending or descending;
+/// equal sizes keep ascending id order in both directions. The exact
+/// solver's descending pool move is the REVERSE of the ascending order
+/// instead (ties to the highest id), a different path on ties that its
+/// certified witness lines depend on.
+[[nodiscard]] std::vector<std::size_t> heardSizeOrder(
+    const std::vector<DynBitset>& heard, bool ascending);
+
+/// The convex coverage potential Σ_x 2^min(coverage[x], 50), summed in
+/// ascending x from +0.0 — the same additions in the same order wherever
+/// it is computed, so DelayScore::potential and the beam's frontier
+/// potentials agree bit for bit.
+[[nodiscard]] double coveragePotential(
+    const std::vector<std::size_t>& coverage);
 
 /// Builds the stable freeze ordering over `baseOrder`: every process that
 /// knows leader x_1 is moved after everyone who does not, with nested
@@ -255,17 +286,5 @@ class DamageTrees {
   EvalScratch::DamageBuffers& buf_;
   const bitword::Kernels& kernels_;
 };
-
-/// One-shot DamageTrees(state, coverage).greedy(root) on a fresh
-/// scratch. Callers building several trees per state bind a DamageTrees
-/// to a long-lived EvalScratch instead.
-[[nodiscard]] RootedTree buildDamageGreedyTree(
-    const BroadcastSim& state, const std::vector<std::size_t>& coverage,
-    std::size_t root);
-
-/// One-shot DamageTrees(state, coverage).noisy(root, amplitude, rng).
-[[nodiscard]] RootedTree buildNoisyDamageTree(
-    const BroadcastSim& state, const std::vector<std::size_t>& coverage,
-    std::size_t root, double amplitude, Rng& rng);
 
 }  // namespace dynbcast

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -40,50 +39,21 @@ struct Candidate {
   RootedTree move = RootedTree::trivial();
 };
 
-double potentialOfCoverage(const std::vector<std::size_t>& cov) {
-  double p = 0.0;
-  for (const std::size_t c : cov) {
-    p += std::exp2(static_cast<double>(std::min<std::size_t>(c, 50)));
-  }
-  return p;
-}
-
-std::vector<std::size_t> topLeaders(const std::vector<std::size_t>& coverage,
-                                    std::size_t depth) {
-  std::vector<std::size_t> ids(coverage.size());
-  std::iota(ids.begin(), ids.end(), std::size_t{0});
-  const std::size_t take = std::min(depth, ids.size());
-  std::partial_sort(ids.begin(),
-                    ids.begin() + static_cast<std::ptrdiff_t>(take),
-                    ids.end(), [&](std::size_t a, std::size_t b) {
-                      if (coverage[a] != coverage[b]) {
-                        return coverage[a] > coverage[b];
-                      }
-                      return a < b;
-                    });
-  ids.resize(take);
-  return ids;
-}
-
 std::vector<RootedTree> movesFor(const FrontierState& state, Rng& rng,
                                  const BeamConfig& config,
                                  EvalScratch& scratch) {
   const std::size_t n = state.heard.size();
   std::vector<RootedTree> moves;
   if (config.structuredMoves) {
-    std::vector<std::size_t> base(n);
-    std::iota(base.begin(), base.end(), std::size_t{0});
-    moves.push_back(makePath(
-        freezeOrdering(state.heard, topLeaders(state.coverage, 1), base)));
-    moves.push_back(makePath(
-        freezeOrdering(state.heard, topLeaders(state.coverage, 2), base)));
+    const std::vector<std::size_t> base = identityOrder(n);
+    for (std::size_t depth = 1; depth <= 2; ++depth) {
+      moves.push_back(makePath(freezeOrdering(
+          state.heard, coverageLeaders(state.coverage, depth), base)));
+    }
     // Every damage tree of this state shares one binding (transpose +
     // weights) in the search's scratch.
     DamageTrees damageTrees(state.heard, state.coverage, scratch);
-    const std::size_t minCov = static_cast<std::size_t>(
-        std::min_element(state.coverage.begin(), state.coverage.end()) -
-        state.coverage.begin());
-    moves.push_back(damageTrees.greedy(minCov));
+    moves.push_back(damageTrees.greedy(leastCoveredProcess(state.coverage)));
     moves.push_back(damageTrees.greedy(rng.uniform(n)));
     // Noisy damage trees: balanced-coverage structure with variety — the
     // beam's main exploration device (plain random trees are too weak).
@@ -159,7 +129,7 @@ BeamResult beamSearchWitness(std::size_t n, std::uint64_t seed,
   initial.heard.assign(n, DynBitset(n));
   for (std::size_t y = 0; y < n; ++y) initial.heard[y].set(y);
   initial.coverage.assign(n, 1);
-  initial.potential = potentialOfCoverage(initial.coverage);
+  initial.potential = coveragePotential(initial.coverage);
   initial.nodeId = arena.acquireRoot();
 
   std::vector<FrontierState> frontier;

@@ -4,7 +4,6 @@
 #include <array>
 #include <bit>
 #include <cstring>
-#include <numeric>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -473,31 +472,18 @@ struct StructuredWitness {
     for (std::size_t r = 0; r < n; ++r) {
       pool.push_back(damageTrees.greedy(r));
     }
-    std::vector<std::size_t> base(n);
-    std::iota(base.begin(), base.end(), std::size_t{0});
+    const std::vector<std::size_t> base = identityOrder(n);
     for (std::size_t d = 1; d <= 3 && d < n; ++d) {
-      std::vector<std::size_t> ids(n);
-      std::iota(ids.begin(), ids.end(), std::size_t{0});
-      std::partial_sort(ids.begin(),
-                        ids.begin() + static_cast<std::ptrdiff_t>(d),
-                        ids.end(), [&](std::size_t a, std::size_t b) {
-                          if (coverage[a] != coverage[b]) {
-                            return coverage[a] > coverage[b];
-                          }
-                          return a < b;
-                        });
-      ids.resize(d);
-      pool.push_back(makePath(freezeOrdering(heard, ids, base)));
+      pool.push_back(
+          makePath(freezeOrdering(heard, coverageLeaders(coverage, d), base)));
     }
-    std::vector<std::size_t> asc(n);
-    std::iota(asc.begin(), asc.end(), std::size_t{0});
-    std::stable_sort(asc.begin(), asc.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return heard[a].count() < heard[b].count();
-                     });
-    pool.push_back(makePath(asc));
-    std::reverse(asc.begin(), asc.end());
-    pool.push_back(makePath(asc));
+    // Descending is the reversed ascending order (ties to the highest
+    // id), not heardSizeOrder(heard, false): the certified lines of the
+    // witness tests were found with this pool.
+    std::vector<std::size_t> heardOrder = heardSizeOrder(heard, true);
+    pool.push_back(makePath(heardOrder));
+    std::reverse(heardOrder.begin(), heardOrder.end());
+    pool.push_back(makePath(heardOrder));
     // Deterministic noise: the node's state digest seeds the generator,
     // so revisits expand identically and the search stays reproducible.
     Rng rng(nodeSeed);

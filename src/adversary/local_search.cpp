@@ -1,41 +1,11 @@
 #include "src/adversary/local_search.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "src/support/assert.h"
 #include "src/tree/families.h"
 
 namespace dynbcast {
-
-namespace {
-
-/// Top-coverage ids, highest first (duplicated from adaptive.cpp's
-/// internal helper on purpose: the two modules evolve independently).
-std::vector<std::size_t> leadersByCoverage(
-    const std::vector<std::size_t>& coverage, std::size_t depth) {
-  std::vector<std::size_t> ids(coverage.size());
-  std::iota(ids.begin(), ids.end(), std::size_t{0});
-  const std::size_t take = std::min(depth, ids.size());
-  std::partial_sort(ids.begin(),
-                    ids.begin() + static_cast<std::ptrdiff_t>(take),
-                    ids.end(), [&](std::size_t a, std::size_t b) {
-                      if (coverage[a] != coverage[b]) {
-                        return coverage[a] > coverage[b];
-                      }
-                      return a < b;
-                    });
-  ids.resize(take);
-  return ids;
-}
-
-std::vector<std::size_t> identityOrder(std::size_t n) {
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  return order;
-}
-
-}  // namespace
 
 LocalSearchPathAdversary::LocalSearchPathAdversary(std::size_t n,
                                                    std::uint64_t seed,
@@ -61,7 +31,7 @@ RootedTree LocalSearchPathAdversary::nextTree(const BroadcastSim& state) {
 
   // Start from the stable freeze of the carried order, then hill-climb.
   std::vector<std::size_t> order = freezeOrdering(
-      heard, leadersByCoverage(coverage, config_.freezeDepth), order_);
+      heard, coverageLeaders(coverage, config_.freezeDepth), order_);
   DelayScore best =
       evaluateCandidate(heard, coverage, makePath(order), scratch_);
 

@@ -1,8 +1,6 @@
 #include "src/adversary/lookahead.h"
 
-#include <algorithm>
 #include <limits>
-#include <numeric>
 #include <utility>
 
 #include "src/adversary/search_tree.h"
@@ -15,24 +13,6 @@ namespace dynbcast {
 
 namespace {
 
-/// Top-`depth` coverage leaders, highest first.
-std::vector<std::size_t> topLeaders(const std::vector<std::size_t>& coverage,
-                                    std::size_t depth) {
-  std::vector<std::size_t> ids(coverage.size());
-  std::iota(ids.begin(), ids.end(), std::size_t{0});
-  const std::size_t take = std::min(depth, ids.size());
-  std::partial_sort(ids.begin(),
-                    ids.begin() + static_cast<std::ptrdiff_t>(take),
-                    ids.end(), [&](std::size_t a, std::size_t b) {
-                      if (coverage[a] != coverage[b]) {
-                        return coverage[a] > coverage[b];
-                      }
-                      return a < b;
-                    });
-  ids.resize(take);
-  return ids;
-}
-
 /// The structured move pool expanded at every search node; the damage
 /// trees bind `scratch` (the node's own level) to the node's state.
 std::vector<RootedTree> generateCandidates(
@@ -43,26 +23,17 @@ std::vector<RootedTree> generateCandidates(
   const std::size_t n = heard.size();
   std::vector<RootedTree> out;
   out.push_back(makePath(baseOrder));  // continuity move
-  out.push_back(
-      makePath(freezeOrdering(heard, topLeaders(coverage, 1), baseOrder)));
-  out.push_back(
-      makePath(freezeOrdering(heard, topLeaders(coverage, 2), baseOrder)));
+  for (std::size_t depth = 1; depth <= 2; ++depth) {
+    out.push_back(makePath(
+        freezeOrdering(heard, coverageLeaders(coverage, depth), baseOrder)));
+  }
   DamageTrees damageTrees(heard, coverage, scratch);
   // Damage-greedy roots: safest spreader and best-informed receiver.
   if (config.damageRoots >= 1) {
-    const std::size_t minCov = static_cast<std::size_t>(
-        std::min_element(coverage.begin(), coverage.end()) -
-        coverage.begin());
-    out.push_back(damageTrees.greedy(minCov));
+    out.push_back(damageTrees.greedy(leastCoveredProcess(coverage)));
   }
   if (config.damageRoots >= 2 && n >= 2) {
-    std::size_t maxHeard = 0;
-    for (std::size_t y = 1; y < n; ++y) {
-      if (heard[y].count() > heard[maxHeard].count()) {
-        maxHeard = y;
-      }
-    }
-    out.push_back(damageTrees.greedy(maxHeard));
+    out.push_back(damageTrees.greedy(mostInformedProcess(heard)));
   }
   for (std::size_t extra = 2; extra < config.damageRoots; ++extra) {
     out.push_back(damageTrees.greedy(rng.uniform(n)));
@@ -104,22 +75,22 @@ Eval search(const std::vector<DynBitset>& heard,
             const std::vector<std::size_t>& baseOrder, Rng& rng,
             const LookaheadConfig& config, std::size_t depth,
             RootedTree* chosenOut, std::vector<EvalScratch>& arena,
-            std::size_t level, TtCache* cache, LookaheadStats& stats) {
+            std::size_t level, TtCache& cache, LookaheadStats& stats) {
   ++stats.nodesVisited;
   // Interior nodes only: the root must still report its chosen move, and
   // it is the first node of a per-call table anyway.
-  const bool cacheable = cache != nullptr && chosenOut == nullptr;
+  const bool cacheable = chosenOut == nullptr;
   std::uint64_t digest = 0;
   if (cacheable) {
     digest = hashCombine(hashHeardMatrix(heard), depth);
-    const std::uint32_t found = cache->table.find(
+    const std::uint32_t found = cache.table.find(
         digest, [&](std::uint32_t payload) {
-          const TtCache::Entry& e = cache->entries[payload];
+          const TtCache::Entry& e = cache.entries[payload];
           return e.depth == depth && e.heard == heard;
         });
     if (found != TranspositionTable::kNoPayload) {
       ++stats.transpositionHits;
-      return cache->entries[found].eval;
+      return cache.entries[found].eval;
     }
   }
   const std::vector<RootedTree> candidates = generateCandidates(
@@ -150,14 +121,14 @@ Eval search(const std::vector<DynBitset>& heard,
     }
   }
   if (cacheable) {
-    const auto payload = static_cast<std::uint32_t>(cache->entries.size());
-    const TranspositionTable::InsertResult ins = cache->table.insertOrFind(
+    const auto payload = static_cast<std::uint32_t>(cache.entries.size());
+    const TranspositionTable::InsertResult ins = cache.table.insertOrFind(
         digest, payload, [&](std::uint32_t existing) {
-          const TtCache::Entry& e = cache->entries[existing];
+          const TtCache::Entry& e = cache.entries[existing];
           return e.depth == depth && e.heard == heard;
         });
     if (ins.inserted) {
-      cache->entries.push_back(TtCache::Entry{heard, depth, best});
+      cache.entries.push_back(TtCache::Entry{heard, depth, best});
     }
   }
   if (chosenOut != nullptr) *chosenOut = *bestTree;
@@ -169,15 +140,14 @@ Eval search(const std::vector<DynBitset>& heard,
 LookaheadDelayAdversary::LookaheadDelayAdversary(std::size_t n,
                                                  std::uint64_t seed,
                                                  LookaheadConfig config)
-    : n_(n), seed_(seed), rng_(seed), config_(config) {
+    : n_(n), seed_(seed), rng_(seed), config_(config),
+      order_(identityOrder(n)) {
   DYNBCAST_ASSERT(config_.depth >= 1);
-  order_.resize(n);
-  std::iota(order_.begin(), order_.end(), std::size_t{0});
 }
 
 void LookaheadDelayAdversary::reset() {
   rng_ = Rng(seed_);
-  std::iota(order_.begin(), order_.end(), std::size_t{0});
+  order_ = identityOrder(n_);
   stats_ = LookaheadStats{};
 }
 
@@ -189,9 +159,8 @@ RootedTree LookaheadDelayAdversary::nextTree(const BroadcastSim& state) {
     arena_.resize(config_.depth, EvalScratch::forProcessCount(n_));
   }
   TtCache cache;
-  TtCache* cachePtr = config_.transposition ? &cache : nullptr;
   (void)search(state.heardMatrix(), coverage, order_, rng_, config_,
-               config_.depth, &chosen, arena_, 0, cachePtr, stats_);
+               config_.depth, &chosen, arena_, 0, cache, stats_);
   // Carry path stability when the chosen move is a path.
   if (chosen.leafCount() == 1) {
     order_ = chosen.bfsOrder();

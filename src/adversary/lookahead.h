@@ -5,8 +5,8 @@
 // play (exact solver, small n) reaches ⌈(3n−1)/2⌉−2 by making early
 // "sacrifice" moves whose payoff appears several rounds later. The fix
 // is to search: from the current state, expand a small structured
-// candidate pool (damage-greedy trees, stable freezes, the previous
-// path, heard-order paths) to depth d, maximize rounds-until-broadcast
+// candidate pool (the previous path, stable freezes, damage-greedy
+// trees, random paths) to depth d, maximize rounds-until-broadcast
 // within the horizon, and break ties by the convex coverage potential of
 // the horizon state.
 //
@@ -37,9 +37,6 @@ struct LookaheadConfig {
   std::size_t randomMoves = 1;
   /// Damage-greedy tree roots tried per node.
   std::size_t damageRoots = 2;
-  /// Reuse evaluations of transposed (state, remaining-depth) nodes
-  /// within one nextTree call. Off restores the exhaustive re-search.
-  bool transposition = true;
 };
 
 /// Cumulative search effort across nextTree calls (reset() clears).

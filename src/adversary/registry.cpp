@@ -4,7 +4,6 @@
 #include "src/adversary/registry.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -222,7 +221,8 @@ void registerBuiltins(AdversaryRegistry& reg) {
            "per-round hill climbing over path orderings (swaps + segment "
            "reversals)",
            {{"iters", "64", "move attempts per round"},
-            {"freeze-depth", "2", "freeze depth of the starting ordering"},
+            {"freeze-depth", "2", "freeze depth of the starting ordering "
+                                "(>= 1)"},
             {"rev-p", "0.25", "probability a move is a segment reversal "
                               "(0 <= rev-p <= 1)"}},
            [](std::size_t n, std::uint64_t seed,
@@ -231,6 +231,10 @@ void registerBuiltins(AdversaryRegistry& reg) {
              config.iterations = params.getUInt("iters", config.iterations);
              config.freezeDepth =
                  params.getUInt("freeze-depth", config.freezeDepth);
+             if (config.freezeDepth < 1) {
+               throw std::invalid_argument(
+                   "adversary 'local-search': freeze-depth must be >= 1");
+             }
              config.reversalProbability =
                  params.getDouble("rev-p", config.reversalProbability);
              if (!(config.reversalProbability >= 0.0 &&
@@ -247,9 +251,7 @@ void registerBuiltins(AdversaryRegistry& reg) {
            "depth-limited search over a structured candidate pool",
            {{"depth", "3", "search depth in rounds (1 = plain greedy)"},
             {"rand", "1", "random candidates per search node"},
-            {"damage-roots", "2", "damage-greedy roots per search node"},
-            {"tt", "1", "transposition table over (state, depth) nodes "
-                        "(0 = exhaustive re-search)"}},
+            {"damage-roots", "2", "damage-greedy roots per search node"}},
            [](std::size_t n, std::uint64_t seed,
               const AdversaryParams& params) {
              LookaheadConfig config;
@@ -261,7 +263,6 @@ void registerBuiltins(AdversaryRegistry& reg) {
              config.randomMoves = params.getUInt("rand", config.randomMoves);
              config.damageRoots =
                  params.getUInt("damage-roots", config.damageRoots);
-             config.transposition = params.getUInt("tt", 1) != 0;
              return std::make_unique<LookaheadDelayAdversary>(
                  n, seed ^ 0x10caull, config);
            }});
@@ -282,29 +283,20 @@ void registerBuiltins(AdversaryRegistry& reg) {
               const AdversaryParams& params) {
              BeamConfig config;
              config.beamWidth = params.getUInt("width", config.beamWidth);
-             if (config.beamWidth < 1) {
-               throw std::invalid_argument(
-                   "adversary 'beam': width must be >= 1");
-             }
              config.randomMovesPerState =
                  params.getUInt("rand-moves", config.randomMovesPerState);
              config.noiseAmplitude =
                  params.getDouble("noise", config.noiseAmplitude);
-             if (!std::isfinite(config.noiseAmplitude) ||
-                 config.noiseAmplitude < 0.0) {
-               throw std::invalid_argument(
-                   "adversary 'beam': noise must be finite and >= 0 (got "
-                   "noise=" + params.getString("noise", "") + ")");
-             }
              config.diversityPercent =
                  params.getUInt("diversity", config.diversityPercent);
-             if (config.diversityPercent > 100) {
-               throw std::invalid_argument(
-                   "adversary 'beam': diversity must be <= 100 percent "
-                   "(got " + std::to_string(config.diversityPercent) + ")");
-             }
              config.maxRounds =
                  params.getUInt("max-rounds", config.maxRounds);
+             try {
+               validateBeamConfig(config);
+             } catch (const std::invalid_argument& e) {
+               throw std::invalid_argument(std::string("adversary 'beam': ") +
+                                           e.what());
+             }
              return std::make_unique<BeamWitnessAdversary>(
                  n, seed ^ 0xbea3ull, config,
                  AdversarySpec{"beam", params}.toString());

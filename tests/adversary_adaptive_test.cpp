@@ -45,8 +45,9 @@ TEST(EvaluateCandidateTest, MatchesActualApplication) {
     const auto covBefore = coverageCounts(sim);
     const std::size_t edgesBefore = sim.metrics().totalEdges;
     const RootedTree candidate = randomRootedTree(n, rng);
+    EvalScratch scratch;
     const DelayScore score =
-        evaluateCandidate(sim.heardMatrix(), covBefore, candidate);
+        evaluateCandidate(sim.heardMatrix(), covBefore, candidate, scratch);
     // Now actually apply and compare.
     sim.applyTree(candidate);
     const auto covAfter = coverageCounts(sim);
@@ -221,7 +222,9 @@ TEST(DamageGreedyTreeTest, ProducesValidTreeWithRequestedRoot) {
     for (int r = 0; r < 3; ++r) sim.applyTree(randomRootedTree(n, rng));
     const auto cov = coverageCounts(sim);
     const std::size_t root = rng.uniform(n);
-    const RootedTree t = buildDamageGreedyTree(sim, cov, root);
+    EvalScratch scratch;
+    const RootedTree t =
+        DamageTrees(sim.heardMatrix(), cov, scratch).greedy(root);
     EXPECT_EQ(t.root(), root);
     EXPECT_EQ(t.size(), n);
   }
@@ -235,8 +238,9 @@ TEST(DamageGreedyTreeTest, AvoidsFinishingWhenAlternativeExists) {
   for (int r = 0; r < 5; ++r) sim.applyTree(randomPath(10, rng));
   if (!sim.broadcastDone()) {
     const auto cov = coverageCounts(sim);
-    const RootedTree t = buildDamageGreedyTree(sim, cov, 0);
-    const DelayScore s = evaluateCandidate(sim.heardMatrix(), cov, t);
+    EvalScratch scratch;
+    const RootedTree t = DamageTrees(sim.heardMatrix(), cov, scratch).greedy(0);
+    const DelayScore s = evaluateCandidate(sim.heardMatrix(), cov, t, scratch);
     // A path exists that does not finish (the previous path froze);
     // damage-greedy must find SOME non-finishing tree too.
     EXPECT_FALSE(s.finishes);
@@ -248,9 +252,11 @@ TEST(NoisyDamageTreeTest, NoiseDiversifiesConstruction) {
   BroadcastSim sim(12);
   for (int r = 0; r < 4; ++r) sim.applyTree(randomRootedTree(12, rng));
   const auto cov = coverageCounts(sim);
+  EvalScratch scratch;
+  DamageTrees trees(sim.heardMatrix(), cov, scratch);
   std::set<std::string> shapes;
   for (int i = 0; i < 10; ++i) {
-    shapes.insert(buildNoisyDamageTree(sim, cov, 0, 8.0, rng).toString());
+    shapes.insert(trees.noisy(0, 8.0, rng).toString());
   }
   EXPECT_GT(shapes.size(), 1u) << "noise produced identical trees";
 }
@@ -399,26 +405,6 @@ TEST(EvalScratchTest, FactoryScratchMatchesDefaultConstructed) {
   EXPECT_EQ(sized.heard, fresh.heard);
   EXPECT_EQ(sized.heard, wrongSize.heard);
   EXPECT_EQ(sized.coverage, fresh.coverage);
-}
-
-TEST(EvalScratchTest, WrapperMatchesScratchOverload) {
-  // The coverageOut-pointer wrapper is a thin shim over the scratch
-  // overload; both surfaces must report the same score and coverage.
-  Rng rng(99);
-  const std::size_t n = 40;
-  BroadcastSim sim(n);
-  for (int r = 0; r < 4; ++r) sim.applyTree(randomRootedTree(n, rng));
-  const std::vector<std::size_t> coverage = coverageCounts(sim);
-  const RootedTree tree = randomRootedTree(n, rng);
-  std::vector<std::size_t> covOut;
-  const DelayScore viaWrapper =
-      evaluateCandidate(sim.heardMatrix(), coverage, tree, &covOut);
-  EvalScratch scratch = EvalScratch::forProcessCount(n);
-  const DelayScore viaScratch =
-      evaluateCandidate(sim.heardMatrix(), coverage, tree, scratch);
-  EXPECT_EQ(viaWrapper.potential, viaScratch.potential);
-  EXPECT_EQ(viaWrapper.newEdges, viaScratch.newEdges);
-  EXPECT_EQ(covOut, scratch.coverage);
 }
 
 }  // namespace

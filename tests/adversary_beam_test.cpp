@@ -173,25 +173,14 @@ TEST(LookaheadTest, DeterministicPerSeed) {
 
 TEST(LookaheadTest, TranspositionStatsAndToggle) {
   // Freeze variants transpose heavily, so a depth-3 search must score
-  // table hits; with the table off the stats stay clean and the search
-  // still lands inside the theorem bracket. (Skipping a cached subtree
-  // also skips its rng draws, so the two runs may legitimately pick
-  // different moves — only bounds are comparable across the toggle.)
-  LookaheadConfig with;
-  with.depth = 3;
-  LookaheadConfig without = with;
-  without.transposition = false;
-  LookaheadDelayAdversary a(10, 17, with);
-  LookaheadDelayAdversary b(10, 17, without);
+  // table hits and still land inside the theorem bracket.
+  LookaheadDelayAdversary a(10, 17, {.depth = 3});
   const BroadcastRun ra = runAdversary(10, a, defaultRoundCap(10));
-  const BroadcastRun rb = runAdversary(10, b, defaultRoundCap(10));
   ASSERT_TRUE(ra.completed);
-  ASSERT_TRUE(rb.completed);
   EXPECT_LE(ra.rounds, bounds::linearUpper(10));
-  EXPECT_LE(rb.rounds, bounds::linearUpper(10));
   EXPECT_GT(a.stats().nodesVisited, 0u);
   EXPECT_GT(a.stats().transpositionHits, 0u);
-  EXPECT_EQ(b.stats().transpositionHits, 0u);
+  EXPECT_LE(a.stats().transpositionHits, a.stats().nodesVisited);
 }
 
 }  // namespace

@@ -330,7 +330,8 @@ TEST(DamageTreeOracleTest, BindingSurvivesInterleavedEvaluation) {
   (void)evaluateCandidate(sim.heardMatrix(), cov, randomPath(n, rng),
                           scratch);
   EXPECT_EQ(trees.greedy(5), first);
-  EXPECT_EQ(buildDamageGreedyTree(sim, cov, 5), first);
+  EvalScratch fresh;
+  EXPECT_EQ(DamageTrees(sim.heardMatrix(), cov, fresh).greedy(5), first);
 }
 
 }  // namespace

@@ -186,6 +186,7 @@ TEST(AdversaryRegistryTest, SearchParamRangesAreRejectedAtMake) {
       {"local-search:rev-p=7", "adversary 'local-search'"},
       {"local-search:rev-p=-0.5", "adversary 'local-search'"},
       {"local-search:rev-p=nan", "adversary 'local-search'"},
+      {"local-search:freeze-depth=0", "adversary 'local-search'"},
   };
   for (const auto& [spec, prefix] : bad) {
     try {
@@ -200,12 +201,6 @@ TEST(AdversaryRegistryTest, SearchParamRangesAreRejectedAtMake) {
   EXPECT_NO_THROW((void)registry.make("beam:width=1,noise=0", 4, 1));
   EXPECT_NO_THROW((void)registry.make("local-search:rev-p=0", 4, 1));
   EXPECT_NO_THROW((void)registry.make("local-search:rev-p=1", 4, 1));
-}
-
-TEST(AdversaryRegistryTest, LookaheadTranspositionToggleIsASpecParam) {
-  const AdversaryRegistry& registry = AdversaryRegistry::instance();
-  EXPECT_NO_THROW((void)registry.make("lookahead:depth=2,tt=0", 6, 1));
-  EXPECT_NO_THROW((void)registry.make("lookahead:depth=2,tt=1", 6, 1));
 }
 
 TEST(AdversaryRegistryTest, BeamNameCarriesTheFullSpec) {
