@@ -23,7 +23,7 @@ std::vector<PortfolioMember> membersFromSpecs(
   members.reserve(specs.size());
   for (const std::string& text : specs) {
     AdversarySpec spec = AdversarySpec::parse(text);
-    registry.validate(spec);
+    registry.validate(spec, n);
     std::string name = spec.toString();
     members.push_back({std::move(name),
                        [spec = std::move(spec), n, seed, &registry] {

@@ -29,10 +29,11 @@ struct PortfolioMember {
 [[nodiscard]] std::vector<std::string> standardPortfolioSpecs();
 
 /// Resolves registry spec strings into portfolio members for one
-/// (n, seed) instance. Validates every spec eagerly (unknown names/keys
-/// throw std::invalid_argument here, not inside a worker thread); each
-/// member's display name is the canonical spec string and its make()
-/// constructs a fresh adversary through the AdversaryRegistry.
+/// (n, seed) instance. Validates every spec at n eagerly (unknown names,
+/// keys and out-of-range values throw std::invalid_argument here, not
+/// inside a worker thread); each member's display name is the canonical
+/// spec string and its make() constructs a fresh adversary through the
+/// AdversaryRegistry.
 [[nodiscard]] std::vector<PortfolioMember> membersFromSpecs(
     const std::vector<std::string>& specs, std::size_t n,
     std::uint64_t seed);

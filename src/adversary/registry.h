@@ -8,16 +8,12 @@
 // constructs a fresh instance for any (n, seed), so portfolios, scenario
 // specs, and the dynbcast CLI can all be driven by plain strings.
 //
-// Grammar (canonical form printed by AdversarySpec::toString):
-//
-//   spec   := name [":" param ("," param)*]
-//   param  := key "=" value
-//   name   := [A-Za-z0-9._-]+          e.g. "greedy-delay"
-//
-// Unknown names and unknown keys are hard errors with a nearest-match
-// suggestion — a typo in an experiment script must fail loudly, not
-// silently run the wrong adversary. Every adversary's name() returns a
-// string in this grammar, so names round-trip through parse/print.
+// The grammar and the registry are src/support/spec.h's. Unknown names,
+// unknown keys and out-of-range values are hard errors, checked by
+// validate(spec, n) before any adversary exists — a typo in an
+// experiment script must fail loudly, not silently run the wrong
+// adversary. Every adversary's name() returns a string in this grammar,
+// so names round-trip through parse/print.
 // name() carries the identity-defining parameters (freeze-path:depth=2,
 // k-leaf:k=3, the full beam spec); greedy-delay and local-search keep
 // their bare names even when tuning knobs are customized — portfolio
@@ -26,7 +22,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -36,93 +31,36 @@
 
 namespace dynbcast {
 
-/// Typed key=value bag of one adversary spec — the shared grammar's
-/// parameter type (src/support/spec.h), which DynamicsRegistry also uses.
-using AdversaryParams = SpecParams;
-
 /// A parsed adversary spec string: base name + parameter bag.
-struct AdversarySpec {
-  std::string name;
-  AdversaryParams params;
-
+struct AdversarySpec : ParsedSpec {
   /// Parses "name:key=value,key=value". Throws std::invalid_argument on
   /// malformed input (empty name, missing '=', duplicate key, bad
   /// characters). Surrounding whitespace of tokens is ignored.
-  [[nodiscard]] static AdversarySpec parse(const std::string& text);
-
-  /// Canonical printing: name, then ":" and the parameters sorted by key.
-  /// parse(s).toString() is a fixed point: parsing it again yields an
-  /// equal spec.
-  [[nodiscard]] std::string toString() const;
+  [[nodiscard]] static AdversarySpec parse(const std::string& text) {
+    return {parseSpec(text, "adversary")};
+  }
 };
-
-/// One declared parameter of a registered adversary (for validation,
-/// error suggestions, and `dynbcast list`).
-struct AdversaryParamDoc {
-  std::string key;
-  std::string defaultValue;
-  std::string description;
-};
-
-/// Factory: builds a fresh adversary for an (n, seed) instance. The
-/// factory owns any seed salting (the registry passes the instance seed
-/// through untouched) and must validate parameter ranges by throwing
-/// std::invalid_argument.
-using AdversaryFactory = std::function<std::unique_ptr<Adversary>(
-    std::size_t n, std::uint64_t seed, const AdversaryParams& params)>;
 
 struct AdversaryInfo {
   std::string name;
   std::string description;
-  std::vector<AdversaryParamDoc> params;  ///< the only accepted keys
-  AdversaryFactory factory;
+  std::vector<SpecParamDoc> params;  ///< the only accepted keys
+  /// Builds a fresh adversary for an (n, seed) instance from validated
+  /// parameters. The factory owns any seed salting (the registry passes
+  /// the instance seed through untouched).
+  std::function<std::unique_ptr<Adversary>(
+      std::size_t n, std::uint64_t seed, const SpecParams& params)>
+      factory;
+  /// Value check run by validate(); null when there is nothing to check.
+  SpecValueCheck validateParams;
 };
 
-/// Name → factory registry. The process-wide instance() comes with every
-/// built-in adversary pre-registered; extensions may add() their own
-/// before fanning work out (the registry is read-only thereafter — make()
-/// from worker threads is safe as long as no add() races it).
-class AdversaryRegistry {
- public:
-  AdversaryRegistry() = default;
+/// Name → factory registry over every adversary (see SpecRegistry).
+using AdversaryRegistry = SpecRegistry<AdversaryInfo>;
+template <>
+AdversaryRegistry::SpecRegistry();
 
-  /// The process-wide registry, with all built-ins registered.
-  [[nodiscard]] static AdversaryRegistry& instance();
-
-  /// Registers a new adversary. Throws std::invalid_argument if the name
-  /// is already taken or not in the grammar's name charset.
-  void add(AdversaryInfo info);
-
-  [[nodiscard]] bool contains(const std::string& name) const {
-    return entries_.count(name) != 0;
-  }
-
-  /// Registered names, sorted.
-  [[nodiscard]] std::vector<std::string> names() const;
-
-  /// Metadata lookup. Throws std::invalid_argument with a nearest-match
-  /// suggestion when the name is unknown.
-  [[nodiscard]] const AdversaryInfo& info(const std::string& name) const;
-
-  /// Checks the spec resolves: known name and only declared keys.
-  /// Throws std::invalid_argument (with suggestions) otherwise. Cheap —
-  /// callers composing sweeps validate eagerly so a typo fails at
-  /// composition time, not inside a worker thread.
-  void validate(const AdversarySpec& spec) const;
-
-  /// Validates and constructs. Parameter *values* are checked by the
-  /// factory itself (range errors also throw std::invalid_argument).
-  [[nodiscard]] std::unique_ptr<Adversary> make(const AdversarySpec& spec,
-                                                std::size_t n,
-                                                std::uint64_t seed) const;
-
-  /// Convenience: parse + make.
-  [[nodiscard]] std::unique_ptr<Adversary> make(const std::string& spec,
-                                                std::size_t n,
-                                                std::uint64_t seed) const;
-
- private:
-  std::map<std::string, AdversaryInfo> entries_;
-};
+/// Registers every built-in adversary; instance() applies it once.
+void registerBuiltins(AdversaryRegistry& registry);
 
 }  // namespace dynbcast

@@ -378,6 +378,8 @@ class TIntervalModel final : public SeededGraphModel {
   std::vector<std::pair<std::uint32_t, std::uint32_t>> sparseArcs_;
 };
 
+}  // namespace
+
 void registerBuiltins(DynamicsRegistry& reg) {
   // The paper's model --------------------------------------------------------
   {
@@ -390,7 +392,7 @@ void registerBuiltins(DynamicsRegistry& reg) {
     info.mode = DynamicsMode::kAdversaryTrees;
     info.graphClass = DynamicsClass::kRootedTree;
     info.params = {};  // no parameters, deliberately
-    info.defaultAdversaries = [](const DynamicsParams&) {
+    info.defaultAdversaries = [](const SpecParams&) {
       return standardPortfolioSpecs();
     };
     reg.add(std::move(info));
@@ -408,7 +410,7 @@ void registerBuiltins(DynamicsRegistry& reg) {
         {"class", "any",
          "which restricted class: any | k-leaf | k-inner | broom"},
         {"k", "2", "class parameter (leaves / inner nodes / handle length)"}};
-    info.validateParams = [](const DynamicsParams& params) {
+    info.validateParams = [](const SpecParams& params, std::size_t) {
       const std::string cls = params.getString("class", "any");
       if (cls != "any" && cls != "k-leaf" && cls != "k-inner" &&
           cls != "broom") {
@@ -422,7 +424,7 @@ void registerBuiltins(DynamicsRegistry& reg) {
             "dynamics 'restricted': k must be >= 1");
       }
     };
-    info.defaultAdversaries = [](const DynamicsParams& params) {
+    info.defaultAdversaries = [](const SpecParams& params) {
       const std::string cls = params.getString("class", "any");
       const std::string k = std::to_string(params.getUInt("k", 2));
       std::vector<std::string> specs;
@@ -452,23 +454,21 @@ void registerBuiltins(DynamicsRegistry& reg) {
         {"edges", "0", "random extra edges before the repair; 0 = 2n"},
         {"p", "0",
          "Bernoulli edge density instead of a count; 0 = use edges"}};
-    info.validateParams = [](const DynamicsParams& params) {
+    info.validateParams = [](const SpecParams& params, std::size_t) {
       if (params.has("edges") && params.has("p")) {
         throw std::invalid_argument(
             "dynamics 'nonsplit-random': give either edges= (a count) or "
             "p= (a density), not both");
       }
+      (void)params.getUInt("edges", 0);
       const double p = params.getDouble("p", 0.0);
       if (p < 0.0 || p > 1.0) {
         throw std::invalid_argument(
             "dynamics 'nonsplit-random': p must be in [0, 1]");
       }
     };
-    // Range checks live in validateParams above; the registry's make()
-    // always validates before invoking a factory.
     info.factory = [](std::size_t n, std::uint64_t seed,
-                      const DynamicsParams& params)
-        -> std::unique_ptr<DynamicsModel> {
+                      const SpecParams& params) {
       return std::make_unique<NonsplitRandomModel>(
           n, seed, params.getUInt("edges", 0), params.getDouble("p", 0.0),
           formatSpec("nonsplit-random", params));
@@ -486,8 +486,7 @@ void registerBuiltins(DynamicsRegistry& reg) {
     info.stochastic = true;
     info.params = {};  // no parameters, deliberately
     info.factory = [](std::size_t n, std::uint64_t seed,
-                      const DynamicsParams& params)
-        -> std::unique_ptr<DynamicsModel> {
+                      const SpecParams& params) {
       return std::make_unique<NonsplitSkewedModel>(
           n, seed, formatSpec("nonsplit-skewed", params));
     };
@@ -509,7 +508,7 @@ void registerBuiltins(DynamicsRegistry& reg) {
     info.sparseCapable = true;
     info.params = {{"p", "0.2", "edge birth probability (0 < p <= 1)"},
                    {"q", "0.1", "edge death probability (0 <= q <= 1)"}};
-    info.validateParams = [](const DynamicsParams& params) {
+    info.validateParams = [](const SpecParams& params, std::size_t) {
       const double p = params.getDouble("p", 0.2);
       const double q = params.getDouble("q", 0.1);
       if (p <= 0.0 || p > 1.0) {
@@ -523,8 +522,7 @@ void registerBuiltins(DynamicsRegistry& reg) {
       }
     };
     info.factory = [](std::size_t n, std::uint64_t seed,
-                      const DynamicsParams& params)
-        -> std::unique_ptr<DynamicsModel> {
+                      const SpecParams& params) {
       return std::make_unique<EdgeMarkovianModel>(
           n, seed, params.getDouble("p", 0.2), params.getDouble("q", 0.1),
           formatSpec("edge-markovian", params));
@@ -542,15 +540,14 @@ void registerBuiltins(DynamicsRegistry& reg) {
     info.stochastic = true;
     info.sparseCapable = true;
     info.params = {{"T", "4", "rounds each spanning subgraph stays stable"}};
-    info.validateParams = [](const DynamicsParams& params) {
+    info.validateParams = [](const SpecParams& params, std::size_t) {
       if (params.getUInt("T", 4) < 1) {
         throw std::invalid_argument(
             "dynamics 't-interval': T must be >= 1");
       }
     };
     info.factory = [](std::size_t n, std::uint64_t seed,
-                      const DynamicsParams& params)
-        -> std::unique_ptr<DynamicsModel> {
+                      const SpecParams& params) {
       return std::make_unique<TIntervalModel>(
           n, seed, params.getUInt("T", 4),
           formatSpec("t-interval", params));
@@ -559,109 +556,31 @@ void registerBuiltins(DynamicsRegistry& reg) {
   }
 }
 
-}  // namespace
+template <>
+DynamicsRegistry::SpecRegistry()
+    : SpecRegistry("dynamics", "dynamics model",
+                   "run 'dynbcast list' for the full model zoo") {}
 
-DynamicsSpec DynamicsSpec::parse(const std::string& text) {
-  ParsedSpec parsed = parseSpec(text, "dynamics");
-  return DynamicsSpec{std::move(parsed.name), std::move(parsed.params)};
-}
-
-std::string DynamicsSpec::toString() const { return formatSpec(name, params); }
-
-DynamicsRegistry& DynamicsRegistry::instance() {
-  static DynamicsRegistry* registry = [] {
-    auto* r = new DynamicsRegistry();
-    registerBuiltins(*r);
-    return r;
-  }();
-  return *registry;
-}
-
-void DynamicsRegistry::add(DynamicsInfo info) {
-  if (!isValidSpecToken(info.name)) {
-    throw std::invalid_argument("dynamics registration '" + info.name +
-                                "': name must be non-empty [A-Za-z0-9._-]");
-  }
-  const bool needsFactory = info.mode == DynamicsMode::kGraphModel;
-  if (needsFactory != static_cast<bool>(info.factory)) {
+template <>
+void DynamicsRegistry::checkEntry(const DynamicsInfo& entry) const {
+  const bool needsFactory = entry.mode == DynamicsMode::kGraphModel;
+  if (needsFactory != static_cast<bool>(entry.factory)) {
     throw std::invalid_argument(
-        "dynamics registration '" + info.name +
+        "dynamics registration '" + entry.name +
         (needsFactory ? "': graph models need a factory"
                       : "': only graph models take a factory"));
   }
-  const std::string name = info.name;
-  if (!entries_.emplace(name, std::move(info)).second) {
-    throw std::invalid_argument("dynamics registration '" + name +
-                                "': name already registered");
-  }
 }
 
-std::vector<std::string> DynamicsRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& [name, info] : entries_) out.push_back(name);
-  return out;
-}
-
-const DynamicsInfo& DynamicsRegistry::info(const std::string& name) const {
-  const auto it = entries_.find(name);
-  if (it == entries_.end()) {
-    std::string message = "unknown dynamics model '" + name + "'";
-    const std::string suggestion = closestMatch(name, names());
-    if (!suggestion.empty()) {
-      message += "; did you mean '" + suggestion + "'?";
-    }
-    message += " (run 'dynbcast list' for the full model zoo)";
-    throw std::invalid_argument(message);
-  }
-  return it->second;
-}
-
-void DynamicsRegistry::validate(const DynamicsSpec& spec) const {
-  const DynamicsInfo& entry = info(spec.name);
-  std::vector<std::string> known;
-  known.reserve(entry.params.size());
-  for (const DynamicsParamDoc& doc : entry.params) known.push_back(doc.key);
-  for (const auto& [key, value] : spec.params.values()) {
-    if (std::find(known.begin(), known.end(), key) != known.end()) continue;
-    std::string message =
-        "dynamics '" + spec.name + "': unknown parameter '" + key + "'";
-    const std::string suggestion = closestMatch(key, known);
-    if (!suggestion.empty()) {
-      message += "; did you mean '" + suggestion + "'?";
-    }
-    if (known.empty()) {
-      message += " ('" + spec.name + "' takes no parameters)";
-    } else {
-      std::string keys;
-      for (const std::string& k : known) {
-        if (!keys.empty()) keys += ", ";
-        keys += k;
-      }
-      message += " (known parameters: " + keys + ")";
-    }
-    throw std::invalid_argument(message);
-  }
-  if (entry.validateParams) entry.validateParams(spec.params);
-}
-
-std::unique_ptr<DynamicsModel> DynamicsRegistry::make(
-    const DynamicsSpec& spec, std::size_t n, std::uint64_t seed) const {
-  validate(spec);
-  const DynamicsInfo& entry = info(spec.name);
+template <>
+void DynamicsRegistry::checkMakeable(const DynamicsInfo& entry) const {
   if (entry.mode != DynamicsMode::kGraphModel) {
     throw std::invalid_argument(
-        "dynamics '" + spec.name +
+        "dynamics '" + entry.name +
         "' is adversary-driven: its per-round graphs are the adversary's "
         "moves, so it has no standalone graph model (run it through a "
         "scenario with an adversary list instead)");
   }
-  return entry.factory(n, seed, spec.params);
-}
-
-std::unique_ptr<DynamicsModel> DynamicsRegistry::make(
-    const std::string& spec, std::size_t n, std::uint64_t seed) const {
-  return make(DynamicsSpec::parse(spec), n, seed);
 }
 
 }  // namespace dynbcast

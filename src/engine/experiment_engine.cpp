@@ -30,11 +30,9 @@ BatchPolicy parseBatchPolicy(const std::string& text) {
                                 std::to_string(kMaxWidth) + " (got '" + text +
                                 "')");
   }
-  std::string message = "unknown batch policy '" + text + "'";
-  const std::string suggestion = closestMatch(text, {"auto", "off"});
-  if (!suggestion.empty()) message += "; did you mean '" + suggestion + "'?";
-  message += " (expected auto, off, or a lane width like 8)";
-  throw std::invalid_argument(message);
+  throw std::invalid_argument(
+      unknownNameMessage("batch policy", text, {"auto", "off"},
+                         "expected auto, off, or a lane width like 8"));
 }
 
 std::string batchPolicyName(const BatchPolicy& policy) {

@@ -8,6 +8,7 @@
 #include "src/adversary/registry.h"
 #include "src/dynamics/registry.h"
 #include "src/engine/task_plan.h"
+#include "src/support/format.h"
 
 namespace dynbcast {
 
@@ -19,12 +20,8 @@ static_assert(kAutoSparseThreshold == kSparseDenseMirrorMaxN,
 Objective parseObjective(const std::string& text) {
   if (text == "broadcast") return Objective::kBroadcast;
   if (text == "gossip") return Objective::kGossip;
-  std::string message = "unknown objective '" + text + "'";
-  const std::string suggestion =
-      closestMatch(text, {"broadcast", "gossip"});
-  if (!suggestion.empty()) message += "; did you mean '" + suggestion + "'?";
-  message += " (known: broadcast, gossip)";
-  throw std::invalid_argument(message);
+  throw std::invalid_argument(unknownNameMessage(
+      "objective", text, {"broadcast", "gossip"}, "known: broadcast, gossip"));
 }
 
 std::string objectiveName(Objective objective) {
@@ -35,12 +32,9 @@ BackendChoice parseBackendChoice(const std::string& text) {
   if (text == "dense") return BackendChoice::kDense;
   if (text == "sparse") return BackendChoice::kSparse;
   if (text == "auto") return BackendChoice::kAuto;
-  std::string message = "unknown backend '" + text + "'";
-  const std::string suggestion =
-      closestMatch(text, {"dense", "sparse", "auto"});
-  if (!suggestion.empty()) message += "; did you mean '" + suggestion + "'?";
-  message += " (known: dense, sparse, auto)";
-  throw std::invalid_argument(message);
+  throw std::invalid_argument(
+      unknownNameMessage("backend", text, {"dense", "sparse", "auto"},
+                         "known: dense, sparse, auto"));
 }
 
 std::string backendChoiceName(BackendChoice backend) {
@@ -69,6 +63,10 @@ void validateScenario(const ScenarioSpec& spec) {
   if (spec.seedsPerSize == 0) {
     throw std::invalid_argument("scenario: seedsPerSize must be >= 1");
   }
+  if (spec.sizes.empty()) {
+    throw std::invalid_argument(
+        "scenario: no sizes given; a scenario needs at least one size >= 1");
+  }
   for (const std::size_t n : spec.sizes) {
     if (n == 0) {
       throw std::invalid_argument(
@@ -77,7 +75,7 @@ void validateScenario(const ScenarioSpec& spec) {
   }
   const DynamicsSpec dynamics = DynamicsSpec::parse(spec.dynamics);
   const DynamicsRegistry& dynRegistry = DynamicsRegistry::instance();
-  dynRegistry.validate(dynamics);
+  dynRegistry.validate(dynamics, spec.sizes);
   const DynamicsInfo& entry = dynRegistry.info(dynamics.name);
 
   if (entry.mode != DynamicsMode::kAdversaryTrees &&
@@ -114,16 +112,15 @@ void validateScenario(const ScenarioSpec& spec) {
           "')");
     }
     if (spec.backend == BackendChoice::kSparse && !entry.sparseCapable) {
-      std::string capable;
+      std::vector<std::string> capable;
       for (const std::string& name : dynRegistry.names()) {
-        if (!dynRegistry.info(name).sparseCapable) continue;
-        if (!capable.empty()) capable += ", ";
-        capable += name;
+        if (dynRegistry.info(name).sparseCapable) capable.push_back(name);
       }
       throw std::invalid_argument(
           "dynamics '" + dynamics.name +
           "' has no sparse generation path; use backend=dense or "
-          "backend=auto (sparse-capable models: " + capable + ")");
+          "backend=auto (sparse-capable models: " + join(capable, ", ") +
+          ")");
     }
     return;
   }
@@ -142,19 +139,15 @@ void validateScenario(const ScenarioSpec& spec) {
                                : spec.adversaries;
   for (const std::string& text : specs) {
     const AdversarySpec parsed = AdversarySpec::parse(text);
-    registry.validate(parsed);
+    registry.validate(parsed, spec.sizes);
     if (!entry.admissibleAdversaries.empty() &&
         std::find(entry.admissibleAdversaries.begin(),
                   entry.admissibleAdversaries.end(),
                   parsed.name) == entry.admissibleAdversaries.end()) {
-      std::string admitted;
-      for (const std::string& name : entry.admissibleAdversaries) {
-        if (!admitted.empty()) admitted += ", ";
-        admitted += name;
-      }
       throw std::invalid_argument(
           "dynamics '" + dynamics.name + "' only admits adversaries " +
-          "from its restricted classes (" + admitted + "); got '" +
+          "from its restricted classes (" +
+          join(entry.admissibleAdversaries, ", ") + "); got '" +
           parsed.name + "'");
     }
   }

@@ -84,11 +84,13 @@ struct ScenarioSpec {
 [[nodiscard]] std::vector<std::string> defaultAdversarySpecs(
     const std::string& dynamics);
 
-/// Checks the spec is runnable: known dynamics/adversary names and keys
-/// (with suggestions), adversaries compatible with the dynamics (class
-/// restrictions for restricted trees; none allowed on graph models), and
-/// a supported objective/dynamics combination. Throws
-/// std::invalid_argument; runScenario() calls this first.
+/// Checks the spec is runnable: at least one size, every size >= 1,
+/// known dynamics/adversary names and keys (with suggestions), parameter
+/// values valid at every listed size (the registries' validate(spec, n)),
+/// adversaries compatible with the dynamics (class restrictions for
+/// restricted trees; none allowed on graph models), and a supported
+/// objective/dynamics combination. Throws std::invalid_argument;
+/// runScenario() calls this first, so no row runs on a bad spec.
 void validateScenario(const ScenarioSpec& spec);
 
 /// Scenario results reuse the engine's unified row/instance types: rows

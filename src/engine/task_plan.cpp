@@ -25,10 +25,9 @@ namespace {
   return instanceSeed ^ (0x9e3779b97f4a7c15ull * (memberIndex + 1));
 }
 
-[[nodiscard]] bool isModelScenario(const ScenarioSpec& spec) {
-  return DynamicsRegistry::instance()
-             .info(DynamicsSpec::parse(spec.dynamics).name)
-             .mode == DynamicsMode::kGraphModel;
+[[nodiscard]] const DynamicsInfo& dynamicsEntry(const ScenarioSpec& spec) {
+  return DynamicsRegistry::instance().info(
+      DynamicsSpec::parse(spec.dynamics).name);
 }
 
 /// A scenario with its member specs resolved and parsed once, so that
@@ -37,7 +36,8 @@ class ResolvedScenario {
  public:
   explicit ResolvedScenario(const ScenarioSpec& spec)
       : spec_(spec),
-        model_(isModelScenario(spec)),
+        entry_(dynamicsEntry(spec)),
+        model_(entry_.mode == DynamicsMode::kGraphModel),
         memberSpecs_(resolvedScenarioMemberSpecs(spec)),
         seeds_(spec.masterSeed) {
     DYNBCAST_ASSERT(!memberSpecs_.empty() && spec.seedsPerSize > 0);
@@ -105,15 +105,11 @@ class ResolvedScenario {
           DynamicsRegistry::instance().make(modelSpec_, plan.n, seed);
       const std::size_t cap =
           spec_.roundCap != 0 ? spec_.roundCap : instance->defaultRoundCap();
-      const bool useSparse =
-          spec_.backend == BackendChoice::kSparse ||
-          (spec_.backend == BackendChoice::kAuto &&
-           instance->supportsSparseRounds() && !spec_.recordHistory &&
-           plan.n > kAutoSparseThreshold);
-      run = useSparse ? runFrontierDynamicsBroadcast(
-                            plan.n, *instance, cap, spec_.recordHistory, seed)
-                      : runDynamicsBroadcast(plan.n, *instance, cap,
-                                             spec_.recordHistory);
+      run = scenarioRowRunsSparse(spec_, entry_, plan.n)
+                ? runFrontierDynamicsBroadcast(plan.n, *instance, cap,
+                                               spec_.recordHistory, seed)
+                : runDynamicsBroadcast(plan.n, *instance, cap,
+                                       spec_.recordHistory);
     } else {
       const std::unique_ptr<Adversary> adversary = makeAdversary(plan);
       run = runAdversary(plan.n, *adversary, adversaryCap(plan.n),
@@ -173,6 +169,7 @@ class ResolvedScenario {
   }
 
   const ScenarioSpec& spec_;
+  const DynamicsInfo& entry_;
   bool model_;
   std::vector<std::string> memberSpecs_;
   SeedSequence seeds_;
@@ -186,7 +183,7 @@ std::vector<std::string> resolvedScenarioMemberSpecs(
     const ScenarioSpec& spec) {
   // Canonicalize through the axis each spec belongs to, so the returned
   // strings are stable cache-key components.
-  if (isModelScenario(spec)) {
+  if (dynamicsEntry(spec).mode == DynamicsMode::kGraphModel) {
     return {DynamicsSpec::parse(spec.dynamics).toString()};
   }
   std::vector<std::string> texts = spec.adversaries.empty()
@@ -290,9 +287,34 @@ std::vector<SweepInstance> aggregateScenarioInstances(
   return instances;
 }
 
+bool scenarioRowRunsSparse(const ScenarioSpec& spec,
+                           const DynamicsInfo& entry, std::size_t n) {
+  if (entry.mode != DynamicsMode::kGraphModel) return false;
+  return spec.backend == BackendChoice::kSparse ||
+         (spec.backend == BackendChoice::kAuto && entry.sparseCapable &&
+          !spec.recordHistory && n > kAutoSparseThreshold);
+}
+
 std::uint64_t scenarioBeamSeed(std::uint64_t masterSeed,
                                std::size_t sizeIndex) {
   return SeedSequence(masterSeed ^ kBeamSeedSalt).at(sizeIndex);
+}
+
+BeamConfig scenarioBeamConfig(std::size_t width) {
+  BeamConfig config;
+  config.beamWidth = width;
+  config.randomMovesPerState = 8;
+  config.diversityPercent = 40;
+  return config;
+}
+
+std::size_t runScenarioBeamTask(std::size_t n, std::uint64_t masterSeed,
+                                std::size_t sizeIndex, std::size_t width) {
+  const BeamResult witness =
+      beamSearchWitness(n, scenarioBeamSeed(masterSeed, sizeIndex),
+                        scenarioBeamConfig(width));
+  return verifyWitness(n, witness.witness) == witness.rounds ? witness.rounds
+                                                             : 0;
 }
 
 }  // namespace dynbcast

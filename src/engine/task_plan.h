@@ -34,9 +34,12 @@
 #include <string>
 #include <vector>
 
+#include "src/adversary/beam.h"
 #include "src/engine/scenario.h"
 
 namespace dynbcast {
+
+struct DynamicsInfo;
 
 /// Position p's identity within the scenario grid. Everything here is a
 /// pure function of (spec, position) — no execution-order dependence —
@@ -102,12 +105,35 @@ void runScenarioPositions(const ScenarioSpec& spec,
 [[nodiscard]] std::vector<SweepInstance> aggregateScenarioInstances(
     const ScenarioSpec& spec, const std::vector<SweepRow>& rows);
 
+/// The one backend decision for a row of size n under `entry` (the
+/// spec's dynamics): sparse for a graph model under backend=sparse, or
+/// under backend=auto when the model is sparse-capable, no history is
+/// recorded and n > kAutoSparseThreshold; dense otherwise. The executor
+/// runs rows by it and the service's cache key names it.
+[[nodiscard]] bool scenarioRowRunsSparse(const ScenarioSpec& spec,
+                                         const DynamicsInfo& entry,
+                                         std::size_t n);
+
 /// The beam-witness task seed for sizeIndex within a thm31-style sweep:
-/// SeedSequence(masterSeed ^ kBeamSeedSalt).at(sizeIndex) — the exact
-/// derivation `dynbcast sweep` uses, exposed so a service-side beam task
-/// reproduces the CLI's witness rounds bit for bit.
+/// SeedSequence(masterSeed ^ kBeamSeedSalt).at(sizeIndex) — the seed
+/// runScenarioBeamTask searches with.
 inline constexpr std::uint64_t kBeamSeedSalt = 0xbea3ull;
 [[nodiscard]] std::uint64_t scenarioBeamSeed(std::uint64_t masterSeed,
                                              std::size_t sizeIndex);
+
+/// The thm31 beam-witness search config: the caller's width, 8 random
+/// moves per state and 40% diversity. The fixed knobs change witness
+/// rounds, so the service spells them into its cache key. Callers check
+/// it with validateBeamConfig before any row of the sweep runs.
+[[nodiscard]] BeamConfig scenarioBeamConfig(std::size_t width);
+
+/// The beam-witness task of `dynbcast sweep` and the service for size n
+/// at sizeIndex: beamSearchWitness with scenarioBeamSeed and
+/// scenarioBeamConfig(width). Returns the witness's rounds when
+/// verifyWitness confirms them, else 0.
+[[nodiscard]] std::size_t runScenarioBeamTask(std::size_t n,
+                                              std::uint64_t masterSeed,
+                                              std::size_t sizeIndex,
+                                              std::size_t width);
 
 }  // namespace dynbcast

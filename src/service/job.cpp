@@ -1,44 +1,16 @@
 #include "src/service/job.h"
 
-#include "src/adversary/beam.h"
 #include "src/dynamics/registry.h"
 #include "src/support/assert.h"
 
 namespace dynbcast {
 
-namespace {
-
-/// The backend that actually runs a row of size n, as a cache-key
-/// token. Below the mirror threshold sparse and dense produce identical
-/// rows, so everything normalizes to "dense" and requests differing
-/// only in backend choice share cache cells. Above it, the resolution
-/// mirrors runScenarioRow's: explicit sparse, or auto over a
-/// sparse-capable model. Registry sparseCapable and the constructed
-/// model's supportsSparseRounds agree; validateScenario enforces the
-/// former wherever the latter could run.
-[[nodiscard]] std::string rowBackendToken(const ScenarioSpec& spec,
-                                          const DynamicsInfo& entry,
-                                          std::size_t n) {
-  if (entry.mode == DynamicsMode::kAdversaryTrees) return "dense";
-  if (n <= kAutoSparseThreshold) return "dense";
-  const bool sparse = spec.backend == BackendChoice::kSparse ||
-                      (spec.backend == BackendChoice::kAuto &&
-                       entry.sparseCapable && !spec.recordHistory);
-  return sparse ? "sparse" : "dense";
+void validateServiceRequest(const ServiceRequest& request) {
+  validateScenario(request.scenario);
+  if (requestWantsBeamWitnesses(request)) {
+    validateBeamConfig(scenarioBeamConfig(request.beamWidth));
+  }
 }
-
-[[nodiscard]] BeamConfig requestBeamConfig(const ServiceRequest& request) {
-  // The sweep subcommand's fixed search knobs; width is the one the
-  // request can vary. Changing the fixed values changes witness rounds,
-  // so they are spelled into the cache key below.
-  BeamConfig cfg;
-  cfg.beamWidth = request.beamWidth;
-  cfg.randomMovesPerState = 8;
-  cfg.diversityPercent = 40;
-  return cfg;
-}
-
-}  // namespace
 
 ServiceJobPlan planServiceJob(const ServiceRequest& request) {
   ServiceJobPlan plan;
@@ -59,20 +31,28 @@ std::string serviceTaskKey(const ServiceRequest& request,
     const std::size_t sizeIndex = position - plan.rowCount;
     const std::size_t n = spec.sizes[sizeIndex];
     const bool searched = n <= request.beamMaxN;
+    const BeamConfig config = scenarioBeamConfig(request.beamWidth);
     return "beam/1 n=" + std::to_string(n) + " seed=" +
            std::to_string(scenarioBeamSeed(spec.masterSeed, sizeIndex)) +
-           " width=" + std::to_string(request.beamWidth) +
-           " moves=8 div=40 searched=" + (searched ? "1" : "0");
+           " width=" + std::to_string(config.beamWidth) + " moves=" +
+           std::to_string(config.randomMovesPerState) + " div=" +
+           std::to_string(config.diversityPercent) +
+           " searched=" + (searched ? "1" : "0");
   }
 
+  // Below the mirror threshold sparse and dense rows are identical, so
+  // the token normalizes to "dense" there and requests differing only in
+  // backend choice share cache cells.
   const ScenarioRowPlan row = planScenarioRow(spec, position);
   const DynamicsSpec dynamics = DynamicsSpec::parse(spec.dynamics);
-  const DynamicsInfo& entry =
-      DynamicsRegistry::instance().info(dynamics.name);
+  const bool sparse =
+      row.n > kAutoSparseThreshold &&
+      scenarioRowRunsSparse(
+          spec, DynamicsRegistry::instance().info(dynamics.name), row.n);
   return "row/1 obj=" + objectiveName(spec.objective) +
          " dyn=" + dynamics.toString() + " cap=" +
          std::to_string(spec.roundCap) + " backend=" +
-         rowBackendToken(spec, entry, row.n) +
+         (sparse ? "sparse" : "dense") +
          " member=" + row.memberSpec +
          " n=" + std::to_string(row.n) + " seed=" +
          std::to_string(row.instanceSeed) + " mpos=" +
@@ -90,12 +70,8 @@ ServiceTaskResult executeServiceTask(const ServiceRequest& request,
     ServiceTaskResult result;
     result.completed = true;
     if (n > request.beamMaxN) return result;  // witness pass skips it
-    const BeamResult witness = beamSearchWitness(
-        n, scenarioBeamSeed(request.scenario.masterSeed, sizeIndex),
-        requestBeamConfig(request));
-    result.rounds = verifyWitness(n, witness.witness) == witness.rounds
-                        ? witness.rounds
-                        : 0;
+    result.rounds = runScenarioBeamTask(n, request.scenario.masterSeed,
+                                        sizeIndex, request.beamWidth);
     return result;
   }
 

@@ -40,6 +40,14 @@ struct ServiceJobPlan {
   }
 };
 
+/// Everything a request is checked against before it becomes a job:
+/// validateScenario, plus the beam-witness config (scenarioBeamConfig of
+/// its width) when the request has a beam pass. Throws
+/// std::invalid_argument with the registry's or the beam's message;
+/// `submit` runs it client-side and the server before it computes a job
+/// id or writes a manifest.
+void validateServiceRequest(const ServiceRequest& request);
+
 [[nodiscard]] ServiceJobPlan planServiceJob(const ServiceRequest& request);
 
 /// What one task computed. For rows this mirrors SweepRow's

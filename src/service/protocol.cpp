@@ -5,6 +5,7 @@
 
 #include "src/dynamics/registry.h"
 #include "src/engine/task_plan.h"
+#include "src/support/format.h"
 #include "src/support/options.h"
 #include "src/support/spec.h"
 
@@ -26,16 +27,6 @@ namespace {
   }
   if (!current.empty()) parts.push_back(current);
   return parts;
-}
-
-[[nodiscard]] std::string joinWith(const std::vector<std::string>& parts,
-                                   char delimiter) {
-  std::string joined;
-  for (const std::string& part : parts) {
-    if (!joined.empty()) joined += delimiter;
-    joined += part;
-  }
-  return joined;
 }
 
 [[nodiscard]] std::uint64_t parseUInt(const std::string& key,
@@ -81,11 +72,11 @@ std::vector<std::string> encodeRequest(const ServiceRequest& request) {
     // the server must see verbatim so validateScenario rejects it.
     if (!spec.adversaries.empty()) {
       lines.push_back("adversaries=" +
-                      stripSpaces(joinWith(spec.adversaries, ';')));
+                      stripSpaces(join(spec.adversaries, ";")));
     }
   } else {
     lines.push_back("adversaries=" +
-                    joinWith(resolvedScenarioMemberSpecs(spec), ';'));
+                    join(resolvedScenarioMemberSpecs(spec), ";"));
   }
   lines.push_back("backend=" + backendChoiceName(spec.backend));
   if (requestWantsBeamWitnesses(request)) {
@@ -143,12 +134,8 @@ ServiceRequest decodeRequest(const std::vector<std::string>& lines) {
       request.scenario.sizes = parseSizeList(value);
       sawSizes = true;
     } else {
-      std::string message = "unknown request key '" + key + "'";
-      const std::string suggestion = closestMatch(key, kKnownKeys);
-      if (!suggestion.empty()) {
-        message += "; did you mean '" + suggestion + "'?";
-      }
-      throw std::invalid_argument(message);
+      throw std::invalid_argument(
+          unknownNameMessage("request key", key, kKnownKeys, ""));
     }
   }
   if (!sawSizes) {

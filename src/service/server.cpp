@@ -94,7 +94,7 @@ void runWorkerWave(const ServerOptions& options,
 
 void handleRequest(const ServerOptions& options, LineChannel& channel,
                    const ServiceRequest& request) {
-  validateScenario(request.scenario);
+  validateServiceRequest(request);
   const std::string canonical = canonicalRequestString(request);
   const std::string jobId = requestJobId(request);
   const std::string manifestPath =

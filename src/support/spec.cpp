@@ -96,20 +96,6 @@ double SpecParams::getDouble(const std::string& key, double fallback) const {
   }
 }
 
-bool SpecParams::getBool(const std::string& key, bool fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  if (it->second == "1" || it->second == "true" || it->second == "yes") {
-    return true;
-  }
-  if (it->second == "0" || it->second == "false" || it->second == "no") {
-    return false;
-  }
-  throw std::invalid_argument(errorLabel() + " '" + key +
-                              "' expects a boolean (1/0/true/false), got '" +
-                              it->second + "'");
-}
-
 std::string SpecParams::getString(const std::string& key,
                                   const std::string& fallback) const {
   const auto it = values_.find(key);
@@ -160,6 +146,8 @@ ParsedSpec parseSpec(const std::string& text, const std::string& kind) {
   return spec;
 }
 
+std::string ParsedSpec::toString() const { return formatSpec(name, params); }
+
 std::string formatSpec(const std::string& name, const SpecParams& params) {
   std::string out = name;
   char sep = ':';
@@ -171,6 +159,18 @@ std::string formatSpec(const std::string& name, const SpecParams& params) {
     sep = ',';
   }
   return out;
+}
+
+std::string unknownNameMessage(const std::string& noun,
+                               const std::string& name,
+                               const std::vector<std::string>& pool,
+                               const std::string& hint) {
+  std::string message = "unknown " + noun + " '" + name + "'";
+  const std::string suggestion = closestMatch(name, pool);
+  if (!suggestion.empty()) {
+    message += "; did you mean '" + suggestion + "'?";
+  }
+  return hint.empty() ? message : message + " (" + hint + ")";
 }
 
 }  // namespace dynbcast

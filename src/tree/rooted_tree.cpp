@@ -77,15 +77,6 @@ BitMatrix RootedTree::toMatrix() const {
   return m;
 }
 
-Digraph RootedTree::toDigraph() const {
-  Digraph g(size());
-  for (std::size_t v = 0; v < size(); ++v) {
-    g.addEdge(v, v);
-    if (v != root_) g.addEdge(parent_[v], v);
-  }
-  return g;
-}
-
 std::string RootedTree::toString() const {
   std::ostringstream os;
   os << "root=" << root_ << " parents=[";

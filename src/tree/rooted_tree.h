@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "src/graph/bitmatrix.h"
-#include "src/graph/digraph.h"
 
 namespace dynbcast {
 
@@ -76,9 +75,6 @@ class RootedTree {
   /// Communication graph: tree edges + one self-loop per node. This is the
   /// G_t the adversary submits (a member of T_n).
   [[nodiscard]] BitMatrix toMatrix() const;
-
-  /// Same graph as a sparse adjacency structure.
-  [[nodiscard]] Digraph toDigraph() const;
 
   /// "root=r parents=[…]" rendering for logs and test failures.
   [[nodiscard]] std::string toString() const;

@@ -93,7 +93,7 @@ TEST(AdversaryRegistryTest, DuplicateRegistrationThrows) {
   AdversaryInfo info;
   info.name = "test-adv";
   info.factory = [](std::size_t n, std::uint64_t,
-                    const AdversaryParams&) -> std::unique_ptr<Adversary> {
+                    const SpecParams&) -> std::unique_ptr<Adversary> {
     return AdversaryRegistry::instance().make("static-path", n, 1);
   };
   registry.add(info);

@@ -161,32 +161,32 @@ TEST(DynamicsRegistryTest, ParameterRangesAreValidatedEagerly) {
   // validate() fires without constructing, so a bad sweep spec fails at
   // composition time, not inside a worker thread.
   EXPECT_THROW(
-      registry.validate(DynamicsSpec::parse("edge-markovian:p=0")),
+      registry.validate(DynamicsSpec::parse("edge-markovian:p=0"), 8),
       std::invalid_argument);
   EXPECT_THROW(
-      registry.validate(DynamicsSpec::parse("edge-markovian:p=1.5")),
+      registry.validate(DynamicsSpec::parse("edge-markovian:p=1.5"), 8),
       std::invalid_argument);
   EXPECT_THROW(
-      registry.validate(DynamicsSpec::parse("edge-markovian:q=-0.1")),
+      registry.validate(DynamicsSpec::parse("edge-markovian:q=-0.1"), 8),
       std::invalid_argument);
-  EXPECT_THROW(registry.validate(DynamicsSpec::parse("t-interval:T=0")),
+  EXPECT_THROW(registry.validate(DynamicsSpec::parse("t-interval:T=0"), 8),
                std::invalid_argument);
   EXPECT_THROW(
-      registry.validate(DynamicsSpec::parse("nonsplit-random:p=2")),
+      registry.validate(DynamicsSpec::parse("nonsplit-random:p=2"), 8),
       std::invalid_argument);
   // edges= (a count) and p= (a density) are alternative ways to set the
   // same knob: both at once is ambiguous and must be rejected, not
   // silently resolved in favor of one.
   EXPECT_THROW(registry.validate(
-                   DynamicsSpec::parse("nonsplit-random:edges=4,p=0.5")),
+                   DynamicsSpec::parse("nonsplit-random:edges=4,p=0.5"), 8),
                std::invalid_argument);
   EXPECT_THROW(
-      registry.validate(DynamicsSpec::parse("restricted:class=brooom")),
+      registry.validate(DynamicsSpec::parse("restricted:class=brooom"), 8),
       std::invalid_argument);
   // In-range values pass.
-  registry.validate(DynamicsSpec::parse("edge-markovian:p=0.2,q=0.1"));
-  registry.validate(DynamicsSpec::parse("t-interval:T=1"));
-  registry.validate(DynamicsSpec::parse("restricted:class=broom,k=3"));
+  registry.validate(DynamicsSpec::parse("edge-markovian:p=0.2,q=0.1"), 8);
+  registry.validate(DynamicsSpec::parse("t-interval:T=1"), 8);
+  registry.validate(DynamicsSpec::parse("restricted:class=broom,k=3"), 8);
 }
 
 TEST(DynamicsRegistryTest, AdversaryDrivenEntriesHaveNoStandaloneModel) {
@@ -203,7 +203,7 @@ TEST(DynamicsRegistryTest, DuplicateOrInconsistentRegistrationThrows) {
   info.name = "test-model";
   info.mode = DynamicsMode::kGraphModel;
   info.factory = [](std::size_t n, std::uint64_t seed,
-                    const DynamicsParams&) {
+                    const SpecParams&) {
     return DynamicsRegistry::instance().make("nonsplit-skewed", n, seed);
   };
   registry.add(info);
@@ -239,12 +239,12 @@ TEST(DynamicsRegistryTest, EveryModelReplaysAtParamBoundaries) {
     const DynamicsInfo& info = registry.info(name);
     if (info.mode != DynamicsMode::kGraphModel) continue;
     std::vector<std::string> specs = {name};  // all-defaults baseline
-    for (const DynamicsParamDoc& param : info.params) {
+    for (const SpecParamDoc& param : info.params) {
       bool accepted = false;
       for (const std::string& value : candidates) {
         const std::string text = name + ":" + param.key + "=" + value;
         try {
-          registry.validate(DynamicsSpec::parse(text));
+          registry.validate(DynamicsSpec::parse(text), n);
         } catch (const std::invalid_argument&) {
           continue;
         }

@@ -4,6 +4,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "src/adversary/adversary.h"
 #include "src/adversary/portfolio.h"
@@ -160,6 +161,40 @@ TEST(ScenarioTest, SizeZeroIsRejected) {
   EXPECT_THROW(validateScenario(scenario), std::invalid_argument);
   scenario.sizes = {8, 0};
   EXPECT_THROW(validateScenario(scenario), std::invalid_argument);
+  scenario.sizes = {};
+  EXPECT_THROW(validateScenario(scenario), std::invalid_argument);
+}
+
+TEST(ScenarioTest, ParameterValuesAreCheckedAtEverySize) {
+  // Values a member cannot take at some listed size fail validation,
+  // with the registry's message, before any row runs.
+  const struct {
+    const char* dynamics;
+    std::vector<std::string> adversaries;
+    std::vector<std::size_t> sizes;
+    const char* fragment;
+  } cases[] = {
+      {"rooted-tree", {"k-leaf:k=3"}, {8, 2}, "k must satisfy 1 <= k <= n-1"},
+      {"restricted:class=k-leaf,k=3", {}, {2, 8}, "(got k=3, n=2)"},
+      {"rooted-tree", {"static-path", "k-leaf:k=50"}, {6}, "got k=50, n=6"},
+      {"rooted-tree", {"exact"}, {4, 9}, "2 <= n <= 8 (got n=9)"},
+      {"rooted-tree", {"local-search:freeze-depth=0"}, {8},
+       "freeze-depth must be >= 1"},
+      {"rooted-tree", {"beam:width=0"}, {4}, "adversary 'beam': "},
+  };
+  for (const auto& c : cases) {
+    ScenarioSpec scenario;
+    scenario.dynamics = c.dynamics;
+    scenario.adversaries = c.adversaries;
+    scenario.sizes = c.sizes;
+    try {
+      validateScenario(scenario);
+      ADD_FAILURE() << c.fragment << ": accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(c.fragment), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ScenarioTest, RestrictedDynamicsValidatesTheClass) {

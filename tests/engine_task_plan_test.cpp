@@ -150,7 +150,8 @@ TEST(TaskPlanTest, GraphModelPathMatchesRunScenario) {
 }
 
 TEST(TaskPlanTest, BeamSeedMatchesSweepDerivation) {
-  // The CLI sweep derives beam task seeds as
+  // `dynbcast sweep` and the service both run runScenarioBeamTask; its
+  // seed must stay the derivation the committed goldens were made with,
   // engine.map(count, masterSeed ^ 0xbea3, ...) — i.e.
   // SeedSequence(masterSeed ^ salt).at(sizeIndex).
   const std::uint64_t masterSeed = 1;

@@ -15,17 +15,22 @@
 #include "src/adversary/portfolio.h"
 #include "src/adversary/registry.h"
 #include "src/engine/scenario.h"
+#include "src/engine/task_plan.h"
 #include "src/support/seed_sequence.h"
 
 namespace dynbcast {
 namespace {
 
 TEST(EngineTest, EmptySweepProducesNoRows) {
+  // validateScenario rejects an empty size list, so the empty sweep is
+  // the executor handed no positions (a worker with nothing pending).
   ExperimentEngine engine;
-  const ScenarioSpec spec;  // no sizes
-  const ScenarioResult result = runScenario(spec, engine);
-  EXPECT_TRUE(result.rows.empty());
-  EXPECT_TRUE(result.instances.empty());
+  ScenarioSpec spec;
+  spec.sizes = {8};
+  std::size_t rows = 0;
+  runScenarioPositions(spec, {}, engine,
+                       [&rows](std::size_t, SweepRow) { ++rows; });
+  EXPECT_EQ(rows, 0u);
 }
 
 TEST(EngineTest, SingletonSweepMatchesDirectPortfolioRun) {
@@ -166,14 +171,17 @@ TEST(EngineTest, CustomRoundCapLimitsRuns) {
 }
 
 TEST(EngineTest, TaskExceptionPropagatesToCaller) {
-  // validateScenario checks names and keys only; k-leaf's factory
-  // rejects k > n - 1 when a pool task constructs it, and that error
-  // must reach the caller.
-  ScenarioSpec spec;
-  spec.sizes = {6};
-  spec.adversaries = {"static-path", "k-leaf:k=50"};
+  // validateScenario checks every value before a row runs, so no
+  // scenario factory throws inside the pool any more; an exception a
+  // pool task does raise must still reach the caller of map().
   ExperimentEngine engine(EngineConfig{.jobs = 2});
-  EXPECT_THROW((void)runScenario(spec, engine), std::invalid_argument);
+  EXPECT_THROW(
+      (void)engine.map<int>(4, 1,
+                            [](std::size_t i, std::uint64_t) -> int {
+                              if (i == 2) throw std::invalid_argument("2");
+                              return 0;
+                            }),
+      std::invalid_argument);
 }
 
 }  // namespace

@@ -11,10 +11,12 @@
 #include <sys/stat.h>
 
 #include <chrono>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "src/engine/scenario.h"
 #include "src/service/client.h"
@@ -196,6 +198,44 @@ TEST_F(ServiceServerTest, SpecErrorsComeBackAsServerErrors) {
         << error.what();
   }
   server.join();
+}
+
+TEST_F(ServiceServerTest, ValueErrorsLeaveNoJobState) {
+  // Bad parameter values must fail the server's validation before it
+  // computes a job id, so no manifest is ever written for them.
+  ServiceRequest beamMember;
+  beamMember.scenario.adversaries = {"beam:width=0"};
+  beamMember.scenario.sizes = {4, 8};
+  ServiceRequest restricted;
+  restricted.scenario.dynamics = "restricted:class=k-leaf,k=3";
+  restricted.scenario.sizes = {2, 8};
+  ServiceRequest beamWidth;
+  beamWidth.scenario.sizes = {4};
+  beamWidth.beamWidth = 0;
+  const std::pair<ServiceRequest, const char*> cases[] = {
+      {beamMember, "adversary 'beam': beam config: width must be >= 1"},
+      {restricted,
+       "adversary 'k-leaf': k must satisfy 1 <= k <= n-1 (got k=3, n=2)"},
+      {beamWidth, "beam config: width must be >= 1 (got 0)"},
+  };
+
+  std::thread server = startServer(std::size(cases));
+  for (const auto& [request, message] : cases) {
+    try {
+      (void)submitRequest(dir_ + "/sock", request, nullptr);
+      ADD_FAILURE() << message << ": accepted";
+    } catch (const std::runtime_error& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("server:"), std::string::npos) << what;
+      EXPECT_NE(what.find(message), std::string::npos) << what;
+    }
+  }
+  server.join();
+
+  for (const auto& file :
+       std::filesystem::directory_iterator(dir_ + "/state")) {
+    EXPECT_NE(file.path().extension(), ".manifest") << file.path();
+  }
 }
 
 }  // namespace

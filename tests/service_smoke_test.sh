@@ -7,7 +7,9 @@
 #      tasks) — the server must resume the dead workers' ranges and the
 #      streamed CSV must be byte-identical to `dynbcast sweep`'s
 #      committed golden;
-#   2. resubmit the same request — zero tasks may execute (100% cache
+#   2. submit a spec with a bad parameter value — it must exit 2 and
+#      leave the state dir's manifest count unchanged;
+#   3. resubmit the first request — zero tasks may execute (100% cache
 #      hits), same bytes.
 #
 # Usage: service_smoke_test.sh <dynbcast-binary> <golden-csv> <workdir> <workers>
@@ -48,6 +50,24 @@ grep -Eq 'service: job=[0-9a-f]{16} tasks=[0-9]+ ' "$WORKDIR/submit1.out" || {
   exit 1
 }
 
+# A bad parameter value is rejected before any job state exists. It
+# runs while the server still has a request slot left, so a submission
+# that reached the server would show up as a new manifest.
+manifests() { find "$WORKDIR/state" -name 'job-*.manifest' | wc -l; }
+BEFORE=$(manifests)
+STATUS=0
+"$BIN" submit --socket="$SOCK" --sizes=4,8 --adversaries="beam:width=0" \
+  >"$WORKDIR/submit_bad.out" 2>&1 || STATUS=$?
+[ "$STATUS" -eq 2 ] || {
+  echo "FAIL: bad beam width exited $STATUS, expected 2"
+  cat "$WORKDIR/submit_bad.out"
+  exit 1
+}
+[ "$(manifests)" -eq "$BEFORE" ] || {
+  echo "FAIL: a rejected submission changed the manifest count"
+  exit 1
+}
+
 # Warm resubmission: the whole job must come from the result cache.
 "$BIN" submit --socket="$SOCK" --sizes=4:32:4 --csv="$WORKDIR/served2.csv" \
   >"$WORKDIR/submit2.out"
@@ -64,4 +84,4 @@ grep -Eq 'service: .* cache-hits=[1-9][0-9]* executed=0$' \
 
 wait "$SERVER"
 trap - EXIT
-echo "PASS: served CSV byte-identical (workers=$WORKERS), resubmit 100% cached"
+echo "PASS: served CSV byte-identical (workers=$WORKERS), resubmit 100% cached, bad value rejected"

@@ -129,11 +129,11 @@ TEST(SpecSuggestionTest, UnknownParameterKeysAreSuggested) {
   const DynamicsRegistry& dynamics = DynamicsRegistry::instance();
   expectSpecError(
       [&] {
-        dynamics.validate(DynamicsSpec::parse("edge-markovian:pp=0.2"));
+        dynamics.validate(DynamicsSpec::parse("edge-markovian:pp=0.2"), 8);
       },
       {"pp", "p"});
   expectSpecError(
-      [&] { dynamics.validate(DynamicsSpec::parse("t-interval:t=4")); },
+      [&] { dynamics.validate(DynamicsSpec::parse("t-interval:t=4"), 8); },
       {"t", "T"});
 }
 

@@ -73,14 +73,6 @@ TEST(RootedTreeTest, MatrixHasSelfLoopsAndTreeEdges) {
   EXPECT_EQ(m.countOnes(), 2 * 3 - 1);
 }
 
-TEST(RootedTreeTest, DigraphMatchesMatrix) {
-  Rng rng(21);
-  for (int i = 0; i < 10; ++i) {
-    const RootedTree t = randomRootedTree(1 + rng.uniform(15), rng);
-    EXPECT_EQ(t.toDigraph().toMatrix(), t.toMatrix());
-  }
-}
-
 TEST(RootedTreeTest, RejectsCyclicParentLinks) {
   // 0 is root, but 1 and 2 point at each other.
   EXPECT_THROW(RootedTree(0, {0, 2, 1}), AssertionError);

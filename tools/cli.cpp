@@ -18,6 +18,7 @@
 #include "src/dynamics/registry.h"
 #include "src/engine/scenario.h"
 #include "src/service/client.h"
+#include "src/service/job.h"
 #include "src/service/server.h"
 #include "src/service/worker.h"
 #include "src/support/options.h"
@@ -284,10 +285,7 @@ int runSweepCommand(int argc, const char* const* argv) {
     // real time and its advantage concentrates at small-to-mid n, so it
     // runs only up to a size cap by default.
     const std::size_t beamMaxN = driver.options().getUInt("beam-maxn", 32);
-    BeamConfig beamCfg;
-    beamCfg.beamWidth = driver.options().getUInt("beam-width", 256);
-    beamCfg.randomMovesPerState = 8;
-    beamCfg.diversityPercent = 40;
+    const std::size_t beamWidth = driver.options().getUInt("beam-width", 256);
 
     driver.printHeader("THM31 — adversaries vs Theorem 3.1");
     std::cout << "best t* = max(online portfolio, offline beam witness for "
@@ -310,19 +308,16 @@ int runSweepCommand(int argc, const char* const* argv) {
         parseBackendChoice(driver.options().getString("backend", "auto"));
     scenario.batch =
         parseBatchPolicy(driver.options().getString("batch", "auto"));
+    // Check the beam pass's config too before any portfolio row runs.
+    validateBeamConfig(scenarioBeamConfig(beamWidth));
     const ScenarioResult sweep = runScenario(scenario, driver.engine());
 
     // Beam witnesses fan out too: one task per size within the beam cap.
     const std::vector<std::size_t>& sizes = driver.sizes();
     const auto beamRows = driver.engine().map<std::size_t>(
-        sizes.size(), driver.seed() ^ 0xbea3ull,
-        [&](std::size_t i, std::uint64_t taskSeed) -> std::size_t {
-          const std::size_t n = sizes[i];
-          if (n > beamMaxN) return 0;
-          const BeamResult witness = beamSearchWitness(n, taskSeed, beamCfg);
-          return verifyWitness(n, witness.witness) == witness.rounds
-                     ? witness.rounds
-                     : 0;
+        sizes.size(), 0, [&](std::size_t i, std::uint64_t) -> std::size_t {
+          if (sizes[i] > beamMaxN) return 0;
+          return runScenarioBeamTask(sizes[i], driver.seed(), i, beamWidth);
         });
 
     bool anyViolation = false;
@@ -484,16 +479,19 @@ int runList(int argc, const char* const* argv) {
   return guarded([&] {
     const Options opts(argc, argv);
     (void)opts;
+    const auto printParams = [](const std::vector<SpecParamDoc>& params) {
+      for (const SpecParamDoc& param : params) {
+        std::cout << "      " << param.key << "=" << param.defaultValue
+                  << "  " << param.description << '\n';
+      }
+    };
     const AdversaryRegistry& registry = AdversaryRegistry::instance();
     std::cout << "registered adversaries (spec grammar: "
                  "name[:key=value[,key=value]...]):\n\n";
     for (const std::string& name : registry.names()) {
       const AdversaryInfo& info = registry.info(name);
       std::cout << "  " << name << "\n      " << info.description << '\n';
-      for (const AdversaryParamDoc& param : info.params) {
-        std::cout << "      " << param.key << "=" << param.defaultValue
-                  << "  " << param.description << '\n';
-      }
+      printParams(info.params);
     }
 
     const DynamicsRegistry& dynRegistry = DynamicsRegistry::instance();
@@ -511,10 +509,7 @@ int runList(int argc, const char* const* argv) {
       if (!info.literature.empty()) {
         std::cout << "      literature: " << info.literature << '\n';
       }
-      for (const DynamicsParamDoc& param : info.params) {
-        std::cout << "      " << param.key << "=" << param.defaultValue
-                  << "  " << param.description << '\n';
-      }
+      printParams(info.params);
     }
 
     std::cout << "\nscenario vocabulary (sweep/portfolio subcommands):\n"
@@ -633,7 +628,7 @@ int runSubmit(int argc, const char* const* argv) {
     request.beamWidth = opts.getUInt("beam-width", 256);
     // Fail bad specs client-side with the registry's full message
     // instead of a round-trip to the server.
-    validateScenario(request.scenario);
+    validateServiceRequest(request);
 
     // PROGRESS goes to stderr so stdout stays table-shaped like sweep's.
     const SubmitOutcome outcome =
@@ -724,14 +719,12 @@ int dispatch(int argc, const char* const* argv) {
     usage(std::cout);
     return 0;
   }
-  std::cerr << "dynbcast: unknown subcommand '" << subcommand << "'";
-  const std::string suggestion =
-      closestMatch(subcommand, {"sweep", "portfolio", "duel", "witness",
-                                "list", "serve", "submit", "work"});
-  if (!suggestion.empty()) {
-    std::cerr << "; did you mean '" << suggestion << "'?";
-  }
-  std::cerr << "\n\n";
+  std::cerr << "dynbcast: "
+            << unknownNameMessage("subcommand", subcommand,
+                                  {"sweep", "portfolio", "duel", "witness",
+                                   "list", "serve", "submit", "work"},
+                                  "")
+            << "\n\n";
   return usage(std::cerr);
 }
 
