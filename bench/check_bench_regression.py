@@ -25,9 +25,8 @@ where <key> is either "kernel:<name>:<bits>:gib_per_s" /
 the comparison direction is inferred from the key.
 
 Runner CPUs vary, so kernel throughput baselines carry generous
-tolerances; the ratio metrics (batch_round_speedup, batch_sweep_speedup,
-product_blocked_speedup) are machine-relative and carry tight ones. A
-commit whose message
+tolerances; the ratio metric (product_blocked_speedup) is
+machine-relative and carries a tighter one. A commit whose message
 contains [bench-skip] bypasses the gate entirely (CI wires that up).
 """
 
@@ -40,11 +39,6 @@ import sys
 # largest quick-mode size catches "the kernel stopped vectorizing" while
 # the wide tolerance absorbs runner variance.
 DEFAULT_GATES = {
-    # Batching is CI-locked: the per-replicate round speedup of the
-    # 8-lane batched kernel and the end-to-end batched-vs-scalar engine
-    # sweep must stay comfortably above 1x on any runner.
-    "sweep:batch_round_speedup": 30.0,
-    "sweep:batch_sweep_speedup": 30.0,
     "sweep:product_blocked_speedup": 40.0,
     # Machine-relative too, but both sides are full stochastic t* runs at
     # a single n, so round-count luck adds variance on top of the runner's.
@@ -80,9 +74,7 @@ def flatten(kernels_doc, sweep_doc):
         prefix = "kernel:%s:%d" % (k["name"], k["bits"])
         out[prefix + ":gib_per_s"] = k.get("gib_per_s", 0.0)
         out[prefix + ":ns_per_op"] = k.get("ns_per_op", 0.0)
-    for field in ("batch_round_speedup", "batch_sweep_speedup",
-                  "batch_scalar_ms", "batch_batched_ms",
-                  "product_blocked_speedup", "portfolio_ms",
+    for field in ("product_blocked_speedup", "portfolio_ms",
                   "frontier_sparse_speedup", "frontier_dense_ms",
                   "frontier_sparse_ms", "beam_rounds",
                   "beam_unique_states", "beam_moves_generated",

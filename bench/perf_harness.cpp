@@ -3,14 +3,12 @@
 // Times (a) the raw-word kernels (through the runtime SIMD dispatch
 // table), the damage-greedy tree builder, and the blocked boolean
 // product against naive references,
-// (b) BroadcastSim round throughput — scalar and batched across 8
-// lockstep lanes — and (c) the end-to-end thm31 portfolio sweep plus a
-// batched-vs-scalar engine sweep over oblivious members, then emits
-// machine-readable JSON:
+// (b) BroadcastSim and FrontierSim round throughput, and (c) the
+// end-to-end thm31 portfolio sweep, then emits machine-readable JSON:
 //
 //   BENCH_kernels.json — per-kernel ns/op and GiB/s
-//   BENCH_sweep.json   — sweep wall times, the batch speedup factors,
-//                        and search-core telemetry
+//   BENCH_sweep.json   — sweep wall times, speedup factors and
+//                        search-core telemetry
 //
 // CI's bench-smoke job runs `perf_harness --quick --csv=...`, uploads the
 // JSONs as artifacts, and gates on bench/baseline.json via
@@ -46,7 +44,6 @@
 #include "src/service/protocol.h"
 #include "src/service/worker.h"
 #include "src/support/file_lock.h"
-#include "src/sim/batch_sim.h"
 #include "src/sim/broadcast_sim.h"
 #include "src/sim/frontier_sim.h"
 #include "src/support/bitset.h"
@@ -256,31 +253,6 @@ KernelResult benchSimRound(std::size_t n, double minSeconds, Rng& rng) {
   return r;
 }
 
-/// Lanes per batched round here AND in the batched engine sweep below —
-/// matches BatchPolicy::kAutoWidth so the gated speedups describe what
-/// `--batch=auto` actually runs.
-constexpr std::size_t kBatchBenchWidth = 8;
-
-KernelResult benchBatchRound(std::size_t n, double minSeconds, Rng& rng) {
-  // simApplyTree's batched twin: the same cyclic tree pool, one op = one
-  // shared-tree round advancing kBatchBenchWidth lanes in lockstep. The
-  // paired metric is ns/op ÷ width vs simApplyTree's ns/op — what the
-  // fused decode + lane-contiguous planes buy per replicate round.
-  std::vector<RootedTree> trees;
-  for (int i = 0; i < 32; ++i) trees.push_back(randomRootedTree(n, rng));
-  BatchBroadcastSim sim(n, kBatchBenchWidth);
-  std::size_t next = 0;
-  auto [reps, secs] = timeLoop(minSeconds, [&] {
-    sim.applyTree(trees[next]);
-    next = (next + 1) % trees.size();
-    if (sim.gossipDone(0)) sim.reset();
-    consume(sim.heardCount(0, 0));
-  });
-  KernelResult r{"batchApplyTree", n, reps, 0.0, 0.0};
-  r.nsPerOp = secs * 1e9 / static_cast<double>(reps);
-  return r;
-}
-
 KernelResult benchFrontierRound(std::size_t n, double minSeconds, Rng& rng) {
   // simApplyTree's sparse twin: the same cyclic tree pool driven through
   // FrontierSim, so the two rows compare the dense O(n²/64) recurrence
@@ -348,51 +320,6 @@ double timePortfolioSweep(std::size_t n, std::uint64_t seed,
   const double ms = secondsSince(start) * 1e3;
   if (bestRounds != nullptr) *bestRounds = result.bestRounds;
   return ms;
-}
-
-/// Batched vs scalar end-to-end engine sweep: the same 8 replicates of
-/// three oblivious members at one n, once with batch=off and once with
-/// batch=8, at jobs=1 so the ratio isolates batching from thread-pool
-/// scheduling. The rows are identical by construction (the batched
-/// recurrence is bit-exact), so the harness asserts it.
-struct BatchSweepTiming {
-  std::size_t n = 0;
-  double scalarMs = 0.0;
-  double batchedMs = 0.0;
-};
-
-BatchSweepTiming timeBatchedSweep(std::size_t n, std::uint64_t seed) {
-  ScenarioSpec spec;
-  spec.sizes = {n};
-  spec.masterSeed = seed;
-  spec.seedsPerSize = kBatchBenchWidth;
-  // Static-path dominates the wall time (t* = n − 1 rounds); the
-  // alternating and random paths add shared-tree and per-lane-tree
-  // rounds so both batched code paths are in the measurement.
-  spec.adversaries = {"static-path", "alternating-path", "random-path"};
-  ExperimentEngine engine(EngineConfig{/*jobs=*/1});
-  BatchSweepTiming t;
-  t.n = n;
-  spec.batch = {BatchPolicy::Mode::kOff, 0};
-  std::vector<SweepRow> scalarRows;
-  {
-    const auto start = Clock::now();
-    ScenarioResult result = runScenario(spec, engine);
-    t.scalarMs = secondsSince(start) * 1e3;
-    scalarRows = std::move(result.rows);
-  }
-  spec.batch = {BatchPolicy::Mode::kFixed, kBatchBenchWidth};
-  {
-    const auto start = Clock::now();
-    const ScenarioResult result = runScenario(spec, engine);
-    t.batchedMs = secondsSince(start) * 1e3;
-    if (result.rows != scalarRows) {
-      std::cerr << "FATAL: batched sweep rows diverged from scalar\n";
-      std::exit(1);
-    }
-    consume(result.rows[0].rounds);
-  }
-  return t;
 }
 
 /// Service throughput: distinct sweep specs pushed through the manifest
@@ -509,9 +436,7 @@ void writeKernelsJson(const std::string& path,
 
 void writeSweepJson(const std::string& path, std::size_t n,
                     std::uint64_t seed, bool quick, double portfolioMs,
-                    std::size_t bestRounds, double batchRoundSpeedup,
-                    const BatchSweepTiming& batchSweep,
-                    double productSpeedup, std::size_t productN,
+                    std::size_t bestRounds, double productSpeedup, std::size_t productN,
                     const FrontierCrossover& frontier,
                     const SearchTelemetry& search,
                     const ServiceThroughput& service) {
@@ -527,12 +452,6 @@ void writeSweepJson(const std::string& path, std::size_t n,
   std::fprintf(f, "  \"simd_level\": \"%s\",\n",
                bitword::simdLevelName(bitword::dispatch().level));
   std::fprintf(f, "  \"portfolio_ms\": %.3f,\n", portfolioMs);
-  std::fprintf(f, "  \"batch_width\": %zu,\n", kBatchBenchWidth);
-  std::fprintf(f, "  \"batch_round_speedup\": %.4f,\n", batchRoundSpeedup);
-  std::fprintf(f, "  \"batch_scalar_ms\": %.3f,\n", batchSweep.scalarMs);
-  std::fprintf(f, "  \"batch_batched_ms\": %.3f,\n", batchSweep.batchedMs);
-  std::fprintf(f, "  \"batch_sweep_speedup\": %.4f,\n",
-               batchSweep.scalarMs / batchSweep.batchedMs);
   std::fprintf(f, "  \"product_blocked_speedup\": %.4f,\n", productSpeedup);
   std::fprintf(f, "  \"product_n\": %zu,\n", productN);
   std::fprintf(f, "  \"frontier_n\": %zu,\n", frontier.n);
@@ -623,14 +542,7 @@ int main(int argc, char** argv) {
   kernels.push_back(benchDamageTree(32, /*noisy=*/true, minSeconds, rng));
   kernels.push_back(benchDamageTree(256, /*noisy=*/false, minSeconds, rng));
   kernels.push_back(benchSimRound(sweepN, minSeconds, rng));
-  const KernelResult simRound = kernels.back();
-  kernels.push_back(benchBatchRound(sweepN, minSeconds, rng));
-  const KernelResult batchRound = kernels.back();
   kernels.push_back(benchFrontierRound(sweepN, minSeconds, rng));
-  // Per-replicate round speedup: a batched op advances width lanes.
-  const double batchRoundSpeedup =
-      simRound.nsPerOp * static_cast<double>(kBatchBenchWidth) /
-      batchRound.nsPerOp;
 
   TextTable kernelTable({"kernel", "bits/n", "reps", "ns/op", "GiB/s"});
   for (const KernelResult& k : kernels) {
@@ -642,21 +554,15 @@ int main(int argc, char** argv) {
         .add(k.gibPerS, 2);
   }
 
-  // --- end-to-end sweeps: thm31 portfolio + batched vs scalar ----------
+  // --- end-to-end sweep: thm31 portfolio -------------------------------
   std::size_t bestRounds = 0;
   const double portfolioMs =
       timePortfolioSweep(sweepN, driver.seed(), &bestRounds);
-  const BatchSweepTiming batchSweep =
-      timeBatchedSweep(sweepN, driver.seed());
-  TextTable sweepTable({"n", "portfolio ms", "best t*", "scalar ms",
-                        "batched ms", "batch speedup"});
+  TextTable sweepTable({"n", "portfolio ms", "best t*"});
   sweepTable.row()
       .add(static_cast<std::uint64_t>(sweepN))
       .add(portfolioMs, 1)
-      .add(static_cast<std::uint64_t>(bestRounds))
-      .add(batchSweep.scalarMs, 1)
-      .add(batchSweep.batchedMs, 1)
-      .add(batchSweep.scalarMs / batchSweep.batchedMs, 2);
+      .add(static_cast<std::uint64_t>(bestRounds));
 
   // --- search core: beam witness + lookahead transposition telemetry -
   const SearchTelemetry search = timeSearchTelemetry(driver.seed());
@@ -710,7 +616,6 @@ int main(int argc, char** argv) {
   writeKernelsJson(outDir + "/BENCH_kernels.json", kernels, quick,
                    driver.jobs());
   writeSweepJson(outDir + "/BENCH_sweep.json", sweepN, driver.seed(), quick,
-                 portfolioMs, bestRounds, batchRoundSpeedup, batchSweep,
-                 productSpeedup, productN, frontier, search, service);
+                 portfolioMs, bestRounds, productSpeedup, productN, frontier, search, service);
   return 0;
 }

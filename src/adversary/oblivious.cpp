@@ -27,19 +27,11 @@ RootedTree StaticTreeAdversary::nextTree(const BroadcastSim& state) {
   return tree_;
 }
 
-const RootedTree& StaticTreeAdversary::obliviousTree(std::size_t) {
-  return tree_;
-}
-
 StaticPathAdversary::StaticPathAdversary(std::size_t n)
     : tree_(makePath(n)) {}
 
 RootedTree StaticPathAdversary::nextTree(const BroadcastSim& state) {
   DYNBCAST_ASSERT(state.processCount() == tree_.size());
-  return tree_;
-}
-
-const RootedTree& StaticPathAdversary::obliviousTree(std::size_t) {
   return tree_;
 }
 
@@ -49,16 +41,7 @@ UniformRandomAdversary::UniformRandomAdversary(std::size_t n,
 
 RootedTree UniformRandomAdversary::nextTree(const BroadcastSim& state) {
   DYNBCAST_ASSERT(state.processCount() == n_);
-  // Identical RNG draw to obliviousTree(), so a scalar run and a batched
-  // run at the same seed see the same tree sequence.
   return randomRootedTree(n_, rng_);
-}
-
-const RootedTree& UniformRandomAdversary::obliviousTree(std::size_t) {
-  // Round-agnostic but stateful: each call advances the RNG exactly as
-  // one nextTree() call would, so sequential callers see the same stream.
-  scratch_ = randomRootedTree(n_, rng_);
-  return scratch_;
 }
 
 void UniformRandomAdversary::reset() { rng_ = Rng(seed_); }
@@ -71,11 +54,6 @@ RootedTree RandomPathAdversary::nextTree(const BroadcastSim& state) {
   return randomPath(n_, rng_);
 }
 
-const RootedTree& RandomPathAdversary::obliviousTree(std::size_t) {
-  scratch_ = randomPath(n_, rng_);
-  return scratch_;
-}
-
 void RandomPathAdversary::reset() { rng_ = Rng(seed_); }
 
 AlternatingPathAdversary::AlternatingPathAdversary(std::size_t n)
@@ -84,10 +62,6 @@ AlternatingPathAdversary::AlternatingPathAdversary(std::size_t n)
 RootedTree AlternatingPathAdversary::nextTree(const BroadcastSim& state) {
   DYNBCAST_ASSERT(state.processCount() == forward_.size());
   return state.round() % 2 == 0 ? forward_ : backward_;
-}
-
-const RootedTree& AlternatingPathAdversary::obliviousTree(std::size_t round) {
-  return round % 2 == 0 ? forward_ : backward_;
 }
 
 KLeafAdversary::KLeafAdversary(std::size_t n, std::size_t k,
@@ -99,11 +73,6 @@ KLeafAdversary::KLeafAdversary(std::size_t n, std::size_t k,
 RootedTree KLeafAdversary::nextTree(const BroadcastSim& state) {
   DYNBCAST_ASSERT(state.processCount() == n_);
   return randomTreeWithKLeaves(n_, k_, rng_);
-}
-
-const RootedTree& KLeafAdversary::obliviousTree(std::size_t) {
-  scratch_ = randomTreeWithKLeaves(n_, k_, rng_);
-  return scratch_;
 }
 
 std::string KLeafAdversary::name() const {
@@ -121,11 +90,6 @@ KInnerAdversary::KInnerAdversary(std::size_t n, std::size_t k,
 RootedTree KInnerAdversary::nextTree(const BroadcastSim& state) {
   DYNBCAST_ASSERT(state.processCount() == n_);
   return randomTreeWithKInnerNodes(n_, k_, rng_);
-}
-
-const RootedTree& KInnerAdversary::obliviousTree(std::size_t) {
-  scratch_ = randomTreeWithKInnerNodes(n_, k_, rng_);
-  return scratch_;
 }
 
 std::string KInnerAdversary::name() const {

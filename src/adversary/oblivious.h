@@ -21,8 +21,6 @@ class StaticTreeAdversary final : public Adversary {
   explicit StaticTreeAdversary(RootedTree tree);
 
   [[nodiscard]] RootedTree nextTree(const BroadcastSim& state) override;
-  [[nodiscard]] bool oblivious() const noexcept override { return true; }
-  [[nodiscard]] const RootedTree& obliviousTree(std::size_t round) override;
   [[nodiscard]] std::string name() const override { return "static-tree"; }
 
  private:
@@ -35,8 +33,6 @@ class StaticPathAdversary final : public Adversary {
   explicit StaticPathAdversary(std::size_t n);
 
   [[nodiscard]] RootedTree nextTree(const BroadcastSim& state) override;
-  [[nodiscard]] bool oblivious() const noexcept override { return true; }
-  [[nodiscard]] const RootedTree& obliviousTree(std::size_t round) override;
   [[nodiscard]] std::string name() const override { return "static-path"; }
 
  private:
@@ -49,8 +45,6 @@ class UniformRandomAdversary final : public Adversary {
   UniformRandomAdversary(std::size_t n, std::uint64_t seed);
 
   [[nodiscard]] RootedTree nextTree(const BroadcastSim& state) override;
-  [[nodiscard]] bool oblivious() const noexcept override { return true; }
-  [[nodiscard]] const RootedTree& obliviousTree(std::size_t round) override;
   [[nodiscard]] std::string name() const override { return "random-tree"; }
   void reset() override;
 
@@ -58,8 +52,6 @@ class UniformRandomAdversary final : public Adversary {
   std::size_t n_;
   std::uint64_t seed_;
   Rng rng_;
-  /// obliviousTree()'s last generated tree (the returned reference).
-  RootedTree scratch_ = RootedTree::trivial();
 };
 
 /// A path over a fresh uniformly random permutation every round.
@@ -68,8 +60,6 @@ class RandomPathAdversary final : public Adversary {
   RandomPathAdversary(std::size_t n, std::uint64_t seed);
 
   [[nodiscard]] RootedTree nextTree(const BroadcastSim& state) override;
-  [[nodiscard]] bool oblivious() const noexcept override { return true; }
-  [[nodiscard]] const RootedTree& obliviousTree(std::size_t round) override;
   [[nodiscard]] std::string name() const override { return "random-path"; }
   void reset() override;
 
@@ -77,8 +67,6 @@ class RandomPathAdversary final : public Adversary {
   std::size_t n_;
   std::uint64_t seed_;
   Rng rng_;
-  /// obliviousTree()'s last generated tree (the returned reference).
-  RootedTree scratch_ = RootedTree::trivial();
 };
 
 /// Alternates the identity path and its reversal — the classic "ping-pong"
@@ -88,8 +76,6 @@ class AlternatingPathAdversary final : public Adversary {
   explicit AlternatingPathAdversary(std::size_t n);
 
   [[nodiscard]] RootedTree nextTree(const BroadcastSim& state) override;
-  [[nodiscard]] bool oblivious() const noexcept override { return true; }
-  [[nodiscard]] const RootedTree& obliviousTree(std::size_t round) override;
   [[nodiscard]] std::string name() const override {
     return "alternating-path";
   }
@@ -106,8 +92,6 @@ class KLeafAdversary final : public Adversary {
   KLeafAdversary(std::size_t n, std::size_t k, std::uint64_t seed);
 
   [[nodiscard]] RootedTree nextTree(const BroadcastSim& state) override;
-  [[nodiscard]] bool oblivious() const noexcept override { return true; }
-  [[nodiscard]] const RootedTree& obliviousTree(std::size_t round) override;
   [[nodiscard]] std::string name() const override;
   void reset() override;
 
@@ -116,8 +100,6 @@ class KLeafAdversary final : public Adversary {
   std::size_t k_;
   std::uint64_t seed_;
   Rng rng_;
-  /// obliviousTree()'s last generated tree (the returned reference).
-  RootedTree scratch_ = RootedTree::trivial();
 };
 
 /// Restricted adversary of [14]: a fresh random tree with exactly k inner
@@ -127,8 +109,6 @@ class KInnerAdversary final : public Adversary {
   KInnerAdversary(std::size_t n, std::size_t k, std::uint64_t seed);
 
   [[nodiscard]] RootedTree nextTree(const BroadcastSim& state) override;
-  [[nodiscard]] bool oblivious() const noexcept override { return true; }
-  [[nodiscard]] const RootedTree& obliviousTree(std::size_t round) override;
   [[nodiscard]] std::string name() const override;
   void reset() override;
 
@@ -137,8 +117,6 @@ class KInnerAdversary final : public Adversary {
   std::size_t k_;
   std::uint64_t seed_;
   Rng rng_;
-  /// obliviousTree()'s last generated tree (the returned reference).
-  RootedTree scratch_ = RootedTree::trivial();
 };
 
 }  // namespace dynbcast

@@ -65,11 +65,6 @@ std::uint32_t SearchTreeArena::acquireChild(std::uint32_t parent,
   return id;
 }
 
-void SearchTreeArena::addRef(std::uint32_t id) {
-  DYNBCAST_ASSERT(id < nodes_.size() && nodes_[id].refcount > 0);
-  ++nodes_[id].refcount;
-}
-
 void SearchTreeArena::release(std::uint32_t id) {
   while (id != kNoNode) {
     Node& node = nodes_[id];

@@ -48,8 +48,6 @@ class SearchTreeArena {
   [[nodiscard]] std::uint32_t acquireChild(std::uint32_t parent,
                                            RootedTree move);
 
-  void addRef(std::uint32_t id);
-
   /// Drops one reference; a node reaching zero is recycled and the
   /// release cascades to its parent.
   void release(std::uint32_t id);

@@ -30,40 +30,6 @@ struct EngineConfig {
   std::size_t jobs = 1;
 };
 
-/// How the scenario executor schedules the replicates of a (size,
-/// member) cell.
-///
-/// Replicates of an OBLIVIOUS member are independent runs of the same
-/// tree process, so the executor can advance a whole chunk of them in
-/// lockstep through one BatchBroadcastSim — decoding each round's tree
-/// once for the chunk instead of once per replicate, with the row work
-/// going through the SIMD dispatch table as contiguous lane-planes.
-/// Batching never changes a single byte of output: the batched
-/// recurrence is bit-identical to the scalar runs (see runObliviousBatch)
-/// and every row still lands in its position-indexed slot. Cells that
-/// cannot batch — adaptive members, history recording, gossip, graph
-/// models — always run the scalar path.
-struct BatchPolicy {
-  enum class Mode {
-    kAuto,  ///< batch eligible cells with >= kAutoWidth replicates
-    kOff,   ///< scalar path for everything
-    kFixed  ///< batch eligible cells in chunks of `width` lanes
-  };
-  Mode mode = Mode::kAuto;
-  /// Lane width under kFixed (>= 1); ignored for the other modes.
-  std::size_t width = 0;
-
-  /// The width kAuto uses, and the replicate count at which it engages.
-  static constexpr std::size_t kAutoWidth = 8;
-
-  friend bool operator==(const BatchPolicy&, const BatchPolicy&) = default;
-};
-
-/// Parses "auto" | "off" | a lane width like "8" (the --batch grammar),
-/// throwing std::invalid_argument with suggestions on anything else.
-[[nodiscard]] BatchPolicy parseBatchPolicy(const std::string& text);
-[[nodiscard]] std::string batchPolicyName(const BatchPolicy& policy);
-
 /// One member's run inside a sweep — the atomic unit of work.
 struct SweepRow {
   std::size_t n = 0;

@@ -86,21 +86,6 @@ void validateScenario(const ScenarioSpec& spec) {
         "' supports objective=broadcast)");
   }
 
-  // Batching advances replicate lanes of one oblivious adversary through
-  // a shared BatchBroadcastSim, which only broadcast over adversary-driven
-  // trees can do. An explicit width elsewhere would be silently ignored, so
-  // reject it; auto degrades to scalar without complaint.
-  if (spec.batch.mode == BatchPolicy::Mode::kFixed &&
-      (entry.mode != DynamicsMode::kAdversaryTrees ||
-       spec.objective == Objective::kGossip)) {
-    throw std::invalid_argument(
-        "scenario: batch=" + batchPolicyName(spec.batch) +
-        " only applies to objective=broadcast over adversary-driven tree "
-        "dynamics (got dynamics '" + dynamics.name + "', objective=" +
-        objectiveName(spec.objective) +
-        "); use batch=auto or batch=off");
-  }
-
   if (entry.mode == DynamicsMode::kGraphModel) {
     // The model emits every round's graph itself; an adversary has no
     // move to make, so listing one is a spec error, not a no-op.

@@ -11,10 +11,10 @@
 // (src/engine/task_plan.h): every row is a position in the (size,
 // replicate, member) grid, seeded from that position, so the rows come
 // back in the same deterministic order — byte-identical at any job count
-// and in any service worker that runs the same positions. Broadcast over
-// adversary-driven trees batches the replicates of oblivious members
-// (see BatchPolicy); adversary-driven gossip and graph-model dynamics
-// (nonsplit-random, edge-markovian, t-interval, …) run one row per task.
+// and in any service worker that runs the same positions. Every
+// position is one task: adversary-driven trees (broadcast or gossip) and
+// graph-model dynamics (nonsplit-random, edge-markovian, t-interval, …)
+// alike.
 #pragma once
 
 #include <cstdint>
@@ -70,11 +70,6 @@ struct ScenarioSpec {
   /// Simulation engine selection (see BackendChoice). kSparse requires a
   /// sparse-capable graph-model dynamics; kAuto is always valid.
   BackendChoice backend = BackendChoice::kAuto;
-  /// Replicate batching for broadcast over adversary-driven tree
-  /// dynamics (see BatchPolicy); output-invariant. An explicit batch=K
-  /// on any other objective/dynamics combination is a spec error; kAuto
-  /// silently runs scalar there.
-  BatchPolicy batch;
 };
 
 /// The default member list for a dynamics spec: the standard portfolio

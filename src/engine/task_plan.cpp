@@ -1,7 +1,5 @@
 #include "src/engine/task_plan.h"
 
-#include <algorithm>
-#include <map>
 #include <memory>
 #include <utility>
 
@@ -66,36 +64,7 @@ class ResolvedScenario {
     return plan;
   }
 
-  /// Lanes per batch task for this spec, or 1 when nothing batches:
-  /// batching needs broadcast over adversary-driven trees without
-  /// history, and auto engages only once a cell has a full batch of
-  /// replicates.
-  [[nodiscard]] std::size_t batchWidth() const {
-    if (model_ || spec_.objective != Objective::kBroadcast ||
-        spec_.recordHistory) {
-      return 1;
-    }
-    switch (spec_.batch.mode) {
-      case BatchPolicy::Mode::kOff:
-        return 1;
-      case BatchPolicy::Mode::kFixed:
-        DYNBCAST_ASSERT(spec_.batch.width >= 1);
-        return spec_.batch.width;
-      case BatchPolicy::Mode::kAuto:
-        break;
-    }
-    return spec_.seedsPerSize >= BatchPolicy::kAutoWidth
-               ? BatchPolicy::kAutoWidth
-               : 1;
-  }
-
-  [[nodiscard]] std::unique_ptr<Adversary> makeAdversary(
-      const ScenarioRowPlan& plan) const {
-    return AdversaryRegistry::instance().make(adversaries_[plan.memberIndex],
-                                              plan.n, plan.instanceSeed);
-  }
-
-  /// The scalar body: one position, on the calling thread.
+  /// One position's row, on the calling thread.
   [[nodiscard]] SweepRow run(const ScenarioRowPlan& plan) const {
     BroadcastRun run;
     if (model_) {
@@ -111,7 +80,9 @@ class ResolvedScenario {
                 : runDynamicsBroadcast(plan.n, *instance, cap,
                                        spec_.recordHistory);
     } else {
-      const std::unique_ptr<Adversary> adversary = makeAdversary(plan);
+      const std::unique_ptr<Adversary> adversary =
+          AdversaryRegistry::instance().make(adversaries_[plan.memberIndex],
+                                             plan.n, plan.instanceSeed);
       run = runAdversary(plan.n, *adversary, adversaryCap(plan.n),
                          spec_.recordHistory, spec_.objective);
     }
@@ -120,31 +91,6 @@ class ResolvedScenario {
     row.completed = run.completed;
     row.history = std::move(run.history);
     return row;
-  }
-
-  /// Replicates of one (size, oblivious member) cell in lockstep; lane i
-  /// is run(lanes[i]) without history.
-  [[nodiscard]] std::vector<SweepRow> runBatch(
-      const std::vector<ScenarioRowPlan>& lanes) const {
-    std::vector<std::unique_ptr<Adversary>> owners;
-    std::vector<Adversary*> adversaries;
-    owners.reserve(lanes.size());
-    adversaries.reserve(lanes.size());
-    for (const ScenarioRowPlan& lane : lanes) {
-      owners.push_back(makeAdversary(lane));
-      adversaries.push_back(owners.back().get());
-    }
-    const std::size_t n = lanes.front().n;
-    const std::vector<BroadcastRun> runs =
-        runObliviousBatch(n, adversaries, adversaryCap(n));
-    std::vector<SweepRow> rows;
-    rows.reserve(lanes.size());
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-      rows.push_back(rowOf(lanes[i]));
-      rows.back().rounds = runs[i].rounds;
-      rows.back().completed = runs[i].completed;
-    }
-    return rows;
   }
 
  private:
@@ -220,45 +166,12 @@ void runScenarioPositions(const ScenarioSpec& spec,
                           const ScenarioRowSink& sink) {
   if (positions.empty()) return;
   const ResolvedScenario scenario(spec);
-
-  // Plan (serial, cheap): group the positions by (size, member) cell.
-  // When the batch policy engages and a probe instance of the cell's
-  // member reports itself oblivious, the cell's positions chunk into
-  // lockstep lanes; otherwise each position is its own task.
-  std::map<std::pair<std::size_t, std::size_t>, std::vector<ScenarioRowPlan>>
-      cells;
-  for (const std::size_t position : positions) {
-    ScenarioRowPlan plan = scenario.plan(position);
-    cells[{plan.sizeIndex, plan.memberIndex}].push_back(std::move(plan));
-  }
-  const std::size_t width = scenario.batchWidth();
-  std::vector<std::vector<ScenarioRowPlan>> tasks;
-  for (const auto& [cell, plans] : cells) {
-    const std::size_t lanes =
-        width > 1 && scenario.makeAdversary(plans.front())->oblivious()
-            ? width
-            : 1;
-    for (std::size_t i = 0; i < plans.size(); i += lanes) {
-      tasks.emplace_back(plans.begin() + i,
-                         plans.begin() + std::min(i + lanes, plans.size()));
-    }
-  }
-
-  // Run: each task hands its rows to the sink. map()'s own seeds go
-  // unused — rows draw theirs from their positions, which is what makes
-  // them independent of the thread, the job count and the process.
+  // One task per position. map()'s own seeds go unused — rows draw
+  // theirs from their positions, which is what makes them independent of
+  // the thread, the job count and the process.
   (void)engine.map<char>(
-      tasks.size(), 0,
-      [&](std::size_t t, std::uint64_t) -> char {
-        const std::vector<ScenarioRowPlan>& lanes = tasks[t];
-        if (lanes.size() == 1) {
-          sink(lanes[0].position, scenario.run(lanes[0]));
-          return 0;
-        }
-        std::vector<SweepRow> rows = scenario.runBatch(lanes);
-        for (std::size_t i = 0; i < lanes.size(); ++i) {
-          sink(lanes[i].position, std::move(rows[i]));
-        }
+      positions.size(), 0, [&](std::size_t t, std::uint64_t) -> char {
+        sink(positions[t], scenario.run(scenario.plan(positions[t])));
         return 0;
       });
 }

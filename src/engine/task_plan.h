@@ -15,18 +15,18 @@
 //                                     position-derived instance seed, and
 //                                     the canonical member spec string;
 //   * runScenarioRow(spec, p)       — executes position p on the calling
-//                                     thread (the scalar path);
+//                                     thread;
 //   * runScenarioPositions          — the executor: runs any set of
-//                                     positions on an engine, batching
-//                                     oblivious replicate lanes under the
-//                                     spec's BatchPolicy;
+//                                     positions on an engine, one task
+//                                     per position, each through
+//                                     runScenarioRow's body;
 //   * aggregateScenarioInstances    — regroups rows into the per-instance
 //                                     portfolio view, same order.
 //
 // runScenario() runs every position through runScenarioPositions, and a
 // service worker runs its pending positions through the same call, so
-// the two cannot drift apart. Batching is output-invariant: every row
-// the executor produces equals runScenarioRow's at that position.
+// the two cannot drift apart: every row the executor produces equals
+// runScenarioRow's at that position.
 #pragma once
 
 #include <cstdint>
@@ -88,12 +88,9 @@ using ScenarioRowSink =
 
 /// The executor: runs every listed position (each < scenarioRowCount,
 /// no duplicates) on the engine's pool and hands each finished row to
-/// `sink`. Member specs are resolved once per call. Positions sharing a
-/// size and an oblivious member run as runObliviousBatch lanes when the
-/// spec's BatchPolicy engages (broadcast over adversary-driven trees,
-/// no history; auto needs seedsPerSize >= BatchPolicy::kAutoWidth);
-/// every other position runs runScenarioRow's scalar body. Each row
-/// equals runScenarioRow(spec, position). The spec must already satisfy
+/// `sink`. Member specs are resolved once per call; each position is
+/// one task running runScenarioRow's body, so each row equals
+/// runScenarioRow(spec, position). The spec must already satisfy
 /// validateScenario(); the lowest-indexed task's exception propagates.
 void runScenarioPositions(const ScenarioSpec& spec,
                           const std::vector<std::size_t>& positions,

@@ -15,7 +15,7 @@
 // manifest records positions, workers execute arbitrary subsets, and the
 // merged results are byte-identical to a single-process run. Workers run
 // their row tasks through runScenarioPositions, the executor runScenario
-// uses, so served rows batch exactly as `dynbcast sweep` rows do.
+// uses, so served rows run exactly as `dynbcast sweep` rows do.
 #pragma once
 
 #include <cstdint>

@@ -31,13 +31,7 @@ namespace {
 
 [[nodiscard]] std::uint64_t parseUInt(const std::string& key,
                                       const std::string& value) {
-  if (value.empty() ||
-      value.find_first_not_of("0123456789") != std::string::npos) {
-    throw std::invalid_argument("request key '" + key +
-                                "' expects an unsigned integer, got '" +
-                                value + "'");
-  }
-  return std::stoull(value);
+  return parseUnsigned(value, "request key '" + key + "'");
 }
 
 /// Spec strings never contain whitespace in canonical form, but raw user

@@ -86,8 +86,8 @@ WorkerReport runManifestWorker(const WorkerOptions& options) {
   report.cacheHits = pending.size() - rows.size() - beams.size();
   report.executed = rows.size() + beams.size();
 
-  // Row tasks run on the scenario executor — batched exactly as
-  // runScenario batches them — and beam tasks one per pool task.
+  // Row tasks run on the scenario executor, exactly as runScenario runs
+  // them, and beam tasks one per pool task.
   runScenarioPositions(request.scenario, rows, engine,
                        [&](std::size_t position, SweepRow row) {
                          finish(position, row.rounds, row.completed);

@@ -1,19 +1,17 @@
 // SimBackend: the concept every simulation backend satisfies.
 //
-// Four engines implement the paper's model, each with a different
+// Three engines implement the paper's model, each with a different
 // representation tuned to a different regime:
 //
-//   * BroadcastSim      — dense heard-of bit matrix, the fast reference
-//   * ProcessSim        — literal message objects, the executable spec
-//   * FrontierSim       — sparse per-node id vectors for n up to 10⁶
-//   * BatchBroadcastSim — lane-interleaved SoA planes advancing a whole
-//                         replicate batch in lockstep
+//   * BroadcastSim — dense heard-of bit matrix, the fast reference
+//   * ProcessSim   — literal message objects, the executable spec
+//   * FrontierSim  — sparse per-node id vectors for n up to 10⁶
 //
 // They grew the same public surface by convention; this concept makes
 // the convention a compile-time contract (conformance is static_asserted
 // in tests/sim_backend_test.cpp), so a drifting signature is a build
 // error instead of a latent engine-selection bug. ScenarioSpec's
-// backend/batch routing and the differential suites all program against
+// backend routing and the differential suites all program against
 // exactly this surface.
 //
 // Contract (beyond the signatures): applyTree applies one synchronous

@@ -87,14 +87,6 @@ struct Kernels {
                                 std::size_t nwords) noexcept;
   bool (*intersectAny)(const std::uint64_t* a, const std::uint64_t* b,
                        std::size_t nwords) noexcept;
-  /// dst = a | b (three-operand OR): the batched simulator's
-  /// double-buffered recurrence writes next = prev_row | prev_parent.
-  void (*orInto)(std::uint64_t* dst, const std::uint64_t* a,
-                 const std::uint64_t* b, std::size_t nwords) noexcept;
-  /// dst &= src without the fused count (the batch common-plane pass
-  /// defers per-lane popcounts to end of round).
-  void (*andAssign)(std::uint64_t* dst, const std::uint64_t* src,
-                    std::size_t nwords) noexcept;
   /// One damage-tree Prim pick (see DamageRelax). Always dispatched,
   /// whatever n: one call covers O(n · |Heard(pick)|) lane additions.
   void (*damageRelax)(const DamageRelax& args) noexcept;
@@ -178,26 +170,6 @@ inline void orAssign(std::uint64_t* dst, const std::uint64_t* src,
     c += static_cast<std::size_t>(std::popcount(dst[i]));
   }
   return c;
-}
-
-/// dst = a | b, word by word (dst may alias a or b).
-inline void orInto(std::uint64_t* dst, const std::uint64_t* a,
-                   const std::uint64_t* b, std::size_t nwords) noexcept {
-  if (nwords >= kDispatchMinWords) {
-    dispatch().orInto(dst, a, b, nwords);
-    return;
-  }
-  for (std::size_t i = 0; i < nwords; ++i) dst[i] = a[i] | b[i];
-}
-
-/// dst &= src, word by word.
-inline void andAssign(std::uint64_t* dst, const std::uint64_t* src,
-                      std::size_t nwords) noexcept {
-  if (nwords >= kDispatchMinWords) {
-    dispatch().andAssign(dst, src, nwords);
-    return;
-  }
-  for (std::size_t i = 0; i < nwords; ++i) dst[i] &= src[i];
 }
 
 /// Invokes fn(index) for every bit set in (a & ~b), ascending — the

@@ -68,16 +68,6 @@ bool intersectAnyScalar(const std::uint64_t* a, const std::uint64_t* b,
   return false;
 }
 
-void orIntoScalar(std::uint64_t* dst, const std::uint64_t* a,
-                  const std::uint64_t* b, std::size_t nwords) noexcept {
-  for (std::size_t i = 0; i < nwords; ++i) dst[i] = a[i] | b[i];
-}
-
-void andAssignScalar(std::uint64_t* dst, const std::uint64_t* src,
-                     std::size_t nwords) noexcept {
-  for (std::size_t i = 0; i < nwords; ++i) dst[i] &= src[i];
-}
-
 inline std::size_t lowBit(std::uint64_t w) noexcept {
   return static_cast<std::size_t>(std::countr_zero(w));
 }
@@ -113,9 +103,9 @@ void damageRelaxScalar(const DamageRelax& a) noexcept {
 }
 
 constexpr Kernels kScalarKernels{
-    &orAssignScalar,     &orCountScalar,  &andAssignCountScalar,
-    &intersectAnyScalar, &orIntoScalar,   &andAssignScalar,
-    &damageRelaxScalar,  SimdLevel::kScalar, "scalar"};
+    &orAssignScalar,     &orCountScalar,     &andAssignCountScalar,
+    &intersectAnyScalar, &damageRelaxScalar, SimdLevel::kScalar,
+    "scalar"};
 
 #if DYNBCAST_SIMD_X86
 
@@ -209,35 +199,6 @@ __attribute__((target("avx2,popcnt"))) bool intersectAnyAvx2(
     if ((a[i] & b[i]) != 0) return true;
   }
   return false;
-}
-
-__attribute__((target("avx2,popcnt"))) void orIntoAvx2(
-    std::uint64_t* dst, const std::uint64_t* a, const std::uint64_t* b,
-    std::size_t nwords) noexcept {
-  std::size_t i = 0;
-  for (; i + 4 <= nwords; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_or_si256(va, vb));
-  }
-  for (; i < nwords; ++i) dst[i] = a[i] | b[i];
-}
-
-__attribute__((target("avx2,popcnt"))) void andAssignAvx2(
-    std::uint64_t* dst, const std::uint64_t* src, std::size_t nwords) noexcept {
-  std::size_t i = 0;
-  for (; i + 4 <= nwords; i += 4) {
-    const __m256i d =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    const __m256i s =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_and_si256(d, s));
-  }
-  for (; i < nwords; ++i) dst[i] &= src[i];
 }
 
 // Damage relax, AVX2: one 64-bit lane per y, four y per register. A
@@ -345,9 +306,9 @@ __attribute__((target("avx2,popcnt"))) void damageRelaxAvx2(
 }
 
 constexpr Kernels kAvx2Kernels{
-    &orAssignAvx2,     &orCountAvx2,  &andAssignCountAvx2,
-    &intersectAnyAvx2, &orIntoAvx2,   &andAssignAvx2,
-    &damageRelaxAvx2,  SimdLevel::kAvx2, "avx2"};
+    &orAssignAvx2,     &orCountAvx2,     &andAssignCountAvx2,
+    &intersectAnyAvx2, &damageRelaxAvx2, SimdLevel::kAvx2,
+    "avx2"};
 
 // --- AVX-512 tier -----------------------------------------------------
 //
@@ -434,29 +395,6 @@ __attribute__((DYNBCAST_AVX512_TARGET)) bool intersectAnyAvx512(
   return false;
 }
 
-__attribute__((DYNBCAST_AVX512_TARGET)) void orIntoAvx512(
-    std::uint64_t* dst, const std::uint64_t* a, const std::uint64_t* b,
-    std::size_t nwords) noexcept {
-  std::size_t i = 0;
-  for (; i + 8 <= nwords; i += 8) {
-    const __m512i va = _mm512_loadu_si512(a + i);
-    const __m512i vb = _mm512_loadu_si512(b + i);
-    _mm512_storeu_si512(dst + i, _mm512_or_si512(va, vb));
-  }
-  for (; i < nwords; ++i) dst[i] = a[i] | b[i];
-}
-
-__attribute__((DYNBCAST_AVX512_TARGET)) void andAssignAvx512(
-    std::uint64_t* dst, const std::uint64_t* src, std::size_t nwords) noexcept {
-  std::size_t i = 0;
-  for (; i + 8 <= nwords; i += 8) {
-    const __m512i d = _mm512_loadu_si512(dst + i);
-    const __m512i s = _mm512_loadu_si512(src + i);
-    _mm512_storeu_si512(dst + i, _mm512_and_si512(d, s));
-  }
-  for (; i < nwords; ++i) dst[i] &= src[i];
-}
-
 // Damage relax, AVX-512: one 64-bit lane per OPEN y. pext packs a
 // block's open lanes of unaware[x] into the low bits, so lane k of the
 // G = ⌈|open|/8⌉ accumulators belongs to the k-th open y of the block
@@ -541,9 +479,9 @@ __attribute__((DYNBCAST_AVX512_TARGET)) void damageRelaxAvx512(
 #undef DYNBCAST_AVX512_TARGET
 
 constexpr Kernels kAvx512Kernels{
-    &orAssignAvx512,     &orCountAvx512,  &andAssignCountAvx512,
-    &intersectAnyAvx512, &orIntoAvx512,   &andAssignAvx512,
-    &damageRelaxAvx512,  SimdLevel::kAvx512, "avx512"};
+    &orAssignAvx512,     &orCountAvx512,     &andAssignCountAvx512,
+    &intersectAnyAvx512, &damageRelaxAvx512, SimdLevel::kAvx512,
+    "avx512"};
 
 #endif  // DYNBCAST_SIMD_X86
 

@@ -1,6 +1,10 @@
 #include "src/support/options.h"
 
+#include <algorithm>
+#include <limits>
 #include <stdexcept>
+
+#include "src/support/spec.h"
 
 namespace dynbcast {
 
@@ -56,7 +60,7 @@ std::uint64_t Options::getUInt(const std::string& key,
                                std::uint64_t fallback) const {
   const auto v = get(key);
   if (!v || v->empty()) return fallback;
-  return std::stoull(*v);
+  return parseUnsigned(*v, "--" + key);
 }
 
 double Options::getDouble(const std::string& key, double fallback) const {
@@ -77,7 +81,20 @@ bool Options::has(const std::string& key) const {
   return values_.count(key) != 0;
 }
 
+void Options::requireKnown(const std::vector<std::string>& accepted) const {
+  for (const auto& [key, value] : values_) {
+    if (std::find(accepted.begin(), accepted.end(), key) != accepted.end()) {
+      continue;
+    }
+    std::vector<std::string> flags;
+    for (const std::string& name : accepted) flags.push_back("--" + name);
+    throw std::invalid_argument(
+        unknownNameMessage("option", "--" + key, flags, ""));
+  }
+}
+
 std::vector<std::size_t> parseSizeList(const std::string& spec) {
+  constexpr const char* kWhat = "sizes entry";
   std::vector<std::size_t> out;
   if (spec.empty()) return out;
   if (spec.find(':') != std::string::npos) {
@@ -85,22 +102,30 @@ std::vector<std::size_t> parseSizeList(const std::string& spec) {
     std::size_t lo = 0, hi = 0, step = 2;
     const auto c1 = spec.find(':');
     const auto c2 = spec.find(':', c1 + 1);
-    lo = std::stoull(spec.substr(0, c1));
+    lo = parseUnsigned(spec.substr(0, c1), kWhat);
     if (c2 == std::string::npos) {
-      hi = std::stoull(spec.substr(c1 + 1));
+      hi = parseUnsigned(spec.substr(c1 + 1), kWhat);
     } else {
-      hi = std::stoull(spec.substr(c1 + 1, c2 - c1 - 1));
-      step = std::stoull(spec.substr(c2 + 1));
+      hi = parseUnsigned(spec.substr(c1 + 1, c2 - c1 - 1), kWhat);
+      step = parseUnsigned(spec.substr(c2 + 1), kWhat);
+    }
+    if (lo == 0) {
+      throw std::invalid_argument("sizes: range '" + spec +
+                                  "' starts at 0; a range needs lo >= 1");
     }
     if (step < 2) throw std::invalid_argument("step must be >= 2");
-    for (std::size_t v = lo; v <= hi; v *= step) out.push_back(v);
+    constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+    for (std::size_t v = lo; v <= hi; v *= step) {
+      out.push_back(v);
+      if (v > kMax / step) break;  // v * step would wrap
+    }
     return out;
   }
   std::size_t pos = 0;
   while (pos < spec.size()) {
     const auto comma = spec.find(',', pos);
     const auto end = comma == std::string::npos ? spec.size() : comma;
-    out.push_back(std::stoull(spec.substr(pos, end - pos)));
+    out.push_back(parseUnsigned(spec.substr(pos, end - pos), kWhat));
     pos = end + 1;
   }
   return out;

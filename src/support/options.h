@@ -1,8 +1,12 @@
-// Minimal command-line option parsing for examples and bench binaries.
+// Minimal command-line option parsing for the dynbcast CLI, examples and
+// bench binaries.
 //
-// Supports --key=value, --key value, and --flag forms. Unknown options are
-// an error (catches typos in experiment scripts); positional arguments are
-// collected in order.
+// Supports --key=value, --key value, and --flag forms; positional
+// arguments are collected in order. Parsing itself accepts any option.
+// The dynbcast subcommands then call requireKnown() with the flags they
+// read, so a typo in an experiment script is an error there; bench
+// binaries, examples and perfbench stay permissive. Unsigned values
+// (getUInt, parseSizeList) must be all digits.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +38,11 @@ class Options {
   /// True when --key was present at all (with or without value).
   [[nodiscard]] bool has(const std::string& key) const;
 
+  /// Throws std::invalid_argument naming the first option given that is
+  /// not in `accepted` (names without the leading "--"), with the
+  /// nearest accepted one as a suggestion.
+  void requireKnown(const std::vector<std::string>& accepted) const;
+
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
     return positional_;
   }
@@ -49,6 +58,9 @@ class Options {
 };
 
 /// Parses "8,16,32" or "8:64:2" (lo:hi:multiplicative-step) into a list.
+/// Every token must be all digits; a range needs lo >= 1 and step >= 2,
+/// and stops before the next size would pass 2^64 - 1. Throws
+/// std::invalid_argument otherwise.
 [[nodiscard]] std::vector<std::size_t> parseSizeList(const std::string& spec);
 
 }  // namespace dynbcast

@@ -27,11 +27,6 @@ class SeedSequence {
   /// value no matter when, where, or how often it is called.
   [[nodiscard]] std::uint64_t at(std::uint64_t index) const noexcept;
 
-  /// Convenience: an Rng seeded with at(index).
-  [[nodiscard]] Rng rngAt(std::uint64_t index) const noexcept {
-    return Rng(at(index));
-  }
-
  private:
   std::uint64_t master_;
 };

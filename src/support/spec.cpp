@@ -64,21 +64,7 @@ std::uint64_t SpecParams::getUInt(const std::string& key,
                                   std::uint64_t fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  try {
-    // stoull accepts "-1" by wrapping around; require a leading digit so
-    // negative (and "+"-prefixed) input gets the friendly error below.
-    if (it->second.empty() || it->second[0] < '0' || it->second[0] > '9') {
-      throw std::invalid_argument(it->second);
-    }
-    std::size_t used = 0;
-    const std::uint64_t value = std::stoull(it->second, &used);
-    if (used != it->second.size()) throw std::invalid_argument(it->second);
-    return value;
-  } catch (const std::exception&) {
-    throw std::invalid_argument(errorLabel() + " '" + key +
-                                "' expects an unsigned integer, got '" +
-                                it->second + "'");
-  }
+  return parseUnsigned(it->second, errorLabel() + " '" + key + "'");
 }
 
 double SpecParams::getDouble(const std::string& key, double fallback) const {
@@ -159,6 +145,20 @@ std::string formatSpec(const std::string& name, const SpecParams& params) {
     sep = ',';
   }
   return out;
+}
+
+std::uint64_t parseUnsigned(const std::string& text,
+                            const std::string& what) {
+  // stoull alone would wrap "-1" to 2^64 - 1 and skip leading blanks.
+  if (!text.empty() &&
+      text.find_first_not_of("0123456789") == std::string::npos) {
+    try {
+      return std::stoull(text);
+    } catch (const std::out_of_range&) {
+    }
+  }
+  throw std::invalid_argument(what + " expects an unsigned integer, got '" +
+                              text + "'");
 }
 
 std::string unknownNameMessage(const std::string& noun,

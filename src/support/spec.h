@@ -116,6 +116,13 @@ struct SpecParamDoc {
 using SpecValueCheck =
     std::function<void(const SpecParams& params, std::size_t n)>;
 
+/// `text` as an unsigned integer: it must be all digits (no sign, no
+/// blanks) and fit in 64 bits. Throws std::invalid_argument "<what>
+/// expects an unsigned integer, got '<text>'" otherwise — the one
+/// integer rule of spec values, CLI flags, size lists and request keys.
+[[nodiscard]] std::uint64_t parseUnsigned(const std::string& text,
+                                          const std::string& what);
+
 /// "unknown <noun> '<name>'; did you mean '<x>'? (<hint>)" — the one
 /// unknown-name message of the registries and every other vocabulary
 /// (objectives, backends, request keys, subcommands). The suggestion is

@@ -15,23 +15,8 @@ RootedTree randomRootedTree(std::size_t n, Rng& rng) {
   return rootedFromPrufer(seq, root);
 }
 
-RootedTree randomRecursiveTree(std::size_t n, Rng& rng) {
-  DYNBCAST_ASSERT(n > 0);
-  const std::vector<std::size_t> order = rng.permutation(n);
-  std::vector<std::size_t> parent(n);
-  parent[order[0]] = order[0];
-  for (std::size_t i = 1; i < n; ++i) {
-    parent[order[i]] = order[rng.uniform(i)];
-  }
-  return RootedTree(order[0], std::move(parent));
-}
-
 RootedTree randomPath(std::size_t n, Rng& rng) {
   return makePath(rng.permutation(n));
-}
-
-RootedTree randomBroom(std::size_t n, std::size_t handleLen, Rng& rng) {
-  return makeBroom(rng.permutation(n), handleLen);
 }
 
 }  // namespace dynbcast

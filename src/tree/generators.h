@@ -14,16 +14,7 @@ namespace dynbcast {
 /// (ignoring the forced self-loops, which carry no entropy).
 [[nodiscard]] RootedTree randomRootedTree(std::size_t n, Rng& rng);
 
-/// Random recursive tree ("uniform attachment"): node order is a random
-/// permutation; each node's parent is uniform among earlier nodes. Skewed
-/// towards shallow trees — a fast non-uniform alternative.
-[[nodiscard]] RootedTree randomRecursiveTree(std::size_t n, Rng& rng);
-
 /// Random path: a path over a uniformly random permutation.
 [[nodiscard]] RootedTree randomPath(std::size_t n, Rng& rng);
-
-/// Random broom with the given handle length over a random permutation.
-[[nodiscard]] RootedTree randomBroom(std::size_t n, std::size_t handleLen,
-                                     Rng& rng);
 
 }  // namespace dynbcast

@@ -43,8 +43,6 @@ def kernels_doc(gib=12.0, ns=5.0, tree_ns=400000.0):
 
 def sweep_doc(**overrides):
     doc = {
-        "batch_round_speedup": 4.0,
-        "batch_sweep_speedup": 3.0,
         "product_blocked_speedup": 2.0,
         "frontier_sparse_speedup": 5.0,
         "beam_unique_states": 1000,
@@ -103,7 +101,7 @@ class TestFlatten(unittest.TestCase):
         flat = gate.flatten(kernels_doc(gib=7.5, ns=2.0), sweep_doc())
         self.assertEqual(flat["kernel:orAssign:1024:gib_per_s"], 7.5)
         self.assertEqual(flat["kernel:orAssign:1024:ns_per_op"], 2.0)
-        self.assertEqual(flat["sweep:batch_round_speedup"], 4.0)
+        self.assertEqual(flat["sweep:product_blocked_speedup"], 2.0)
         self.assertEqual(flat["kernel:damageTree:256:ns_per_op"], 400000.0)
 
     def test_unknown_sweep_fields_ignored(self):
@@ -114,11 +112,11 @@ class TestFlatten(unittest.TestCase):
 class TestDirection(unittest.TestCase):
     def test_lower_is_better_classification(self):
         self.assertTrue(gate.lower_is_better("kernel:x:1024:ns_per_op"))
-        self.assertTrue(gate.lower_is_better("sweep:batch_scalar_ms"))
+        self.assertTrue(gate.lower_is_better("sweep:portfolio_ms"))
         self.assertTrue(gate.lower_is_better("sweep:beam_unique_states"))
         self.assertTrue(gate.lower_is_better("sweep:lookahead_nodes"))
         self.assertFalse(gate.lower_is_better("kernel:x:1024:gib_per_s"))
-        self.assertFalse(gate.lower_is_better("sweep:batch_round_speedup"))
+        self.assertFalse(gate.lower_is_better("sweep:product_blocked_speedup"))
         self.assertFalse(gate.lower_is_better("sweep:beam_rounds"))
 
 
@@ -134,12 +132,13 @@ class TestGate(GateHarness):
 
     def test_throughput_regression_beyond_tolerance_fails(self):
         baseline, _ = self.write_fresh_baseline()
-        # batch_round_speedup tolerance is 30%: 4.0 -> 1.0 is a 75% drop.
+        # product_blocked_speedup tolerance is 40%: 2.0 -> 0.5 is a 75%
+        # drop.
         code, out, _ = self.run_gate(
-            baseline, kernels_doc(), sweep_doc(batch_round_speedup=1.0))
+            baseline, kernels_doc(), sweep_doc(product_blocked_speedup=0.5))
         self.assertNotEqual(code, 0)
         self.assertIn("REGRESSION", out)
-        self.assertIn("sweep:batch_round_speedup", out)
+        self.assertIn("sweep:product_blocked_speedup", out)
 
     def test_work_counter_regresses_upward(self):
         baseline, _ = self.write_fresh_baseline()
@@ -206,7 +205,7 @@ class TestRatchet(GateHarness):
     def test_ratchet_tightens_after_improvement(self):
         # Regenerating after an improvement moves the floor up: the old
         # (slower) numbers now regress against the new baseline.
-        improved = sweep_doc(batch_round_speedup=8.0)
+        improved = sweep_doc(product_blocked_speedup=4.0)
         code, _, path = self.run_gate(None, kernels_doc(), improved,
                                       write_baseline=True)
         self.assertEqual(code, 0)
@@ -214,7 +213,7 @@ class TestRatchet(GateHarness):
             ratcheted = json.load(f)
         code, out, _ = self.run_gate(ratcheted, kernels_doc(), sweep_doc())
         self.assertNotEqual(code, 0)
-        self.assertIn("sweep:batch_round_speedup", out)
+        self.assertIn("sweep:product_blocked_speedup", out)
 
 
 if __name__ == "__main__":

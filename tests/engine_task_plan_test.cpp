@@ -70,43 +70,36 @@ TEST(TaskPlanTest, PlanFieldsAreAPureFunctionOfPosition) {
   }
 }
 
-// The anti-drift pin for the executor: whatever the batch policy and
-// job count, every row runScenario (and so runScenarioPositions) lands
-// must equal the scalar runScenarioRow at that position. Nine replicates
-// make auto engage (one full 8-lane batch plus a 1-lane remainder) and
-// split width 3 evenly; static-path batches on a shared tree,
-// random-path on per-lane trees, and the adaptive heard-asc-path falls
-// back to scalar tasks.
+// The anti-drift pin for the executor: at any job count, every row
+// runScenario (and so runScenarioPositions) lands must equal
+// runScenarioRow at that position, for fixed (static-path), random
+// (random-path) and adaptive (heard-asc-path) members alike.
 TEST(TaskPlanTest, BroadcastTreeExecutorMatchesScalarRows) {
   ScenarioSpec spec;
   spec.sizes = {5, 33};
   spec.seedsPerSize = 9;
   spec.masterSeed = 7;
   spec.adversaries = {"static-path", "random-path", "heard-asc-path"};
-  const std::vector<SweepRow> scalar = rowsFromPlan(spec);
+  const std::vector<SweepRow> expected = rowsFromPlan(spec);
 
-  for (const char* batch : {"auto", "off", "3"}) {
-    spec.batch = parseBatchPolicy(batch);
-    for (const std::size_t jobs : {1u, 8u}) {
-      SCOPED_TRACE(std::string("batch=") + batch +
-                   " jobs=" + std::to_string(jobs));
-      ExperimentEngine engine = makeEngine(jobs);
-      expectRowsEqual(scalar, runScenario(spec, engine).rows);
+  for (const std::size_t jobs : {1u, 8u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    ExperimentEngine engine = makeEngine(jobs);
+    expectRowsEqual(expected, runScenario(spec, engine).rows);
 
-      // A subset of positions — every other one, so each member's batch
-      // cells arrive partial — lands the same rows through the sink.
-      std::vector<std::size_t> positions;
-      for (std::size_t p = 0; p < scalar.size(); p += 2) {
-        positions.push_back(p);
-      }
-      std::vector<SweepRow> rows(scalar.size());
-      runScenarioPositions(spec, positions, engine,
-                           [&rows](std::size_t position, SweepRow row) {
-                             rows[position] = std::move(row);
-                           });
-      for (const std::size_t p : positions) {
-        EXPECT_EQ(rows[p], scalar[p]) << "position " << p;
-      }
+    // A subset of positions — every other one — lands the same rows
+    // through the sink.
+    std::vector<std::size_t> positions;
+    for (std::size_t p = 0; p < expected.size(); p += 2) {
+      positions.push_back(p);
+    }
+    std::vector<SweepRow> rows(expected.size());
+    runScenarioPositions(spec, positions, engine,
+                         [&rows](std::size_t position, SweepRow row) {
+                           rows[position] = std::move(row);
+                         });
+    for (const std::size_t p : positions) {
+      EXPECT_EQ(rows[p], expected[p]) << "position " << p;
     }
   }
 }

@@ -137,18 +137,17 @@ TEST(EngineTest, MapEmptyAndSingleton) {
 }
 
 TEST(EngineTest, RecordHistoryFillsEveryRowInItsSingleRun) {
-  // Eight replicates of oblivious members would batch under auto, and
-  // batches never record history — so history must force every row onto
-  // the scalar path, where the one run that yields t* also records it.
+  // Every row records its history in the one run that yields its t*,
+  // for fixed, random and adaptive members alike.
   ScenarioSpec spec;
   spec.sizes = {8, 11};
-  spec.seedsPerSize = BatchPolicy::kAutoWidth;
+  spec.seedsPerSize = 8;
   spec.masterSeed = 3;
   spec.adversaries = {"static-path", "random-path", "greedy-delay"};
   spec.recordHistory = true;
   ExperimentEngine engine(EngineConfig{.jobs = 2});
   const ScenarioResult result = runScenario(spec, engine);
-  ASSERT_EQ(result.rows.size(), 2u * BatchPolicy::kAutoWidth * 3u);
+  ASSERT_EQ(result.rows.size(), 2u * 8u * 3u);
   for (const SweepRow& row : result.rows) {
     EXPECT_TRUE(row.completed) << row.member;
     EXPECT_EQ(row.history.size(), row.rounds)

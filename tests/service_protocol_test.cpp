@@ -98,6 +98,11 @@ TEST(ServiceProtocolTest, DecodeRequiresSizes) {
   EXPECT_THROW((void)decodeRequest({"seed=1"}), std::invalid_argument);
   EXPECT_THROW((void)decodeRequest({"not a kv line"}),
                std::invalid_argument);
+  // A range from 0 used to loop until memory ran out on the server.
+  EXPECT_THROW((void)decodeRequest({"sizes=0:8"}), std::invalid_argument);
+  EXPECT_THROW((void)decodeRequest({"sizes=4,,8"}), std::invalid_argument);
+  EXPECT_THROW((void)decodeRequest({"sizes=4", "seed=99999999999999999999"}),
+               std::invalid_argument);
 }
 
 TEST(ServiceProtocolTest, HashPrimitivesAreStable) {

@@ -256,11 +256,10 @@ TEST_F(ServiceWorkerTest, OverlappingSweepsExecuteOnlyTheDelta) {
   EXPECT_EQ(manifestCsv(again, small), manifestCsv(smallRef, small));
 }
 
-/// A rooted-tree request whose cells batch under the executor's auto
-/// policy: 9 replicates (one 8-lane batch plus a remainder) of two
+/// A rooted-tree request with 9 replicates per (size, member) cell of two
 /// oblivious members and one adaptive one, plus two trivial beam tasks
 /// (both sizes above beamMaxN).
-[[nodiscard]] ServiceRequest makeBatchedRequest() {
+[[nodiscard]] ServiceRequest makeReplicatedRequest() {
   ServiceRequest request;
   request.scenario.sizes = {5, 33};
   request.scenario.seedsPerSize = 9;
@@ -271,7 +270,7 @@ TEST_F(ServiceWorkerTest, OverlappingSweepsExecuteOnlyTheDelta) {
   return request;
 }
 
-/// Every TASK record of a drained manifest equals the scalar execution of
+/// Every TASK record of a drained manifest equals the direct execution of
 /// its position (executeServiceTask runs a row through runScenarioRow).
 void expectRecordsMatchScalarRows(const std::string& manifestPath,
                                   const ServiceRequest& request) {
@@ -286,12 +285,12 @@ void expectRecordsMatchScalarRows(const std::string& manifestPath,
 }
 
 TEST_F(ServiceWorkerTest, BatchedCellsSplitAcrossRangesAndResumes) {
-  const ServiceRequest request = makeBatchedRequest();
+  const ServiceRequest request = makeReplicatedRequest();
   const ServiceJobPlan plan = planServiceJob(request);
   ASSERT_EQ(plan.rowCount, 2u * 9u * 3u);
 
   // Two ranges that split the (n=5, static-path) cell: its positions are
-  // 0, 3, …, 24, so [0, 13) takes five lanes and the rest take four.
+  // 0, 3, …, 24, so [0, 13) takes five replicates and the rest four.
   const std::string sharded = path("sharded.manifest");
   writeManifestFor(sharded, request);
   WorkerOptions low;

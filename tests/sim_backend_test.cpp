@@ -1,7 +1,7 @@
 // The SimBackend concept (sim_backend.h) is the compile-time contract
 // every simulation engine satisfies. The static_asserts are the actual
 // test — a drifting signature breaks the build right here, with the
-// concept name in the error. The runtime probe then drives all four
+// concept name in the error. The runtime probe then drives all three
 // backends through one shared round sequence and checks they agree on
 // every observable the concept exposes, which is the semantic half of
 // the contract ("all backends are EXACT"). The runUntil suite checks the
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "src/graph/bitmatrix.h"
-#include "src/sim/batch_sim.h"
 #include "src/sim/broadcast_sim.h"
 #include "src/sim/frontier_sim.h"
 #include "src/sim/process_sim.h"
@@ -30,8 +29,6 @@ static_assert(SimBackend<ProcessSim>,
               "ProcessSim must satisfy the SimBackend concept");
 static_assert(SimBackend<FrontierSim>,
               "FrontierSim must satisfy the SimBackend concept");
-static_assert(SimBackend<BatchBroadcastSim>,
-              "BatchBroadcastSim (width-1 surface) must satisfy SimBackend");
 
 namespace {
 
@@ -84,12 +81,9 @@ TEST(SimBackendTest, AllBackendsAgreeOnTheConceptSurface) {
     BroadcastSim dense(n);
     ProcessSim process(n);
     FrontierSim frontier(n);
-    BatchBroadcastSim batch(n, 1);
     const Trace reference = run(dense, trees, g);
     EXPECT_EQ(run(process, trees, g), reference) << "ProcessSim, n=" << n;
     EXPECT_EQ(run(frontier, trees, g), reference) << "FrontierSim, n=" << n;
-    EXPECT_EQ(run(batch, trees, g), reference)
-        << "BatchBroadcastSim, n=" << n;
   }
 }
 

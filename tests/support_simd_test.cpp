@@ -54,15 +54,12 @@ TEST(SimdKernelTest, AllSupportedLevelsComputeIdenticalResults) {
     for (int trial = 0; trial < 8; ++trial) {
       const std::vector<std::uint64_t> a = randomWords(nwords, rng);
       const std::vector<std::uint64_t> b = randomWords(nwords, rng);
-      const std::vector<std::uint64_t> c = randomWords(nwords, rng);
 
       std::vector<std::uint64_t> expectOr = a;
       scalar.orAssign(expectOr.data(), b.data(), nwords);
       std::vector<std::uint64_t> expectAnd = a;
       const std::size_t expectAndCount =
           scalar.andAssignCount(expectAnd.data(), b.data(), nwords);
-      std::vector<std::uint64_t> expectInto(nwords);
-      scalar.orInto(expectInto.data(), b.data(), c.data(), nwords);
 
       for (const SimdLevel level : levels) {
         const Kernels& k = kernelsFor(level);
@@ -87,14 +84,6 @@ TEST(SimdKernelTest, AllSupportedLevelsComputeIdenticalResults) {
         count = k.andAssignCount(dst.data(), b.data(), nwords);
         EXPECT_EQ(dst, expectAnd) << "andAssignCount dst " << tag;
         EXPECT_EQ(count, expectAndCount) << "andAssignCount count " << tag;
-
-        dst = a;
-        k.andAssign(dst.data(), b.data(), nwords);
-        EXPECT_EQ(dst, expectAnd) << "andAssign " << tag;
-
-        std::vector<std::uint64_t> into(nwords, 0xdeadbeefdeadbeefull);
-        k.orInto(into.data(), b.data(), c.data(), nwords);
-        EXPECT_EQ(into, expectInto) << "orInto " << tag;
 
         EXPECT_EQ(k.intersectAny(a.data(), b.data(), nwords),
                   scalar.intersectAny(a.data(), b.data(), nwords))

@@ -54,14 +54,13 @@ int usage(std::ostream& os) {
         "             [--cap=ROUNDS] [--beam-maxn=32] [--beam-width=256]\n"
         "             [--backend=dense|sparse|auto] (graph-model dynamics "
         "only)\n"
-        "             [--batch=K|auto|off] (oblivious replicate batching)\n"
         "  portfolio  general scenario runner over objective x dynamics x "
         "adversaries\n"
         "             [--objective=broadcast|gossip] [--dynamics=SPEC]\n"
         "             [--sizes=8:64:2] [--seed=1] [--seeds=R] [--jobs=N]\n"
         "             [--cap=ROUNDS] [--csv=path] [--adversaries=SPECS] "
         "[--summary]\n"
-        "             [--backend=dense|sparse|auto] [--batch=K|auto|off]\n"
+        "             [--backend=dense|sparse|auto]\n"
         "  duel       all listed adversaries fight one instance\n"
         "             [--n=32] [--seed=7] [--adversaries=SPECS] "
         "[--csv=path]\n"
@@ -74,8 +73,8 @@ int usage(std::ostream& os) {
         "             cache, optional worker-process sharding\n"
         "             --socket=PATH --state=DIR [--workers=N] [--jobs=J]\n"
         "             [--max-requests=K]\n"
-        "  submit     run a sweep through a running server (same flags "
-        "as sweep,\n"
+        "  submit     run a sweep through a running server (sweep's flags "
+        "except --jobs,\n"
         "             plus --socket=PATH; --csv output is byte-identical "
         "to sweep's)\n"
         "  work       execute a manifest's unfinished tasks "
@@ -233,10 +232,6 @@ int runDynamicsSweep(BenchDriver& driver, const std::string& dynamicsText,
       splitSpecList(driver.options().getString("adversaries", ""));
   scenario.backend =
       parseBackendChoice(driver.options().getString("backend", "auto"));
-  // Graph-model dynamics never batch; parsing the flag anyway means an
-  // explicit --batch=K fails validation instead of being ignored.
-  scenario.batch =
-      parseBatchPolicy(driver.options().getString("batch", "auto"));
 
   driver.printHeader("SWEEP — dynamics=" +
                      DynamicsSpec::parse(dynamicsText).toString() +
@@ -273,6 +268,9 @@ std::vector<std::string> splitSpecList(const std::string& text) {
 int runSweepCommand(int argc, const char* const* argv) {
   return guarded([&] {
     BenchDriver driver(argc, argv, "4:128:2", 1);
+    driver.options().requireKnown(
+        {"sizes", "seed", "seeds", "jobs", "csv", "summary", "dynamics",
+         "adversaries", "cap", "backend", "beam-maxn", "beam-width"});
     const bool wantSummary = driver.options().has("summary");
     const std::string dynamicsText =
         driver.options().getString("dynamics", "rooted-tree");
@@ -306,8 +304,6 @@ int runSweepCommand(int argc, const char* const* argv) {
     // right error instead of silently ignoring the flag.
     scenario.backend =
         parseBackendChoice(driver.options().getString("backend", "auto"));
-    scenario.batch =
-        parseBatchPolicy(driver.options().getString("batch", "auto"));
     // Check the beam pass's config too before any portfolio row runs.
     validateBeamConfig(scenarioBeamConfig(beamWidth));
     const ScenarioResult sweep = runScenario(scenario, driver.engine());
@@ -338,6 +334,9 @@ int runSweepCommand(int argc, const char* const* argv) {
 int runPortfolio(int argc, const char* const* argv) {
   return guarded([&] {
     BenchDriver driver(argc, argv, "8:64:2", 1);
+    driver.options().requireKnown({"sizes", "seed", "seeds", "jobs", "csv",
+                                   "summary", "objective", "dynamics",
+                                   "adversaries", "cap", "backend"});
     ScenarioSpec scenario;
     scenario.objective =
         parseObjective(driver.options().getString("objective", "broadcast"));
@@ -351,8 +350,6 @@ int runPortfolio(int argc, const char* const* argv) {
         splitSpecList(driver.options().getString("adversaries", ""));
     scenario.backend =
         parseBackendChoice(driver.options().getString("backend", "auto"));
-    scenario.batch =
-        parseBatchPolicy(driver.options().getString("batch", "auto"));
 
     driver.printHeader(
         "SCENARIO — objective=" + objectiveName(scenario.objective) +
@@ -396,6 +393,7 @@ int runPortfolio(int argc, const char* const* argv) {
 int runDuel(int argc, const char* const* argv) {
   return guarded([&] {
     const Options opts(argc, argv);
+    opts.requireKnown({"n", "seed", "adversaries", "csv"});
     const std::size_t n = opts.getUInt("n", 32);
     const std::uint64_t seed = opts.getUInt("seed", 7);
     std::vector<std::string> specs =
@@ -438,6 +436,7 @@ int runDuel(int argc, const char* const* argv) {
 int runWitness(int argc, const char* const* argv) {
   return guarded([&] {
     const Options opts(argc, argv);
+    opts.requireKnown({"n", "seed", "restarts", "beam"});
     const std::size_t n = opts.getUInt("n", 16);
     const std::uint64_t seed = opts.getUInt("seed", 7);
     const std::size_t restarts = opts.getUInt("restarts", 3);
@@ -477,8 +476,7 @@ int runWitness(int argc, const char* const* argv) {
 
 int runList(int argc, const char* const* argv) {
   return guarded([&] {
-    const Options opts(argc, argv);
-    (void)opts;
+    Options(argc, argv).requireKnown({});
     const auto printParams = [](const std::vector<SpecParamDoc>& params) {
       for (const SpecParamDoc& param : params) {
         std::cout << "      " << param.key << "=" << param.defaultValue
@@ -522,12 +520,6 @@ int runList(int argc, const char* const* argv) {
                  "simulation for sparse-capable\n"
                  "    graph models above; auto switches past n=4096 — rows "
                  "are backend-invariant)\n"
-                 "  --batch=K|auto|off (broadcast over adversary-driven "
-                 "trees: run K seed\n"
-                 "    replicates of an oblivious adversary in lockstep; "
-                 "auto batches 8 lanes\n"
-                 "    once a cell has >= 8 replicates — rows are "
-                 "batch-invariant)\n"
                  "  --summary prints per-(n, member) stats over --seeds "
                  "replicates\n"
                  "\nservice mode (serve/submit/work subcommands):\n"
@@ -574,6 +566,8 @@ void emitServiceStats(const SubmitOutcome& outcome) {
 int runServe(int argc, const char* const* argv) {
   return guarded([&] {
     const Options opts(argc, argv);
+    opts.requireKnown({"socket", "state", "workers", "jobs", "max-requests",
+                       "worker-max-tasks", "worker-binary"});
     ServerOptions server;
     server.socketPath = opts.getString("socket", "");
     server.stateDir = opts.getString("state", "");
@@ -607,6 +601,9 @@ int runServe(int argc, const char* const* argv) {
 int runSubmit(int argc, const char* const* argv) {
   return guarded([&] {
     const Options opts(argc, argv);
+    opts.requireKnown({"socket", "sizes", "seed", "seeds", "csv", "summary",
+                       "objective", "dynamics", "adversaries", "cap",
+                       "backend", "beam-maxn", "beam-width"});
     const std::string socket = opts.getString("socket", "");
     if (socket.empty()) {
       throw std::invalid_argument("submit: --socket=PATH is required");
@@ -675,6 +672,7 @@ int runSubmit(int argc, const char* const* argv) {
 int runWork(int argc, const char* const* argv) {
   return guarded([&] {
     const Options opts(argc, argv);
+    opts.requireKnown({"manifest", "cache", "jobs", "max-tasks", "range"});
     WorkerOptions work;
     work.manifestPath = opts.getString("manifest", "");
     if (work.manifestPath.empty()) {
@@ -691,8 +689,8 @@ int runWork(int argc, const char* const* argv) {
         throw std::invalid_argument("work: --range expects BEGIN:END, got '" +
                                     range + "'");
       }
-      work.rangeBegin = std::stoull(range.substr(0, colon));
-      work.rangeEnd = std::stoull(range.substr(colon + 1));
+      work.rangeBegin = parseUnsigned(range.substr(0, colon), "work: --range");
+      work.rangeEnd = parseUnsigned(range.substr(colon + 1), "work: --range");
     }
     const WorkerReport report = runManifestWorker(work);
     std::cout << "work: assigned=" << report.assigned
