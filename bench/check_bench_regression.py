@@ -50,6 +50,10 @@ DEFAULT_GATES = {
     # the thm31 sweep's dominant layer): absolute ns per tree, so the
     # wide kernel tolerance absorbs runner variance; regresses UPWARD.
     "kernel:damageTree:256:ns_per_op": 60.0,
+    # zoo-dense's per-round passes at n = 2048: one randomNonsplitGraph
+    # (repair included) and one isNonsplit; absolute ns, upward.
+    "kernel:nonsplitGraph:2048:ns_per_op": 60.0,
+    "kernel:isNonsplit:2048:ns_per_op": 60.0,
     # Search-core counters: deterministic for the fixed seed/size the
     # harness uses (quick and full run the same search), so the slack only
     # absorbs deliberate tuning of the move pool or pruning rules.

@@ -39,6 +39,8 @@
 #include "src/dynamics/registry.h"
 #include "src/engine/scenario.h"
 #include "src/graph/bitmatrix.h"
+#include "src/graph/properties.h"
+#include "src/nonsplit/nonsplit.h"
 #include "src/service/job.h"
 #include "src/service/manifest.h"
 #include "src/service/protocol.h"
@@ -71,11 +73,13 @@ struct KernelResult {
 };
 
 /// Runs `op` (one operation per call) until ~minSeconds elapsed, in
-/// batches, and returns (reps, seconds). `sink` defeats dead-code elim.
+/// doubling batches from `firstBatch`, and returns (reps, seconds).
+/// Millisecond-scale ops start at 1 so one batch cannot take seconds.
 template <typename Op>
-std::pair<std::uint64_t, double> timeLoop(double minSeconds, Op&& op) {
+std::pair<std::uint64_t, double> timeLoop(double minSeconds, Op&& op,
+                                          std::uint64_t firstBatch = 64) {
   std::uint64_t reps = 0;
-  std::uint64_t batch = 64;
+  std::uint64_t batch = firstBatch;
   const auto start = Clock::now();
   double elapsed = 0.0;
   while (elapsed < minSeconds) {
@@ -181,6 +185,31 @@ KernelResult benchDamageTree(std::size_t n, bool noisy, double minSeconds,
   });
   KernelResult r{noisy ? "noisyDamageTree" : "damageTree", n, reps, 0.0,
                  0.0};
+  r.nsPerOp = secs * 1e9 / static_cast<double>(reps);
+  return r;
+}
+
+/// One randomNonsplitGraph(n, 2n) per op: the graph nonsplit-random
+/// (zoo-dense) draws every round, repair pass included.
+KernelResult benchNonsplitGraph(std::size_t n, double minSeconds, Rng& rng) {
+  auto [reps, secs] = timeLoop(
+      minSeconds,
+      [&] { consume(randomNonsplitGraph(n, 2 * n, rng).row(0).words()[0]); },
+      /*firstBatch=*/1);
+  KernelResult r{"nonsplitGraph", n, reps, 0.0, 0.0};
+  r.nsPerOp = secs * 1e9 / static_cast<double>(reps);
+  return r;
+}
+
+/// One isNonsplit per op on such a graph: the per-round class check of
+/// the nonsplit dynamics driver, run to completion since the graph
+/// passes.
+KernelResult benchIsNonsplit(std::size_t n, double minSeconds, Rng& rng) {
+  const BitMatrix g = randomNonsplitGraph(n, 2 * n, rng);
+  auto [reps, secs] = timeLoop(
+      minSeconds, [&] { consume(isNonsplit(g) ? 1 : 0); },
+      /*firstBatch=*/1);
+  KernelResult r{"isNonsplit", n, reps, 0.0, 0.0};
   r.nsPerOp = secs * 1e9 / static_cast<double>(reps);
   return r;
 }
@@ -543,6 +572,10 @@ int main(int argc, char** argv) {
   kernels.push_back(benchDamageTree(256, /*noisy=*/false, minSeconds, rng));
   kernels.push_back(benchSimRound(sweepN, minSeconds, rng));
   kernels.push_back(benchFrontierRound(sweepN, minSeconds, rng));
+  // zoo-dense's two per-round passes at its n = 2048, fixed in quick and
+  // full mode alike (CI gates both).
+  kernels.push_back(benchNonsplitGraph(2048, minSeconds, rng));
+  kernels.push_back(benchIsNonsplit(2048, minSeconds, rng));
 
   TextTable kernelTable({"kernel", "bits/n", "reps", "ns/op", "GiB/s"});
   for (const KernelResult& k : kernels) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "src/adversary/registry.h"
@@ -59,6 +60,24 @@ std::vector<std::string> defaultAdversarySpecs(const std::string& dynamics) {
   return {parsed.toString()};
 }
 
+namespace {
+
+/// Throws unless sizes × seeds × members fits in kMaxScenarioRows; the
+/// divisions keep the product from wrapping.
+void checkRowCount(const ScenarioSpec& spec, std::size_t members) {
+  const std::size_t instances = spec.sizes.size();
+  if (spec.seedsPerSize > kMaxScenarioRows / instances ||
+      members > kMaxScenarioRows / (instances * spec.seedsPerSize)) {
+    throw std::invalid_argument(
+        "scenario: " + std::to_string(instances) + " sizes x " +
+        std::to_string(spec.seedsPerSize) + " seeds x " +
+        std::to_string(members) + " members exceeds the maximum of " +
+        std::to_string(kMaxScenarioRows) + " rows (kMaxScenarioRows)");
+  }
+}
+
+}  // namespace
+
 void validateScenario(const ScenarioSpec& spec) {
   if (spec.seedsPerSize == 0) {
     throw std::invalid_argument("scenario: seedsPerSize must be >= 1");
@@ -72,7 +91,14 @@ void validateScenario(const ScenarioSpec& spec) {
       throw std::invalid_argument(
           "scenario: size 0 has no processes; every size must be >= 1");
     }
+    if (n > kMaxScenarioSize) {
+      throw std::invalid_argument(
+          "scenario: size " + std::to_string(n) +
+          " exceeds the maximum scenario size of " +
+          std::to_string(kMaxScenarioSize) + " (kMaxScenarioSize)");
+    }
   }
+  checkRowCount(spec, 1);
   const DynamicsSpec dynamics = DynamicsSpec::parse(spec.dynamics);
   const DynamicsRegistry& dynRegistry = DynamicsRegistry::instance();
   dynRegistry.validate(dynamics, spec.sizes);
@@ -107,7 +133,7 @@ void validateScenario(const ScenarioSpec& spec) {
           "backend=auto (sparse-capable models: " + join(capable, ", ") +
           ")");
     }
-    return;
+    return;  // one member per instance: checkRowCount(spec, 1) above
   }
 
   if (spec.backend == BackendChoice::kSparse) {
@@ -136,6 +162,7 @@ void validateScenario(const ScenarioSpec& spec) {
           parsed.name + "'");
     }
   }
+  checkRowCount(spec, specs.size());
 }
 
 ScenarioResult runScenario(const ScenarioSpec& spec,

@@ -48,6 +48,15 @@ inline constexpr std::size_t kAutoSparseThreshold = 4096;
 [[nodiscard]] BackendChoice parseBackendChoice(const std::string& text);
 [[nodiscard]] std::string backendChoiceName(BackendChoice backend);
 
+/// Largest process count a scenario may list: above the CI's million-
+/// process sparse run, far below sizes whose state could not be
+/// allocated. Bounds what one request can make a server try.
+inline constexpr std::size_t kMaxScenarioSize = std::size_t{1} << 20;
+
+/// Largest number of rows (sizes × seeds × members) one scenario may
+/// plan; every row is a task and a result record.
+inline constexpr std::size_t kMaxScenarioRows = std::size_t{1} << 20;
+
 struct ScenarioSpec {
   Objective objective = Objective::kBroadcast;
   /// DynamicsRegistry spec string naming the dynamic-graph model (the
@@ -79,8 +88,9 @@ struct ScenarioSpec {
 [[nodiscard]] std::vector<std::string> defaultAdversarySpecs(
     const std::string& dynamics);
 
-/// Checks the spec is runnable: at least one size, every size >= 1,
-/// known dynamics/adversary names and keys (with suggestions), parameter
+/// Checks the spec is runnable: at least one size, every size in
+/// [1, kMaxScenarioSize], at most kMaxScenarioRows rows, known
+/// dynamics/adversary names and keys (with suggestions), parameter
 /// values valid at every listed size (the registries' validate(spec, n)),
 /// adversaries compatible with the dynamics (class restrictions for
 /// restricted trees; none allowed on graph models), and a supported

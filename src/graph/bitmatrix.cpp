@@ -1,5 +1,6 @@
 #include "src/graph/bitmatrix.h"
 
+#include <algorithm>
 #include <bit>
 #include <ostream>
 
@@ -63,12 +64,49 @@ void BitMatrix::orWith(const BitMatrix& other) {
   for (std::size_t x = 0; x < n_; ++x) rows_[x].orWith(other.rows_[x]);
 }
 
+namespace {
+
+/// Transposes a 64×64 bit block in place, bit c of a[r] ↔ bit r of a[c]:
+/// log₂ 64 rounds, each swapping the off-diagonal j×j sub-blocks of every
+/// 2j×2j block with one masked shift-xor per row pair.
+void transposeBlock(std::uint64_t (&a)[64]) noexcept {
+  std::uint64_t m = 0x00000000ffffffffull;  // low j bits of every 2j
+  for (std::size_t j = 32; j != 0; j >>= 1, m ^= m << j) {
+    for (std::size_t k = 0; k < 64; ++k) {
+      if ((k & j) != 0) continue;
+      const std::uint64_t t = ((a[k] >> j) ^ a[k | j]) & m;
+      a[k | j] ^= t;
+      a[k] ^= t << j;
+    }
+  }
+}
+
+}  // namespace
+
 BitMatrix BitMatrix::transposed() const {
+  // 64×64 blocks: gather one word from each of 64 rows, transpose the
+  // block in place, scatter it as one word of 64 output rows. All-zero
+  // blocks (most of a tree's) are skipped.
   BitMatrix out(n_);
-  for (std::size_t x = 0; x < n_; ++x) {
-    const DynBitset& r = rows_[x];
-    for (std::size_t y = r.findFirst(); y < n_; y = r.findNext(y + 1)) {
-      out.set(y, x);
+  constexpr std::size_t kB = DynBitset::kBits;
+  const std::size_t nwords = (n_ + kB - 1) / kB;
+  std::uint64_t block[kB] = {};
+  for (std::size_t bx = 0; bx < nwords; ++bx) {
+    const std::size_t x0 = bx * kB;
+    const std::size_t xs = std::min(kB, n_ - x0);
+    for (std::size_t w = 0; w < nwords; ++w) {
+      std::uint64_t any = 0;
+      for (std::size_t r = 0; r < kB; ++r) {
+        block[r] = r < xs ? rows_[x0 + r].wordData()[w] : 0;
+        any |= block[r];
+      }
+      if (any == 0) continue;
+      transposeBlock(block);
+      const std::size_t y0 = w * kB;
+      const std::size_t ys = std::min(kB, n_ - y0);
+      for (std::size_t c = 0; c < ys; ++c) {
+        out.rows_[y0 + c].wordData()[bx] = block[c];
+      }
     }
   }
   return out;

@@ -65,6 +65,8 @@ class BitMatrix {
   /// In-place union of entries.
   void orWith(const BitMatrix& other);
 
+  /// The transpose, built from 64×64 bit blocks: O(n²/64) word
+  /// operations, all-zero blocks skipped.
   [[nodiscard]] BitMatrix transposed() const;
 
   /// Total number of 1 entries.

@@ -31,11 +31,7 @@ bool isRooted(const BitMatrix& g) { return findRoot(g).has_value(); }
 std::optional<std::size_t> findRoot(const BitMatrix& g) {
   const std::size_t n = g.dim();
   if (n == 0) return std::nullopt;
-  // A candidate root must reach everyone; checking all n starts is O(n·m)
-  // worst case, but we first use a classic trick: run one DFS from node 0;
-  // any root must reach 0's entire reach-set... that only prunes in one
-  // direction, so for clarity we simply test each node (dims here are
-  // small when this predicate is used — validation and tests).
+  // Tries every node as the start of one DFS: O(n·(n + E)) worst case.
   for (std::size_t x = 0; x < n; ++x) {
     if (reachableFrom(g, x).all()) return x;
   }
@@ -44,15 +40,27 @@ std::optional<std::size_t> findRoot(const BitMatrix& g) {
 
 bool isNonsplit(const BitMatrix& g) {
   const std::size_t n = g.dim();
-  // Pair (y1, y2) needs a common in-neighbor: columns y1 and y2 intersect.
-  // Materializing the transpose makes each pair test O(n/64).
   const BitMatrix t = g.transposed();
+  DynBitset cov(n);
   for (std::size_t y1 = 0; y1 < n; ++y1) {
-    for (std::size_t y2 = y1; y2 < n; ++y2) {
-      if (!t.row(y1).intersects(t.row(y2))) return false;
-    }
+    pairCoverageFrom(g, t.row(y1), y1, cov);
+    // Pairs (y1, y2) with y2 < y1 were checked as (y2, y1).
+    if (cov.findNextClear(y1) < n) return false;
   }
   return true;
+}
+
+void pairCoverageFrom(const BitMatrix& g, const DynBitset& inOfY,
+                      std::size_t y, DynBitset& cov) {
+  const std::size_t n = g.dim();
+  DYNBCAST_ASSERT(y < n && cov.size() == n && inOfY.size() == n);
+  const std::size_t first = y / DynBitset::kBits;
+  const std::size_t span = cov.wordCount() - first;
+  std::uint64_t* dst = cov.wordData() + first;
+  for (std::size_t i = 0; i < span; ++i) dst[i] = 0;
+  for (std::size_t z = inOfY.findFirst(); z < n; z = inOfY.findNext(z + 1)) {
+    bitword::orAssign(dst, g.row(z).wordData() + first, span);
+  }
 }
 
 bool isRootedTreeWithSelfLoops(const BitMatrix& g) {

@@ -24,8 +24,20 @@ namespace dynbcast {
 [[nodiscard]] std::optional<std::size_t> findRoot(const BitMatrix& g);
 
 /// True when every pair of nodes (including pairs (y,y)) has a common
-/// in-neighbor. This is the "nonsplit" property of [2]/[9].
+/// in-neighbor. This is the "nonsplit" property of [2]/[9]. One transpose
+/// plus one pairCoverageFrom pass per node: O(n²/64 + E·n/64) word
+/// operations for E edges, stopping at the first node with an uncovered
+/// partner.
 [[nodiscard]] bool isNonsplit(const BitMatrix& g);
+
+/// Row y of the pair-coverage relation: overwrites the words of `cov`
+/// from word y/64 on with the OR of g.row(z) over every z in `inOfY`
+/// (column y of g, the in-neighbors of y); lower words are left as they
+/// are. Afterwards, for y2 >= y, bit y2 of `cov` is set iff y and y2
+/// share an in-neighbor. Costs |inOfY|·(n − y)/64 word ORs.
+/// Preconditions: cov.size() == inOfY.size() == g.dim(), y < g.dim().
+void pairCoverageFrom(const BitMatrix& g, const DynBitset& inOfY,
+                      std::size_t y, DynBitset& cov);
 
 /// True when g is exactly a rooted tree on [n] plus one self-loop per node
 /// — i.e. a member of the adversary's pool T_n (paper §2):

@@ -8,21 +8,25 @@ namespace dynbcast {
 namespace {
 
 /// Repair pass shared by the random generators: give every
-/// common-in-neighbor-less pair a random one.
+/// common-in-neighbor-less pair a random one. Pairs are visited in
+/// (y1, y2) order and tested against the graph as repaired so far; row
+/// y1's coverage (pairCoverageFrom) answers every test of that row, and
+/// a repair through z ORs z's new out-row into it. O(n²/64 + E·n/64 +
+/// repairs·n/64) word operations instead of one O(n/64) test per pair.
 void repairNonsplit(BitMatrix& g, std::size_t n, Rng& rng) {
-  const BitMatrix t0 = g.transposed();
-  std::vector<DynBitset> inSets;
-  inSets.reserve(n);
-  for (std::size_t y = 0; y < n; ++y) inSets.push_back(t0.row(y));
+  BitMatrix in = g.transposed();
+  DynBitset cov(n);
   for (std::size_t y1 = 0; y1 < n; ++y1) {
-    for (std::size_t y2 = y1 + 1; y2 < n; ++y2) {
-      if (!inSets[y1].intersects(inSets[y2])) {
-        const std::size_t z = rng.uniform(n);
-        g.set(z, y1);
-        g.set(z, y2);
-        inSets[y1].set(z);
-        inSets[y2].set(z);
-      }
+    pairCoverageFrom(g, in.row(y1), y1, cov);
+    const std::size_t first = y1 / DynBitset::kBits;
+    for (std::size_t y2 = cov.findNextClear(y1 + 1); y2 < n;
+         y2 = cov.findNextClear(y2 + 1)) {
+      const std::size_t z = rng.uniform(n);
+      g.set(z, y1);
+      g.set(z, y2);
+      in.set(y2, z);  // in(y1) is not read again
+      bitword::orAssign(cov.wordData() + first, g.row(z).wordData() + first,
+                        cov.wordCount() - first);
     }
   }
 }
@@ -37,7 +41,6 @@ BitMatrix randomNonsplitGraph(std::size_t n, std::size_t extraEdges,
     g.set(rng.uniform(n), rng.uniform(n));
   }
   repairNonsplit(g, n, rng);
-  DYNBCAST_ASSERT(isNonsplit(g));
   return g;
 }
 
@@ -51,7 +54,6 @@ BitMatrix bernoulliNonsplitGraph(std::size_t n, double p, Rng& rng) {
     }
   }
   repairNonsplit(g, n, rng);
-  DYNBCAST_ASSERT(isNonsplit(g));
   return g;
 }
 
@@ -69,7 +71,6 @@ BitMatrix skewedNonsplitGraph(std::size_t n, Rng& rng) {
       g.set(z, y2);
     }
   }
-  DYNBCAST_ASSERT(isNonsplit(g));
   return g;
 }
 

@@ -73,23 +73,42 @@ bool DynBitset::isSupersetOf(const DynBitset& other) const noexcept {
 
 std::size_t DynBitset::findFirst() const noexcept { return findNext(0); }
 
-std::size_t DynBitset::findNext(std::size_t from) const noexcept {
-  if (from >= size_) return size_;
+namespace {
+
+/// Index of the lowest bit >= from of (words XOR kFlip), or size when
+/// none: kFlip = 0 finds set bits, kFlip = ~0 clear ones. The zero tail
+/// bits past size read as clear, so the result is clamped to size.
+template <std::uint64_t kFlip>
+std::size_t findFrom(const std::vector<std::uint64_t>& words,
+                     std::size_t size, std::size_t from) noexcept {
+  constexpr std::size_t kBits = DynBitset::kBits;
+  if (from >= size) return size;
   std::size_t wi = from / kBits;
-  std::uint64_t w = words_[wi] >> (from % kBits);
+  const std::uint64_t w = (words[wi] ^ kFlip) >> (from % kBits);
   if (w != 0) {
     const std::size_t r =
         from + static_cast<std::size_t>(std::countr_zero(w));
-    return r < size_ ? r : size_;
+    return r < size ? r : size;
   }
-  for (++wi; wi < words_.size(); ++wi) {
-    if (words_[wi] != 0) {
+  for (++wi; wi < words.size(); ++wi) {
+    const std::uint64_t x = words[wi] ^ kFlip;
+    if (x != 0) {
       const std::size_t r =
-          wi * kBits + static_cast<std::size_t>(std::countr_zero(words_[wi]));
-      return r < size_ ? r : size_;
+          wi * kBits + static_cast<std::size_t>(std::countr_zero(x));
+      return r < size ? r : size;
     }
   }
-  return size_;
+  return size;
+}
+
+}  // namespace
+
+std::size_t DynBitset::findNext(std::size_t from) const noexcept {
+  return findFrom<0>(words_, size_, from);
+}
+
+std::size_t DynBitset::findNextClear(std::size_t from) const noexcept {
+  return findFrom<~std::uint64_t{0}>(words_, size_, from);
 }
 
 std::vector<std::size_t> DynBitset::toIndices() const {

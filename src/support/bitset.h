@@ -276,6 +276,9 @@ class DynBitset {
   /// Index of the lowest set bit >= from, or size() when none.
   [[nodiscard]] std::size_t findNext(std::size_t from) const noexcept;
 
+  /// Index of the lowest clear bit >= from, or size() when none.
+  [[nodiscard]] std::size_t findNextClear(std::size_t from) const noexcept;
+
   /// Indices of all set bits, ascending.
   [[nodiscard]] std::vector<std::size_t> toIndices() const;
 

@@ -28,7 +28,8 @@ gate = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(gate)
 
 
-def kernels_doc(gib=12.0, ns=5.0, tree_ns=400000.0):
+def kernels_doc(gib=12.0, ns=5.0, tree_ns=400000.0, graph_ns=1.0e7,
+                check_ns=6.0e6):
     return {"kernels": [
         {"name": "orAssign", "bits": 1024, "gib_per_s": gib, "ns_per_op": ns},
         {"name": "orCount", "bits": 1024, "gib_per_s": gib, "ns_per_op": ns},
@@ -38,6 +39,10 @@ def kernels_doc(gib=12.0, ns=5.0, tree_ns=400000.0):
          "ns_per_op": tree_ns / 100.0},
         {"name": "damageTree", "bits": 256, "gib_per_s": 0.0,
          "ns_per_op": tree_ns},
+        {"name": "nonsplitGraph", "bits": 2048, "gib_per_s": 0.0,
+         "ns_per_op": graph_ns},
+        {"name": "isNonsplit", "bits": 2048, "gib_per_s": 0.0,
+         "ns_per_op": check_ns},
     ]}
 
 
@@ -167,6 +172,23 @@ class TestGate(GateHarness):
         code, _, _ = self.run_gate(baseline, kernels_doc(tree_ns=100000.0),
                                    sweep_doc())
         self.assertEqual(code, 0)
+
+    def test_nonsplit_times_regress_upward(self):
+        baseline, _ = self.write_fresh_baseline()
+        # Both zoo-dense passes (60% tolerance) regress by GROWING; a
+        # return to the per-pair loops (~6x and ~4x) fails.
+        code, _, _ = self.run_gate(
+            baseline, kernels_doc(graph_ns=1.5e7, check_ns=9.0e6),
+            sweep_doc())
+        self.assertEqual(code, 0)
+        for overrides, key in (({"graph_ns": 6.0e7},
+                                "kernel:nonsplitGraph:2048:ns_per_op"),
+                               ({"check_ns": 2.4e7},
+                                "kernel:isNonsplit:2048:ns_per_op")):
+            code, out, _ = self.run_gate(baseline, kernels_doc(**overrides),
+                                         sweep_doc())
+            self.assertNotEqual(code, 0)
+            self.assertIn(key, out)
 
     def test_missing_metric_fails(self):
         baseline, _ = self.write_fresh_baseline()

@@ -9,6 +9,7 @@
 
 #include "src/graph/properties.h"
 #include "src/sim/broadcast_sim.h"
+#include "src/support/assert.h"
 
 namespace dynbcast {
 namespace {
@@ -337,6 +338,49 @@ TEST(DynamicsDriverTest, RunDynamicsBroadcastCompletesAndReplays) {
         runDynamicsBroadcast(16, *model, model->defaultRoundCap());
     EXPECT_EQ(first.rounds, again.rounds) << spec;
     EXPECT_EQ(first.completed, again.completed) << spec;
+  }
+}
+
+/// Declares kNonsplit but emits the identity, a split graph, in round 2.
+/// Round 1 is nonsplit without finishing broadcast: hubs 0, 1 and 2 reach
+/// residue classes {0,1}, {1,2} and {0,2} mod 3, so every pair shares a
+/// hub and no node reaches everyone.
+class SplitInRoundTwoModel final : public DynamicsModel {
+ public:
+  explicit SplitInRoundTwoModel(std::size_t n) : n_(n) {}
+
+  BitMatrix nextGraph(const BroadcastSim& state) override {
+    if (state.round() > 0) return BitMatrix::identity(n_);
+    BitMatrix g = BitMatrix::identity(n_);
+    for (std::size_t y = 0; y < n_; ++y) {
+      for (std::size_t hub = 0; hub < 3; ++hub) {
+        if (y % 3 != (hub + 2) % 3) g.set(hub, y);
+      }
+    }
+    return g;
+  }
+  std::string name() const override { return "split-in-round-two"; }
+  DynamicsClass graphClass() const override {
+    return DynamicsClass::kNonsplit;
+  }
+  std::size_t defaultRoundCap() const override { return 8; }
+
+ private:
+  std::size_t n_;
+};
+
+TEST(DynamicsDriverTest, SplitGraphFromNonsplitModelIsRejected) {
+  // The generators no longer assert their own output, so this driver
+  // check is what stands between a split graph and the simulator.
+  SplitInRoundTwoModel model(9);
+  try {
+    (void)runDynamicsBroadcast(9, model, model.defaultRoundCap());
+    FAIL() << "a split graph from a nonsplit model was applied";
+  } catch (const AssertionError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "declared nonsplit but emitted a split graph"),
+              std::string::npos)
+        << e.what();
   }
 }
 

@@ -105,6 +105,26 @@ TEST(BitMatrixTest, TransposeInvolution) {
   EXPECT_EQ(a.transposed().transposed(), a);
 }
 
+TEST(BitMatrixTest, TransposeMatchesEntrywiseAcrossBlockEdges) {
+  // The transpose works on 64×64 blocks; sizes around the block edge
+  // exercise partial blocks and the tail invariant of the output rows.
+  Rng rng(6);
+  for (const std::size_t n : {1u, 2u, 63u, 64u, 65u, 127u, 130u, 200u}) {
+    for (const double density : {0.0, 0.02, 0.5, 1.0}) {
+      const BitMatrix a = randomMatrix(n, density, rng);
+      const BitMatrix t = a.transposed();
+      BitMatrix expected(n);
+      for (std::size_t x = 0; x < n; ++x) {
+        for (std::size_t y = 0; y < n; ++y) {
+          if (a.get(x, y)) expected.set(y, x);
+        }
+      }
+      EXPECT_EQ(t, expected) << "n=" << n << " density=" << density;
+      EXPECT_EQ(t.countOnes(), a.countOnes()) << "n=" << n;
+    }
+  }
+}
+
 TEST(BitMatrixTest, TransposeSwapsEntries) {
   BitMatrix m(3);
   m.set(0, 2);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+
+#include "src/nonsplit/nonsplit.h"
 #include "src/support/rng.h"
 #include "src/tree/families.h"
 #include "src/tree/generators.h"
@@ -53,6 +56,73 @@ TEST(NonsplitTest, PathWithLoopsIsNotNonsplit) {
   // Nodes 0 and 3 share no in-neighbor in a directed path.
   const BitMatrix g = makePath(4).toMatrix();
   EXPECT_FALSE(isNonsplit(g));
+}
+
+/// The definition, pair by pair: columns y1 and y2 of g intersect.
+bool isNonsplitReference(const BitMatrix& g) {
+  const std::size_t n = g.dim();
+  for (std::size_t y1 = 0; y1 < n; ++y1) {
+    for (std::size_t y2 = y1; y2 < n; ++y2) {
+      if (!g.column(y1).intersects(g.column(y2))) return false;
+    }
+  }
+  return true;
+}
+
+/// g minus every common in-neighbor of (y1, y2): that pair is split
+/// afterwards, and most others are still covered. Self-loops stay unless
+/// y1 == y2, where every in-edge of y1 goes.
+BitMatrix splitPair(BitMatrix g, std::size_t y1, std::size_t y2) {
+  for (std::size_t z = 0; z < g.dim(); ++z) {
+    if (g.get(z, y1) && g.get(z, y2)) {
+      if (z == y2) {
+        g.reset(z, y1);
+      } else {
+        g.reset(z, y2);
+      }
+    }
+  }
+  return g;
+}
+
+TEST(NonsplitTest, MatchesPairwiseReferenceOnRandomGraphs) {
+  Rng rng(12);
+  for (const std::size_t n : {1u, 2u, 63u, 64u, 65u, 130u}) {
+    for (const double p : {0.0, 0.05, 0.2, 0.5, 0.9}) {
+      for (int trial = 0; trial < 3; ++trial) {
+        BitMatrix g(n);
+        for (std::size_t x = 0; x < n; ++x) {
+          for (std::size_t y = 0; y < n; ++y) {
+            if (rng.chance(p)) g.set(x, y);
+          }
+        }
+        EXPECT_EQ(isNonsplit(g), isNonsplitReference(g))
+            << "n=" << n << " p=" << p;
+      }
+    }
+  }
+}
+
+TEST(NonsplitTest, MatchesPairwiseReferenceOnNearNonsplitGraphs) {
+  Rng rng(13);
+  for (const std::size_t n : {1u, 2u, 63u, 64u, 65u, 130u}) {
+    const BitMatrix base = randomNonsplitGraph(n, 2 * n, rng);
+    ASSERT_TRUE(isNonsplitReference(base)) << "n=" << n;
+    EXPECT_TRUE(isNonsplit(base)) << "n=" << n;
+    // y2 on each side of every word boundary below n, and the last node.
+    for (const std::size_t y2 :
+         std::initializer_list<std::size_t>{0, 1, 63, 64, 127, 128, n - 1}) {
+      if (y2 >= n) continue;
+      for (const std::size_t y1 : std::initializer_list<std::size_t>{
+               0, y2 / 2, y2 > 0 ? y2 - 1 : 0, y2, rng.uniform(y2 + 1)}) {
+        const BitMatrix g = splitPair(base, y1, y2);
+        ASSERT_FALSE(isNonsplitReference(g))
+            << "n=" << n << " y1=" << y1 << " y2=" << y2;
+        EXPECT_FALSE(isNonsplit(g))
+            << "n=" << n << " y1=" << y1 << " y2=" << y2;
+      }
+    }
+  }
 }
 
 TEST(TreeMembershipTest, AcceptsTreeMatrices) {

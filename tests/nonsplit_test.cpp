@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/bounds/bounds.h"
 #include "src/nonsplit/reduction.h"
+#include "src/support/assert.h"
 #include "src/support/rng.h"
 #include "src/tree/families.h"
 #include "src/tree/generators.h"
@@ -31,6 +34,52 @@ TEST(NonsplitGeneratorTest, SkewedGraphsAreNonsplit) {
   }
 }
 
+// The graphs themselves, not just the t* they lead to: the content hash
+// of one graph per (generator, n) and the RNG draw that follows it. Any
+// change to which pairs get repaired, or to the order of the draws,
+// moves one of the two. Sizes straddle the 64-bit word boundary.
+struct GraphPin {
+  const char* generator;
+  std::size_t n;
+  std::uint64_t hash;
+  std::uint64_t nextDraw;
+};
+
+BitMatrix makePinnedGraph(const std::string& generator, std::size_t n,
+                          Rng& rng) {
+  if (generator == "random") return randomNonsplitGraph(n, 2 * n, rng);
+  if (generator == "bernoulli") return bernoulliNonsplitGraph(n, 0.01, rng);
+  return skewedNonsplitGraph(n, rng);
+}
+
+TEST(NonsplitGeneratorTest, GraphsAndNextDrawArePinned) {
+  static const GraphPin kPins[] = {
+      {"random", 1, 0x57fbe32951ec2d93ull, 0x3a93f636a8fdc171ull},
+      {"random", 64, 0xc3a529b385b6565full, 0x2b1c7cf2eab37eaeull},
+      {"random", 65, 0x9de3ee4c39cd4b79ull, 0x10dad9e8776deb05ull},
+      {"random", 257, 0x5691ac5a5511b0adull, 0x5c33d66d9202d05aull},
+      {"random", 2048, 0x90ac0f875154d78dull, 0x66a89b67c9be6ef9ull},
+      {"bernoulli", 1, 0x57fbe32951ec2d93ull, 0xcd45c7f1de81ef56ull},
+      {"bernoulli", 64, 0x7a311cf303b82d60ull, 0xae55fc63ddb0403full},
+      {"bernoulli", 65, 0x08546bff50dc548full, 0x377f7a9edfe41d88ull},
+      {"bernoulli", 257, 0x0926ea6542ef5cd4ull, 0x0206f657f5e816b4ull},
+      {"bernoulli", 2048, 0xf22a95737b703d57ull, 0xaa67f8875e41c039ull},
+      {"skewed", 1, 0x57fbe32951ec2d93ull, 0xcd45c7f1de81ef56ull},
+      {"skewed", 64, 0x6fe085f7c4eb7911ull, 0xe4b1cafa80b9203eull},
+      {"skewed", 65, 0xf12b385c05780a31ull, 0xeb527757387df2f7ull},
+      {"skewed", 257, 0x4ec7a59aa6be570eull, 0x2e969ffae0b933a6ull},
+      {"skewed", 2048, 0x2843cf2e19f8dd97ull, 0x3785e4f45cc23b70ull},
+  };
+  for (const GraphPin& pin : kPins) {
+    Rng rng(0x5eed0000u + pin.n);
+    const BitMatrix g = makePinnedGraph(pin.generator, pin.n, rng);
+    const std::uint64_t next = rng();
+    EXPECT_TRUE(isNonsplit(g)) << pin.generator << " n=" << pin.n;
+    EXPECT_EQ(g.hash(), pin.hash) << pin.generator << " n=" << pin.n;
+    EXPECT_EQ(next, pin.nextDraw) << pin.generator << " n=" << pin.n;
+  }
+}
+
 TEST(NonsplitBroadcastTest, FinishesWithinLogBound) {
   // [2]: broadcast under nonsplit adversaries takes ≤ ⌈log₂ n⌉ rounds.
   Rng rng(3);
@@ -51,6 +100,28 @@ TEST(NonsplitBroadcastTest, SkewedAlsoLogarithmic) {
       n, [n](Rng& r) { return skewedNonsplitGraph(n, r); },
       bounds::nonsplitLogUpper(n) + 5, rng);
   EXPECT_TRUE(run.completed);
+}
+
+TEST(NonsplitBroadcastTest, SplitGraphIsRejected) {
+  // A nonsplit round, then the identity: the second must not be applied.
+  Rng rng(9);
+  const std::size_t n = 32;
+  std::size_t calls = 0;
+  try {
+    (void)runNonsplitBroadcast(
+        n,
+        [n, &calls](Rng& r) {
+          return calls++ == 0 ? randomNonsplitGraph(n, 2 * n, r)
+                              : BitMatrix::identity(n);
+        },
+        bounds::nonsplitLogUpper(n) + 5, rng);
+    FAIL() << "a split graph was applied";
+  } catch (const AssertionError& e) {
+    EXPECT_EQ(calls, 2u);
+    EXPECT_NE(std::string(e.what()).find("must be nonsplit"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ReductionTest, ProductOfTreesMatchesManualProduct) {

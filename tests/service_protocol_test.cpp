@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "src/engine/scenario.h"
+#include "src/service/job.h"
 #include "src/service/protocol.h"
 
 namespace dynbcast {
@@ -103,6 +106,53 @@ TEST(ServiceProtocolTest, DecodeRequiresSizes) {
   EXPECT_THROW((void)decodeRequest({"sizes=4,,8"}), std::invalid_argument);
   EXPECT_THROW((void)decodeRequest({"sizes=4", "seed=99999999999999999999"}),
                std::invalid_argument);
+}
+
+/// The message validateServiceRequest throws for `lines`, or "" when the
+/// decoded request is accepted.
+std::string validationError(const std::vector<std::string>& lines) {
+  try {
+    validateServiceRequest(decodeRequest(lines));
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(ServiceProtocolTest, OversizedScenariosAreRejectedBeforeAJobId) {
+  // A range to 2^64 - 1 decodes to sizes up to 2^63; a worker would try
+  // to allocate an n x n matrix for the first row it ran.
+  EXPECT_NE(validationError({"sizes=1:18446744073709551615"})
+                .find("maximum scenario size of 1048576 (kMaxScenarioSize)"),
+            std::string::npos);
+  EXPECT_NE(validationError({"sizes=1048577", "dynamics=edge-markovian"})
+                .find("(kMaxScenarioSize)"),
+            std::string::npos);
+  // Too many rows, whichever factor carries them; no product may wrap.
+  EXPECT_NE(validationError({"sizes=8", "seeds=18446744073709551615"})
+                .find("maximum of 1048576 rows (kMaxScenarioRows)"),
+            std::string::npos);
+  EXPECT_NE(validationError({"sizes=8,16", "seeds=524288"})
+                .find("(kMaxScenarioRows)"),
+            std::string::npos);
+  EXPECT_NE(validationError({"sizes=8", "seeds=100000",
+                             "adversaries=static-path;random-path;"
+                             "random-tree;greedy-delay;freeze-path:depth=1;"
+                             "freeze-path:depth=2;freeze-path:depth=3;"
+                             "heard-asc-path;heard-desc-path;local-search;"
+                             "alternating-path"})
+                .find("(kMaxScenarioRows)"),
+            std::string::npos);
+  // The limits themselves, and the largest sizes in use, pass.
+  EXPECT_EQ(validationError({"sizes=1048576", "dynamics=edge-markovian",
+                             "backend=sparse"}),
+            "");
+  EXPECT_EQ(validationError({"sizes=16384:65536:2", "dynamics=edge-markovian",
+                             "seeds=4"}),
+            "");
+  EXPECT_EQ(validationError({"sizes=8", "seeds=1048576",
+                             "dynamics=edge-markovian"}),
+            "");
 }
 
 TEST(ServiceProtocolTest, HashPrimitivesAreStable) {

@@ -212,11 +212,14 @@ TEST_F(ServiceServerTest, ValueErrorsLeaveNoJobState) {
   ServiceRequest beamWidth;
   beamWidth.scenario.sizes = {4};
   beamWidth.beamWidth = 0;
+  ServiceRequest huge;
+  huge.scenario.sizes = {std::size_t{1} << 40};
   const std::pair<ServiceRequest, const char*> cases[] = {
       {beamMember, "adversary 'beam': beam config: width must be >= 1"},
       {restricted,
        "adversary 'k-leaf': k must satisfy 1 <= k <= n-1 (got k=3, n=2)"},
       {beamWidth, "beam config: width must be >= 1 (got 0)"},
+      {huge, "exceeds the maximum scenario size of 1048576"},
   };
 
   std::thread server = startServer(std::size(cases));

@@ -138,6 +138,22 @@ TEST(DynBitsetTest, FindFirstAndNextWalkSetBits) {
   EXPECT_EQ(empty.findFirst(), 50u);
 }
 
+TEST(DynBitsetTest, FindNextClearWalksClearBitsAndHidesTheTail) {
+  DynBitset b(130);
+  b.setAll();
+  b.reset(5);
+  b.reset(64);
+  EXPECT_EQ(b.findNextClear(0), 5u);
+  EXPECT_EQ(b.findNextClear(6), 64u);
+  // Bits 130..191 of the last word are zero but not part of the set.
+  EXPECT_EQ(b.findNextClear(65), 130u);
+  EXPECT_EQ(b.findNextClear(130), 130u);
+  DynBitset full(128);
+  full.setAll();
+  EXPECT_EQ(full.findNextClear(0), 128u);
+  EXPECT_EQ(DynBitset(70).findNextClear(69), 69u);
+}
+
 TEST(DynBitsetTest, ToIndicesListsAscending) {
   DynBitset b(100);
   b.set(7);
