@@ -45,7 +45,6 @@ DEFAULT_GATES = {
     "sweep:frontier_sparse_speedup": 60.0,
     "kernel:orAssign:1024:gib_per_s": 60.0,
     "kernel:orCount:1024:gib_per_s": 60.0,
-    "kernel:intersectAny:1024:gib_per_s": 60.0,
     # The damage-greedy tree builder (greedy-delay's plain n = 256 tree,
     # the thm31 sweep's dominant layer): absolute ns per tree, so the
     # wide kernel tolerance absorbs runner variance; regresses UPWARD.

@@ -103,10 +103,8 @@ std::uint64_t volatile gSink = 0;  // keeps results observable
 void consume(std::uint64_t v) { gSink = gSink + v; }
 
 // GiB/s accounts bytes actually moved per word so kernels are comparable:
-// orAssign/orCount read src, read dst, write dst (24 B/word);
-// intersectAny reads both operands (16 B/word).
+// orAssign/orCount read src, read dst, write dst (24 B/word).
 constexpr double kBytesPerWordRmw = 24.0;
-constexpr double kBytesPerWordRead2 = 16.0;
 
 KernelResult benchOrAssign(std::size_t bits, double minSeconds, Rng& rng) {
   DynBitset dst = randomBitset(bits, 0.3, rng);
@@ -134,29 +132,6 @@ KernelResult benchOrCount(std::size_t bits, double minSeconds, Rng& rng) {
   r.nsPerOp = secs * 1e9 / static_cast<double>(reps);
   r.gibPerS = static_cast<double>(reps) * static_cast<double>(nwords) *
               kBytesPerWordRmw / secs / (1024.0 * 1024.0 * 1024.0);
-  return r;
-}
-
-KernelResult benchIntersectAny(std::size_t bits, double minSeconds,
-                               Rng& rng) {
-  // Disjoint operands: the worst case, no early exit until the last word.
-  DynBitset a(bits);
-  DynBitset b(bits);
-  for (std::size_t i = 0; i < bits; ++i) {
-    if (rng.uniformReal() < 0.5) {
-      a.set(i);
-    } else {
-      b.set(i);
-    }
-  }
-  const std::size_t nwords = a.wordCount();
-  auto [reps, secs] = timeLoop(minSeconds, [&] {
-    consume(bitword::intersectAny(a.wordData(), b.wordData(), nwords) ? 1 : 0);
-  });
-  KernelResult r{"intersectAny", bits, reps, 0.0, 0.0};
-  r.nsPerOp = secs * 1e9 / static_cast<double>(reps);
-  r.gibPerS = static_cast<double>(reps) * static_cast<double>(nwords) *
-              kBytesPerWordRead2 / secs / (1024.0 * 1024.0 * 1024.0);
   return r;
 }
 
@@ -558,7 +533,6 @@ int main(int argc, char** argv) {
   for (const std::size_t bits : bitSizes) {
     kernels.push_back(benchOrAssign(bits, minSeconds, rng));
     kernels.push_back(benchOrCount(bits, minSeconds, rng));
-    kernels.push_back(benchIntersectAny(bits, minSeconds, rng));
   }
   const std::size_t productN = quick ? 128 : 256;
   const std::vector<KernelResult> products =

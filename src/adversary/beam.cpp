@@ -95,6 +95,12 @@ void validateBeamConfig(const BeamConfig& config) {
     throw std::invalid_argument("beam config: width must be >= 1 (got " +
                                 std::to_string(config.beamWidth) + ")");
   }
+  if (config.beamWidth > kMaxBeamWidth) {
+    throw std::invalid_argument(
+        "beam config: width must be <= kMaxBeamWidth = " +
+        std::to_string(kMaxBeamWidth) + " (got " +
+        std::to_string(config.beamWidth) + ")");
+  }
   if (config.diversityPercent > 100) {
     throw std::invalid_argument(
         "beam config: diversity must be <= 100 percent (got " +

@@ -45,8 +45,14 @@ struct BeamConfig {
   std::size_t maxRounds = 0;
 };
 
+/// The widest beam validateBeamConfig accepts. The search sizes its
+/// arena (8 nodes per slot) and transposition table (16 per slot) from
+/// the width and hands out 32-bit node ids, so unbounded widths overflow
+/// both; the experiments use 16–256.
+inline constexpr std::size_t kMaxBeamWidth = 65536;
+
 /// Throws std::invalid_argument unless the config is usable: beamWidth
-/// must be >= 1 (an empty beam has no lineage to report),
+/// must be in [1, kMaxBeamWidth] (an empty beam has no lineage to report),
 /// diversityPercent <= 100 (larger values used to underflow the elite
 /// slot count) and noiseAmplitude finite and >= 0 (the damage-tree
 /// weights must stay finite and positive). Called eagerly by

@@ -5,7 +5,8 @@
 // per-(n, seed, adversary) runs. The engine owns the pool they shard
 // over and one primitive, map(count, seed, f): each task's seed is
 // derived from its POSITION via SeedSequence (never from execution
-// order), the tasks fan out over a work-stealing ThreadPool, and every
+// order), the tasks fan out over the ThreadPool's helpers and the
+// calling thread (one parallelFor, largest index first), and every
 // result lands in a preallocated slot indexed by position. Consequence:
 // collected results are bit-identical at any --jobs value, so
 // parallelism is free to use everywhere — including inside determinism
@@ -26,7 +27,8 @@
 namespace dynbcast {
 
 struct EngineConfig {
-  /// Worker threads; 0 = one per hardware thread.
+  /// Pool helper threads (the caller works too); 0 = one per hardware
+  /// thread. At most kMaxPoolThreads.
   std::size_t jobs = 1;
 };
 

@@ -5,7 +5,10 @@
 
 #include <cerrno>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/service/cache.h"
@@ -15,6 +18,7 @@
 #include "src/service/worker.h"
 #include "src/support/file_lock.h"
 #include "src/support/socket.h"
+#include "src/support/thread_pool.h"
 
 namespace dynbcast {
 
@@ -148,8 +152,9 @@ void handleRequest(const ServerOptions& options, LineChannel& channel,
   // zero progress falls back to in-process execution.
   std::size_t waveMaxTasks = options.workerMaxTasks;
   bool inProcess = options.workers == 0;
+  // One load per wave: each wave's `after` is the next wave's `state`.
+  std::optional<ManifestState> state = loadManifest(manifestPath);
   for (;;) {
-    const std::optional<ManifestState> state = loadManifest(manifestPath);
     const std::vector<std::size_t> pending =
         state->pending(0, plan.taskCount());
     if (pending.empty()) break;
@@ -162,21 +167,20 @@ void handleRequest(const ServerOptions& options, LineChannel& channel,
     } else {
       runWorkerWave(options, manifestPath, pending, waveMaxTasks);
       waveMaxTasks = 0;  // fault injection applies to the first wave only
-      const std::optional<ManifestState> after = loadManifest(manifestPath);
-      if (after->doneCount == state->doneCount) inProcess = true;
     }
-    const std::optional<ManifestState> after = loadManifest(manifestPath);
-    channel.writeLine("PROGRESS done=" + std::to_string(after->doneCount) +
+    std::optional<ManifestState> after = loadManifest(manifestPath);
+    if (after->doneCount == state->doneCount) inProcess = true;
+    state = std::move(after);
+    channel.writeLine("PROGRESS done=" + std::to_string(state->doneCount) +
                       " total=" + std::to_string(plan.taskCount()));
   }
 
-  const std::optional<ManifestState> finalState = loadManifest(manifestPath);
-  if (!finalState->complete()) {
+  if (!state->complete()) {
     channel.writeLine("ERROR job did not drain");
     return;
   }
   for (std::size_t position = 0; position < plan.taskCount(); ++position) {
-    const TaskRecord& record = *finalState->records[position];
+    const TaskRecord& record = *state->records[position];
     channel.writeLine("TASK " + std::to_string(position) + ' ' +
                       std::to_string(record.rounds) + ' ' +
                       (record.completed ? "1" : "0"));
@@ -220,6 +224,12 @@ void handleConnection(const ServerOptions& options, OwnedFd fd) {
 int runServer(const ServerOptions& options) {
   if (options.workers > 0 && options.workerBinary.empty()) {
     throw std::runtime_error("serve: workers > 0 requires a worker binary");
+  }
+  // Every job would start this many threads; refuse before listening.
+  if (options.jobsPerWorker > kMaxPoolThreads) {
+    throw std::invalid_argument(
+        "serve: --jobs=" + std::to_string(options.jobsPerWorker) +
+        " exceeds kMaxPoolThreads = " + std::to_string(kMaxPoolThreads));
   }
   makeDirectories(options.stateDir);
   UnixListener listener(options.socketPath);

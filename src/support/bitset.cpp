@@ -59,11 +59,6 @@ void DynBitset::subtract(const DynBitset& other) noexcept {
   }
 }
 
-bool DynBitset::intersects(const DynBitset& other) const noexcept {
-  return bitword::intersectAny(words_.data(), other.words_.data(),
-                               words_.size());
-}
-
 bool DynBitset::isSupersetOf(const DynBitset& other) const noexcept {
   for (std::size_t i = 0; i < words_.size(); ++i) {
     if ((other.words_[i] & ~words_[i]) != 0) return false;

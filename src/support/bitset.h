@@ -6,9 +6,9 @@
 // simulator's per-round cost is O(n^2/64) thanks to word-parallel OR.
 //
 // Unlike std::vector<bool>, DynBitset exposes word-level bulk operations
-// (orWith, andWith, intersects, isSupersetOf, count) and guarantees that
-// all bits past size() are zero (the "tail invariant"), so whole-set
-// predicates are plain word comparisons.
+// (orWith, andWith, isSupersetOf, count) and guarantees that all bits
+// past size() are zero (the "tail invariant"), so whole-set predicates
+// are plain word comparisons.
 // Allocation-free hot path: dynbcast_lint bans allocation in function
 // bodies here (rule hot-alloc); setup/diagnostic exceptions carry allow().
 // dynbcast-lint: hot-path
@@ -85,8 +85,6 @@ struct Kernels {
                          std::size_t nwords) noexcept;
   std::size_t (*andAssignCount)(std::uint64_t* dst, const std::uint64_t* src,
                                 std::size_t nwords) noexcept;
-  bool (*intersectAny)(const std::uint64_t* a, const std::uint64_t* b,
-                       std::size_t nwords) noexcept;
   /// One damage-tree Prim pick (see DamageRelax). Always dispatched,
   /// whatever n: one call covers O(n · |Heard(pick)|) lane additions.
   void (*damageRelax)(const DamageRelax& args) noexcept;
@@ -141,17 +139,6 @@ inline void orAssign(std::uint64_t* dst, const std::uint64_t* src,
     c += static_cast<std::size_t>(std::popcount(dst[i]));
   }
   return c;
-}
-
-/// True when (a & b) has any set bit; early-exits on the first hit.
-[[nodiscard]] inline bool intersectAny(const std::uint64_t* a,
-                                       const std::uint64_t* b,
-                                       std::size_t nwords) noexcept {
-  if (nwords >= kDispatchMinWords) return dispatch().intersectAny(a, b, nwords);
-  for (std::size_t i = 0; i < nwords; ++i) {
-    if ((a[i] & b[i]) != 0) return true;
-  }
-  return false;
 }
 
 /// Fused dst &= src + popcount of the result: the simulator's
@@ -263,9 +250,6 @@ class DynBitset {
 
   /// In-place difference (this \ other). Precondition: sizes equal.
   void subtract(const DynBitset& other) noexcept;
-
-  /// True when the intersection with `other` is non-empty.
-  [[nodiscard]] bool intersects(const DynBitset& other) const noexcept;
 
   /// True when every bit of `other` is also set here.
   [[nodiscard]] bool isSupersetOf(const DynBitset& other) const noexcept;

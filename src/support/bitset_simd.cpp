@@ -60,14 +60,6 @@ std::size_t andAssignCountScalar(std::uint64_t* dst, const std::uint64_t* src,
   return c;
 }
 
-bool intersectAnyScalar(const std::uint64_t* a, const std::uint64_t* b,
-                        std::size_t nwords) noexcept {
-  for (std::size_t i = 0; i < nwords; ++i) {
-    if ((a[i] & b[i]) != 0) return true;
-  }
-  return false;
-}
-
 inline std::size_t lowBit(std::uint64_t w) noexcept {
   return static_cast<std::size_t>(std::countr_zero(w));
 }
@@ -103,9 +95,8 @@ void damageRelaxScalar(const DamageRelax& a) noexcept {
 }
 
 constexpr Kernels kScalarKernels{
-    &orAssignScalar,     &orCountScalar,     &andAssignCountScalar,
-    &intersectAnyScalar, &damageRelaxScalar, SimdLevel::kScalar,
-    "scalar"};
+    &orAssignScalar,    &orCountScalar,     &andAssignCountScalar,
+    &damageRelaxScalar, SimdLevel::kScalar, "scalar"};
 
 #if DYNBCAST_SIMD_X86
 
@@ -182,23 +173,6 @@ __attribute__((target("avx2,popcnt"))) std::size_t andAssignCountAvx2(
     c += static_cast<std::size_t>(std::popcount(dst[i]));
   }
   return c;
-}
-
-__attribute__((target("avx2,popcnt"))) bool intersectAnyAvx2(
-    const std::uint64_t* a, const std::uint64_t* b,
-    std::size_t nwords) noexcept {
-  std::size_t i = 0;
-  for (; i + 4 <= nwords; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    if (!_mm256_testz_si256(va, vb)) return true;
-  }
-  for (; i < nwords; ++i) {
-    if ((a[i] & b[i]) != 0) return true;
-  }
-  return false;
 }
 
 // Damage relax, AVX2: one 64-bit lane per y, four y per register. A
@@ -306,9 +280,8 @@ __attribute__((target("avx2,popcnt"))) void damageRelaxAvx2(
 }
 
 constexpr Kernels kAvx2Kernels{
-    &orAssignAvx2,     &orCountAvx2,     &andAssignCountAvx2,
-    &intersectAnyAvx2, &damageRelaxAvx2, SimdLevel::kAvx2,
-    "avx2"};
+    &orAssignAvx2,    &orCountAvx2,     &andAssignCountAvx2,
+    &damageRelaxAvx2, SimdLevel::kAvx2, "avx2"};
 
 // --- AVX-512 tier -----------------------------------------------------
 //
@@ -378,21 +351,6 @@ __attribute__((DYNBCAST_AVX512_TARGET)) std::size_t andAssignCountAvx512(
     c += static_cast<std::size_t>(std::popcount(dst[i]));
   }
   return c;
-}
-
-__attribute__((DYNBCAST_AVX512_TARGET)) bool intersectAnyAvx512(
-    const std::uint64_t* a, const std::uint64_t* b,
-    std::size_t nwords) noexcept {
-  std::size_t i = 0;
-  for (; i + 8 <= nwords; i += 8) {
-    const __m512i va = _mm512_loadu_si512(a + i);
-    const __m512i vb = _mm512_loadu_si512(b + i);
-    if (_mm512_test_epi64_mask(va, vb) != 0) return true;
-  }
-  for (; i < nwords; ++i) {
-    if ((a[i] & b[i]) != 0) return true;
-  }
-  return false;
 }
 
 // Damage relax, AVX-512: one 64-bit lane per OPEN y. pext packs a
@@ -479,9 +437,8 @@ __attribute__((DYNBCAST_AVX512_TARGET)) void damageRelaxAvx512(
 #undef DYNBCAST_AVX512_TARGET
 
 constexpr Kernels kAvx512Kernels{
-    &orAssignAvx512,     &orCountAvx512,     &andAssignCountAvx512,
-    &intersectAnyAvx512, &damageRelaxAvx512, SimdLevel::kAvx512,
-    "avx512"};
+    &orAssignAvx512,    &orCountAvx512,     &andAssignCountAvx512,
+    &damageRelaxAvx512, SimdLevel::kAvx512, "avx512"};
 
 #endif  // DYNBCAST_SIMD_X86
 

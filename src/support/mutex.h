@@ -9,7 +9,6 @@
 // the underlying std calls.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -27,7 +26,6 @@ class CAPABILITY("mutex") Mutex {
 
   void lock() ACQUIRE() { m_.lock(); }
   void unlock() RELEASE() { m_.unlock(); }
-  [[nodiscard]] bool tryLock() TRY_ACQUIRE(true) { return m_.try_lock(); }
 
   /// The wrapped std::mutex, for CondVar's adopt-lock bridge only.
   [[nodiscard]] std::mutex& native() { return m_; }
@@ -56,29 +54,13 @@ class SCOPED_CAPABILITY MutexLock {
 /// wait, matching what actually happens at runtime.
 class CondVar {
  public:
-  void notifyOne() { cv_.notify_one(); }
   void notifyAll() { cv_.notify_all(); }
-
-  void wait(Mutex& m) REQUIRES(m) {
-    std::unique_lock<std::mutex> bridge(m.native(), std::adopt_lock);
-    cv_.wait(bridge);
-    bridge.release();  // the enclosing MutexLock still owns the mutex
-  }
 
   template <typename Pred>
   void wait(Mutex& m, Pred pred) REQUIRES(m) {
     std::unique_lock<std::mutex> bridge(m.native(), std::adopt_lock);
     cv_.wait(bridge, std::move(pred));
-    bridge.release();
-  }
-
-  template <typename Rep, typename Period, typename Pred>
-  bool waitFor(Mutex& m, const std::chrono::duration<Rep, Period>& dur,
-               Pred pred) REQUIRES(m) {
-    std::unique_lock<std::mutex> bridge(m.native(), std::adopt_lock);
-    const bool satisfied = cv_.wait_for(bridge, dur, std::move(pred));
-    bridge.release();
-    return satisfied;
+    bridge.release();  // the enclosing MutexLock still owns the mutex
   }
 
  private:

@@ -1,177 +1,99 @@
 #include "src/support/thread_pool.h"
 
 #include <atomic>
-#include <chrono>
 #include <exception>
-#include <limits>
-#include <utility>
+#include <stdexcept>
+#include <string>
 
 namespace dynbcast {
 
-namespace {
-
-// Workers record which pool (and slot) they belong to, so submit() from
-// inside a task can push onto the local queue instead of round-robin.
-thread_local const ThreadPool* tlsPool = nullptr;
-thread_local std::size_t tlsWorkerIndex = 0;
-
-}  // namespace
+/// One parallelFor's state, on the caller's stack. Indices go out from
+/// count − 1 down to 0, so size-major scenario grids start big rows first.
+struct ThreadPool::Call {
+  const std::function<void(std::size_t)>& body;
+  std::atomic<std::int64_t> left;          // indices not yet handed out
+  std::vector<std::exception_ptr> errors;  // by index
+  void drain() {
+    for (std::int64_t next; (next = left.fetch_sub(1)) > 0;) {
+      try {
+        body(static_cast<std::size_t>(next - 1));
+      } catch (...) {
+        errors[static_cast<std::size_t>(next - 1)] = std::current_exception();
+      }
+    }
+  }
+};
 
 ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) {
-    threads = std::thread::hardware_concurrency();
-    if (threads == 0) threads = 1;
+  if (threads > kMaxPoolThreads) {
+    throw std::invalid_argument("thread pool: " + std::to_string(threads) +
+                                " threads exceed kMaxPoolThreads = " +
+                                std::to_string(kMaxPoolThreads));
   }
-  queues_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    queues_.push_back(std::make_unique<Worker>());
-  }
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this, i] { workerLoop(i); });
+  if (threads == 0) threads = std::thread::hardware_concurrency();
+  if (threads == 0) threads = 1;
+  try {
+    for (std::size_t i = 0; i < threads; ++i) {
+      helpers_.emplace_back([this] { helperLoop(); });
+    }
+  } catch (...) {  // a thread failed to start: join the ones that did
+    stop();
+    throw;
   }
 }
 
-ThreadPool::~ThreadPool() {
+void ThreadPool::stop() {
   {
-    MutexLock lock(sleepMutex_);
-    // Drain: every task submitted before this point must finish.
-    drain_.wait(sleepMutex_, [this]() REQUIRES(sleepMutex_) {
-      return inFlight_ == 0;
-    });
+    MutexLock lock(mutex_);
     stopping_ = true;
   }
   wake_.notifyAll();
-  for (std::thread& worker : workers_) worker.join();
+  for (std::thread& helper : helpers_) helper.join();
 }
 
-void ThreadPool::enqueue(Task task) {
-  {
-    // Publish under sleepMutex_: workers decide to sleep only after
-    // rescanning all queues while holding sleepMutex_, so a push made
-    // under the same lock can never slip into the window between a
-    // worker's rescan and its wait (the classic lost wakeup).
-    MutexLock lock(sleepMutex_);
-    std::size_t target;
-    if (tlsPool == this) {
-      target = tlsWorkerIndex;  // nested submit: keep work local, stealable
-    } else {
-      target = nextQueue_;
-      nextQueue_ = (nextQueue_ + 1) % queues_.size();
+void ThreadPool::helperLoop() {
+  for (std::uint64_t seen = 0;;) {
+    Call* call = nullptr;
+    {
+      MutexLock lock(mutex_);
+      wake_.wait(mutex_, [&]() REQUIRES(mutex_) {
+        return stopping_ || generation_ != seen;
+      });
+      if (stopping_) return;
+      seen = generation_;
+      call = call_;
+      if (call == nullptr) continue;  // woke after that call finished
+      ++active_;
     }
-    ++inFlight_;
-    MutexLock qlock(queues_[target]->mutex);
-    queues_[target]->queue.push_back(std::move(task));
-  }
-  wake_.notifyOne();
-}
-
-bool ThreadPool::tryRunOne(std::size_t self) {
-  Task task;
-  // Own queue first (LIFO — cache-warm, depth-first on nested work) …
-  {
-    Worker& own = *queues_[self];
-    MutexLock lock(own.mutex);
-    if (!own.queue.empty()) {
-      task = std::move(own.queue.back());
-      own.queue.pop_back();
-    }
-  }
-  // … then steal from victims (FIFO — takes the oldest, largest work).
-  if (!task) {
-    const std::size_t count = queues_.size();
-    for (std::size_t offset = 1; offset < count && !task; ++offset) {
-      Worker& victim = *queues_[(self + offset) % count];
-      MutexLock lock(victim.mutex);
-      if (!victim.queue.empty()) {
-        task = std::move(victim.queue.front());
-        victim.queue.pop_front();
-      }
-    }
-  }
-  if (!task) return false;
-  task();  // packaged_task captures any exception into its future
-  {
-    MutexLock lock(sleepMutex_);
-    --inFlight_;
-    if (inFlight_ == 0) drain_.notifyAll();
-  }
-  return true;
-}
-
-void ThreadPool::workerLoop(std::size_t self) {
-  tlsPool = this;
-  tlsWorkerIndex = self;
-  for (;;) {
-    if (tryRunOne(self)) continue;
-    MutexLock lock(sleepMutex_);
-    if (stopping_) return;
-    // Re-check under the lock: a task may have been enqueued between the
-    // failed scan and acquiring sleepMutex_ (its notify would be lost).
-    bool anyQueued = false;
-    for (const auto& worker : queues_) {
-      MutexLock qlock(worker->mutex);
-      if (!worker->queue.empty()) {
-        anyQueued = true;
-        break;
-      }
-    }
-    if (anyQueued) continue;
-    wake_.wait(sleepMutex_);
+    call->drain();
+    MutexLock lock(mutex_);
+    if (--active_ == 0) idle_.notifyAll();
   }
 }
 
 void ThreadPool::parallelFor(std::size_t count,
                              const std::function<void(std::size_t)>& body) {
-  if (count == 0) return;
-  if (count == 1) {
-    body(0);
-    return;
+  Call call{body, static_cast<std::int64_t>(count),
+            std::vector<std::exception_ptr>(count)};
+  bool dispatched = false;  // counts 0 and 1 run inline
+  if (count > 1) {
+    MutexLock lock(mutex_);
+    if (call_ == nullptr) {  // else nested or concurrent: run inline
+      call_ = &call;
+      ++generation_;
+      dispatched = true;
+      wake_.notifyAll();
+    }
   }
-  struct Shared {
-    std::atomic<std::size_t> remaining;
-    Mutex mutex;
-    CondVar done;
-    std::size_t firstErrorIndex GUARDED_BY(mutex) =
-        std::numeric_limits<std::size_t>::max();
-    std::exception_ptr error GUARDED_BY(mutex);
-  };
-  auto shared = std::make_shared<Shared>();
-  shared->remaining.store(count, std::memory_order_relaxed);
-  for (std::size_t i = 0; i < count; ++i) {
-    enqueue([shared, &body, i] {
-      try {
-        body(i);
-      } catch (...) {
-        MutexLock lock(shared->mutex);
-        if (i < shared->firstErrorIndex) {
-          shared->firstErrorIndex = i;
-          shared->error = std::current_exception();
-        }
-      }
-      if (shared->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        MutexLock lock(shared->mutex);
-        shared->done.notifyAll();
-      }
-    });
+  call.drain();
+  if (dispatched) {
+    MutexLock lock(mutex_);
+    idle_.wait(mutex_, [this]() REQUIRES(mutex_) { return active_ == 0; });
+    call_ = nullptr;
   }
-  // The caller helps execute while waiting — work finishes sooner and a
-  // parallelFor issued from inside a pool task cannot deadlock the pool.
-  const std::size_t self = tlsPool == this ? tlsWorkerIndex : 0;
-  while (shared->remaining.load(std::memory_order_acquire) != 0) {
-    if (tryRunOne(self)) continue;
-    MutexLock lock(shared->mutex);
-    shared->done.waitFor(shared->mutex, std::chrono::milliseconds(1), [&] {
-      return shared->remaining.load(std::memory_order_acquire) == 0;
-    });
+  for (const std::exception_ptr& error : call.errors) {
+    if (error) std::rethrow_exception(error);
   }
-  MutexLock lock(shared->mutex);
-  if (shared->error) std::rethrow_exception(shared->error);
-}
-
-std::size_t ThreadPool::pendingTasks() const {
-  MutexLock lock(sleepMutex_);
-  return inFlight_;
 }
 
 }  // namespace dynbcast

@@ -1,101 +1,51 @@
-// Work-stealing thread pool — the execution substrate for experiment
-// sweeps.
-//
-// Each worker owns a deque of tasks; submit() distributes round-robin
-// (or onto the submitting worker's own queue, keeping nested work local),
-// workers pop their own queue LIFO and steal FIFO from victims when
-// empty. Stealing keeps all cores busy on irregular workloads — sweep
-// tasks vary by orders of magnitude (n = 4 vs n = 256) — without any
-// central dispatcher becoming a bottleneck.
-//
-// Guarantees:
-//   * every task submitted before the destructor runs to completion
-//     (shutdown drains pending work; nothing is dropped);
-//   * exceptions thrown by tasks surface through the std::future returned
-//     by submit() — they never kill a worker thread;
-//   * submitting from inside a task is safe (no deadlock: workers never
-//     block on other tasks, and the destructor joins only after the
-//     task count reaches zero).
-//
-// Determinism note: the pool makes no ordering promises between tasks —
-// reproducibility is the caller's job (see SeedSequence, which derives
-// seeds from task *positions*, never from execution order).
+// Thread pool with one dispatch slot, under ExperimentEngine::map: helpers
+// sleep between calls, and parallelFor wakes them and draws indices with
+// them. A call made while another is in flight runs inline on its caller.
+// Task order is unspecified; SeedSequence derives seeds from positions.
 #pragma once
 
 #include <cstddef>
-#include <deque>
+#include <cstdint>
 #include <functional>
-#include <future>
-#include <memory>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "src/support/mutex.h"
-#include "src/support/thread_annotations.h"
 
 namespace dynbcast {
 
+/// Larger pools (a mistyped --jobs) are rejected before any thread starts.
+inline constexpr std::size_t kMaxPoolThreads = 1024;
+
 class ThreadPool {
  public:
-  /// Spawns `threads` workers; 0 means std::thread::hardware_concurrency
-  /// (at least 1).
+  /// Starts `threads` helpers (0: hardware_concurrency, at least 1); throws
+  /// std::invalid_argument above kMaxPoolThreads.
   explicit ThreadPool(std::size_t threads = 0);
-
-  /// Drains all pending work, then joins the workers. Tasks submitted
-  /// before destruction are guaranteed to run.
-  ~ThreadPool();
-
+  ~ThreadPool() { stop(); }
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  [[nodiscard]] std::size_t threadCount() const noexcept {
-    return workers_.size();
-  }
+  std::size_t threadCount() const noexcept { return helpers_.size(); }
 
-  /// Schedules `fn` and returns a future carrying its result (or its
-  /// exception). Callable from any thread, including from inside a task.
-  template <typename F>
-  [[nodiscard]] auto submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> future = task->get_future();
-    enqueue([task] { (*task)(); });
-    return future;
-  }
-
-  /// Runs body(0) … body(count-1) across the pool and blocks until all
-  /// complete. If any invocation throws, the exception with the LOWEST
-  /// index is rethrown (a deterministic choice — schedule-independent).
+  /// Runs body(0) … body(count-1) on the helpers and the caller; returns
+  /// when all have finished, rethrowing the LOWEST failing index's error.
   void parallelFor(std::size_t count,
                    const std::function<void(std::size_t)>& body);
 
-  /// Tasks submitted and not yet finished (diagnostic; racy by nature).
-  [[nodiscard]] std::size_t pendingTasks() const;
-
  private:
-  using Task = std::function<void()>;
+  struct Call;
+  void helperLoop();
+  void stop();  // wakes and joins the helpers
 
-  struct Worker {
-    mutable Mutex mutex;
-    std::deque<Task> queue GUARDED_BY(mutex);
-  };
-
-  void enqueue(Task task);
-  void workerLoop(std::size_t self);
-  [[nodiscard]] bool tryRunOne(std::size_t self);
-
-  std::vector<std::unique_ptr<Worker>> queues_;
-  std::vector<std::thread> workers_;
-
-  mutable Mutex sleepMutex_;
-  CondVar wake_;   // workers wait here when all queues empty
-  CondVar drain_;  // destructor waits for inFlight_ == 0
-  // Submitted but not yet finished.
-  std::size_t inFlight_ GUARDED_BY(sleepMutex_) = 0;
-  // Round-robin cursor for external submits.
-  std::size_t nextQueue_ GUARDED_BY(sleepMutex_) = 0;
-  bool stopping_ GUARDED_BY(sleepMutex_) = false;
+  Mutex mutex_;
+  CondVar wake_;  // helpers: generation_ moved, or stopping_
+  CondVar idle_;  // caller: active_ reached 0
+  Call* call_ GUARDED_BY(mutex_) = nullptr;          // the call in flight
+  std::uint64_t generation_ GUARDED_BY(mutex_) = 0;  // calls published
+  std::size_t active_ GUARDED_BY(mutex_) = 0;        // helpers in call_
+  bool stopping_ GUARDED_BY(mutex_) = false;
+  std::vector<std::thread> helpers_;  // last: they use the members above
 };
 
 }  // namespace dynbcast

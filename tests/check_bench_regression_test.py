@@ -33,8 +33,6 @@ def kernels_doc(gib=12.0, ns=5.0, tree_ns=400000.0, graph_ns=1.0e7,
     return {"kernels": [
         {"name": "orAssign", "bits": 1024, "gib_per_s": gib, "ns_per_op": ns},
         {"name": "orCount", "bits": 1024, "gib_per_s": gib, "ns_per_op": ns},
-        {"name": "intersectAny", "bits": 1024, "gib_per_s": gib,
-         "ns_per_op": ns},
         {"name": "noisyDamageTree", "bits": 32, "gib_per_s": 0.0,
          "ns_per_op": tree_ns / 100.0},
         {"name": "damageTree", "bits": 256, "gib_per_s": 0.0,

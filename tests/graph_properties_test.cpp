@@ -58,12 +58,16 @@ TEST(NonsplitTest, PathWithLoopsIsNotNonsplit) {
   EXPECT_FALSE(isNonsplit(g));
 }
 
-/// The definition, pair by pair: columns y1 and y2 of g intersect.
+/// The definition, pair by pair: columns y1 and y2 of g share a row.
 bool isNonsplitReference(const BitMatrix& g) {
   const std::size_t n = g.dim();
   for (std::size_t y1 = 0; y1 < n; ++y1) {
     for (std::size_t y2 = y1; y2 < n; ++y2) {
-      if (!g.column(y1).intersects(g.column(y2))) return false;
+      bool shared = false;
+      for (std::size_t x = 0; x < n && !shared; ++x) {
+        shared = g.get(x, y1) && g.get(x, y2);
+      }
+      if (!shared) return false;
     }
   }
   return true;

@@ -155,6 +155,25 @@ TEST(ServiceProtocolTest, OversizedScenariosAreRejectedBeforeAJobId) {
             "");
 }
 
+TEST(ServiceProtocolTest, OverwideBeamsAreRejectedBeforeAJobId) {
+  // The beam search sizes its arena and table from the width and hands
+  // out 32-bit node ids; a client-chosen width must not reach it.
+  EXPECT_NE(validationError({"sizes=4", "beam-width=1000000000"})
+                .find("width must be <= kMaxBeamWidth = 65536"),
+            std::string::npos);
+  EXPECT_NE(validationError({"sizes=4", "beam-maxn=0",
+                             "beam-width=18446744073709551615"})
+                .find("(got 18446744073709551615)"),
+            std::string::npos);
+  EXPECT_NE(validationError({"sizes=4", "adversaries=beam:width=65537"})
+                .find("adversary 'beam': beam config: width must be <= "
+                      "kMaxBeamWidth"),
+            std::string::npos);
+  // The limit itself passes.
+  EXPECT_EQ(validationError({"sizes=4", "beam-width=65536"}), "");
+  EXPECT_EQ(validationError({"sizes=4", "adversaries=beam:width=65536"}), "");
+}
+
 TEST(ServiceProtocolTest, HashPrimitivesAreStable) {
   // These values land in on-disk filenames (manifests, cache buckets);
   // pin them so a refactor cannot silently orphan existing state.

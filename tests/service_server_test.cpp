@@ -24,6 +24,7 @@
 #include "src/service/server.h"
 #include "src/support/file_lock.h"
 #include "src/support/socket.h"
+#include "src/support/thread_pool.h"
 
 namespace dynbcast {
 namespace {
@@ -212,6 +213,9 @@ TEST_F(ServiceServerTest, ValueErrorsLeaveNoJobState) {
   ServiceRequest beamWidth;
   beamWidth.scenario.sizes = {4};
   beamWidth.beamWidth = 0;
+  ServiceRequest wideBeam;
+  wideBeam.scenario.sizes = {4};
+  wideBeam.beamWidth = 1000000000;
   ServiceRequest huge;
   huge.scenario.sizes = {std::size_t{1} << 40};
   const std::pair<ServiceRequest, const char*> cases[] = {
@@ -219,6 +223,7 @@ TEST_F(ServiceServerTest, ValueErrorsLeaveNoJobState) {
       {restricted,
        "adversary 'k-leaf': k must satisfy 1 <= k <= n-1 (got k=3, n=2)"},
       {beamWidth, "beam config: width must be >= 1 (got 0)"},
+      {wideBeam, "width must be <= kMaxBeamWidth = 65536 (got 1000000000)"},
       {huge, "exceeds the maximum scenario size of 1048576"},
   };
 
@@ -239,6 +244,25 @@ TEST_F(ServiceServerTest, ValueErrorsLeaveNoJobState) {
        std::filesystem::directory_iterator(dir_ + "/state")) {
     EXPECT_NE(file.path().extension(), ".manifest") << file.path();
   }
+}
+
+TEST_F(ServiceServerTest, JobsAboveThePoolLimitFailBeforeListening) {
+  // Every job would start --jobs threads; the server refuses the option
+  // up front instead, without creating its socket or state directory.
+  ServerOptions options;
+  options.socketPath = dir_ + "/sock";
+  options.stateDir = dir_ + "/state";
+  options.jobsPerWorker = kMaxPoolThreads + 1;
+  try {
+    (void)runServer(options);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("kMaxPoolThreads = 1024"),
+              std::string::npos)
+        << error.what();
+  }
+  EXPECT_FALSE(std::filesystem::exists(options.socketPath));
+  EXPECT_FALSE(std::filesystem::exists(options.stateDir));
 }
 
 }  // namespace

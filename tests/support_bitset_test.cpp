@@ -105,14 +105,6 @@ TEST(DynBitsetTest, SubtractRemovesBits) {
   EXPECT_FALSE(a.test(65));
 }
 
-TEST(DynBitsetTest, IntersectsDetectsSharedBit) {
-  DynBitset a(200), b(200);
-  a.set(150);
-  EXPECT_FALSE(a.intersects(b));
-  b.set(150);
-  EXPECT_TRUE(a.intersects(b));
-}
-
 TEST(DynBitsetTest, SupersetRelation) {
   DynBitset a(66), b(66);
   a.set(1);

@@ -57,43 +57,6 @@ TEST(BitwordKernelTest, OrCountMatchesNaiveLoop) {
   }
 }
 
-TEST(BitwordKernelTest, IntersectAnyMatchesNaiveLoop) {
-  Rng rng(13);
-  for (const std::size_t n : kSizes) {
-    for (int trial = 0; trial < 40; ++trial) {
-      // Low density so both outcomes (hit and miss) actually occur.
-      const DynBitset a = randomBits(n, 0.08, rng);
-      const DynBitset b = randomBits(n, 0.08, rng);
-      bool expect = false;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (a.test(i) && b.test(i)) expect = true;
-      }
-      EXPECT_EQ(
-          bitword::intersectAny(a.wordData(), b.wordData(), a.wordCount()),
-          expect)
-          << "n=" << n;
-    }
-  }
-}
-
-TEST(BitwordKernelTest, IntersectAnyLastBitOnly) {
-  // The early-exit path must still reach the final (possibly partial)
-  // word.
-  for (const std::size_t n : kSizes) {
-    DynBitset a(n);
-    DynBitset b(n);
-    a.set(n - 1);
-    b.set(n - 1);
-    EXPECT_TRUE(
-        bitword::intersectAny(a.wordData(), b.wordData(), a.wordCount()))
-        << "n=" << n;
-    b.reset(n - 1);
-    EXPECT_FALSE(
-        bitword::intersectAny(a.wordData(), b.wordData(), a.wordCount()))
-        << "n=" << n;
-  }
-}
-
 TEST(BitwordKernelTest, AndAssignCountMatchesNaiveLoop) {
   Rng rng(14);
   for (const std::size_t n : kSizes) {

@@ -84,31 +84,6 @@ TEST(SimdKernelTest, AllSupportedLevelsComputeIdenticalResults) {
         count = k.andAssignCount(dst.data(), b.data(), nwords);
         EXPECT_EQ(dst, expectAnd) << "andAssignCount dst " << tag;
         EXPECT_EQ(count, expectAndCount) << "andAssignCount count " << tag;
-
-        EXPECT_EQ(k.intersectAny(a.data(), b.data(), nwords),
-                  scalar.intersectAny(a.data(), b.data(), nwords))
-            << "intersectAny " << tag;
-      }
-    }
-  }
-}
-
-TEST(SimdKernelTest, IntersectAnyFindsLoneOverlapAtEveryPosition) {
-  // A single overlapping bit, swept across every word, catches a lane
-  // that a vectorized any-reduction forgets to fold in.
-  for (const std::size_t nwords : kWordCounts) {
-    for (std::size_t w = 0; w < nwords; ++w) {
-      std::vector<std::uint64_t> a(nwords, 0), b(nwords, 0);
-      a[w] = 1ull << (w % 64);
-      b[w] = a[w];
-      for (const SimdLevel level : supportedLevels()) {
-        const Kernels& k = kernelsFor(level);
-        EXPECT_TRUE(k.intersectAny(a.data(), b.data(), nwords))
-            << k.name << " nwords=" << nwords << " word=" << w;
-        b[w] <<= 1;
-        EXPECT_FALSE(k.intersectAny(a.data(), b.data(), nwords))
-            << k.name << " nwords=" << nwords << " word=" << w;
-        b[w] >>= 1;
       }
     }
   }

@@ -284,6 +284,8 @@ int runSweepCommand(int argc, const char* const* argv) {
     // runs only up to a size cap by default.
     const std::size_t beamMaxN = driver.options().getUInt("beam-maxn", 32);
     const std::size_t beamWidth = driver.options().getUInt("beam-width", 256);
+    // Check the beam pass's config before any output or portfolio row.
+    validateBeamConfig(scenarioBeamConfig(beamWidth));
 
     driver.printHeader("THM31 — adversaries vs Theorem 3.1");
     std::cout << "best t* = max(online portfolio, offline beam witness for "
@@ -304,8 +306,6 @@ int runSweepCommand(int argc, const char* const* argv) {
     // right error instead of silently ignoring the flag.
     scenario.backend =
         parseBackendChoice(driver.options().getString("backend", "auto"));
-    // Check the beam pass's config too before any portfolio row runs.
-    validateBeamConfig(scenarioBeamConfig(beamWidth));
     const ScenarioResult sweep = runScenario(scenario, driver.engine());
 
     // Beam witnesses fan out too: one task per size within the beam cap.
