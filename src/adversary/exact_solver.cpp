@@ -32,6 +32,12 @@ constexpr std::uint64_t kMaxOrbitPerms = 1'000'000;
 /// and near-symmetric states can have millions of pairwise-incomparable
 /// successors that the filter would scan for nothing).
 constexpr std::size_t kDominanceLimit = 2048;
+/// Noisy damage trees per node in the structured witness pool (n > 8).
+constexpr std::size_t kNoisyMovesPerNode = 2;
+/// Children the exhaustive witness search explores per node,
+/// best-potential first. Bounds memory on the exhaustive pool, where one
+/// state can have millions of distinct successors.
+constexpr std::size_t kMaxChildrenPerNode = 4096;
 
 std::uint64_t rowOf(std::uint64_t state, std::size_t y) {
   return (state >> (y * kStride)) & 0xFFu;
@@ -263,7 +269,6 @@ struct MovePool {
 struct SolveContext {
   std::size_t n = 0;
   bool canonicalize = false;
-  bool pruneDominated = false;
   std::size_t depthCap = 0;
   MovePool pool;
   std::unordered_map<Rows, std::size_t, RowsHash> memo;
@@ -271,9 +276,7 @@ struct SolveContext {
   std::uint64_t dominatedPruned = 0;
 
   SolveContext(std::size_t n_, const ExactOptions& options)
-      : n(n_),
-        canonicalize(options.canonicalize),
-        pruneDominated(options.pruneDominated) {
+      : n(n_), canonicalize(options.canonicalize) {
     depthCap = options.depthCap != 0 ? options.depthCap : n * n;
     pool.build(n);
   }
@@ -301,8 +304,7 @@ struct SolveContext {
     // Row-wise dominance: the value is antitone under ⊆ (a state that
     // has heard more is closer to broadcast), so successors that are
     // supersets of another successor cannot carry the max.
-    if (pruneDominated && succ.size() > 1 &&
-        succ.size() <= kDominanceLimit) {
+    if (succ.size() > 1 && succ.size() <= kDominanceLimit) {
       std::stable_sort(succ.begin(), succ.end(),
                        [&](const Rows& a, const Rows& b) {
                          return totalBits(a, n) < totalBits(b, n);
@@ -420,8 +422,8 @@ struct ExhaustiveWitness {
       if (a.pot != b.pot) return a.pot < b.pot;
       return a.state < b.state;
     });
-    if (succ.size() > opts.maxChildrenPerNode) {
-      succ.resize(opts.maxChildrenPerNode);
+    if (succ.size() > kMaxChildrenPerNode) {
+      succ.resize(kMaxChildrenPerNode);
       succ.shrink_to_fit();  // release before recursing (n = 8: ~30 MB)
     }
     for (const Child& c : succ) {
@@ -487,7 +489,7 @@ struct StructuredWitness {
     // Deterministic noise: the node's state digest seeds the generator,
     // so revisits expand identically and the search stays reproducible.
     Rng rng(nodeSeed);
-    for (std::size_t i = 0; i < opts.noisyMovesPerNode; ++i) {
+    for (std::size_t i = 0; i < kNoisyMovesPerNode; ++i) {
       pool.push_back(damageTrees.noisy(rng.uniform(n), 8.0, rng));
     }
     return pool;

@@ -46,11 +46,6 @@ struct ExactOptions {
   /// Hard cap on recursion depth as a safety net; 0 = n² (the trivial
   /// bound: at least one new edge appears per round).
   std::size_t depthCap = 0;
-  /// Drop successors that are row-wise supersets of another successor.
-  /// The game value is antitone under row-wise inclusion (a state that
-  /// has heard strictly more is closer to broadcast), so only the
-  /// ⊆-minimal successors can carry the max.
-  bool pruneDominated = true;
 };
 
 struct ExactResult {
@@ -68,12 +63,6 @@ struct ExactWitnessOptions {
   /// Search-node budget; the search gives up (returning the best play
   /// found at smaller targets) once exhausted.
   std::uint64_t nodeBudget = 2'000'000;
-  /// Noisy damage trees per node in the structured pool (n > 8 only).
-  std::size_t noisyMovesPerNode = 2;
-  /// Children explored per node, best-potential first. Bounds memory on
-  /// the exhaustive pool, where one state can have millions of distinct
-  /// successors.
-  std::size_t maxChildrenPerNode = 4096;
 };
 
 class ExactSolver {

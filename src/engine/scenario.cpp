@@ -168,15 +168,16 @@ void validateScenario(const ScenarioSpec& spec) {
 ScenarioResult runScenario(const ScenarioSpec& spec,
                            ExperimentEngine& engine) {
   validateScenario(spec);
-  std::vector<std::size_t> positions(scenarioRowCount(spec));
+  const ScenarioPlan plan(spec);
+  std::vector<std::size_t> positions(plan.rowCount());
   std::iota(positions.begin(), positions.end(), std::size_t{0});
   ScenarioResult result;
   result.rows.resize(positions.size());
-  runScenarioPositions(spec, positions, engine,
-                       [&result](std::size_t position, SweepRow row) {
-                         result.rows[position] = std::move(row);
-                       });
-  result.instances = aggregateScenarioInstances(spec, result.rows);
+  plan.runPositions(positions, engine,
+                    [&result](std::size_t position, SweepRow row) {
+                      result.rows[position] = std::move(row);
+                    });
+  result.instances = plan.aggregate(result.rows);
   return result;
 }
 

@@ -105,8 +105,8 @@ void validateScenario(const ScenarioSpec& spec);
 using ScenarioRow = SweepRow;
 using ScenarioResult = SweepResult;
 
-/// Validates the scenario, then runs every row position through
-/// runScenarioPositions on the engine. A default rooted-tree broadcast
+/// Validates the scenario, builds its ScenarioPlan once and runs every
+/// row position through the plan's executor on the engine. A default rooted-tree broadcast
 /// scenario reproduces runPortfolio(n, instanceSeed) per instance
 /// bit-for-bit.
 [[nodiscard]] ScenarioResult runScenario(const ScenarioSpec& spec,

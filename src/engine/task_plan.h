@@ -6,27 +6,16 @@
 // position is a pure function of (spec, p), so a manifest can record
 // per-position completion, a cache can key results by (spec, seed,
 // position), and any process can execute any subset of positions and
-// land byte-identical rows in the same slots:
+// land byte-identical rows in the same slots.
 //
-//   * scenarioRowCount(spec)        — the grid size (sizes × replicates ×
-//                                     members), fixed by the spec alone;
-//   * planScenarioRow(spec, p)      — position p's identity: (sizeIndex,
-//                                     seedIndex, memberIndex), its n, its
-//                                     position-derived instance seed, and
-//                                     the canonical member spec string;
-//   * runScenarioRow(spec, p)       — executes position p on the calling
-//                                     thread;
-//   * runScenarioPositions          — the executor: runs any set of
-//                                     positions on an engine, one task
-//                                     per position, each through
-//                                     runScenarioRow's body;
-//   * aggregateScenarioInstances    — regroups rows into the per-instance
-//                                     portfolio view, same order.
-//
-// runScenario() runs every position through runScenarioPositions, and a
-// service worker runs its pending positions through the same call, so
-// the two cannot drift apart: every row the executor produces equals
-// runScenarioRow's at that position.
+// ScenarioPlan is that grid, resolved once: its constructor resolves,
+// canonicalizes and parses the members, and every position is then
+// planned, run or aggregated through it without parsing anything.
+// runScenario() builds one plan and runs every position through its
+// executor, runPositions; a service worker builds one per job and runs
+// its pending positions through the same call, so the two cannot drift
+// apart. planScenarioRow re-plans per call and exists for callers
+// outside the library.
 #pragma once
 
 #include <cstdint>
@@ -35,11 +24,12 @@
 #include <vector>
 
 #include "src/adversary/beam.h"
+#include "src/adversary/registry.h"
+#include "src/dynamics/registry.h"
 #include "src/engine/scenario.h"
+#include "src/support/seed_sequence.h"
 
 namespace dynbcast {
-
-struct DynamicsInfo;
 
 /// Position p's identity within the scenario grid. Everything here is a
 /// pure function of (spec, position) — no execution-order dependence —
@@ -60,56 +50,76 @@ struct ScenarioRowPlan {
 
 /// The resolved member spec list, canonicalized: the spec's adversaries
 /// (or the dynamics' default list) under adversary-driven dynamics, the
-/// model itself under graph models. The spec must already satisfy
-/// validateScenario().
+/// model itself under graph models. Throws std::invalid_argument on
+/// unknown names.
 [[nodiscard]] std::vector<std::string> resolvedScenarioMemberSpecs(
     const ScenarioSpec& spec);
-
-/// Members per (n, seed) instance — the width of the row grid.
-[[nodiscard]] std::size_t scenarioMembersPerInstance(const ScenarioSpec& spec);
-
-/// Total rows: sizes × seedsPerSize × membersPerInstance.
-[[nodiscard]] std::size_t scenarioRowCount(const ScenarioSpec& spec);
-
-/// Plans position `position` (must be < scenarioRowCount(spec)).
-[[nodiscard]] ScenarioRowPlan planScenarioRow(const ScenarioSpec& spec,
-                                              std::size_t position);
-
-/// Executes position `position` on the calling thread and returns the
-/// row runScenario() would produce there, byte-identical. The spec must
-/// already satisfy validateScenario().
-[[nodiscard]] SweepRow runScenarioRow(const ScenarioSpec& spec,
-                                      std::size_t position);
 
 /// Receives each row the executor finishes, with its position. Called
 /// from pool threads, once per position, in no particular order.
 using ScenarioRowSink =
     std::function<void(std::size_t position, SweepRow row)>;
 
-/// The executor: runs every listed position (each < scenarioRowCount,
-/// no duplicates) on the engine's pool and hands each finished row to
-/// `sink`. Member specs are resolved once per call; each position is
-/// one task running runScenarioRow's body, so each row equals
-/// runScenarioRow(spec, position). The spec must already satisfy
-/// validateScenario(); the lowest-indexed task's exception propagates.
-void runScenarioPositions(const ScenarioSpec& spec,
-                          const std::vector<std::size_t>& positions,
-                          ExperimentEngine& engine,
-                          const ScenarioRowSink& sink);
+/// A scenario with its member specs resolved and parsed once, so that
+/// planning and running a position parses nothing. Holds its own copy
+/// of the spec. The constructor throws std::invalid_argument on unknown
+/// names; positions may only be planned or run once the spec satisfies
+/// validateScenario().
+class ScenarioPlan {
+ public:
+  explicit ScenarioPlan(const ScenarioSpec& spec);
 
-/// Regroups a full row vector (ordered by position) into per-instance
-/// aggregates — runScenario()'s instances field, reproduced from rows.
-[[nodiscard]] std::vector<SweepInstance> aggregateScenarioInstances(
-    const ScenarioSpec& spec, const std::vector<SweepRow>& rows);
+  [[nodiscard]] const ScenarioSpec& spec() const noexcept { return spec_; }
 
-/// The one backend decision for a row of size n under `entry` (the
-/// spec's dynamics): sparse for a graph model under backend=sparse, or
-/// under backend=auto when the model is sparse-capable, no history is
-/// recorded and n > kAutoSparseThreshold; dense otherwise. The executor
-/// runs rows by it and the service's cache key names it.
-[[nodiscard]] bool scenarioRowRunsSparse(const ScenarioSpec& spec,
-                                         const DynamicsInfo& entry,
-                                         std::size_t n);
+  /// Total rows: sizes × seedsPerSize × members.
+  [[nodiscard]] std::size_t rowCount() const noexcept {
+    return spec_.sizes.size() * spec_.seedsPerSize * memberSpecs_.size();
+  }
+
+  /// Plans `position` (must be < rowCount()).
+  [[nodiscard]] ScenarioRowPlan row(std::size_t position) const;
+
+  /// The row at `position` with only its identity columns set (n,
+  /// seedIndex, instanceSeed, member); results are left default. The
+  /// member name is the plan's canonical memberSpec.
+  [[nodiscard]] SweepRow identity(std::size_t position) const;
+
+  /// The one backend decision for a row of size n: sparse for a graph
+  /// model under backend=sparse, or under backend=auto when the model is
+  /// sparse-capable, no history is recorded and n > kAutoSparseThreshold;
+  /// dense otherwise. The executor runs rows by it and the service's
+  /// cache key names it.
+  [[nodiscard]] bool runsSparse(std::size_t n) const;
+
+  /// Executes `position` on the calling thread and returns the row
+  /// runScenario() produces there, byte-identical.
+  [[nodiscard]] SweepRow run(std::size_t position) const;
+
+  /// The executor: runs every listed position (each < rowCount(), no
+  /// duplicates) on the engine's pool, one task per position, and hands
+  /// each finished row — equal to run(position) — to `sink`. The
+  /// lowest-indexed task's exception propagates.
+  void runPositions(const std::vector<std::size_t>& positions,
+                    ExperimentEngine& engine,
+                    const ScenarioRowSink& sink) const;
+
+  /// Regroups a full row vector (ordered by position) into per-instance
+  /// aggregates — runScenario()'s instances field, reproduced from rows.
+  [[nodiscard]] std::vector<SweepInstance> aggregate(
+      const std::vector<SweepRow>& rows) const;
+
+ private:
+  ScenarioSpec spec_;
+  DynamicsSpec dynamics_;
+  const DynamicsInfo* entry_;
+  std::vector<std::string> memberSpecs_;
+  SeedSequence seeds_;
+  std::vector<AdversarySpec> adversaries_;  // adversary-driven only
+};
+
+/// ScenarioPlan(spec).row(position): one plan per call.
+[[nodiscard]] ScenarioRowPlan planScenarioRow(const ScenarioSpec& spec,
+                                              std::size_t position);
 
 /// The beam-witness task seed for sizeIndex within a thm31-style sweep:
 /// SeedSequence(masterSeed ^ kBeamSeedSalt).at(sizeIndex) — the seed

@@ -1,5 +1,6 @@
 #include "src/service/client.h"
 
+#include <optional>
 #include <ostream>
 #include <stdexcept>
 
@@ -56,9 +57,11 @@ SubmitOutcome submitRequest(const std::string& socketPath,
   }
   channel.writeLine("");
 
-  const ServiceJobPlan plan = planServiceJob(request);
-  std::vector<ServiceTaskResult> results(plan.taskCount());
-  std::vector<char> seen(plan.taskCount(), 0);
+  // The job is planned only once the server has accepted the request,
+  // so a request the server rejects surfaces as the server's ERROR.
+  std::optional<ServiceJob> job;
+  std::vector<ServiceTaskResult> results;
+  std::vector<char> seen;
   SubmitOutcome outcome;
   bool done = false;
 
@@ -83,13 +86,16 @@ SubmitOutcome submitRequest(const std::string& socketPath,
       outcome.jobId = valueOf(line, words[2], "job");
       const std::size_t tasks =
           parseCount(line, valueOf(line, words[3], "tasks"));
-      if (tasks != plan.taskCount()) {
+      job.emplace(request);
+      if (tasks != job->plan().taskCount()) {
         throw std::runtime_error(
             "submit: server plans " + std::to_string(tasks) +
             " tasks where the client plans " +
-            std::to_string(plan.taskCount()) +
+            std::to_string(job->plan().taskCount()) +
             " — client and server disagree about the request");
       }
+      results.resize(tasks);
+      seen.resize(tasks, 0);
       continue;
     }
     if (words[0] == "PROGRESS") {
@@ -102,7 +108,7 @@ SubmitOutcome submitRequest(const std::string& socketPath,
                                  "'");
       }
       const std::size_t position = parseCount(line, words[1]);
-      if (position >= plan.taskCount()) {
+      if (position >= results.size()) {
         throw std::runtime_error("submit: task position " +
                                  std::to_string(position) +
                                  " out of range");
@@ -135,6 +141,10 @@ SubmitOutcome submitRequest(const std::string& socketPath,
                              "'");
   }
 
+  if (!job.has_value()) {
+    throw std::runtime_error("submit: server finished without ACCEPTED");
+  }
+  const ServiceJobPlan& plan = job->plan();
   for (std::size_t position = 0; position < plan.taskCount(); ++position) {
     if (seen[position] == 0) {
       throw std::runtime_error("submit: server never reported task " +
@@ -142,16 +152,13 @@ SubmitOutcome submitRequest(const std::string& socketPath,
     }
   }
 
-  const std::vector<ServiceTaskResult> rowResults(
-      results.begin(), results.begin() + static_cast<std::ptrdiff_t>(
-                                              plan.rowCount));
-  outcome.rows = assembleServiceRows(request.scenario, rowResults);
-  outcome.instances =
-      aggregateScenarioInstances(request.scenario, outcome.rows);
   outcome.beamRounds.reserve(plan.beamCount);
   for (std::size_t i = 0; i < plan.beamCount; ++i) {
     outcome.beamRounds.push_back(results[plan.rowCount + i].rounds);
   }
+  results.resize(plan.rowCount);
+  outcome.rows = job->assembleRows(results);
+  outcome.instances = job->scenario().aggregate(outcome.rows);
   return outcome;
 }
 

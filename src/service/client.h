@@ -2,8 +2,9 @@
 // into engine-shaped rows.
 //
 // The wire only carries (position, rounds, completed) — row identity is
-// recomputed locally from the request via the task plan, which is also
-// the client-side proof that it asked for what it got. The outcome is
+// recomputed locally through one ServiceJob, planned once the server
+// has accepted the request, which is also the client-side proof that it
+// asked for what it got. The outcome is
 // byte-identical to running the scenario directly: same SweepRow fields,
 // same order, same per-instance aggregates.
 #pragma once

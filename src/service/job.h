@@ -9,13 +9,15 @@
 //                                        size (thm31 requests only)
 //
 // Every task is a pure function of (request, position): what it computes
-// (executeServiceTask), its result-cache identity (serviceTaskKey), and
-// where its output lands (assembleServiceRows) are all derivable by any
-// process independently. That is the whole distribution story — a
-// manifest records positions, workers execute arbitrary subsets, and the
-// merged results are byte-identical to a single-process run. Workers run
-// their row tasks through runScenarioPositions, the executor runScenario
-// uses, so served rows run exactly as `dynbcast sweep` rows do.
+// (ServiceJob::execute), its result-cache identity (ServiceJob::taskKey),
+// and where its output lands (ServiceJob::assembleRows) are all
+// derivable by any process independently. That is the whole
+// distribution story — a manifest records positions, workers execute
+// arbitrary subsets, and the merged results are byte-identical to a
+// single-process run. A ServiceJob is the request planned once (its one
+// ScenarioPlan); the server's cache pass, each worker and the client
+// build one per job. Workers run row tasks through the executor
+// runScenario uses, so served rows run exactly as `dynbcast sweep` rows.
 #pragma once
 
 #include <cstdint>
@@ -48,8 +50,6 @@ struct ServiceJobPlan {
 /// id or writes a manifest.
 void validateServiceRequest(const ServiceRequest& request);
 
-[[nodiscard]] ServiceJobPlan planServiceJob(const ServiceRequest& request);
-
 /// What one task computed. For rows this mirrors SweepRow's
 /// rounds/completed; for beam tasks, rounds is the verified witness
 /// round count (0 = no witness: the size is above beamMaxN or
@@ -59,27 +59,52 @@ struct ServiceTaskResult {
   bool completed = false;
 };
 
-/// The task's result-cache key: every input that determines its output,
-/// spelled canonically — and nothing that doesn't, so overlapping
-/// requests share cache cells. Row keys resolve the effective backend
-/// (dense below the sparse/dense mirror threshold, where rows are
-/// backend-invariant) rather than echoing the request's auto/dense/
-/// sparse choice. Beam keys carry a searched=0|1 flag so a size skipped
-/// by one request's beamMaxN can never satisfy another request that
-/// actually searches it.
+/// One request's job, planned once. The constructor throws
+/// std::invalid_argument on unknown names; tasks may only be keyed or
+/// executed once the request satisfies validateServiceRequest().
+class ServiceJob {
+ public:
+  explicit ServiceJob(const ServiceRequest& request);
+
+  [[nodiscard]] const ServiceJobPlan& plan() const noexcept { return plan_; }
+  [[nodiscard]] const ScenarioPlan& scenario() const noexcept {
+    return scenario_;
+  }
+
+  /// Task `position`'s result-cache key: every input that determines
+  /// its output, spelled canonically — and nothing that doesn't, so
+  /// overlapping requests share cache cells. Row keys resolve the
+  /// effective backend (dense below the sparse/dense mirror threshold,
+  /// where rows are backend-invariant) rather than echoing the request's
+  /// auto/dense/sparse choice. Beam keys carry a searched=0|1 flag so a
+  /// size skipped by one request's beamMaxN can never satisfy another
+  /// request that actually searches it.
+  [[nodiscard]] std::string taskKey(std::size_t position) const;
+
+  /// Executes task `position` on the calling thread.
+  [[nodiscard]] ServiceTaskResult execute(std::size_t position) const;
+
+  /// Reconstructs full SweepRows from the row-range results (indexed by
+  /// position, size rowCount) — byte-identical to runScenario()'s rows,
+  /// minus per-round history, which the service never records.
+  [[nodiscard]] std::vector<SweepRow> assembleRows(
+      const std::vector<ServiceTaskResult>& rowResults) const;
+
+ private:
+  ScenarioPlan scenario_;
+  ServiceJobPlan plan_;
+  std::size_t beamMaxN_;
+  std::size_t beamWidth_;
+  /// "row/1 obj=… dyn=… cap=…": every row key's job-wide prefix.
+  std::string rowKeyPrefix_;
+};
+
+/// Per-call forwards over a fresh ServiceJob, for callers outside the
+/// library; a loop over positions builds one ServiceJob instead.
+[[nodiscard]] ServiceJobPlan planServiceJob(const ServiceRequest& request);
 [[nodiscard]] std::string serviceTaskKey(const ServiceRequest& request,
                                          std::size_t position);
-
-/// Executes task `position` on the calling thread. The scenario must
-/// already satisfy validateScenario().
 [[nodiscard]] ServiceTaskResult executeServiceTask(
     const ServiceRequest& request, std::size_t position);
-
-/// Reconstructs full SweepRows from the row-range results (indexed by
-/// position, size rowCount) — byte-identical to runScenario()'s rows,
-/// minus per-round history, which the service never records.
-[[nodiscard]] std::vector<SweepRow> assembleServiceRows(
-    const ScenarioSpec& spec,
-    const std::vector<ServiceTaskResult>& rowResults);
 
 }  // namespace dynbcast

@@ -24,23 +24,18 @@ namespace dynbcast {
 
 namespace {
 
-struct WorkerProcess {
-  pid_t pid = -1;
-};
-
 /// fork+exec one `dynbcast work` process over [begin, end).
-[[nodiscard]] WorkerProcess spawnWorker(const ServerOptions& options,
-                                        const std::string& manifestPath,
-                                        std::size_t begin, std::size_t end,
-                                        std::size_t maxTasks) {
-  std::vector<std::string> args;
-  args.push_back(options.workerBinary);
-  args.push_back("work");
-  args.push_back("--manifest=" + manifestPath);
-  args.push_back("--cache=" + options.stateDir + "/cache");
-  args.push_back("--jobs=" + std::to_string(options.jobsPerWorker));
-  args.push_back("--range=" + std::to_string(begin) + ":" +
-                 std::to_string(end));
+[[nodiscard]] pid_t spawnWorker(const ServerOptions& options,
+                                const std::string& manifestPath,
+                                std::size_t begin, std::size_t end,
+                                std::size_t maxTasks) {
+  std::vector<std::string> args = {
+      options.workerBinary,
+      "work",
+      "--manifest=" + manifestPath,
+      "--cache=" + options.stateDir + "/cache",
+      "--jobs=" + std::to_string(options.jobsPerWorker),
+      "--range=" + std::to_string(begin) + ":" + std::to_string(end)};
   if (maxTasks != 0) {
     args.push_back("--max-tasks=" + std::to_string(maxTasks));
   }
@@ -59,30 +54,19 @@ struct WorkerProcess {
     // the parent sees a nonzero status and treats the range as pending.
     ::_exit(127);
   }
-  return WorkerProcess{pid};
+  return pid;
 }
 
-void reapWorkers(const std::vector<WorkerProcess>& workers) {
-  for (const WorkerProcess& worker : workers) {
-    int status = 0;
-    while (::waitpid(worker.pid, &status, 0) < 0) {
-      if (errno != EINTR) break;
-    }
-    // Exit status is advisory only — the manifest is the truth about
-    // what got done, so a crashed worker needs no special handling.
-  }
-}
-
-/// Splits `pending` into up to `shards` contiguous groups and spawns one
-/// worker per group. Groups cover disjoint position ranges because the
-/// pending list is ascending.
+/// Splits `pending` into up to `shards` contiguous groups, spawns one
+/// worker per group and reaps them all. Groups cover disjoint position
+/// ranges because the pending list is ascending.
 void runWorkerWave(const ServerOptions& options,
                    const std::string& manifestPath,
                    const std::vector<std::size_t>& pending,
                    std::size_t maxTasks) {
   const std::size_t shards =
       options.workers < pending.size() ? options.workers : pending.size();
-  std::vector<WorkerProcess> workers;
+  std::vector<pid_t> workers;
   workers.reserve(shards);
   const std::size_t chunk = (pending.size() + shards - 1) / shards;
   for (std::size_t s = 0; s < shards; ++s) {
@@ -93,7 +77,13 @@ void runWorkerWave(const ServerOptions& options,
     workers.push_back(spawnWorker(options, manifestPath, pending[lo],
                                   pending[hi - 1] + 1, maxTasks));
   }
-  reapWorkers(workers);
+  for (const pid_t worker : workers) {
+    int status = 0;
+    while (::waitpid(worker, &status, 0) < 0 && errno == EINTR) {
+    }
+    // Exit status is advisory only — the manifest is the truth about
+    // what got done, so a crashed worker needs no special handling.
+  }
 }
 
 void handleRequest(const ServerOptions& options, LineChannel& channel,
@@ -103,7 +93,8 @@ void handleRequest(const ServerOptions& options, LineChannel& channel,
   const std::string jobId = requestJobId(request);
   const std::string manifestPath =
       options.stateDir + "/job-" + jobId + ".manifest";
-  const ServiceJobPlan plan = planServiceJob(request);
+  const ServiceJob job(request);
+  const std::size_t taskCount = job.plan().taskCount();
 
   std::size_t resumed = 0;
   if (std::optional<ManifestState> existing = loadManifest(manifestPath)) {
@@ -116,36 +107,41 @@ void handleRequest(const ServerOptions& options, LineChannel& channel,
       // A finished prior submission: its results live in the cache, so
       // start a fresh manifest and let the pre-pass below reclaim them
       // as cache hits (or re-execute if the cache was cleared).
-      initManifest(manifestPath, canonical, plan.taskCount());
+      initManifest(manifestPath, canonical, taskCount);
     } else {
       resumed = existing->doneCount;
     }
   } else {
-    initManifest(manifestPath, canonical, plan.taskCount());
+    initManifest(manifestPath, canonical, taskCount);
   }
 
   channel.writeLine(std::string(kServiceProtocol) + " ACCEPTED job=" +
-                    jobId + " tasks=" + std::to_string(plan.taskCount()));
+                    jobId + " tasks=" + std::to_string(taskCount));
+
+  // Once accepted, the job drains into its manifest and cache whether or
+  // not the client still listens: a write to a peer that hung up (EPIPE)
+  // ends the reporting, not the job.
+  bool listening = true;
+  const auto report = [&](const std::string& line) {
+    if (!listening) return;
+    try {
+      channel.writeLine(line);
+    } catch (const std::runtime_error&) {
+      listening = false;
+    }
+  };
 
   // Cache pre-pass: every pending task already in the result cache gets
   // its record appended without executing anything — overlapping
   // requests pay only for their delta.
   ResultCache cache(options.stateDir + "/cache");
   std::size_t cacheHits = 0;
-  {
-    const std::optional<ManifestState> state = loadManifest(manifestPath);
-    for (const std::size_t position :
-         state->pending(0, plan.taskCount())) {
-      const auto hit = cache.get(serviceTaskKey(request, position));
-      if (!hit.has_value()) continue;
-      appendTaskRecord(manifestPath,
-                       {position, hit->rounds, hit->completed});
-      cacheHits += 1;
-    }
+  for (const std::size_t position :
+       loadManifest(manifestPath)->pending(0, taskCount)) {
+    if (recordCachedTask(job, position, cache, manifestPath)) cacheHits += 1;
   }
-  channel.writeLine("PROGRESS done=" +
-                    std::to_string(resumed + cacheHits) + " total=" +
-                    std::to_string(plan.taskCount()));
+  report("PROGRESS done=" + std::to_string(resumed + cacheHits) +
+         " total=" + std::to_string(taskCount));
 
   // Execute the remainder in waves until the manifest drains. Worker
   // death only means its unfinished range stays pending; a wave with
@@ -155,8 +151,7 @@ void handleRequest(const ServerOptions& options, LineChannel& channel,
   // One load per wave: each wave's `after` is the next wave's `state`.
   std::optional<ManifestState> state = loadManifest(manifestPath);
   for (;;) {
-    const std::vector<std::size_t> pending =
-        state->pending(0, plan.taskCount());
+    const std::vector<std::size_t> pending = state->pending(0, taskCount);
     if (pending.empty()) break;
     if (inProcess) {
       WorkerOptions work;
@@ -171,26 +166,26 @@ void handleRequest(const ServerOptions& options, LineChannel& channel,
     std::optional<ManifestState> after = loadManifest(manifestPath);
     if (after->doneCount == state->doneCount) inProcess = true;
     state = std::move(after);
-    channel.writeLine("PROGRESS done=" + std::to_string(state->doneCount) +
-                      " total=" + std::to_string(plan.taskCount()));
+    report("PROGRESS done=" + std::to_string(state->doneCount) +
+           " total=" + std::to_string(taskCount));
   }
 
   if (!state->complete()) {
-    channel.writeLine("ERROR job did not drain");
+    report("ERROR job did not drain");
     return;
   }
-  for (std::size_t position = 0; position < plan.taskCount(); ++position) {
+  for (std::size_t position = 0; position < taskCount; ++position) {
     const TaskRecord& record = *state->records[position];
-    channel.writeLine("TASK " + std::to_string(position) + ' ' +
-                      std::to_string(record.rounds) + ' ' +
-                      (record.completed ? "1" : "0"));
+    report("TASK " + std::to_string(position) + ' ' +
+           std::to_string(record.rounds) + ' ' +
+           (record.completed ? "1" : "0"));
   }
-  const std::size_t executed = plan.taskCount() - resumed - cacheHits;
-  channel.writeLine("STATS tasks=" + std::to_string(plan.taskCount()) +
-                    " resumed=" + std::to_string(resumed) + " cache-hits=" +
-                    std::to_string(cacheHits) + " executed=" +
-                    std::to_string(executed));
-  channel.writeLine("DONE");
+  const std::size_t executed = taskCount - resumed - cacheHits;
+  report("STATS tasks=" + std::to_string(taskCount) +
+         " resumed=" + std::to_string(resumed) + " cache-hits=" +
+         std::to_string(cacheHits) + " executed=" +
+         std::to_string(executed));
+  report("DONE");
 }
 
 void handleConnection(const ServerOptions& options, OwnedFd fd) {

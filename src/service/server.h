@@ -4,9 +4,11 @@
 // requests into checkpointed, cached, optionally multi-process
 // execution:
 //
-//   request → canonical form → job id → manifest (resume if one is
-//   already underway) → cache pre-pass (finished cells cost nothing) →
-//   execution of the remaining delta → streamed results.
+//   request → canonical form → job id → one ServiceJob → manifest
+//   (resume if one is already underway) → cache pre-pass (finished
+//   cells cost nothing) → execution of the remaining delta → streamed
+//   results, best-effort: a client that hangs up ends the stream, not
+//   the job.
 //
 // Sharding: with workers=N the server spawns N copies of its own binary
 // as `dynbcast work --manifest=...` processes, each owning a disjoint

@@ -1,6 +1,5 @@
 #include "src/service/worker.h"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -13,6 +12,14 @@
 
 namespace dynbcast {
 
+bool recordCachedTask(const ServiceJob& job, std::size_t position,
+                      ResultCache& cache, const std::string& manifestPath) {
+  const auto hit = cache.get(job.taskKey(position));
+  if (!hit.has_value()) return false;
+  appendTaskRecord(manifestPath, {position, hit->rounds, hit->completed});
+  return true;
+}
+
 WorkerReport runManifestWorker(const WorkerOptions& options) {
   const std::optional<ManifestState> manifest =
       loadManifest(options.manifestPath);
@@ -20,9 +27,8 @@ WorkerReport runManifestWorker(const WorkerOptions& options) {
     throw std::runtime_error("worker: no manifest at " +
                              options.manifestPath);
   }
-  const ServiceRequest request =
-      decodeCanonicalRequest(manifest->canonicalRequest);
-  const ServiceJobPlan plan = planServiceJob(request);
+  const ServiceJob job(decodeCanonicalRequest(manifest->canonicalRequest));
+  const ServiceJobPlan& plan = job.plan();
   if (plan.taskCount() != manifest->taskCount) {
     throw std::runtime_error(
         "worker: manifest " + options.manifestPath + " declares " +
@@ -52,29 +58,20 @@ WorkerReport runManifestWorker(const WorkerOptions& options) {
   config.jobs = options.jobs;
   ExperimentEngine engine(config);
 
-  // Cache pass: a pending task whose key is cached is recorded without
-  // executing anything. The seeds map() derives are unused here and
-  // below — every task derives its own from (request, position), which
-  // is what makes re-execution by any process byte-identical.
-  std::vector<std::string> keys(pending.size());
+  // Cache pass. The seeds map() derives are unused here and below —
+  // every task derives its own from (request, position), which is what
+  // makes re-execution by any process byte-identical.
   const std::vector<char> hits = engine.map<char>(
       pending.size(), 0, [&](std::size_t index, std::uint64_t) -> char {
-        keys[index] = serviceTaskKey(request, pending[index]);
-        const auto hit = cache.get(keys[index]);
-        if (!hit.has_value()) return 0;
-        appendTaskRecord(options.manifestPath,
-                         {pending[index], hit->rounds, hit->completed});
-        return 1;
+        return static_cast<char>(recordCachedTask(job, pending[index], cache,
+                                                  options.manifestPath));
       });
 
   // The durability contract: a task is "done" once its record is
   // fsynced — and only then.
   const auto finish = [&](std::size_t position, std::size_t rounds,
                           bool completed) {
-    const auto index = static_cast<std::size_t>(
-        std::lower_bound(pending.begin(), pending.end(), position) -
-        pending.begin());
-    cache.put(keys[index], {rounds, completed});
+    cache.put(job.taskKey(position), {rounds, completed});
     appendTaskRecord(options.manifestPath, {position, rounds, completed});
   };
   std::vector<std::size_t> rows;
@@ -88,14 +85,13 @@ WorkerReport runManifestWorker(const WorkerOptions& options) {
 
   // Row tasks run on the scenario executor, exactly as runScenario runs
   // them, and beam tasks one per pool task.
-  runScenarioPositions(request.scenario, rows, engine,
-                       [&](std::size_t position, SweepRow row) {
-                         finish(position, row.rounds, row.completed);
-                       });
+  job.scenario().runPositions(rows, engine,
+                              [&](std::size_t position, SweepRow row) {
+                                finish(position, row.rounds, row.completed);
+                              });
   (void)engine.map<char>(
       beams.size(), 0, [&](std::size_t index, std::uint64_t) -> char {
-        const ServiceTaskResult result =
-            executeServiceTask(request, beams[index]);
+        const ServiceTaskResult result = job.execute(beams[index]);
         finish(beams[index], result.rounds, result.completed);
         return 0;
       });

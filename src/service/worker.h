@@ -7,11 +7,11 @@
 // binary, each owning a disjoint position range of the same manifest.
 // Workers share nothing but the filesystem: the manifest header tells
 // them WHAT the job is (the canonical request string round-trips into a
-// ServiceRequest), the `done` records tell them what's left, and every
-// result is appended durably before the task counts as finished. A
-// worker killed at any moment loses at most the tasks it had in flight;
-// rerunning any worker over the same range is always safe and lands
-// byte-identical records.
+// ServiceRequest, planned once into a ServiceJob), the `done` records
+// tell them what's left, and every result is appended durably before
+// the task counts as finished. A worker killed at any moment loses at
+// most the tasks it had in flight; rerunning any worker over the same
+// range is always safe and lands byte-identical records.
 #pragma once
 
 #include <cstdint>
@@ -49,7 +49,19 @@ struct WorkerReport {
   std::size_t remaining = 0;
 };
 
-/// Runs the worker loop to completion (or the maxTasks budget). Throws
+class ResultCache;
+class ServiceJob;
+
+/// The cache-pass step the server and workers share: on a cache hit for
+/// task `position`'s key, appends its record to the manifest, so the
+/// task is done without executing. Returns whether it hit.
+[[nodiscard]] bool recordCachedTask(const ServiceJob& job,
+                                    std::size_t position, ResultCache& cache,
+                                    const std::string& manifestPath);
+
+/// Runs the worker loop to completion (or the maxTasks budget): builds
+/// the manifest's ServiceJob once, runs the cache pass over the pending
+/// tasks of its range, then executes the rest. Throws
 /// std::runtime_error on a missing/corrupt manifest and
 /// std::invalid_argument when its request no longer decodes.
 [[nodiscard]] WorkerReport runManifestWorker(const WorkerOptions& options);

@@ -1,6 +1,6 @@
 #include "src/tree/families.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "src/support/assert.h"
 
@@ -57,79 +57,6 @@ RootedTree makeBroom(const std::vector<std::size_t>& order,
     parent[order[i]] = order[handleLen - 1];
   }
   return RootedTree(order[0], std::move(parent));
-}
-
-RootedTree makeCaterpillar(const std::vector<std::size_t>& order,
-                           std::size_t spineLen) {
-  checkPermutation(order);
-  const std::size_t n = order.size();
-  DYNBCAST_ASSERT(spineLen >= 1 && spineLen <= n);
-  std::vector<std::size_t> parent(n);
-  parent[order[0]] = order[0];
-  for (std::size_t i = 1; i < spineLen; ++i) parent[order[i]] = order[i - 1];
-  for (std::size_t i = spineLen; i < n; ++i) {
-    parent[order[i]] = order[(i - spineLen) % spineLen];
-  }
-  return RootedTree(order[0], std::move(parent));
-}
-
-RootedTree makeKAry(const std::vector<std::size_t>& order, std::size_t k) {
-  checkPermutation(order);
-  const std::size_t n = order.size();
-  DYNBCAST_ASSERT(n > 0 && k >= 1);
-  std::vector<std::size_t> parent(n);
-  parent[order[0]] = order[0];
-  for (std::size_t i = 1; i < n; ++i) {
-    parent[order[i]] = order[(i - 1) / k];
-  }
-  return RootedTree(order[0], std::move(parent));
-}
-
-RootedTree makeSpider(const std::vector<std::size_t>& order,
-                      std::size_t legs) {
-  checkPermutation(order);
-  const std::size_t n = order.size();
-  DYNBCAST_ASSERT(n > 0);
-  if (n == 1) return RootedTree(order[0], {order[0]});
-  DYNBCAST_ASSERT_MSG(legs >= 1 && legs <= n - 1, "legs must be in [1, n-1]");
-  std::vector<std::size_t> parent(n);
-  parent[order[0]] = order[0];
-  // Distribute the n−1 non-root nodes into `legs` chains, longer legs first.
-  std::size_t idx = 1;
-  for (std::size_t leg = 0; leg < legs; ++leg) {
-    const std::size_t remaining = n - idx;
-    const std::size_t legsLeft = legs - leg;
-    const std::size_t len = (remaining + legsLeft - 1) / legsLeft;
-    std::size_t prev = order[0];
-    for (std::size_t j = 0; j < len; ++j, ++idx) {
-      parent[order[idx]] = prev;
-      prev = order[idx];
-    }
-  }
-  return RootedTree(order[0], std::move(parent));
-}
-
-RootedTree makeDoubleBroom(const std::vector<std::size_t>& order,
-                           std::size_t headLeaves, std::size_t tailLeaves) {
-  checkPermutation(order);
-  const std::size_t n = order.size();
-  DYNBCAST_ASSERT_MSG(1 + headLeaves + tailLeaves <= n,
-                      "head + tail leaves exceed node budget");
-  std::vector<std::size_t> parent(n);
-  const std::size_t root = order[0];
-  parent[root] = root;
-  // order[1 .. headLeaves]: leaves directly under the root.
-  for (std::size_t i = 1; i <= headLeaves; ++i) parent[order[i]] = root;
-  // order[headLeaves+1 .. n-1-tailLeaves]: the connecting path.
-  std::size_t prev = root;
-  const std::size_t pathEnd = n - tailLeaves;
-  for (std::size_t i = headLeaves + 1; i < pathEnd; ++i) {
-    parent[order[i]] = prev;
-    prev = order[i];
-  }
-  // order[n-tailLeaves .. n-1]: leaves under the path's last node.
-  for (std::size_t i = pathEnd; i < n; ++i) parent[order[i]] = prev;
-  return RootedTree(root, std::move(parent));
 }
 
 }  // namespace dynbcast

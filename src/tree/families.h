@@ -1,4 +1,5 @@
-// Structured tree families used by adversaries, tests, and benches.
+// Structured tree families: the path, star and broom shapes the
+// adversaries build their moves from.
 //
 // All constructors take explicit node orderings so adaptive adversaries
 // can place specific processes at specific positions (the essence of the
@@ -27,28 +28,5 @@ namespace dynbcast {
 /// with handleLen = n−1 is a path; handleLen = 1 is a star.
 [[nodiscard]] RootedTree makeBroom(const std::vector<std::size_t>& order,
                                    std::size_t handleLen);
-
-/// Caterpillar: spine over the first `spineLen` entries of `order`; the
-/// remaining nodes are attached round-robin to the spine nodes.
-[[nodiscard]] RootedTree makeCaterpillar(const std::vector<std::size_t>& order,
-                                         std::size_t spineLen);
-
-/// Complete k-ary tree in BFS label order of `order` (order[0] is the root,
-/// next k nodes its children, …).
-[[nodiscard]] RootedTree makeKAry(const std::vector<std::size_t>& order,
-                                  std::size_t k);
-
-/// Spider: `legs` paths of as-even-as-possible length hanging off the root
-/// order[0]. legs must be in [1, n−1] for n > 1.
-[[nodiscard]] RootedTree makeSpider(const std::vector<std::size_t>& order,
-                                    std::size_t legs);
-
-/// Double broom: a bundle of `headLeaves` leaves under the root, then a
-/// path, then `tailLeaves` leaves at the bottom. Used by delaying
-/// adversaries: the top bundle keeps many nodes uninformed-of, the bottom
-/// bundle keeps many nodes uninformed.
-[[nodiscard]] RootedTree makeDoubleBroom(const std::vector<std::size_t>& order,
-                                         std::size_t headLeaves,
-                                         std::size_t tailLeaves);
 
 }  // namespace dynbcast

@@ -7,6 +7,7 @@
 #   -DARGS=<optional ';'-separated flags after the subcommand>
 #   -DEXPECT=<optional: the name the CLI must suggest>
 #   -DMATCH=<optional: a regex the combined output must match>
+#   -DNOMATCH=<optional: a regex the combined output must not match>
 execute_process(
   COMMAND ${BIN} ${SUBCOMMAND} ${ARGS}
   RESULT_VARIABLE run_rc
@@ -21,6 +22,11 @@ string(CONCAT combined "${run_out}" "${run_err}")
 if(MATCH AND NOT combined MATCHES "${MATCH}")
   message(FATAL_ERROR
     "'dynbcast ${SUBCOMMAND} ${ARGS}' output does not match '${MATCH}'; "
+    "output was:\n${combined}")
+endif()
+if(NOMATCH AND combined MATCHES "${NOMATCH}")
+  message(FATAL_ERROR
+    "'dynbcast ${SUBCOMMAND} ${ARGS}' output matches '${NOMATCH}'; "
     "output was:\n${combined}")
 endif()
 if(NOT EXPECT)

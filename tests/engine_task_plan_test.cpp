@@ -38,9 +38,10 @@ void expectRowsEqual(const std::vector<SweepRow>& expected,
 }
 
 [[nodiscard]] std::vector<SweepRow> rowsFromPlan(const ScenarioSpec& spec) {
+  const ScenarioPlan plan(spec);
   std::vector<SweepRow> rows;
-  for (std::size_t p = 0; p < scenarioRowCount(spec); ++p) {
-    rows.push_back(runScenarioRow(spec, p));
+  for (std::size_t p = 0; p < plan.rowCount(); ++p) {
+    rows.push_back(plan.run(p));
   }
   return rows;
 }
@@ -51,13 +52,15 @@ TEST(TaskPlanTest, PlanFieldsAreAPureFunctionOfPosition) {
   spec.seedsPerSize = 2;
   spec.masterSeed = 11;
 
-  const std::size_t width = scenarioMembersPerInstance(spec);
+  const ScenarioPlan scenario(spec);
+  const std::size_t width = resolvedScenarioMemberSpecs(spec).size();
   ASSERT_GT(width, 1u);  // the standard portfolio
-  ASSERT_EQ(scenarioRowCount(spec), 3 * 2 * width);
+  ASSERT_EQ(scenario.rowCount(), 3 * 2 * width);
 
   const SeedSequence seeds(spec.masterSeed);
-  for (std::size_t p = 0; p < scenarioRowCount(spec); ++p) {
-    const ScenarioRowPlan plan = planScenarioRow(spec, p);
+  for (std::size_t p = 0; p < scenario.rowCount(); ++p) {
+    const ScenarioRowPlan plan = scenario.row(p);
+    EXPECT_EQ(planScenarioRow(spec, p).memberSpec, plan.memberSpec);
     EXPECT_EQ(plan.position, p);
     EXPECT_EQ(plan.memberIndex, p % width);
     const std::size_t instance = p / width;
@@ -71,8 +74,8 @@ TEST(TaskPlanTest, PlanFieldsAreAPureFunctionOfPosition) {
 }
 
 // The anti-drift pin for the executor: at any job count, every row
-// runScenario (and so runScenarioPositions) lands must equal
-// runScenarioRow at that position, for fixed (static-path), random
+// runScenario (and so ScenarioPlan::runPositions) lands must equal
+// ScenarioPlan::run at that position, for fixed (static-path), random
 // (random-path) and adaptive (heard-asc-path) members alike.
 TEST(TaskPlanTest, BroadcastTreeExecutorMatchesScalarRows) {
   ScenarioSpec spec;
@@ -94,10 +97,10 @@ TEST(TaskPlanTest, BroadcastTreeExecutorMatchesScalarRows) {
       positions.push_back(p);
     }
     std::vector<SweepRow> rows(expected.size());
-    runScenarioPositions(spec, positions, engine,
-                         [&rows](std::size_t position, SweepRow row) {
-                           rows[position] = std::move(row);
-                         });
+    ScenarioPlan(spec).runPositions(
+        positions, engine, [&rows](std::size_t position, SweepRow row) {
+          rows[position] = std::move(row);
+        });
     for (const std::size_t p : positions) {
       EXPECT_EQ(rows[p], expected[p]) << "position " << p;
     }
@@ -129,7 +132,7 @@ TEST(TaskPlanTest, GraphModelPathMatchesRunScenario) {
 
   // And the plan's aggregation reproduces the per-instance view.
   const std::vector<SweepInstance> instances =
-      aggregateScenarioInstances(spec, direct.rows);
+      ScenarioPlan(spec).aggregate(direct.rows);
   ASSERT_EQ(instances.size(), direct.instances.size());
   for (std::size_t i = 0; i < instances.size(); ++i) {
     EXPECT_EQ(instances[i].n, direct.instances[i].n);

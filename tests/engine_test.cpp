@@ -28,8 +28,8 @@ TEST(EngineTest, EmptySweepProducesNoRows) {
   ScenarioSpec spec;
   spec.sizes = {8};
   std::size_t rows = 0;
-  runScenarioPositions(spec, {}, engine,
-                       [&rows](std::size_t, SweepRow) { ++rows; });
+  ScenarioPlan(spec).runPositions(
+      {}, engine, [&rows](std::size_t, SweepRow) { ++rows; });
   EXPECT_EQ(rows, 0u);
 }
 

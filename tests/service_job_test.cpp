@@ -20,7 +20,7 @@ TEST(ServiceJobTest, PlanCoversRowsPlusBeamTasksForTheoremSweeps) {
   thm31.scenario.sizes = {4, 8, 16};
   thm31.scenario.seedsPerSize = 2;
   const ServiceJobPlan plan = planServiceJob(thm31);
-  EXPECT_EQ(plan.rowCount, scenarioRowCount(thm31.scenario));
+  EXPECT_EQ(plan.rowCount, ScenarioPlan(thm31.scenario).rowCount());
   EXPECT_EQ(plan.beamCount, 3u);  // one witness task per size
   EXPECT_EQ(plan.taskCount(), plan.rowCount + 3u);
 
@@ -35,11 +35,11 @@ TEST(ServiceJobTest, RowKeysAreUniqueAcrossPositions) {
   ServiceRequest request;
   request.scenario.sizes = {4, 6};
   request.scenario.seedsPerSize = 2;
-  const ServiceJobPlan plan = planServiceJob(request);
+  const ServiceJob job(request);
 
   std::vector<std::string> keys;
-  for (std::size_t p = 0; p < plan.taskCount(); ++p) {
-    keys.push_back(serviceTaskKey(request, p));
+  for (std::size_t p = 0; p < job.plan().taskCount(); ++p) {
+    keys.push_back(job.taskKey(p));
   }
   for (std::size_t i = 0; i < keys.size(); ++i) {
     for (std::size_t j = i + 1; j < keys.size(); ++j) {
@@ -60,12 +60,13 @@ TEST(ServiceJobTest, PrefixExtendedRequestsShareRowKeys) {
   ServiceRequest large = small;
   large.scenario.sizes = {6, 8, 10, 12};
 
-  const std::size_t smallRows = scenarioRowCount(small.scenario);
+  const ServiceJob smallJob(small);
+  const ServiceJob largeJob(large);
+  const std::size_t smallRows = smallJob.plan().rowCount;
   for (std::size_t p = 0; p < smallRows; ++p) {
-    EXPECT_EQ(serviceTaskKey(small, p), serviceTaskKey(large, p))
-        << "position " << p;
+    EXPECT_EQ(smallJob.taskKey(p), largeJob.taskKey(p)) << "position " << p;
   }
-  EXPECT_GT(scenarioRowCount(large.scenario), smallRows);
+  EXPECT_GT(largeJob.plan().rowCount, smallRows);
 }
 
 TEST(ServiceJobTest, BackendChoiceNormalizesAtMirrorSizes) {
@@ -115,10 +116,10 @@ TEST(ServiceJobTest, RowTasksMatchTheEnginePlan) {
   request.scenario.seedsPerSize = 2;
   request.scenario.masterSeed = 5;
 
-  const std::size_t rows = scenarioRowCount(request.scenario);
-  for (std::size_t p = 0; p < rows; ++p) {
-    const SweepRow expected = runScenarioRow(request.scenario, p);
-    const ServiceTaskResult actual = executeServiceTask(request, p);
+  const ServiceJob job(request);
+  for (std::size_t p = 0; p < job.plan().rowCount; ++p) {
+    const SweepRow expected = job.scenario().run(p);
+    const ServiceTaskResult actual = job.execute(p);
     EXPECT_EQ(actual.rounds, expected.rounds) << "position " << p;
     EXPECT_EQ(actual.completed, expected.completed) << "position " << p;
   }
@@ -162,17 +163,49 @@ TEST(ServiceJobTest, AssembledRowsMatchRunScenario) {
   ExperimentEngine engine(config);
   const ScenarioResult direct = runScenario(request.scenario, engine);
 
+  const ServiceJob job(request);
   std::vector<ServiceTaskResult> results;
-  const std::size_t rows = scenarioRowCount(request.scenario);
-  for (std::size_t p = 0; p < rows; ++p) {
-    results.push_back(executeServiceTask(request, p));
+  for (std::size_t p = 0; p < job.plan().rowCount; ++p) {
+    results.push_back(job.execute(p));
   }
-  const std::vector<SweepRow> assembled =
-      assembleServiceRows(request.scenario, results);
+  const std::vector<SweepRow> assembled = job.assembleRows(results);
   ASSERT_EQ(assembled.size(), direct.rows.size());
   for (std::size_t i = 0; i < assembled.size(); ++i) {
     EXPECT_EQ(assembled[i], direct.rows[i]) << "row " << i;
   }
+}
+
+/// FNV-1a of every task key of `request`, one per line, position order.
+[[nodiscard]] std::string taskKeyDigest(const ServiceRequest& request) {
+  const ServiceJob job(request);
+  std::string keys;
+  for (std::size_t p = 0; p < job.plan().taskCount(); ++p) {
+    keys += job.taskKey(p) + "\n";
+  }
+  return hex64(fnv1a64(keys));
+}
+
+// Cache keys name on-disk cells, so every key must stay byte-identical
+// across refactors of the plan: these digests pin all keys of a thm31
+// request (rows and beam tasks) and of a graph-model request whose
+// n = 5000 rows run sparse.
+TEST(ServiceJobTest, TaskKeysArePinnedByDigest) {
+  ServiceRequest thm31;
+  thm31.scenario.sizes = {4, 8, 16};
+  thm31.scenario.seedsPerSize = 2;
+  thm31.scenario.masterSeed = 7;
+  thm31.beamMaxN = 8;
+  EXPECT_EQ(taskKeyDigest(thm31), "33bec6f38c58d505");
+
+  ServiceRequest model;
+  model.scenario.dynamics = "edge-markovian:p=0.2,q=0.1";
+  model.scenario.sizes = {8, 5000};
+  model.scenario.seedsPerSize = 3;
+  model.scenario.masterSeed = 9;
+  EXPECT_EQ(taskKeyDigest(model), "d1a1141e8ffd86da");
+
+  // The per-call forward spells the same key.
+  EXPECT_EQ(serviceTaskKey(model, 3), ServiceJob(model).taskKey(3));
 }
 
 }  // namespace

@@ -149,7 +149,8 @@ TEST_F(ServiceServerTest, SingleProcessTheoremSweepCompletes) {
 TEST_F(ServiceServerTest, ClientThatHangsUpMidJobDoesNotKillTheServer) {
   // Enough rows (greedy-delay and local-search among them) that the
   // server still has PROGRESS/TASK lines to write after the client is
-  // gone: each of those writes must fail as EPIPE, not raise SIGPIPE.
+  // gone: each of those writes must fail as EPIPE, not raise SIGPIPE,
+  // and must not stop the job.
   ServiceRequest request;
   request.scenario.sizes = {32, 48};
   request.scenario.seedsPerSize = 2;
@@ -171,8 +172,11 @@ TEST_F(ServiceServerTest, ClientThatHangsUpMidJobDoesNotKillTheServer) {
   }  // hang up right after ACCEPTED
 
   // The server is still up: the same spec resubmitted completes, with
-  // the engine's rows.
+  // the engine's rows. The abandoned job still drained into its manifest
+  // and the cache, so the resubmission executes nothing.
   const SubmitOutcome outcome = submitRequest(socket, request, nullptr);
+  EXPECT_EQ(outcome.executed, 0u);
+  EXPECT_EQ(outcome.cacheHits, outcome.tasks);
   ExperimentEngine engine(EngineConfig{.jobs = 2});
   const ScenarioResult direct = runScenario(request.scenario, engine);
   ASSERT_EQ(outcome.rows.size(), direct.rows.size());

@@ -68,15 +68,15 @@ void writeManifestFor(const std::string& manifestPath,
                                       const ServiceRequest& request) {
   const auto state = loadManifest(manifestPath);
   EXPECT_TRUE(state.has_value() && state->complete());
-  const std::size_t rowCount = planServiceJob(request).rowCount;
+  const ServiceJob job(request);
   std::vector<ServiceTaskResult> results;
-  for (std::size_t p = 0; p < rowCount; ++p) {
+  for (std::size_t p = 0; p < job.plan().rowCount; ++p) {
     const auto& record = state->records[p];
     EXPECT_TRUE(record.has_value()) << "position " << p;
     results.push_back({record->rounds, record->completed});
   }
   TextTable table({"n", "seed", "member", "rounds", "completed"});
-  for (const SweepRow& row : assembleServiceRows(request.scenario, results)) {
+  for (const SweepRow& row : job.assembleRows(results)) {
     table.row()
         .add(static_cast<std::uint64_t>(row.n))
         .add(row.instanceSeed)
@@ -104,8 +104,9 @@ TEST_F(ServiceWorkerTest, ColdRunExecutesEverythingAndMatchesTheEngine) {
   const auto state = loadManifest(manifest);
   ASSERT_TRUE(state.has_value());
   ASSERT_TRUE(state->complete());
+  const ScenarioPlan plan(request.scenario);
   for (std::size_t p = 0; p < 6; ++p) {
-    const SweepRow expected = runScenarioRow(request.scenario, p);
+    const SweepRow expected = plan.run(p);
     ASSERT_TRUE(state->records[p].has_value());
     EXPECT_EQ(state->records[p]->rounds, expected.rounds) << p;
     EXPECT_EQ(state->records[p]->completed, expected.completed) << p;
@@ -271,13 +272,14 @@ TEST_F(ServiceWorkerTest, OverlappingSweepsExecuteOnlyTheDelta) {
 }
 
 /// Every TASK record of a drained manifest equals the direct execution of
-/// its position (executeServiceTask runs a row through runScenarioRow).
+/// its position (ServiceJob::execute runs a row through ScenarioPlan::run).
 void expectRecordsMatchScalarRows(const std::string& manifestPath,
                                   const ServiceRequest& request) {
   const auto state = loadManifest(manifestPath);
   ASSERT_TRUE(state.has_value() && state->complete());
+  const ServiceJob job(request);
   for (std::size_t p = 0; p < state->taskCount; ++p) {
-    const ServiceTaskResult expected = executeServiceTask(request, p);
+    const ServiceTaskResult expected = job.execute(p);
     EXPECT_EQ(state->records[p]->rounds, expected.rounds) << "position " << p;
     EXPECT_EQ(state->records[p]->completed, expected.completed)
         << "position " << p;

@@ -69,62 +69,6 @@ TEST(BroomTest, HandleOneIsStar) {
   EXPECT_EQ(makeBroom(iota(5), 1), makeStar(5, 0));
 }
 
-TEST(CaterpillarTest, SpineAndLegs) {
-  const RootedTree c = makeCaterpillar(iota(7), 3);
-  EXPECT_EQ(c.root(), 0u);
-  EXPECT_EQ(c.parent(1), 0u);
-  EXPECT_EQ(c.parent(2), 1u);
-  // Legs 3..6 round-robin onto spine 0,1,2.
-  EXPECT_EQ(c.parent(3), 0u);
-  EXPECT_EQ(c.parent(4), 1u);
-  EXPECT_EQ(c.parent(5), 2u);
-  EXPECT_EQ(c.parent(6), 0u);
-}
-
-TEST(KAryTest, BinaryTreeShape) {
-  const RootedTree t = makeKAry(iota(7), 2);
-  EXPECT_EQ(t.root(), 0u);
-  EXPECT_EQ(t.parent(1), 0u);
-  EXPECT_EQ(t.parent(2), 0u);
-  EXPECT_EQ(t.parent(3), 1u);
-  EXPECT_EQ(t.parent(6), 2u);
-  EXPECT_EQ(t.height(), 2u);
-}
-
-TEST(KAryTest, KOneIsPath) { EXPECT_EQ(makeKAry(iota(6), 1), makePath(6)); }
-
-TEST(SpiderTest, LegsPartitionNodes) {
-  const RootedTree s = makeSpider(iota(9), 4);
-  EXPECT_EQ(s.root(), 0u);
-  EXPECT_EQ(s.childrenOf(0).size(), 4u);
-  EXPECT_EQ(s.leafCount(), 4u);
-  EXPECT_EQ(s.height(), 2u);  // 8 nodes over 4 legs = 2 each
-}
-
-TEST(SpiderTest, OneLegIsPath) {
-  EXPECT_EQ(makeSpider(iota(6), 1), makePath(6));
-}
-
-TEST(SpiderTest, MaxLegsIsStar) {
-  EXPECT_EQ(makeSpider(iota(6), 5), makeStar(6, 0));
-}
-
-TEST(DoubleBroomTest, HeadPathTailStructure) {
-  // Root 0; head leaves 1,2; path 3,4; tail leaves 5,6.
-  const RootedTree d = makeDoubleBroom(iota(7), 2, 2);
-  EXPECT_EQ(d.parent(1), 0u);
-  EXPECT_EQ(d.parent(2), 0u);
-  EXPECT_EQ(d.parent(3), 0u);
-  EXPECT_EQ(d.parent(4), 3u);
-  EXPECT_EQ(d.parent(5), 4u);
-  EXPECT_EQ(d.parent(6), 4u);
-  EXPECT_EQ(d.leafCount(), 4u);
-}
-
-TEST(DoubleBroomTest, RejectsOverBudget) {
-  EXPECT_THROW(makeDoubleBroom(iota(4), 2, 2), AssertionError);
-}
-
 class FamilyHeightTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(FamilyHeightTest, HeightsMatchClosedForms) {

@@ -233,6 +233,7 @@ int runDynamicsSweep(BenchDriver& driver, const std::string& dynamicsText,
   scenario.backend =
       parseBackendChoice(driver.options().getString("backend", "auto"));
 
+  validateScenario(scenario);  // before any output
   driver.printHeader("SWEEP — dynamics=" +
                      DynamicsSpec::parse(dynamicsText).toString() +
                      ", backend=" + backendChoiceName(scenario.backend));
@@ -284,14 +285,6 @@ int runSweepCommand(int argc, const char* const* argv) {
     // runs only up to a size cap by default.
     const std::size_t beamMaxN = driver.options().getUInt("beam-maxn", 32);
     const std::size_t beamWidth = driver.options().getUInt("beam-width", 256);
-    // Check the beam pass's config before any output or portfolio row.
-    validateBeamConfig(scenarioBeamConfig(beamWidth));
-
-    driver.printHeader("THM31 — adversaries vs Theorem 3.1");
-    std::cout << "best t* = max(online portfolio, offline beam witness for "
-                 "n <= "
-              << beamMaxN << ")\n\n";
-
     // Portfolio sweep as a declarative scenario: sizes × seed replicates
     // × adversary specs (default = the standard portfolio).
     ScenarioSpec scenario;
@@ -306,6 +299,14 @@ int runSweepCommand(int argc, const char* const* argv) {
     // right error instead of silently ignoring the flag.
     scenario.backend =
         parseBackendChoice(driver.options().getString("backend", "auto"));
+    // Check the beam pass's config and the scenario before any output.
+    validateBeamConfig(scenarioBeamConfig(beamWidth));
+    validateScenario(scenario);
+
+    driver.printHeader("THM31 — adversaries vs Theorem 3.1");
+    std::cout << "best t* = max(online portfolio, offline beam witness for "
+                 "n <= "
+              << beamMaxN << ")\n\n";
     const ScenarioResult sweep = runScenario(scenario, driver.engine());
 
     // Beam witnesses fan out too: one task per size within the beam cap.
@@ -351,6 +352,7 @@ int runPortfolio(int argc, const char* const* argv) {
     scenario.backend =
         parseBackendChoice(driver.options().getString("backend", "auto"));
 
+    validateScenario(scenario);  // before any output
     driver.printHeader(
         "SCENARIO — objective=" + objectiveName(scenario.objective) +
         ", dynamics=" + DynamicsSpec::parse(scenario.dynamics).toString() +
