@@ -2,9 +2,9 @@
 //
 // Times (a) the raw-word kernels (through the runtime SIMD dispatch
 // table), the damage-greedy tree builder, and the blocked boolean
-// product against naive references,
-// (b) BroadcastSim and FrontierSim round throughput, and (c) the
-// end-to-end thm31 portfolio sweep, then emits machine-readable JSON:
+// product against naive references, (b) BroadcastSim round throughput
+// and the dense-vs-sparse t* crossover, and (c) the end-to-end thm31
+// portfolio sweep, then emits machine-readable JSON:
 //
 //   BENCH_kernels.json — per-kernel ns/op and GiB/s
 //   BENCH_sweep.json   — sweep wall times, speedup factors and
@@ -47,7 +47,6 @@
 #include "src/service/worker.h"
 #include "src/support/file_lock.h"
 #include "src/sim/broadcast_sim.h"
-#include "src/sim/frontier_sim.h"
 #include "src/support/bitset.h"
 #include "src/support/eval_scratch.h"
 #include "src/support/rng.h"
@@ -257,25 +256,6 @@ KernelResult benchSimRound(std::size_t n, double minSeconds, Rng& rng) {
   return r;
 }
 
-KernelResult benchFrontierRound(std::size_t n, double minSeconds, Rng& rng) {
-  // simApplyTree's sparse twin: the same cyclic tree pool driven through
-  // FrontierSim, so the two rows compare the dense O(n²/64) recurrence
-  // against the O(active edges) frontier propagation at equal n.
-  std::vector<RootedTree> trees;
-  for (int i = 0; i < 32; ++i) trees.push_back(randomRootedTree(n, rng));
-  FrontierSim sim(n);
-  std::size_t next = 0;
-  auto [reps, secs] = timeLoop(minSeconds, [&] {
-    sim.applyTree(trees[next]);
-    next = (next + 1) % trees.size();
-    if (sim.gossipDone()) sim.reset();
-    consume(sim.heardCount(0));
-  });
-  KernelResult r{"frontierApplyTree", n, reps, 0.0, 0.0};
-  r.nsPerOp = secs * 1e9 / static_cast<double>(reps);
-  return r;
-}
-
 /// Dense-vs-sparse crossover at one n: wall ms of a full edge-markovian
 /// t* run through each backend.
 struct FrontierCrossover {
@@ -308,8 +288,7 @@ FrontierCrossover timeFrontierCrossover(std::size_t n, std::uint64_t seed) {
     const auto model = DynamicsRegistry::instance().make(spec, n, seed);
     const auto start = Clock::now();
     const BroadcastRun run =
-        runFrontierDynamicsBroadcast(n, *model, /*maxRounds=*/64,
-                                     /*recordHistory=*/false, seed);
+        runFrontierDynamicsBroadcast(n, *model, /*maxRounds=*/64, seed);
     out.sparseMs = secondsSince(start) * 1e3;
     out.sparseRounds = run.rounds;
   }
@@ -545,7 +524,6 @@ int main(int argc, char** argv) {
   kernels.push_back(benchDamageTree(32, /*noisy=*/true, minSeconds, rng));
   kernels.push_back(benchDamageTree(256, /*noisy=*/false, minSeconds, rng));
   kernels.push_back(benchSimRound(sweepN, minSeconds, rng));
-  kernels.push_back(benchFrontierRound(sweepN, minSeconds, rng));
   // zoo-dense's two per-round passes at its n = 2048, fixed in quick and
   // full mode alike (CI gates both).
   kernels.push_back(benchNonsplitGraph(2048, minSeconds, rng));

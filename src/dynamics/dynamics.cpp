@@ -63,32 +63,18 @@ BroadcastRun runDynamicsBroadcast(std::size_t n, DynamicsModel& model,
 
 BroadcastRun runFrontierDynamicsBroadcast(std::size_t n, DynamicsModel& model,
                                           std::size_t maxRounds,
-                                          bool recordHistory,
                                           std::uint64_t sampleSeed) {
   DYNBCAST_ASSERT_MSG(model.supportsSparseRounds(),
                       "the sparse driver needs a sparse-capable model");
-  if (!recordHistory) {
-    DynamicsRoundSource source(model);
-    FrontierTStarOptions options;
-    options.maxRounds = maxRounds;
-    options.sampleSeed = sampleSeed;
-    const FrontierTStarResult tstar = runFrontierTStar(n, source, options);
-    BroadcastRun run;
-    run.rounds = tstar.rounds;
-    run.completed = tstar.completed;
-    return run;
-  }
-  // History wanted: run the exact full-state engine so per-round metrics
-  // match the dense driver's bit for bit.
-  model.reset();
-  FrontierSim sim(n);
-  SparseRound round;
-  return runUntil(sim, Objective::kBroadcast, maxRounds,
-                  /*recordHistory=*/true,
-                  [&model, &round](FrontierSim& state) {
-                    model.nextSparseRound(round);
-                    state.applyEdges(round);
-                  });
+  DynamicsRoundSource source(model);
+  FrontierTStarOptions options;
+  options.maxRounds = maxRounds;
+  options.sampleSeed = sampleSeed;
+  const FrontierTStarResult tstar = runFrontierTStar(n, source, options);
+  BroadcastRun run;
+  run.rounds = tstar.rounds;
+  run.completed = tstar.completed;
+  return run;
 }
 
 }  // namespace dynbcast

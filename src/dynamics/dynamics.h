@@ -125,20 +125,18 @@ class DynamicsRoundSource final : public SparseRoundSource {
                                                 std::size_t maxRounds,
                                                 bool recordHistory = false);
 
-/// The sparse twin of runDynamicsBroadcast: drives `model` through its
-/// nextSparseRound() stream (the model must supportSparseRounds()).
-/// Without history it runs the O(n)-memory t*-only frontier mode
-/// (runFrontierTStar); with recordHistory it drives the exact FrontierSim
-/// through runUntil, so per-round metrics come out identical to the
-/// dense driver's. Either way rounds/completed are bit-identical to
-/// runDynamicsBroadcast whenever the model's sparse generation mirrors
-/// its dense one (always at n ≤ kSparseDenseMirrorMaxN). `sampleSeed`
-/// tunes the t*-mode sampling and never affects results. Unlike the
-/// dense driver, the declared graph class is not re-asserted per round
-/// (that check is O(n²)); the differential suite enforces it at
-/// overlapping sizes instead.
+/// The sparse twin of runDynamicsBroadcast: computes t* for `model`'s
+/// nextSparseRound() stream (the model must supportSparseRounds()) with
+/// the O(n)-memory runFrontierTStar, so the returned run has no history;
+/// runs that want per-round metrics use the dense driver. rounds and
+/// completed are bit-identical to runDynamicsBroadcast whenever the
+/// model's sparse generation mirrors its dense one (always at
+/// n ≤ kSparseDenseMirrorMaxN). `sampleSeed` tunes the t*-mode sampling
+/// and never affects results. Unlike the dense driver, the declared graph
+/// class is not re-asserted per round (that check is O(n²)); the
+/// differential suite enforces it at overlapping sizes instead.
 [[nodiscard]] BroadcastRun runFrontierDynamicsBroadcast(
     std::size_t n, DynamicsModel& model, std::size_t maxRounds,
-    bool recordHistory = false, std::uint64_t sampleSeed = 0);
+    std::uint64_t sampleSeed = 0);
 
 }  // namespace dynbcast

@@ -118,7 +118,6 @@ class NonsplitRandomModel final : public SeededGraphModel {
 
   void nextSparseRound(SparseRound& out) override {
     out.n = n_;
-    out.sameAsPrevious = false;
     out.arcs.clear();
     if (n_ <= kSparseDenseMirrorMaxN) {
       appendArcsFromDense(denseDraw(), out);
@@ -206,7 +205,6 @@ class EdgeMarkovianModel final : public SeededGraphModel {
 
   void nextSparseRound(SparseRound& out) override {
     out.n = n_;
-    out.sameAsPrevious = false;
     out.arcs.clear();
     if (n_ <= kSparseDenseMirrorMaxN) {
       // Mirror mode: the exact dense RNG call sequence, arcs extracted
@@ -348,9 +346,6 @@ class TIntervalModel final : public SeededGraphModel {
         sparseArcs_.emplace_back(parent, child);
         sparseArcs_.emplace_back(child, parent);
       }
-      out.sameAsPrevious = false;
-    } else {
-      out.sameAsPrevious = true;
     }
     out.arcs = sparseArcs_;
     age_ = (age_ + 1) % period_;

@@ -133,6 +133,12 @@ void validateScenario(const ScenarioSpec& spec) {
           "backend=auto (sparse-capable models: " + join(capable, ", ") +
           ")");
     }
+    if (spec.backend == BackendChoice::kSparse && spec.recordHistory) {
+      throw std::invalid_argument(
+          "backend=sparse computes t* only and records no per-round "
+          "history; use backend=dense or backend=auto (auto runs dense "
+          "when history is wanted)");
+    }
     return;  // one member per instance: checkRowCount(spec, 1) above
   }
 

@@ -30,13 +30,13 @@ namespace dynbcast {
 [[nodiscard]] std::string objectiveName(Objective objective);
 
 /// Which simulation engine executes the runs. Dense is the bitset
-/// BroadcastSim (O(n²) bits of state); sparse is the FrontierSim path
-/// (arc-list rounds, O(n + edges) state), valid only for sparse-capable
-/// graph-model dynamics. Auto resolves per instance: sparse above
-/// kAutoSparseThreshold when the model supports it and no per-round
-/// history is wanted, dense otherwise. Rows are backend-invariant at
-/// n ≤ kAutoSparseThreshold (sparse generation mirrors dense there), so
-/// golden CSVs hold across backends.
+/// BroadcastSim (O(n²) bits of state); sparse is runFrontierTStar
+/// (arc-list rounds, O(n + edges) state, t* only), valid only for
+/// sparse-capable graph-model dynamics and without per-round history.
+/// Auto resolves per instance: sparse above kAutoSparseThreshold when the
+/// model supports it and no per-round history is wanted, dense otherwise.
+/// Rows are backend-invariant at n ≤ kAutoSparseThreshold (sparse
+/// generation mirrors dense there), so golden CSVs hold across backends.
 enum class BackendChoice { kDense, kSparse, kAuto };
 
 /// Auto switches to sparse strictly above this size. Equal to the
@@ -74,10 +74,12 @@ struct ScenarioSpec {
   /// (the standard portfolio for rooted trees). Graph-model dynamics
   /// take no adversaries — the model emits the graphs itself.
   std::vector<std::string> adversaries;
-  /// Capture per-round metrics in every row (costly at large n).
+  /// Capture per-round metrics in every row (costly at large n; dense
+  /// engine only).
   bool recordHistory = false;
   /// Simulation engine selection (see BackendChoice). kSparse requires a
-  /// sparse-capable graph-model dynamics; kAuto is always valid.
+  /// sparse-capable graph-model dynamics and no recordHistory; kAuto is
+  /// always valid.
   BackendChoice backend = BackendChoice::kAuto;
 };
 

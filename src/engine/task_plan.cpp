@@ -95,8 +95,7 @@ SweepRow ScenarioPlan::run(std::size_t position) const {
         DynamicsRegistry::instance().make(dynamics_, row.n, seed);
     if (cap == 0) cap = instance->defaultRoundCap();
     run = runsSparse(row.n)
-              ? runFrontierDynamicsBroadcast(row.n, *instance, cap,
-                                             spec_.recordHistory, seed)
+              ? runFrontierDynamicsBroadcast(row.n, *instance, cap, seed)
               : runDynamicsBroadcast(row.n, *instance, cap,
                                      spec_.recordHistory);
   } else {

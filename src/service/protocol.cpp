@@ -151,8 +151,12 @@ ServiceRequest decodeCanonicalRequest(const std::string& text) {
   return decodeRequest(splitOn(text, ' '));
 }
 
+std::string canonicalJobId(const std::string& canonical) {
+  return hex64(fnv1a64(canonical));
+}
+
 std::string requestJobId(const ServiceRequest& request) {
-  return hex64(fnv1a64(canonicalRequestString(request)));
+  return canonicalJobId(canonicalRequestString(request));
 }
 
 std::uint64_t fnv1a64(const std::string& text) {

@@ -91,6 +91,9 @@ struct ServiceRequest {
 /// hash. Names the manifest file; the manifest stores the full canonical
 /// string so a (vanishingly unlikely) collision is detected, not acted
 /// on.
+[[nodiscard]] std::string canonicalJobId(const std::string& canonical);
+
+/// canonicalJobId(canonicalRequestString(request)).
 [[nodiscard]] std::string requestJobId(const ServiceRequest& request);
 
 /// FNV-1a over bytes — the service's stable string hash (cache buckets,

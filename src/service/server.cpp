@@ -90,7 +90,7 @@ void handleRequest(const ServerOptions& options, LineChannel& channel,
                    const ServiceRequest& request) {
   validateServiceRequest(request);
   const std::string canonical = canonicalRequestString(request);
-  const std::string jobId = requestJobId(request);
+  const std::string jobId = canonicalJobId(canonical);
   const std::string manifestPath =
       options.stateDir + "/job-" + jobId + ".manifest";
   const ServiceJob job(request);

@@ -17,20 +17,6 @@ BroadcastSim::BroadcastSim(std::size_t n)
   reset();
 }
 
-BroadcastSim BroadcastSim::fromHeard(std::vector<DynBitset> heard,
-                                     std::size_t round) {
-  DYNBCAST_ASSERT(!heard.empty());
-  BroadcastSim sim(heard.size());
-  for (std::size_t y = 0; y < heard.size(); ++y) {
-    DYNBCAST_ASSERT_MSG(heard[y].size() == heard.size() && heard[y].test(y),
-                        "heard row must be n-sized and contain itself");
-  }
-  sim.heard_ = std::move(heard);
-  sim.round_ = round;
-  sim.rebuildCompletionState();
-  return sim;
-}
-
 void BroadcastSim::reset() {
   round_ = 0;
   for (std::size_t y = 0; y < n_; ++y) {
@@ -77,22 +63,6 @@ void BroadcastSim::applyTree(const RootedTree& tree) {
                                            heard_[y].wordData(), nwords);
   }
   ++round_;
-}
-
-void BroadcastSim::applyTreeTo(std::vector<DynBitset>& heard,
-                               const RootedTree& tree) {
-  DYNBCAST_ASSERT_MSG(tree.size() == heard.size(), "tree size mismatch");
-  // Reverse-BFS: every child is updated before its parent, so the
-  // parent's heard set still holds its round-(t-1) value when read.
-  // Reference path; the fused applyTree() kernel is the
-  // allocation-free one used by sweeps.
-  // dynbcast-lint: allow(hot-alloc) -- reference path, not the kernel
-  const std::vector<std::size_t> order = tree.bfsOrder();
-  for (std::size_t i = order.size(); i-- > 0;) {
-    const std::size_t y = order[i];
-    const std::size_t p = tree.parent(y);
-    if (p != y) heard[y].orWith(heard[p]);
-  }
 }
 
 void BroadcastSim::applyGraph(const BitMatrix& g) {

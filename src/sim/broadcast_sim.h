@@ -34,24 +34,12 @@ class BroadcastSim {
   /// (G(0) is the identity).
   explicit BroadcastSim(std::size_t n);
 
-  /// Resumes from an explicit heard-of matrix (row y = Heard(y)); used by
-  /// search adversaries exploring hypothetical future states. Every row
-  /// must contain its own index (self-loops are never forgotten).
-  [[nodiscard]] static BroadcastSim fromHeard(std::vector<DynBitset> heard,
-                                              std::size_t round = 0);
-
   [[nodiscard]] std::size_t processCount() const noexcept { return n_; }
   [[nodiscard]] std::size_t round() const noexcept { return round_; }
 
   /// Applies one synchronous round along the given rooted tree (the
   /// self-loops of the model are implicit in the recurrence).
   void applyTree(const RootedTree& tree);
-
-  /// The heard-of recurrence applied to a standalone matrix (row y =
-  /// Heard(y)). Adaptive adversaries use this to evaluate candidate trees
-  /// on copies of the live state without constructing a simulator.
-  static void applyTreeTo(std::vector<DynBitset>& heard,
-                          const RootedTree& tree);
 
   /// Applies one round along an arbitrary reflexive directed graph (used
   /// for the nonsplit-adversary experiments). The graph must have all
@@ -102,8 +90,8 @@ class BroadcastSim {
   void reset();
 
  private:
-  /// Recomputes common_/rowCount_/fullRows_ from heard_ (used on reset,
-  /// fromHeard, and applyGraph, where rows change arbitrarily).
+  /// Recomputes common_/rowCount_/fullRows_ from heard_ (used on reset
+  /// and applyGraph, where rows change arbitrarily).
   void rebuildCompletionState();
 
   std::size_t n_;

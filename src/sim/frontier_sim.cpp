@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
-#include <iterator>
-#include <limits>
 #include <numeric>
 #include <unordered_set>
 
@@ -12,264 +9,6 @@
 #include "src/support/rng.h"
 
 namespace dynbcast {
-
-FrontierSim::FrontierSim(std::size_t n) : n_(n) {
-  DYNBCAST_ASSERT_MSG(n >= 1, "FrontierSim needs at least one process");
-  DYNBCAST_ASSERT_MSG(
-      n < std::numeric_limits<std::uint32_t>::max(),
-      "FrontierSim stores node ids as 32-bit values");
-  rows_.resize(n_);
-  coverCount_.resize(n_);
-  delta_.resize(n_);
-  deltaFull_.resize(n_, 0);
-  addBuf_.resize(n_);
-  pendingFull_.resize(n_, 0);
-  reset();
-}
-
-void FrontierSim::reset() {
-  round_ = 0;
-  fullCovers_ = 0;
-  fullRows_ = 0;
-  totalOnes_ = n_;
-  for (std::size_t y = 0; y < n_; ++y) {
-    rows_[y].full = n_ == 1;
-    rows_[y].ids.clear();
-    if (n_ > 1) rows_[y].ids.push_back(static_cast<std::uint32_t>(y));
-    delta_[y].clear();
-    deltaFull_[y] = 0;
-  }
-  std::fill(coverCount_.begin(), coverCount_.end(), std::uint32_t{1});
-  if (n_ == 1) {
-    fullCovers_ = 1;
-    fullRows_ = 1;
-  }
-  deltaTouched_.clear();
-}
-
-void FrontierSim::bumpCoverage(std::uint32_t x) {
-  if (++coverCount_[x] == n_) ++fullCovers_;
-}
-
-void FrontierSim::collapseToFull(std::size_t y) {
-  Row& row = rows_[y];
-  // Everything not yet in Heard(y) is inserted now: walk the complement
-  // of the sorted id list once (this happens at most once per node).
-  std::size_t i = 0;
-  for (std::uint32_t x = 0; x < n_; ++x) {
-    if (i < row.ids.size() && row.ids[i] == x) {
-      ++i;
-      continue;
-    }
-    bumpCoverage(x);
-  }
-  totalOnes_ += n_ - row.ids.size();
-  row.full = true;
-  ++fullRows_;
-  row.ids.clear();
-  row.ids.shrink_to_fit();
-  deltaFull_[y] = 1;
-  delta_[y].clear();
-  deltaTouched_.push_back(static_cast<std::uint32_t>(y));
-}
-
-void FrontierSim::applyEdges(const SparseRound& round) {
-  DYNBCAST_ASSERT_MSG(round.n == n_,
-                      "sparse round has the wrong process count");
-  // A "same as previous" round may only follow an applied round; the
-  // delta path needs last round's additions.
-  const bool usesDelta = round.sameAsPrevious && round_ > 0;
-
-  // Bucket arcs by destination (counting sort into a CSR layout).
-  arcOffsets_.assign(n_ + 1, 0);
-  for (const auto& [src, dst] : round.arcs) {
-    DYNBCAST_ASSERT_MSG(src < n_ && dst < n_, "sparse arc out of range");
-    if (src == dst) continue;  // self-loops are implicit
-    ++arcOffsets_[dst + 1];
-  }
-  for (std::size_t i = 1; i <= n_; ++i) arcOffsets_[i] += arcOffsets_[i - 1];
-  arcSrcs_.resize(arcOffsets_[n_]);
-  for (const auto& [src, dst] : round.arcs) {
-    if (src == dst) continue;
-    arcSrcs_[arcOffsets_[dst]++] = src;
-  }
-  // After the fill, arcOffsets_[y] is the END of y's bucket and the
-  // start is arcOffsets_[y - 1] (0 for y == 0).
-
-  // Pass 1: read-only over all rows — compute each destination's
-  // additions from start-of-round source sets (or last-round deltas when
-  // the arc set persisted).
-  touched_.clear();
-  for (std::size_t y = 0; y < n_; ++y) {
-    const std::size_t begin = y == 0 ? 0 : arcOffsets_[y - 1];
-    const std::size_t end = arcOffsets_[y];
-    pendingFull_[y] = 0;
-    if (begin == end || rows_[y].full) continue;
-    bool srcFull = false;
-    candidateBuf_.clear();
-    for (std::size_t k = begin; k < end; ++k) {
-      const std::uint32_t x = arcSrcs_[k];
-      if (usesDelta) {
-        if (deltaFull_[x]) {
-          srcFull = true;
-          break;
-        }
-        candidateBuf_.insert(candidateBuf_.end(), delta_[x].begin(),
-                             delta_[x].end());
-      } else {
-        if (rows_[x].full) {
-          srcFull = true;
-          break;
-        }
-        candidateBuf_.insert(candidateBuf_.end(), rows_[x].ids.begin(),
-                             rows_[x].ids.end());
-      }
-    }
-    if (srcFull) {
-      // A full source hands over everything: y collapses in pass 2.
-      pendingFull_[y] = 1;
-      touched_.push_back(static_cast<std::uint32_t>(y));
-      continue;
-    }
-    if (candidateBuf_.empty()) continue;
-    std::sort(candidateBuf_.begin(), candidateBuf_.end());
-    candidateBuf_.erase(
-        std::unique(candidateBuf_.begin(), candidateBuf_.end()),
-        candidateBuf_.end());
-    // candidates \ Heard(y), both sorted.
-    const std::vector<std::uint32_t>& ids = rows_[y].ids;
-    std::vector<std::uint32_t>& adds = addBuf_[y];
-    adds.clear();
-    std::size_t i = 0;
-    for (const std::uint32_t c : candidateBuf_) {
-      while (i < ids.size() && ids[i] < c) ++i;
-      if (i < ids.size() && ids[i] == c) continue;
-      adds.push_back(c);
-    }
-    if (!adds.empty()) touched_.push_back(static_cast<std::uint32_t>(y));
-  }
-
-  // Pass 2: commit. Previous-round deltas were consumed above; recycle
-  // them before recording this round's.
-  for (const std::uint32_t y : deltaTouched_) {
-    delta_[y].clear();
-    deltaFull_[y] = 0;
-  }
-  deltaTouched_.clear();
-  for (const std::uint32_t y : touched_) {
-    if (pendingFull_[y]) {
-      collapseToFull(y);
-      continue;
-    }
-    std::vector<std::uint32_t>& adds = addBuf_[y];
-    std::vector<std::uint32_t>& ids = rows_[y].ids;
-    mergeBuf_.clear();
-    mergeBuf_.reserve(ids.size() + adds.size());
-    std::merge(ids.begin(), ids.end(), adds.begin(), adds.end(),
-               std::back_inserter(mergeBuf_));
-    ids.swap(mergeBuf_);
-    for (const std::uint32_t x : adds) bumpCoverage(x);
-    totalOnes_ += adds.size();
-    if (ids.size() == n_) {
-      rows_[y].full = true;
-      ++fullRows_;
-      ids.clear();
-      ids.shrink_to_fit();
-    }
-    delta_[y].swap(adds);
-    deltaTouched_.push_back(y);
-  }
-  ++round_;
-}
-
-void FrontierSim::applyTree(const RootedTree& tree) {
-  scratchRound_.n = n_;
-  scratchRound_.sameAsPrevious = false;
-  scratchRound_.arcs.clear();
-  for (std::size_t v = 0; v < n_; ++v) {
-    if (v == tree.root()) continue;
-    scratchRound_.arcs.emplace_back(
-        static_cast<std::uint32_t>(tree.parent(v)),
-        static_cast<std::uint32_t>(v));
-  }
-  applyEdges(scratchRound_);
-}
-
-void FrontierSim::applyGraph(const BitMatrix& g) {
-  DYNBCAST_ASSERT_MSG(g.dim() == n_, "graph has the wrong dimension");
-  scratchRound_.n = n_;
-  scratchRound_.sameAsPrevious = false;
-  scratchRound_.arcs.clear();
-  for (std::size_t x = 0; x < n_; ++x) {
-    const DynBitset& row = g.row(x);
-    const std::uint64_t* words = row.wordData();
-    for (std::size_t wi = 0; wi < row.wordCount(); ++wi) {
-      std::uint64_t w = words[wi];
-      while (w != 0) {
-        const std::size_t y =
-            wi * 64 + static_cast<std::size_t>(std::countr_zero(w));
-        w &= w - 1;
-        if (y == x) continue;
-        scratchRound_.arcs.emplace_back(static_cast<std::uint32_t>(x),
-                                        static_cast<std::uint32_t>(y));
-      }
-    }
-  }
-  applyEdges(scratchRound_);
-}
-
-bool FrontierSim::hasHeard(std::size_t y, std::size_t x) const {
-  DYNBCAST_ASSERT_MSG(y < n_ && x < n_, "process id out of range");
-  const Row& row = rows_[y];
-  if (row.full) return true;
-  return std::binary_search(row.ids.begin(), row.ids.end(),
-                            static_cast<std::uint32_t>(x));
-}
-
-DynBitset FrontierSim::heardBitset(std::size_t y) const {
-  DYNBCAST_ASSERT_MSG(y < n_, "process id out of range");
-  DynBitset out(n_);
-  if (rows_[y].full) {
-    out.setAll();
-    return out;
-  }
-  for (const std::uint32_t x : rows_[y].ids) out.set(x);
-  return out;
-}
-
-DynBitset FrontierSim::broadcasters() const {
-  DynBitset out(n_);
-  for (std::size_t x = 0; x < n_; ++x) {
-    if (coverCount_[x] == n_) out.set(x);
-  }
-  return out;
-}
-
-RoundMetrics FrontierSim::metrics() const {
-  RoundMetrics m;
-  m.round = round_;
-  m.totalEdges = totalOnes_;
-  m.minHeard = n_;
-  m.maxHeard = 0;
-  for (std::size_t y = 0; y < n_; ++y) {
-    const std::size_t count = heardCount(y);
-    m.minHeard = std::min(m.minHeard, count);
-    m.maxHeard = std::max(m.maxHeard, count);
-  }
-  m.avgHeard = static_cast<double>(totalOnes_) / static_cast<double>(n_);
-  m.maxCoverage = 0;
-  for (std::size_t x = 0; x < n_; ++x) {
-    m.maxCoverage = std::max<std::size_t>(m.maxCoverage, coverCount_[x]);
-  }
-  m.completeRows = fullCovers_;
-  m.completeCols = fullRows_;
-  return m;
-}
-
-// ---------------------------------------------------------------------------
-// t*-only mode
-// ---------------------------------------------------------------------------
-
 namespace {
 
 /// Serves round t (1-based) from a contiguous cache when it fits the arc

@@ -1,36 +1,20 @@
-// FrontierSim: the sparse simulation backend.
+// The sparse simulation backend: t* without the heard-of matrix.
 //
 // The dense BroadcastSim stores the heard-of matrix as n bitset rows —
-// O(n²) bits per instance, which caps scenarios near n ≈ 10⁴. This file
-// is the other half of the backend pair: rounds are adjacency lists
-// (SparseRound), state is per-node sorted id vectors, and broadcast
-// advances as frontier propagation — each round costs O(Σ_{(x,y)∈G}
-// |Heard(x)|) set-merge work instead of O(n²/64) bit-ops, which wins
-// exactly when the heard sets (or the round graphs) are sparse.
+// O(n²) bits per instance, which caps scenarios near n ≈ 10⁴. The sparse
+// backend takes rounds as arc lists (SparseRound) and answers only the
+// question every sparse row asks, t*, in O(n + cached round arcs) memory;
+// this is what unlocks n = 10⁶. Runs that want per-round history use the
+// dense engine.
 //
-// Two layers live here, both EXACT — neither approximates t* or heard
-// counts, so the differential suite can demand bit-for-bit agreement
-// with BroadcastSim:
-//
-//   * FrontierSim — a full-state engine satisfying the SimBackend
-//     concept (src/sim/sim_backend.h; conformance is static_asserted in
-//     tests), plus applyEdges and metrics. Completion is incremental:
-//     per-node
-//     coverage counters c_x = |{y : x ∈ Heard(y)}| are bumped O(1) per
-//     insertion (the heard-of state is monotone, so insertions are
-//     permanent), making broadcastDone() O(1). Rows collapse to an
-//     implicit "full" representation once |Heard(y)| = n, so the
-//     near-completion tail is cheap.
-//
-//   * runFrontierTStar — a t*-only mode that never stores heard sets at
-//     all. Forward word-parallel propagation of ≤64 sampled sources
-//     (one uint64 per node) yields an upper bound U on t*; binary
-//     search over the monotone predicate "⋂_y Heard_t(y) ≠ ∅" then
-//     pins t* exactly, with each probe answered by a backward
-//     word-parallel over-approximation (candidates reaching all sampled
-//     targets ⊇ the true broadcasters) refined by forward certification
-//     of candidate batches. Memory is O(n + cached round arcs): this is
-//     what unlocks n = 10⁶.
+// runFrontierTStar is EXACT — it never approximates t*, so the
+// differential suite can demand bit-for-bit agreement with BroadcastSim.
+// Forward word-parallel propagation of ≤64 sampled sources (one uint64
+// per node) yields an upper bound U on t*; binary search over the
+// monotone predicate "⋂_y Heard_t(y) ≠ ∅" then pins t* exactly, with
+// each probe answered by a backward word-parallel over-approximation
+// (candidates reaching all sampled targets ⊇ the true broadcasters)
+// refined by forward certification of candidate batches.
 //
 // Layering: sim depends only on graph/tree/support, so round sequences
 // arrive through the SparseRoundSource interface; the DynamicsModel
@@ -42,11 +26,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/graph/bitmatrix.h"
-#include "src/sim/metrics.h"
-#include "src/support/bitset.h"
-#include "src/tree/rooted_tree.h"
-
 namespace dynbcast {
 
 /// One round's communication graph as an arc list. Self-loops are
@@ -54,11 +33,6 @@ namespace dynbcast {
 /// ignored by the consumers.
 struct SparseRound {
   std::size_t n = 0;
-  /// True when this round's arc set is identical to the previous round's
-  /// (e.g. t-interval holding a tree for T rounds). FrontierSim then
-  /// propagates only last-round deltas along each arc — sound because a
-  /// persisting arc (x, y) already delivered Heard_{t-1}(x) to y.
-  bool sameAsPrevious = false;
   /// (src, dst): dst hears src this round.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> arcs;
 };
@@ -73,99 +47,6 @@ class SparseRoundSource {
   /// The next round's graph; the reference stays valid until the
   /// following next() or reset().
   virtual const SparseRound& next() = 0;
-};
-
-/// Exact sparse mirror of BroadcastSim (see file comment).
-class FrontierSim {
- public:
-  explicit FrontierSim(std::size_t n);
-
-  [[nodiscard]] std::size_t processCount() const noexcept { return n_; }
-  [[nodiscard]] std::size_t round() const noexcept { return round_; }
-
-  /// One synchronous round along a rooted tree (parent → child arcs,
-  /// self-loops implicit) — the adversary-driven entry point.
-  void applyTree(const RootedTree& tree);
-
-  /// One round along an arbitrary reflexive graph; dense convenience for
-  /// cross-validation (extracts the arc list, then applyEdges).
-  void applyGraph(const BitMatrix& g);
-
-  /// One round along an explicit arc list — the native sparse path.
-  void applyEdges(const SparseRound& round);
-
-  /// |Heard(y)|; O(1).
-  [[nodiscard]] std::size_t heardCount(std::size_t y) const noexcept {
-    return rows_[y].full ? n_ : rows_[y].ids.size();
-  }
-
-  /// x ∈ Heard(y)? O(log |Heard(y)|).
-  [[nodiscard]] bool hasHeard(std::size_t y, std::size_t x) const;
-
-  /// Heard(y) materialized as a bitset (tests / inspection).
-  [[nodiscard]] DynBitset heardBitset(std::size_t y) const;
-
-  /// |{y : x ∈ Heard(y)}| — how many processes x has reached; O(1).
-  [[nodiscard]] std::size_t coverage(std::size_t x) const noexcept {
-    return coverCount_[x];
-  }
-
-  /// True when some process has been heard by everyone (t* reached);
-  /// O(1) via the maintained full-coverage counter.
-  [[nodiscard]] bool broadcastDone() const noexcept {
-    return fullCovers_ != 0;
-  }
-
-  /// True when everyone has heard of everyone; O(1).
-  [[nodiscard]] bool gossipDone() const noexcept { return fullRows_ == n_; }
-
-  /// {x : coverage(x) == n} materialized as a bitset.
-  [[nodiscard]] DynBitset broadcasters() const;
-
-  /// Same RoundMetrics as BroadcastSim::metrics(), from the maintained
-  /// counters — O(n), no matrix walk.
-  [[nodiscard]] RoundMetrics metrics() const;
-
-  /// Returns to round 0 (identity state).
-  void reset();
-
- private:
-  /// One heard set: sorted ids, or an implicit full set once
-  /// |Heard(y)| = n (ids are then released).
-  struct Row {
-    std::vector<std::uint32_t> ids;
-    bool full = false;
-  };
-
-  void bumpCoverage(std::uint32_t x);
-  void collapseToFull(std::size_t y);
-
-  std::size_t n_;
-  std::size_t round_ = 0;
-  std::vector<Row> rows_;
-  /// coverCount_[x] == |{y : x ∈ Heard(y)}|; insertions are permanent,
-  /// so each costs one increment.
-  std::vector<std::uint32_t> coverCount_;
-  std::size_t fullCovers_ = 0;  ///< |{x : coverCount_[x] == n}|
-  std::size_t fullRows_ = 0;    ///< |{y : Heard(y) full}|
-  std::size_t totalOnes_ = 0;   ///< Σ_y |Heard(y)|
-
-  /// Additions of the most recent round, consumed by the
-  /// sameAsPrevious delta path. deltaFull_[y] marks "y's delta is its
-  /// whole (now full) set".
-  std::vector<std::vector<std::uint32_t>> delta_;
-  std::vector<char> deltaFull_;
-  std::vector<std::uint32_t> deltaTouched_;
-
-  // Reused per-round scratch (allocation-free after warmup).
-  std::vector<std::uint32_t> arcOffsets_;
-  std::vector<std::uint32_t> arcSrcs_;
-  std::vector<std::uint32_t> candidateBuf_;
-  std::vector<std::uint32_t> mergeBuf_;
-  std::vector<std::vector<std::uint32_t>> addBuf_;
-  std::vector<std::uint32_t> touched_;
-  std::vector<char> pendingFull_;
-  SparseRound scratchRound_;
 };
 
 /// Options for the t*-only mode. Every field except maxRounds affects

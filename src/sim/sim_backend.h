@@ -1,27 +1,26 @@
 // SimBackend: the concept every simulation backend satisfies.
 //
-// Three engines implement the paper's model, each with a different
-// representation tuned to a different regime:
+// Two engines implement the paper's model round by round, each with a
+// different representation:
 //
 //   * BroadcastSim — dense heard-of bit matrix, the fast reference
 //   * ProcessSim   — literal message objects, the executable spec
-//   * FrontierSim  — sparse per-node id vectors for n up to 10⁶
+//
+// (The sparse backend, runFrontierTStar in frontier_sim.h, computes t*
+// alone and is not a round-by-round engine.)
 //
 // They grew the same public surface by convention; this concept makes
 // the convention a compile-time contract (conformance is static_asserted
 // in tests/sim_backend_test.cpp), so a drifting signature is a build
-// error instead of a latent engine-selection bug. ScenarioSpec's
-// backend routing and the differential suites all program against
-// exactly this surface.
+// error instead of a latent engine-selection bug. runUntil and the
+// differential suites program against exactly this surface.
 //
 // Contract (beyond the signatures): applyTree applies one synchronous
 // round along a rooted tree; applyGraph one round along a reflexive
 // directed graph; heardCount(y) == |Heard(y)|; broadcastDone() iff some
 // process has been heard by everyone (⋂_y Heard(y) ≠ ∅); gossipDone()
 // iff everyone heard everyone; reset() returns to the round-0 identity
-// state. All backends are EXACT — same t*, same counts, bit for bit —
-// which is what lets the engine pick a backend per workload without
-// changing any result.
+// state. Both backends are EXACT — same t*, same counts, bit for bit.
 //
 // runUntil is the one round loop every driver shares. It checks the
 // objective at round 0 (so n = 1 completes with rounds 0 and an empty

@@ -9,6 +9,7 @@
 #include "src/adversary/adversary.h"
 #include "src/adversary/portfolio.h"
 #include "src/bounds/bounds.h"
+#include "src/engine/task_plan.h"
 #include "src/sim/gossip.h"
 #include "src/support/seed_sequence.h"
 
@@ -423,22 +424,39 @@ TEST(ScenarioBackendTest, SparseRowsMatchDenseRowsBitForBit) {
   }
 }
 
-TEST(ScenarioBackendTest, SparseHistoryMatchesDense) {
-  // recordHistory routes the sparse backend through the exact full-state
-  // FrontierSim; per-round metrics must match the dense engine's.
+TEST(ScenarioBackendTest, SparseWithHistoryIsRejected) {
+  // The sparse backend computes t* alone, so a sparse run that asks for
+  // per-round history is a spec error naming the engines that record it.
   ExperimentEngine engine;
   ScenarioSpec scenario;
   scenario.dynamics = "edge-markovian:p=0.25,q=0.1";
   scenario.sizes = {20};
   scenario.recordHistory = true;
-  scenario.backend = BackendChoice::kDense;
-  const ScenarioResult dense = runScenario(scenario, engine);
   scenario.backend = BackendChoice::kSparse;
-  const ScenarioResult sparse = runScenario(scenario, engine);
+  for (const bool viaRun : {false, true}) {
+    try {
+      if (viaRun) {
+        (void)runScenario(scenario, engine);
+      } else {
+        validateScenario(scenario);
+      }
+      FAIL() << "expected std::invalid_argument (viaRun=" << viaRun << ")";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("history"), std::string::npos) << what;
+      EXPECT_NE(what.find("backend=dense"), std::string::npos) << what;
+      EXPECT_NE(what.find("backend=auto"), std::string::npos) << what;
+    }
+  }
+  // auto with history runs dense even above the sparse threshold.
+  scenario.dynamics = "edge-markovian:p=0.01,q=0.5";
+  scenario.sizes = {kAutoSparseThreshold + 1};
+  scenario.backend = BackendChoice::kAuto;
+  EXPECT_FALSE(ScenarioPlan(scenario).runsSparse(kAutoSparseThreshold + 1));
+  const ScenarioResult dense = runScenario(scenario, engine);
   ASSERT_EQ(dense.rows.size(), 1u);
-  ASSERT_EQ(sparse.rows.size(), 1u);
-  EXPECT_EQ(dense.rows[0], sparse.rows[0]);
-  EXPECT_EQ(sparse.rows[0].history.size(), sparse.rows[0].rounds);
+  EXPECT_TRUE(dense.rows[0].completed);
+  EXPECT_EQ(dense.rows[0].history.size(), dense.rows[0].rounds);
 }
 
 TEST(ScenarioBackendTest, SparseRowsAreBitIdenticalAcrossJobCounts) {

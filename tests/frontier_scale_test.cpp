@@ -51,15 +51,13 @@ TEST(FrontierScaleTest, EdgeMarkovianTStarAtTwoHundredThousandNodes) {
   ASSERT_TRUE(model->supportsSparseRounds());
 
   const BroadcastRun run =
-      runFrontierDynamicsBroadcast(n, *model, /*maxRounds=*/60,
-                                   /*recordHistory=*/false, /*seed=*/2024);
+      runFrontierDynamicsBroadcast(n, *model, /*maxRounds=*/60, /*seed=*/2024);
   EXPECT_TRUE(run.completed);
   EXPECT_GE(run.rounds, 2u);
   EXPECT_LT(run.rounds, 60u);
 
   // The run must replay: same model, same answer.
-  const BroadcastRun again =
-      runFrontierDynamicsBroadcast(n, *model, 60, false, 2024);
+  const BroadcastRun again = runFrontierDynamicsBroadcast(n, *model, 60, 2024);
   EXPECT_EQ(run.rounds, again.rounds);
   EXPECT_EQ(run.completed, again.completed);
 

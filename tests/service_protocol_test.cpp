@@ -25,6 +25,7 @@ TEST(ServiceProtocolTest, CanonicalStringIsAFixpoint) {
   const ServiceRequest decoded = decodeCanonicalRequest(canonical);
   EXPECT_EQ(canonicalRequestString(decoded), canonical);
   EXPECT_EQ(requestJobId(decoded), requestJobId(request));
+  EXPECT_EQ(canonicalJobId(canonical), requestJobId(request));
 }
 
 TEST(ServiceProtocolTest, DefaultAdversariesAreResolvedIntoTheCanonicalForm) {

@@ -1,11 +1,11 @@
 // The SimBackend concept (sim_backend.h) is the compile-time contract
-// every simulation engine satisfies. The static_asserts are the actual
+// both round-by-round engines satisfy. The static_asserts are the actual
 // test — a drifting signature breaks the build right here, with the
-// concept name in the error. The runtime probe then drives all three
-// backends through one shared round sequence and checks they agree on
-// every observable the concept exposes, which is the semantic half of
-// the contract ("all backends are EXACT"). The runUntil suite checks the
-// shared round driver gives the same run on the dense and sparse backends.
+// concept name in the error. The runtime probe then drives BroadcastSim
+// and ProcessSim through one shared round sequence and checks they agree
+// on every observable the concept exposes, which is the semantic half of
+// the contract ("both backends are EXACT"). The runUntil suite checks the
+// shared round driver against a hand-written round loop.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -13,7 +13,6 @@
 
 #include "src/graph/bitmatrix.h"
 #include "src/sim/broadcast_sim.h"
-#include "src/sim/frontier_sim.h"
 #include "src/sim/process_sim.h"
 #include "src/sim/sim_backend.h"
 #include "src/support/rng.h"
@@ -27,8 +26,6 @@ static_assert(SimBackend<BroadcastSim>,
               "BroadcastSim must satisfy the SimBackend concept");
 static_assert(SimBackend<ProcessSim>,
               "ProcessSim must satisfy the SimBackend concept");
-static_assert(SimBackend<FrontierSim>,
-              "FrontierSim must satisfy the SimBackend concept");
 
 namespace {
 
@@ -80,59 +77,56 @@ TEST(SimBackendTest, AllBackendsAgreeOnTheConceptSurface) {
 
     BroadcastSim dense(n);
     ProcessSim process(n);
-    FrontierSim frontier(n);
     const Trace reference = run(dense, trees, g);
     EXPECT_EQ(run(process, trees, g), reference) << "ProcessSim, n=" << n;
-    EXPECT_EQ(run(frontier, trees, g), reference) << "FrontierSim, n=" << n;
   }
 }
 
 // --- the runUntil driver ------------------------------------------------
 
-/// Runs a fresh Sim on the random tree sequence drawn from `seed`.
-template <SimBackend Sim>
-BroadcastRun runSeededTrees(std::size_t n, Objective objective,
-                            std::size_t maxRounds, std::uint64_t seed) {
-  Sim sim(n);
-  Rng rng(seed);
-  return runUntil(sim, objective, maxRounds, /*recordHistory=*/true,
-                  [&rng, n](Sim& s) {
-                    s.applyTree(randomRootedTree(n, rng));
-                  });
-}
-
 constexpr Objective kObjectives[] = {Objective::kBroadcast, Objective::kGossip};
 
-template <class Sim>
-class RunUntilTest : public ::testing::Test {};
-
-using DrivenBackends = ::testing::Types<BroadcastSim, FrontierSim>;
-TYPED_TEST_SUITE(RunUntilTest, DrivenBackends);
-
-TYPED_TEST(RunUntilTest, MatchesTheDenseRunOnSeededTrees) {
+TEST(RunUntilTest, MatchesTheDenseRunOnSeededTrees) {
+  // runUntil against the loop it replaces: apply the seeded trees one
+  // round at a time, recording metrics, until the objective holds.
   for (const Objective objective : kObjectives) {
     for (const std::size_t n : {2ul, 5ul, 16ul, 33ul}) {
       for (std::uint64_t seed = 0; seed < 4; ++seed) {
-        const BroadcastRun run =
-            runSeededTrees<TypeParam>(n, objective, 50 * n, seed);
-        const BroadcastRun dense =
-            runSeededTrees<BroadcastSim>(n, objective, 50 * n, seed);
+        const std::size_t cap = 50 * n;
+        BroadcastSim sim(n);
+        Rng rng(seed);
+        const BroadcastRun run = runUntil(
+            sim, objective, cap, /*recordHistory=*/true,
+            [&rng, n](BroadcastSim& s) {
+              s.applyTree(randomRootedTree(n, rng));
+            });
+
+        BroadcastSim dense(n);
+        Rng denseRng(seed);
+        std::vector<RoundMetrics> history;
+        const auto done = [&dense, objective] {
+          return objective == Objective::kBroadcast ? dense.broadcastDone()
+                                                    : dense.gossipDone();
+        };
+        while (!done() && dense.round() < cap) {
+          dense.applyTree(randomRootedTree(n, denseRng));
+          history.push_back(dense.metrics());
+        }
         EXPECT_TRUE(run.completed) << "n=" << n << " seed=" << seed;
-        EXPECT_EQ(run.rounds, dense.rounds) << "n=" << n << " seed=" << seed;
-        EXPECT_EQ(run.completed, dense.completed);
+        EXPECT_EQ(run.rounds, dense.round()) << "n=" << n << " seed=" << seed;
+        EXPECT_EQ(run.completed, done());
         EXPECT_EQ(run.history.size(), run.rounds);
-        EXPECT_TRUE(run.history == dense.history)
-            << "n=" << n << " seed=" << seed;
+        EXPECT_TRUE(run.history == history) << "n=" << n << " seed=" << seed;
       }
     }
   }
 }
 
-TYPED_TEST(RunUntilTest, SingleProcessCompletesAtRoundZero) {
+TEST(RunUntilTest, SingleProcessCompletesAtRoundZero) {
   for (const Objective objective : kObjectives) {
-    TypeParam sim(1);
+    BroadcastSim sim(1);
     const BroadcastRun run =
-        runUntil(sim, objective, 10, true, [](TypeParam&) {
+        runUntil(sim, objective, 10, true, [](BroadcastSim&) {
           ADD_FAILURE() << "no round may run once the objective holds";
         });
     EXPECT_TRUE(run.completed);
@@ -141,23 +135,23 @@ TYPED_TEST(RunUntilTest, SingleProcessCompletesAtRoundZero) {
   }
 }
 
-TYPED_TEST(RunUntilTest, ZeroCapRunsNoRound) {
-  TypeParam sim(5);
+TEST(RunUntilTest, ZeroCapRunsNoRound) {
+  BroadcastSim sim(5);
   const BroadcastRun run = runUntil(
       sim, Objective::kBroadcast, 0, true,
-      [](TypeParam& s) { s.applyTree(makePath(5)); });
+      [](BroadcastSim& s) { s.applyTree(makePath(5)); });
   EXPECT_FALSE(run.completed);
   EXPECT_EQ(run.rounds, 0u);
   EXPECT_TRUE(run.history.empty());
 }
 
-TYPED_TEST(RunUntilTest, StaticPathStallsGossipAtTheCap) {
+TEST(RunUntilTest, StaticPathStallsGossipAtTheCap) {
   // A leaf's id never leaves it under a static tree, so gossip stalls.
   constexpr std::size_t kCap = 20;
-  TypeParam sim(6);
+  BroadcastSim sim(6);
   const BroadcastRun run = runUntil(
       sim, Objective::kGossip, kCap, true,
-      [](TypeParam& s) { s.applyTree(makePath(6)); });
+      [](BroadcastSim& s) { s.applyTree(makePath(6)); });
   EXPECT_FALSE(run.completed);
   EXPECT_EQ(run.rounds, kCap);
   EXPECT_EQ(run.history.size(), kCap);

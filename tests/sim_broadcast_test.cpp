@@ -157,30 +157,6 @@ TEST(BroadcastSimTest, SizeMismatchThrows) {
   EXPECT_THROW(sim.applyTree(makePath(4)), AssertionError);
 }
 
-TEST(BroadcastSimTest, FromHeardResumesState) {
-  Rng rng(61);
-  BroadcastSim original(7);
-  for (int r = 0; r < 4; ++r) original.applyTree(randomRootedTree(7, rng));
-  BroadcastSim resumed = BroadcastSim::fromHeard(
-      std::vector<DynBitset>(original.heardMatrix()), original.round());
-  EXPECT_EQ(resumed.round(), original.round());
-  // Applying the same tree to both keeps them identical.
-  const RootedTree t = randomRootedTree(7, rng);
-  original.applyTree(t);
-  resumed.applyTree(t);
-  for (std::size_t y = 0; y < 7; ++y) {
-    EXPECT_EQ(resumed.heardBy(y), original.heardBy(y));
-  }
-}
-
-TEST(BroadcastSimTest, FromHeardRejectsMissingSelfBit) {
-  std::vector<DynBitset> heard(3, DynBitset(3));
-  heard[0].set(0);
-  heard[1].set(1);
-  // heard[2] missing its own bit.
-  EXPECT_THROW(BroadcastSim::fromHeard(std::move(heard)), AssertionError);
-}
-
 TEST(RunnersTest, RunBroadcastCompletesOnRandomTrees) {
   Rng rng(41);
   BroadcastSim sim(10);
@@ -304,18 +280,6 @@ TEST(BroadcastSimIncrementalTest, MatchesRecomputeOnGraphRounds) {
     sim.applyGraph(g);
     expectCompletionStateConsistent(sim);
   }
-}
-
-TEST(BroadcastSimIncrementalTest, FromHeardRebuildsState) {
-  Rng rng(8);
-  const std::size_t n = 65;
-  BroadcastSim source(n);
-  for (int r = 0; r < 5; ++r) source.applyTree(randomRootedTree(n, rng));
-  const BroadcastSim resumed =
-      BroadcastSim::fromHeard(source.heardMatrix(), source.round());
-  expectCompletionStateConsistent(resumed);
-  EXPECT_EQ(resumed.broadcastDone(), source.broadcastDone());
-  EXPECT_EQ(resumed.gossipDone(), source.gossipDone());
 }
 
 }  // namespace

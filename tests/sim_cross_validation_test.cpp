@@ -1,11 +1,10 @@
-// Integration: three independent implementations of Definitions 2.1–2.3
-// must agree exactly. BroadcastSim (dense bitsets), ProcessSim (literal
-// message passing over std::set), and FrontierSim (sparse frontier
-// propagation) are cross-checked round by round on tree sequences; on
-// graph-model dynamics — where ProcessSim has no graph interface — the
-// dense and sparse engines are checked against each other, together with
-// the sampled t*-only frontier mode. All randomized sweeps shard through
-// the ExperimentEngine.
+// Integration: two independent implementations of Definitions 2.1–2.3
+// must agree exactly. BroadcastSim (dense bitsets) and ProcessSim
+// (literal message passing over std::set) are cross-checked round by
+// round on tree sequences; on graph-model dynamics — where ProcessSim has
+// no graph interface — each model's sparse arc rounds are checked against
+// its dense graphs, and the sampled t*-only frontier mode against the
+// dense t*. All randomized sweeps shard through the ExperimentEngine.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -15,7 +14,6 @@
 #include "src/dynamics/registry.h"
 #include "src/engine/experiment_engine.h"
 #include "src/sim/broadcast_sim.h"
-#include "src/sim/frontier_sim.h"
 #include "src/sim/process_sim.h"
 #include "src/support/rng.h"
 #include "src/tree/constrained.h"
@@ -25,26 +23,18 @@
 namespace dynbcast {
 namespace {
 
-void expectAgreement(const BroadcastSim& fast, const ProcessSim& slow,
-                     const FrontierSim& frontier) {
+void expectAgreement(const BroadcastSim& fast, const ProcessSim& slow) {
   const std::size_t n = fast.processCount();
   ASSERT_EQ(slow.processCount(), n);
-  ASSERT_EQ(frontier.processCount(), n);
   for (std::size_t y = 0; y < n; ++y) {
     const auto& knowledge = slow.process(y).knowledge;
     EXPECT_EQ(fast.heardBy(y).count(), knowledge.size()) << "y=" << y;
     for (const std::size_t x : knowledge) {
       EXPECT_TRUE(fast.heardBy(y).test(x)) << "x=" << x << " y=" << y;
     }
-    EXPECT_EQ(frontier.heardCount(y), fast.heardBy(y).count()) << "y=" << y;
-    for (const std::size_t x : fast.heardBy(y).toIndices()) {
-      EXPECT_TRUE(frontier.hasHeard(y, x)) << "x=" << x << " y=" << y;
-    }
   }
   EXPECT_EQ(fast.broadcastDone(), slow.broadcastDone());
   EXPECT_EQ(fast.gossipDone(), slow.gossipDone());
-  EXPECT_EQ(frontier.broadcastDone(), fast.broadcastDone());
-  EXPECT_EQ(frontier.gossipDone(), fast.gossipDone());
 }
 
 class CrossValidationTest : public ::testing::TestWithParam<std::size_t> {};
@@ -54,13 +44,11 @@ TEST_P(CrossValidationTest, AgreeOnUniformRandomTrees) {
   Rng rng(n * 17 + 3);
   BroadcastSim fast(n);
   ProcessSim slow(n);
-  FrontierSim frontier(n);
   for (int r = 0; r < 40; ++r) {
     const RootedTree t = randomRootedTree(n, rng);
     fast.applyTree(t);
     slow.applyTree(t);
-    frontier.applyTree(t);
-    expectAgreement(fast, slow, frontier);
+    expectAgreement(fast, slow);
   }
 }
 
@@ -69,13 +57,11 @@ TEST_P(CrossValidationTest, AgreeOnRandomPaths) {
   Rng rng(n * 29 + 1);
   BroadcastSim fast(n);
   ProcessSim slow(n);
-  FrontierSim frontier(n);
   for (int r = 0; r < 30; ++r) {
     const RootedTree t = randomPath(n, rng);
     fast.applyTree(t);
     slow.applyTree(t);
-    frontier.applyTree(t);
-    expectAgreement(fast, slow, frontier);
+    expectAgreement(fast, slow);
   }
 }
 
@@ -85,45 +71,38 @@ TEST_P(CrossValidationTest, AgreeOnConstrainedTrees) {
   Rng rng(n * 31 + 7);
   BroadcastSim fast(n);
   ProcessSim slow(n);
-  FrontierSim frontier(n);
   for (int r = 0; r < 20; ++r) {
     const std::size_t k = 1 + rng.uniform(n - 1);
     const RootedTree t = r % 2 == 0 ? randomTreeWithKLeaves(n, k, rng)
                                     : randomTreeWithKInnerNodes(n, k, rng);
     fast.applyTree(t);
     slow.applyTree(t);
-    frontier.applyTree(t);
-    expectAgreement(fast, slow, frontier);
+    expectAgreement(fast, slow);
   }
 }
 
-// 65 and 128 straddle the 64-bit word boundary the dense bitsets and the
-// frontier t* sampler both care about.
+// 65 and 128 straddle the 64-bit word boundary of the dense bitsets.
 INSTANTIATE_TEST_SUITE_P(Sizes, CrossValidationTest,
                          ::testing::Values(2, 3, 4, 5, 8, 13, 21, 32, 65,
                                            128));
 
 TEST(CrossValidationTest, SameBroadcastRoundOnIdenticalSequences) {
-  // All three sims must report t* at the same round for the same sequence.
+  // Both sims must report t* at the same round for the same sequence.
   Rng rng(101);
   for (int trial = 0; trial < 10; ++trial) {
     const std::size_t n = 3 + rng.uniform(10);
     BroadcastSim fast(n);
     ProcessSim slow(n);
-    FrontierSim frontier(n);
-    std::size_t fastDone = 0, slowDone = 0, frontierDone = 0;
+    std::size_t fastDone = 0, slowDone = 0;
     for (std::size_t r = 1; r <= 10 * n; ++r) {
       const RootedTree t = randomRootedTree(n, rng);
       fast.applyTree(t);
       slow.applyTree(t);
-      frontier.applyTree(t);
       if (fastDone == 0 && fast.broadcastDone()) fastDone = r;
       if (slowDone == 0 && slow.broadcastDone()) slowDone = r;
-      if (frontierDone == 0 && frontier.broadcastDone()) frontierDone = r;
-      if (fastDone != 0 && slowDone != 0 && frontierDone != 0) break;
+      if (fastDone != 0 && slowDone != 0) break;
     }
     EXPECT_EQ(fastDone, slowDone);
-    EXPECT_EQ(fastDone, frontierDone);
     EXPECT_NE(fastDone, 0u);
   }
 }
@@ -132,8 +111,7 @@ TEST(CrossValidationTest, EngineShardedPortfolioAgreementOnRandomInstances) {
   // Property-style sweep, sharded through the ExperimentEngine: for 200
   // random (n ≤ 24, seed) instances, EVERY portfolio member — driven by
   // the fast BroadcastSim it plays against — must complete broadcast at
-  // the same round on the literal message-passing ProcessSim AND on the
-  // sparse FrontierSim.
+  // the same round on the literal message-passing ProcessSim.
   constexpr std::size_t kInstances = 200;
   struct Verdict {
     bool ok = true;
@@ -151,32 +129,22 @@ TEST(CrossValidationTest, EngineShardedPortfolioAgreementOnRandomInstances) {
           adversary->reset();
           BroadcastSim fast(n);
           ProcessSim slow(n);
-          FrontierSim frontier(n);
-          std::size_t fastDone = 0, slowDone = 0, frontierDone = 0;
+          std::size_t fastDone = 0, slowDone = 0;
           const std::size_t cap = defaultRoundCap(n);
           for (std::size_t r = 1;
-               r <= cap &&
-               (fastDone == 0 || slowDone == 0 || frontierDone == 0);
-               ++r) {
+               r <= cap && (fastDone == 0 || slowDone == 0); ++r) {
             const RootedTree tree = adversary->nextTree(fast);
             fast.applyTree(tree);
             slow.applyTree(tree);
-            frontier.applyTree(tree);
             if (fastDone == 0 && fast.broadcastDone()) fastDone = r;
             if (slowDone == 0 && slow.broadcastDone()) slowDone = r;
-            if (frontierDone == 0 && frontier.broadcastDone()) {
-              frontierDone = r;
-            }
           }
-          if (fastDone == 0 || fastDone != slowDone ||
-              fastDone != frontierDone) {
+          if (fastDone == 0 || fastDone != slowDone) {
             verdict.ok = false;
-            verdict.detail =
-                member.name + " at n=" + std::to_string(n) +
-                " seed=" + std::to_string(seed) +
-                ": BroadcastSim t*=" + std::to_string(fastDone) +
-                " ProcessSim t*=" + std::to_string(slowDone) +
-                " FrontierSim t*=" + std::to_string(frontierDone);
+            verdict.detail = member.name + " at n=" + std::to_string(n) +
+                             " seed=" + std::to_string(seed) +
+                             ": BroadcastSim t*=" + std::to_string(fastDone) +
+                             " ProcessSim t*=" + std::to_string(slowDone);
             return verdict;
           }
         }
@@ -190,12 +158,13 @@ TEST(CrossValidationTest, EngineShardedPortfolioAgreementOnRandomInstances) {
 // ---------------------------------------------------------------------------
 // Graph-model dynamics: dense ↔ sparse differential sweep.
 //
-// ProcessSim has no graph interface, so the three-way check here pits the
-// dense BroadcastSim against (a) the full-state FrontierSim fed by
-// nextSparseRound — exact per-round heard counts must match — and (b) the
-// sampled t*-only frontier mode, whose certified answer must land on the
-// same round. Sizes reach past 64 so the t* mode exercises its
-// backward-filter certification path, not just the all-sources shortcut.
+// ProcessSim has no graph interface, so the check here pits the dense
+// path against the sparse one in two legs: (a) every round, the model's
+// nextSparseRound arcs plus the identity must equal its dense nextGraph
+// exactly, and (b) the sampled t*-only frontier mode's certified answer
+// must land on the dense t*. Sizes reach past 64 so the t* mode exercises
+// its backward-filter certification path, not just the all-sources
+// shortcut.
 // ---------------------------------------------------------------------------
 
 void runGraphModelDifferential(const std::string& specText,
@@ -227,42 +196,26 @@ void runGraphModelDifferential(const std::string& specText,
         denseModel->reset();
         sparseModel->reset();
         BroadcastSim dense(n);
-        FrontierSim frontier(n);
         const std::size_t cap = denseModel->defaultRoundCap();
         SparseRound round;
-        std::size_t denseDone = 0, frontierDone = 0;
-        while (dense.round() < cap &&
-               (denseDone == 0 || frontierDone == 0)) {
+        std::size_t denseDone = 0;
+        while (dense.round() < cap && denseDone == 0) {
           const BitMatrix g = denseModel->nextGraph(dense);
           dense.applyGraph(g);
           sparseModel->nextSparseRound(round);
-          frontier.applyEdges(round);
-          for (std::size_t y = 0; y < n; ++y) {
-            if (frontier.heardCount(y) != dense.heardBy(y).count()) {
-              return fail("round " + std::to_string(dense.round()) +
-                          " heard-count mismatch at y=" + std::to_string(y) +
-                          ": dense " +
-                          std::to_string(dense.heardBy(y).count()) +
-                          " vs frontier " +
-                          std::to_string(frontier.heardCount(y)));
-            }
+          BitMatrix fromArcs = BitMatrix::identity(n);
+          for (const auto& [src, dst] : round.arcs) fromArcs.set(src, dst);
+          if (round.n != n || fromArcs != g) {
+            return fail("round " + std::to_string(dense.round()) +
+                        ": sparse arcs differ from the dense graph");
           }
-          if (denseDone == 0 && dense.broadcastDone()) {
-            denseDone = dense.round();
-          }
-          if (frontierDone == 0 && frontier.broadcastDone()) {
-            frontierDone = frontier.round();
-          }
-        }
-        if (denseDone != frontierDone) {
-          return fail("t* mismatch: dense " + std::to_string(denseDone) +
-                      " vs frontier " + std::to_string(frontierDone));
+          if (dense.broadcastDone()) denseDone = dense.round();
         }
         // The sampled t*-only mode replays the same seed and must land on
         // the same certified round (or agree broadcast never completed).
         const auto tstarModel = registry.make(spec, n, seed);
         const BroadcastRun run =
-            runFrontierDynamicsBroadcast(n, *tstarModel, cap, false, seed);
+            runFrontierDynamicsBroadcast(n, *tstarModel, cap, seed);
         if (denseDone != 0) {
           if (!run.completed || run.rounds != denseDone) {
             return fail("t*-mode mismatch: dense " +
@@ -295,8 +248,7 @@ TEST(CrossValidationTest, EngineShardedEdgeMarkovianDifferential) {
 
 TEST(CrossValidationTest, EngineShardedSparseEdgeMarkovianDifferential) {
   // Sparser graphs stretch t* toward the cap and exercise long frontier
-  // tails and the persisted-edge delta path less — a different regime
-  // from the dense parameterization above.
+  // tails — a different regime from the dense parameterization above.
   runGraphModelDifferential("edge-markovian:p=0.05,q=0.4", 0xd1f404);
 }
 
