@@ -53,6 +53,10 @@ DEFAULT_GATES = {
     # (repair included) and one isNonsplit; absolute ns, upward.
     "kernel:nonsplitGraph:2048:ns_per_op": 60.0,
     "kernel:isNonsplit:2048:ns_per_op": 60.0,
+    # zoo-sparse's generator: one native edge-markovian step at n = 65536
+    # (deaths, births merged with the survivors, arc decode); absolute
+    # ns, upward.
+    "kernel:edgeMarkovianRound:65536:ns_per_op": 60.0,
     # Search-core counters: deterministic for the fixed seed/size the
     # harness uses (quick and full run the same search), so the slack only
     # absorbs deliberate tuning of the move pool or pruning rules.

@@ -188,6 +188,29 @@ KernelResult benchIsNonsplit(std::size_t n, double minSeconds, Rng& rng) {
   return r;
 }
 
+/// One native edge-markovian step per op at zoo-sparse's largest n and
+/// density (p = 0.0002, q = 0.5): deaths, births merged with the
+/// survivors, and the arcs decoded. Two warm-up rounds first, so the
+/// stationary draw is not timed and the buffers have their size. A step
+/// takes tens of ms, so callers pass enough time for several of them.
+KernelResult benchEdgeMarkovianRound(std::size_t n, double minSeconds,
+                                     Rng& rng) {
+  const auto model = DynamicsRegistry::instance().make(
+      "edge-markovian:p=0.0002,q=0.5", n, rng());
+  SparseRound round;
+  for (int warmUp = 0; warmUp < 2; ++warmUp) model->nextSparseRound(round);
+  auto [reps, secs] = timeLoop(
+      minSeconds,
+      [&] {
+        model->nextSparseRound(round);
+        consume(round.arcs.size());
+      },
+      /*firstBatch=*/1);
+  KernelResult r{"edgeMarkovianRound", n, reps, 0.0, 0.0};
+  r.nsPerOp = secs * 1e9 / static_cast<double>(reps);
+  return r;
+}
+
 /// The pre-rewrite textbook product (row-gather via findNext), kept here
 /// as the blocked kernel's reference and A/B partner.
 BitMatrix productNaive(const BitMatrix& a, const BitMatrix& b) {
@@ -528,6 +551,10 @@ int main(int argc, char** argv) {
   // full mode alike (CI gates both).
   kernels.push_back(benchNonsplitGraph(2048, minSeconds, rng));
   kernels.push_back(benchIsNonsplit(2048, minSeconds, rng));
+  // zoo-sparse's generator step at its n = 65536, fixed in quick and full
+  // mode alike (CI gates it), timed for at least 0.25 s in both.
+  kernels.push_back(
+      benchEdgeMarkovianRound(65536, std::max(minSeconds, 0.25), rng));
 
   TextTable kernelTable({"kernel", "bits/n", "reps", "ns/op", "GiB/s"});
   for (const KernelResult& k : kernels) {

@@ -67,14 +67,33 @@ void skipSampleBernoulli(std::uint64_t space, double p, Rng& rng, Fn&& fn) {
   }
 }
 
-/// Decodes an index of the n(n-1) off-diagonal ordered-pair space into
-/// its (x, y) arc; indices ascend lexicographically in (x, y).
-inline std::pair<std::uint32_t, std::uint32_t> decodePair(std::uint64_t i,
-                                                          std::size_t n) {
-  const auto x = static_cast<std::uint32_t>(i / (n - 1));
-  const auto r = static_cast<std::uint32_t>(i % (n - 1));
-  return {x, r + (r >= x ? 1 : 0)};
-}
+/// Decodes ascending indices of the n(n-1) off-diagonal ordered-pair
+/// space into their (x, y) arcs; indices ascend lexicographically in
+/// (x, y), row x holding [x(n-1), (x+1)(n-1)). The row is carried
+/// forward, so only an index that skips a whole row costs a division.
+class AscendingPairDecoder {
+ public:
+  explicit AscendingPairDecoder(std::size_t n) : width_(n - 1) {}
+
+  std::pair<std::uint32_t, std::uint32_t> operator()(std::uint64_t i) {
+    if (i - rowStart_ >= width_) {
+      if (i - rowStart_ < 2 * width_) {
+        ++x_;
+        rowStart_ += width_;
+      } else {
+        x_ = static_cast<std::uint32_t>(i / width_);
+        rowStart_ = x_ * width_;
+      }
+    }
+    const auto r = static_cast<std::uint32_t>(i - rowStart_);
+    return {x_, r + (r >= x_ ? 1 : 0)};
+  }
+
+ private:
+  std::uint64_t width_;
+  std::uint64_t rowStart_ = 0;
+  std::uint32_t x_ = 0;
+};
 
 /// Stall-detector cap for the stochastic models with no sharper published
 /// bound here (edge-Markovian, T-interval): oblivious dynamic sequences
@@ -128,9 +147,10 @@ class NonsplitRandomModel final : public SeededGraphModel {
     // everyone — still nonsplit (the hub is a common in-neighbor of
     // every pair), distributionally close rather than identical.
     if (p_ > 0.0) {
+      AscendingPairDecoder decode(n_);
       skipSampleBernoulli(
           static_cast<std::uint64_t>(n_) * (n_ - 1), p_, rng_,
-          [&](std::uint64_t i) { out.arcs.push_back(decodePair(i, n_)); });
+          [&](std::uint64_t i) { out.arcs.push_back(decode(i)); });
     } else {
       const std::size_t count = edges_ != 0 ? edges_ : 2 * n_;
       for (std::size_t e = 0; e < count; ++e) {
@@ -225,26 +245,16 @@ class EdgeMarkovianModel final : public SeededGraphModel {
                           [&](std::uint64_t i) { sparseKeys_.push_back(i); });
       sparseStarted_ = true;
     } else {
-      survivorKeys_.clear();
-      for (const std::uint64_t key : sparseKeys_) {
-        if (!rng_.chance(q_)) survivorKeys_.push_back(key);
-      }
-      birthKeys_.clear();
-      skipSampleBernoulli(space, p_, rng_, [&](std::uint64_t i) {
-        if (!std::binary_search(sparseKeys_.begin(), sparseKeys_.end(), i)) {
-          birthKeys_.push_back(i);
-        }
-      });
-      mergedKeys_.clear();
-      mergedKeys_.reserve(survivorKeys_.size() + birthKeys_.size());
-      std::merge(survivorKeys_.begin(), survivorKeys_.end(),
-                 birthKeys_.begin(), birthKeys_.end(),
-                 std::back_inserter(mergedKeys_));
-      sparseKeys_.swap(mergedKeys_);
+      evolveSparseKeys(space);
     }
-    out.arcs.reserve(sparseKeys_.size());
+    // A sixteenth of slack: the next round, about as large, then reuses
+    // this buffer instead of holding two at once while it reallocates.
+    if (sparseKeys_.size() > out.arcs.capacity()) {
+      out.arcs.reserve(sparseKeys_.size() + sparseKeys_.size() / 16);
+    }
+    AscendingPairDecoder decode(n_);
     for (const std::uint64_t key : sparseKeys_) {
-      out.arcs.push_back(decodePair(key, n_));
+      out.arcs.push_back(decode(key));
     }
   }
 
@@ -290,6 +300,60 @@ class EdgeMarkovianModel final : public SeededGraphModel {
     }
   }
 
+  /// One native chain step of sparseKeys_. Every death is drawn first,
+  /// in key order, as one bit per present key; then the births are
+  /// skip-sampled in ascending order and merged with the survivors in a
+  /// single pass, a cursor over the old keys rejecting present pairs.
+  /// The RNG draws are those of "all deaths, then all births".
+  void evolveSparseKeys(std::uint64_t space) {
+    const std::size_t present = sparseKeys_.size();
+    deathBits_.assign((present + 63) / 64, 0);
+    for (std::size_t k = 0; k < present; ++k) {
+      deathBits_[k / 64] |= static_cast<std::uint64_t>(rng_.chance(q_))
+                            << (k % 64);
+    }
+    // Survivors are written without a branch: each slot is filled and
+    // kept only when its key lives, so the buffer needs room for every
+    // remaining old key plus one birth. It grows by a sixteenth, not by
+    // vector's doubling, since births and deaths nearly balance.
+    const auto makeRoom = [this](std::size_t needed) {
+      if (needed > mergedKeys_.capacity()) {
+        mergedKeys_.reserve(needed + needed / 16 + 64);
+      }
+      mergedKeys_.resize(mergedKeys_.capacity());
+    };
+    // Its old contents are stale: drop them when a reallocation would
+    // copy them.
+    if (mergedKeys_.capacity() <= present) mergedKeys_.clear();
+    makeRoom(present + 1);
+    const std::uint64_t* old = sparseKeys_.data();
+    const std::uint64_t* dead = deathBits_.data();
+    std::size_t written = 0;
+    std::size_t k = 0;
+    const auto keepSurvivorsBelow = [&](std::uint64_t bound) {
+      std::uint64_t* next = mergedKeys_.data();
+      std::size_t w = written;
+      std::size_t j = k;
+      for (; j < present && old[j] < bound; ++j) {
+        next[w] = old[j];
+        w += ((dead[j / 64] >> (j % 64)) & 1) ^ 1;
+      }
+      written = w;
+      k = j;
+    };
+    skipSampleBernoulli(space, p_, rng_, [&](std::uint64_t i) {
+      keepSurvivorsBelow(i);
+      if (k < present && old[k] == i) return;  // present: no birth
+      if (written + (present - k) + 1 > mergedKeys_.size()) {
+        makeRoom(written + (present - k) + 1);
+      }
+      mergedKeys_[written++] = i;
+    });
+    keepSurvivorsBelow(space);
+    mergedKeys_.resize(written);
+    sparseKeys_.swap(mergedKeys_);
+  }
+
   double p_;
   double q_;
   /// Dense chain state — allocated by the first denseStep() only, so the
@@ -298,11 +362,12 @@ class EdgeMarkovianModel final : public SeededGraphModel {
   bool started_ = false;
   bool sparseStarted_ = false;
   /// Present off-diagonal arcs as sorted pair-space indices (see
-  /// decodePair) — the O(edges) state of the native sparse chain.
+  /// AscendingPairDecoder) — the O(edges) state of the native sparse chain.
   std::vector<std::uint64_t> sparseKeys_;
-  std::vector<std::uint64_t> survivorKeys_;
-  std::vector<std::uint64_t> birthKeys_;
+  /// Scratch of evolveSparseKeys: the next round's keys, and one death
+  /// bit per present key.
   std::vector<std::uint64_t> mergedKeys_;
+  std::vector<std::uint64_t> deathBits_;
 };
 
 /// "t-interval": a uniformly random spanning tree, symmetrized (both

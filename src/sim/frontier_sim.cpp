@@ -1,7 +1,8 @@
 #include "src/sim/frontier_sim.h"
 
 #include <algorithm>
-#include <bit>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <unordered_set>
 
@@ -11,37 +12,78 @@
 namespace dynbcast {
 namespace {
 
-/// Serves round t (1-based) from a contiguous cache when it fits the arc
-/// budget, else by replaying the source from reset() — the latter keeps
-/// the mode exact with O(n) memory at the price of O(t) regeneration per
-/// backward step.
+/// One round regrouped by source: the out-neighbours of x are
+/// targets[offsets[x] .. offsets[x + 1]), self-loops dropped. Duplicate
+/// arcs are kept; every pass below is idempotent in them.
+struct CompactRound {
+  std::vector<std::uint32_t> offsets;  // n + 1 entries
+  std::vector<std::uint32_t> targets;
+
+  /// Regroups `round`'s arcs by source with a counting sort.
+  void assign(std::size_t n, const SparseRound& round) {
+    DYNBCAST_ASSERT_MSG(
+        round.arcs.size() <= std::numeric_limits<std::uint32_t>::max(),
+        "a round's arcs must fit u32 offsets");
+    offsets.assign(n + 1, 0);
+    for (const auto& [x, y] : round.arcs) {
+      DYNBCAST_ASSERT_MSG(x < n && y < n, "arc endpoint out of range");
+      if (x != y) ++offsets[x + 1];
+    }
+    // offsets[x + 1] becomes x's first slot; the scatter below advances
+    // it to x's end, which is (x + 1)'s first slot.
+    std::uint32_t start = 0;
+    for (std::size_t x = 0; x < n; ++x) {
+      const std::uint32_t count = offsets[x + 1];
+      offsets[x + 1] = start;
+      start += count;
+    }
+    targets.resize(start);
+    for (const auto& [x, y] : round.arcs) {
+      if (x != y) targets[offsets[x + 1]++] = y;
+    }
+  }
+
+  /// Cache units (4 bytes each) this round occupies.
+  [[nodiscard]] std::size_t units() const noexcept {
+    return offsets.size() + targets.size();
+  }
+};
+
+/// Serves round t (1-based) from a cache of compact rounds while they
+/// fit the budget, else by replaying the source from reset() — the
+/// latter keeps the mode exact with O(n) memory at the price of O(t)
+/// regeneration per backward step.
 class RoundReplayer {
  public:
-  RoundReplayer(SparseRoundSource& source, std::size_t budgetArcs)
-      : source_(source), budgetArcs_(budgetArcs) {}
+  RoundReplayer(std::size_t n, SparseRoundSource& source,
+                std::size_t budgetArcs)
+      : n_(n), source_(source), budgetArcs_(budgetArcs) {}
 
-  const SparseRound& round(std::size_t t) {
+  const CompactRound& round(std::size_t t) {
     DYNBCAST_ASSERT_MSG(t >= 1, "rounds are 1-based");
     if (t <= cache_.size()) return cache_[t - 1];
     if (generated_ >= t) {
       source_.reset();
       generated_ = 0;
     }
-    const SparseRound* last = nullptr;
     while (generated_ < t) {
-      last = &source_.next();
+      const SparseRound& pulled = source_.next();
       ++generated_;
       ++totalGenerated_;
       if (caching_ && generated_ == cache_.size() + 1) {
-        if (cachedArcs_ + last->arcs.size() <= budgetArcs_) {
-          cache_.push_back(*last);
-          cachedArcs_ += last->arcs.size();
-        } else {
-          caching_ = false;
+        scratch_.assign(n_, pulled);
+        if (cachedUnits_ + scratch_.units() <= budgetArcs_) {
+          cachedUnits_ += scratch_.units();
+          cache_.push_back(std::move(scratch_));
+          scratch_ = CompactRound{};
+          continue;
         }
+        caching_ = false;
+      } else if (generated_ == t) {
+        scratch_.assign(n_, pulled);
       }
     }
-    return t <= cache_.size() ? cache_[t - 1] : *last;
+    return t <= cache_.size() ? cache_[t - 1] : scratch_;
   }
 
   [[nodiscard]] std::size_t totalGenerated() const noexcept {
@@ -49,14 +91,21 @@ class RoundReplayer {
   }
 
  private:
+  std::size_t n_;
   SparseRoundSource& source_;
   std::size_t budgetArcs_;
-  std::vector<SparseRound> cache_;
-  std::size_t cachedArcs_ = 0;
+  std::vector<CompactRound> cache_;
+  std::size_t cachedUnits_ = 0;
   bool caching_ = true;
+  CompactRound scratch_;            // round t when it is not cached
   std::size_t generated_ = 0;       // rounds pulled since the last reset
   std::size_t totalGenerated_ = 0;  // lifetime next() calls (diagnostics)
 };
+
+/// The low `count` bits set (count ≤ 64): one bit per sampled node.
+[[nodiscard]] constexpr std::uint64_t allBits(std::size_t count) {
+  return count == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << count) - 1;
+}
 
 /// k distinct ids from [0, n) (Floyd's sampling when k < n).
 std::vector<std::uint32_t> pickDistinct(std::size_t n, std::size_t k,
@@ -83,40 +132,42 @@ std::vector<std::uint32_t> pickDistinct(std::size_t n, std::size_t k,
 
 /// Forward word-propagation of `sources` (bit j ↔ sources[j]) over
 /// rounds [1, limit]. Returns the first round at which some source has
-/// been heard by all n nodes, or 0 when none completes. `cover` holds
-/// the final words either way.
+/// been heard by all n nodes — a bit set in every word — or 0 when none
+/// completes. `cover` holds the final words either way. A source that
+/// has heard nothing yet sends nothing, so its arcs are skipped.
 std::size_t forwardCompletionRound(std::size_t n,
                                    const std::vector<std::uint32_t>& sources,
                                    std::size_t limit, RoundReplayer& rounds,
                                    std::vector<std::uint64_t>& cover,
                                    std::vector<std::uint64_t>& prev) {
   std::fill(cover.begin(), cover.end(), std::uint64_t{0});
-  std::vector<std::uint32_t> count(sources.size(), 1);
   for (std::size_t j = 0; j < sources.size(); ++j) {
     cover[sources[j]] |= std::uint64_t{1} << j;
   }
   for (std::size_t t = 1; t <= limit; ++t) {
-    const SparseRound& g = rounds.round(t);
+    const CompactRound& g = rounds.round(t);
     std::copy(cover.begin(), cover.end(), prev.begin());
-    bool done = false;
-    for (const auto& [x, y] : g.arcs) {
-      if (x == y) continue;
-      std::uint64_t nb = prev[x] & ~cover[y];
-      if (nb == 0) continue;
-      cover[y] |= nb;
-      while (nb != 0) {
-        const auto j = static_cast<std::size_t>(std::countr_zero(nb));
-        nb &= nb - 1;
-        if (++count[j] == n) done = true;
+    for (std::size_t x = 0; x < n; ++x) {
+      const std::uint64_t from = prev[x];
+      if (from == 0) continue;
+      for (std::uint32_t k = g.offsets[x]; k < g.offsets[x + 1]; ++k) {
+        cover[g.targets[k]] |= from;
       }
     }
-    if (done) return t;
+    std::uint64_t heardByAll = ~std::uint64_t{0};
+    for (std::size_t y = 0; y < n && heardByAll != 0; ++y) {
+      heardByAll &= cover[y];
+    }
+    if (heardByAll != 0) return t;
   }
   return 0;
 }
 
 /// Backward word-propagation: afterwards back[x] has bit j iff x reaches
-/// targets[j] under G_1 ∘ … ∘ G_t (self-loops implicit).
+/// targets[j] under G_1 ∘ … ∘ G_t (self-loops implicit). Each round
+/// writes every node once from the other buffer, so the two swap
+/// instead of being copied; a node that already reaches every target
+/// reads none of its out-neighbours.
 void backwardReach(std::size_t t, const std::vector<std::uint32_t>& targets,
                    RoundReplayer& rounds, std::vector<std::uint64_t>& back,
                    std::vector<std::uint64_t>& prev) {
@@ -124,12 +175,18 @@ void backwardReach(std::size_t t, const std::vector<std::uint32_t>& targets,
   for (std::size_t j = 0; j < targets.size(); ++j) {
     back[targets[j]] |= std::uint64_t{1} << j;
   }
+  const std::uint64_t all = allBits(targets.size());
   for (std::size_t s = t; s >= 1; --s) {
-    const SparseRound& g = rounds.round(s);
-    std::copy(back.begin(), back.end(), prev.begin());
-    for (const auto& [x, y] : g.arcs) {
-      if (x == y) continue;
-      back[x] |= prev[y];
+    const CompactRound& g = rounds.round(s);
+    back.swap(prev);
+    for (std::size_t x = 0; x < back.size(); ++x) {
+      std::uint64_t reach = prev[x];
+      if (reach != all) {
+        for (std::uint32_t k = g.offsets[x]; k < g.offsets[x + 1]; ++k) {
+          reach |= prev[g.targets[k]];
+        }
+      }
+      back[x] = reach;
     }
   }
 }
@@ -148,10 +205,7 @@ bool testRound(std::size_t n, std::size_t t, std::size_t samples,
                std::vector<std::uint64_t>& back) {
   std::vector<std::uint32_t> targets = pickDistinct(n, samples, rng);
   backwardReach(t, targets, rounds, back, prev);
-  std::uint64_t mask =
-      targets.size() == 64
-          ? ~std::uint64_t{0}
-          : (std::uint64_t{1} << targets.size()) - 1;
+  std::uint64_t mask = allBits(targets.size());
   std::vector<std::uint32_t> candidates;
   for (std::size_t x = 0; x < n; ++x) {
     if (back[x] == mask) candidates.push_back(static_cast<std::uint32_t>(x));
@@ -165,9 +219,7 @@ bool testRound(std::size_t n, std::size_t t, std::size_t samples,
     }
     // Each batch member missed someone; collect one miss per member.
     std::vector<std::uint32_t> missed;
-    std::uint64_t unassigned =
-        batchSize == 64 ? ~std::uint64_t{0}
-                        : (std::uint64_t{1} << batchSize) - 1;
+    std::uint64_t unassigned = allBits(batchSize);
     for (std::size_t y = 0; y < n && unassigned != 0; ++y) {
       const std::uint64_t hit = ~cover[y] & unassigned;
       if (hit == 0) continue;
@@ -177,8 +229,7 @@ bool testRound(std::size_t n, std::size_t t, std::size_t samples,
     DYNBCAST_ASSERT_MSG(unassigned == 0,
                         "failed batch must miss at least one node each");
     backwardReach(t, missed, rounds, back, prev);
-    mask = missed.size() == 64 ? ~std::uint64_t{0}
-                               : (std::uint64_t{1} << missed.size()) - 1;
+    mask = allBits(missed.size());
     std::vector<std::uint32_t> next;
     for (std::size_t i = batchSize; i < candidates.size(); ++i) {
       if (back[candidates[i]] == mask) next.push_back(candidates[i]);
@@ -199,7 +250,7 @@ FrontierTStarResult runFrontierTStar(std::size_t n, SparseRoundSource& source,
     return result;
   }
   source.reset();
-  RoundReplayer rounds(source, options.cacheBudgetArcs);
+  RoundReplayer rounds(n, source, options.cacheBudgetArcs);
   std::size_t samples = std::clamp<std::size_t>(options.samples, 1, 64);
   if (n <= 64) samples = n;
   Rng rng(options.sampleSeed ^ 0x5bf03635f0a3d7c5ull);

@@ -60,9 +60,12 @@ struct FrontierTStarOptions {
   std::uint64_t sampleSeed = 0;
   /// Sampled forward sources / backward targets, clamped to [1, 64].
   std::size_t samples = 64;
-  /// Round-graph cache budget in arcs (~8 bytes each). Beyond it the
-  /// binary-search probes replay rounds through source.reset() instead —
-  /// slower, still exact.
+  /// Round-graph cache budget in arcs. Cached rounds are grouped by
+  /// source: 4 bytes per arc (self-loops dropped) plus 4 bytes per node
+  /// for the offsets, and a round is charged one arc per 4 bytes, so the
+  /// default bounds the cache at 512 MiB. Beyond it the binary-search
+  /// probes replay rounds through source.reset() instead — slower, still
+  /// exact.
   std::size_t cacheBudgetArcs = std::size_t(1) << 27;
 };
 

@@ -29,7 +29,7 @@ _SPEC.loader.exec_module(gate)
 
 
 def kernels_doc(gib=12.0, ns=5.0, tree_ns=400000.0, graph_ns=1.0e7,
-                check_ns=6.0e6):
+                check_ns=6.0e6, step_ns=6.0e7):
     return {"kernels": [
         {"name": "orAssign", "bits": 1024, "gib_per_s": gib, "ns_per_op": ns},
         {"name": "orCount", "bits": 1024, "gib_per_s": gib, "ns_per_op": ns},
@@ -41,6 +41,8 @@ def kernels_doc(gib=12.0, ns=5.0, tree_ns=400000.0, graph_ns=1.0e7,
          "ns_per_op": graph_ns},
         {"name": "isNonsplit", "bits": 2048, "gib_per_s": 0.0,
          "ns_per_op": check_ns},
+        {"name": "edgeMarkovianRound", "bits": 65536, "gib_per_s": 0.0,
+         "ns_per_op": step_ns},
     ]}
 
 
@@ -187,6 +189,19 @@ class TestGate(GateHarness):
                                          sweep_doc())
             self.assertNotEqual(code, 0)
             self.assertIn(key, out)
+
+    def test_edge_markovian_step_regresses_upward(self):
+        baseline, _ = self.write_fresh_baseline()
+        # zoo-sparse's generator step (60% tolerance) regresses by
+        # GROWING: 1.5x slower passes, a return to the per-birth binary
+        # search (~2x) fails.
+        code, _, _ = self.run_gate(baseline, kernels_doc(step_ns=9.0e7),
+                                   sweep_doc())
+        self.assertEqual(code, 0)
+        code, out, _ = self.run_gate(baseline, kernels_doc(step_ns=1.2e8),
+                                     sweep_doc())
+        self.assertNotEqual(code, 0)
+        self.assertIn("kernel:edgeMarkovianRound:65536:ns_per_op", out)
 
     def test_missing_metric_fails(self):
         baseline, _ = self.write_fresh_baseline()

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -319,6 +320,59 @@ TEST(DynamicsRegistryTest, SparseRoundsMirrorDenseBelowThreshold) {
       }
       EXPECT_EQ(fromArcs, g) << name << " round " << r;
     }
+  }
+}
+
+/// FNV-1a over every round's arc count and arcs (src then dst, each as
+/// four little-endian bytes): one number that changes with any emitted
+/// arc, its order, or a round boundary.
+[[nodiscard]] std::uint64_t sparseStreamHash(DynamicsModel& model,
+                                             std::size_t rounds) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t value, int bytes) {
+    for (int b = 0; b < bytes; ++b) {
+      h ^= (value >> (8 * b)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  };
+  SparseRound round;
+  for (std::size_t r = 0; r < rounds; ++r) {
+    model.nextSparseRound(round);
+    mix(round.arcs.size(), 8);
+    for (const auto& [src, dst] : round.arcs) {
+      mix(src, 4);
+      mix(dst, 4);
+    }
+  }
+  return h;
+}
+
+TEST(DynamicsRegistryTest, NativeSparseRoundsArePinned) {
+  // Above kSparseDenseMirrorMaxN the models draw arcs natively, with no
+  // dense twin to compare against; these hashes pin exactly which arcs
+  // (and RNG draws) that path produces, so a rewrite of the native
+  // generators must reproduce them bit for bit.
+  struct Pin {
+    const char* spec;
+    std::size_t n;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {"edge-markovian:p=0.0002,q=0.5", 4097, 0x194d5d42ef69c060ull},
+      {"edge-markovian:p=0.0002,q=0.5", 5000, 0x2dd99bbeb0495976ull},
+      {"nonsplit-random", 4097, 0x5ee81f331c80f35full},
+      {"nonsplit-random", 5000, 0x8ecdc00a009ebe82ull},
+      {"nonsplit-random:p=0.001", 4097, 0x1894f2d776cef873ull},
+      {"nonsplit-random:p=0.001", 5000, 0x1e11b28b4728a4baull},
+      {"t-interval:T=3", 4097, 0x0739384585fed631ull},
+      {"t-interval:T=3", 5000, 0x1ffb4566bec82732ull},
+  };
+  for (const Pin& pin : pins) {
+    ASSERT_GT(pin.n, kSparseDenseMirrorMaxN);
+    const auto model = DynamicsRegistry::instance().make(pin.spec, pin.n, 9);
+    const std::uint64_t hash = sparseStreamHash(*model, 5);
+    EXPECT_EQ(hash, pin.hash)
+        << pin.spec << " n=" << pin.n << " got 0x" << std::hex << hash;
   }
 }
 

@@ -2,6 +2,7 @@
 // the exact dense t* under any cache budget or sample seed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -93,6 +94,75 @@ TEST_P(FrontierTStarTest, MatchesDenseTStarOnScriptedSequences) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, FrontierTStarTest,
                          ::testing::Values(2, 5, 17, 64, 65, 100, 130));
+
+/// Rounds that stress the per-source regrouping of runFrontierTStar's
+/// round cache: random arcs with every arc doubled and self-loops mixed
+/// in, a self-loop-only round, an empty round, and a round of arcs only
+/// into and out of node n − 1 — the arc rounds both shuffled and sorted
+/// by source, the rounds in a shuffled order.
+[[nodiscard]] std::vector<SparseRound> awkwardScript(std::size_t n,
+                                                     Rng& rng) {
+  const auto node = [&] { return static_cast<std::uint32_t>(rng.uniform(n)); };
+  const auto last = static_cast<std::uint32_t>(n - 1);
+  const auto noisy = [&] {
+    SparseRound round;
+    round.n = n;
+    for (std::size_t i = 0; i < 3 * n; ++i) {
+      const std::uint32_t x = node();
+      const std::uint32_t y = node();
+      round.arcs.emplace_back(x, y);
+      round.arcs.emplace_back(y, y);
+      round.arcs.emplace_back(x, y);
+    }
+    rng.shuffle(round.arcs);
+    return round;
+  };
+  SparseRound loops;
+  loops.n = n;
+  for (std::uint32_t x = 0; x < n; x += 2) loops.arcs.emplace_back(x, x);
+  SparseRound empty;
+  empty.n = n;
+  SparseRound edge;
+  edge.n = n;
+  for (std::uint32_t x = 0; x < last; ++x) {
+    if (rng.chance(0.75)) edge.arcs.emplace_back(last, x);
+    if (rng.chance(0.5)) edge.arcs.emplace_back(x, last);
+  }
+  const auto sorted = [](SparseRound round) {
+    std::sort(round.arcs.begin(), round.arcs.end());
+    return round;
+  };
+  rng.shuffle(edge.arcs);
+  std::vector<SparseRound> script = {noisy(), sorted(noisy()), loops,
+                                     edge,    sorted(edge),    empty};
+  rng.shuffle(script);
+  return script;
+}
+
+TEST(FrontierTStarTest, CompactRoundsMatchDenseOnAwkwardArcLists) {
+  for (const std::size_t n : {2, 63, 64, 65, 130}) {
+    Rng rng(n * 13 + 7);
+    for (int trial = 0; trial < 6; ++trial) {
+      const std::vector<SparseRound> script = awkwardScript(n, rng);
+      const std::size_t cap = 20 * n;
+      const std::size_t expected = denseTStar(n, script, cap);
+      for (const std::size_t budget :
+           {FrontierTStarOptions{}.cacheBudgetArcs, std::size_t(0)}) {
+        VectorRoundSource source(script);
+        FrontierTStarOptions options;
+        options.maxRounds = cap;
+        options.sampleSeed = static_cast<std::uint64_t>(trial);
+        options.cacheBudgetArcs = budget;
+        const FrontierTStarResult result =
+            runFrontierTStar(n, source, options);
+        EXPECT_EQ(result.completed, expected != 0)
+            << "n=" << n << " trial=" << trial << " budget=" << budget;
+        EXPECT_EQ(result.rounds, expected != 0 ? expected : cap)
+            << "n=" << n << " trial=" << trial << " budget=" << budget;
+      }
+    }
+  }
+}
 
 TEST(FrontierTStarTest, ReportsIncompleteAtCapOnSilentNetwork) {
   // Arc-free rounds never spread anything: for n >= 2 broadcast cannot
