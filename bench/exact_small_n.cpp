@@ -5,10 +5,10 @@
 //
 // The second table goes past solve()'s practical range with
 // witnessPlay(): a certified line of play reaching the paper's lower
-// bound ⌈(3n−1)/2⌉−2 — complete move pool through n = 8, structured
-// branching pool beyond (n = 9 in seconds).
+// bound ⌈(3n−1)/2⌉−2 — found by the complete-pool search through n = 8,
+// taken from the two-phase construction beyond.
 //
-// Usage: exact_small_n [--maxn=5] [--heuristics=1] [--witness-maxn=9]
+// Usage: exact_small_n [--maxn=5] [--heuristics=1] [--witness-maxn=16]
 #include <chrono>
 #include <iostream>
 
@@ -59,7 +59,8 @@ int main(int argc, char** argv) {
                "heuristic column shows how much of the true game value the "
                "portfolio recovers without exhaustive search.\n\n";
 
-  const std::size_t witnessMaxN = opts.getUInt("witness-maxn", 9);
+  const std::size_t witnessMaxN =
+      opts.getUInt("witness-maxn", ExactSolver::kMaxN);
   TextTable witnessTable({"n", "target (= lower bound)", "certified rounds",
                           "pool", "time ms"});
   for (std::size_t n = 2; n <= witnessMaxN && n <= ExactSolver::kMaxN;
@@ -74,7 +75,7 @@ int main(int argc, char** argv) {
         .add(static_cast<std::uint64_t>(n))
         .add(static_cast<std::uint64_t>(target))
         .add(static_cast<std::uint64_t>(play.size()))
-        .add(n <= 8 ? "complete" : "structured")
+        .add(n <= 8 ? "complete" : "construction")
         .add(static_cast<std::uint64_t>(elapsed));
   }
   std::cout << witnessTable.render() << '\n';

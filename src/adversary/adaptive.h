@@ -172,11 +172,11 @@ class GreedyDelayAdversary final : public Adversary {
 // --- The move vocabulary -----------------------------------------------
 //
 // Every delaying adversary and witness search (greedy-delay,
-// local-search, lookahead, the beam and the exact solver's structured
-// pool) builds its candidate pool from the helpers below, so a pool is a
-// list of these moves and not a private copy of them. Ties go to the
-// lowest process id unless stated otherwise; each pool's trees, and the
-// order of its RNG draws, follow from these rules.
+// local-search, lookahead and the beam) builds its candidate pool from
+// the helpers below, so a pool is a list of these moves and not a
+// private copy of them. Ties go to the lowest process id unless stated
+// otherwise; each pool's trees, and the order of its RNG draws, follow
+// from these rules.
 
 /// The order 0, 1, …, n−1: the carried path every adversary starts from.
 [[nodiscard]] std::vector<std::size_t> identityOrder(std::size_t n);
@@ -197,10 +197,7 @@ class GreedyDelayAdversary final : public Adversary {
     const std::vector<DynBitset>& heard);
 
 /// All processes stably sorted by |Heard|, ascending or descending;
-/// equal sizes keep ascending id order in both directions. The exact
-/// solver's descending pool move is the REVERSE of the ascending order
-/// instead (ties to the highest id), a different path on ties that its
-/// certified witness lines depend on.
+/// equal sizes keep ascending id order in both directions.
 [[nodiscard]] std::vector<std::size_t> heardSizeOrder(
     const std::vector<DynBitset>& heard, bool ascending);
 
@@ -222,9 +219,9 @@ class GreedyDelayAdversary final : public Adversary {
     const std::vector<std::size_t>& baseOrder);
 
 /// Damage-greedy trees: the balanced-coverage move family that exact
-/// optimal play favors, built by greedy-delay, lookahead, the beam and
-/// the exact solver's structured pool. Exact optimal play uses general
-/// branching trees rather than paths, and these mirror its structure.
+/// optimal play favors, built by greedy-delay, lookahead and the beam.
+/// Exact optimal play uses general branching trees rather than paths,
+/// and these mirror its structure.
 ///
 /// The tree rooted at r is Prim's algorithm over the complete damage
 /// graph of the state: cost(p → y) = Σ weight[x] over

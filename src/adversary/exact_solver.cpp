@@ -8,11 +8,10 @@
 #include <unordered_set>
 #include <utility>
 
-#include "src/adversary/adaptive.h"
+#include "src/adversary/oblivious.h"
+#include "src/bounds/bounds.h"
 #include "src/support/assert.h"
-#include "src/support/eval_scratch.h"
 #include "src/support/hashing.h"
-#include "src/support/rng.h"
 #include "src/tree/enumerate.h"
 #include "src/tree/families.h"
 
@@ -32,8 +31,6 @@ constexpr std::uint64_t kMaxOrbitPerms = 1'000'000;
 /// and near-symmetric states can have millions of pairwise-incomparable
 /// successors that the filter would scan for nothing).
 constexpr std::size_t kDominanceLimit = 2048;
-/// Noisy damage trees per node in the structured witness pool (n > 8).
-constexpr std::size_t kNoisyMovesPerNode = 2;
 /// Children the exhaustive witness search explores per node,
 /// best-potential first. Bounds memory on the exhaustive pool, where one
 /// state can have millions of distinct successors.
@@ -438,112 +435,6 @@ struct ExhaustiveWitness {
   }
 };
 
-/// Structured-pool search on heard matrices (n > 8): damage-greedy
-/// trees from every root, freeze paths, heard-order paths, and a few
-/// deterministic noisy damage trees per node.
-///
-/// Unlike the exhaustive search, the failure memo is keyed on the raw
-/// state: the structured pool breaks ties by node id and seeds its
-/// noise from the raw digest, so it is not relabeling-equivariant — an
-/// equivalent state gets a differently-tie-broken pool that may still
-/// succeed, and merging would prune it unsoundly.
-struct StructuredWitness {
-  std::size_t n;
-  ExactWitnessOptions opts;
-  std::unordered_map<Rows, std::size_t, RowsHash> failedAt{};
-  std::uint64_t nodes = 0;
-  EvalScratch scratch{};
-
-  static Rows heardToRows(const std::vector<DynBitset>& heard) {
-    Rows out{};
-    for (std::size_t y = 0; y < heard.size(); ++y) {
-      std::uint16_t row = 0;
-      for (std::size_t x = 0; x < heard.size(); ++x) {
-        if (heard[y].test(x)) row = static_cast<std::uint16_t>(row | (1u << x));
-      }
-      out[y] = row;
-    }
-    return out;
-  }
-
-  std::vector<RootedTree> movePool(const std::vector<DynBitset>& heard,
-                                   const std::vector<std::size_t>& coverage,
-                                   std::uint64_t nodeSeed) {
-    std::vector<RootedTree> pool;
-    DamageTrees damageTrees(heard, coverage, scratch);
-    for (std::size_t r = 0; r < n; ++r) {
-      pool.push_back(damageTrees.greedy(r));
-    }
-    const std::vector<std::size_t> base = identityOrder(n);
-    for (std::size_t d = 1; d <= 3 && d < n; ++d) {
-      pool.push_back(
-          makePath(freezeOrdering(heard, coverageLeaders(coverage, d), base)));
-    }
-    // Descending is the reversed ascending order (ties to the highest
-    // id), not heardSizeOrder(heard, false): the certified lines of the
-    // witness tests were found with this pool.
-    std::vector<std::size_t> heardOrder = heardSizeOrder(heard, true);
-    pool.push_back(makePath(heardOrder));
-    std::reverse(heardOrder.begin(), heardOrder.end());
-    pool.push_back(makePath(heardOrder));
-    // Deterministic noise: the node's state digest seeds the generator,
-    // so revisits expand identically and the search stays reproducible.
-    Rng rng(nodeSeed);
-    for (std::size_t i = 0; i < kNoisyMovesPerNode; ++i) {
-      pool.push_back(damageTrees.noisy(rng.uniform(n), 8.0, rng));
-    }
-    return pool;
-  }
-
-  struct Child {
-    RootedTree move;
-    std::vector<DynBitset> heard;
-    std::vector<std::size_t> coverage;
-    double potential = 0.0;
-  };
-
-  bool dfs(const std::vector<DynBitset>& heard,
-           const std::vector<std::size_t>& coverage, std::size_t remaining,
-           std::vector<RootedTree>& line) {
-    if (remaining == 0) return true;
-    if (++nodes > opts.nodeBudget) return false;
-    const Rows key = heardToRows(heard);
-    const auto it = failedAt.find(key);
-    if (it != failedAt.end() && remaining >= it->second) return false;
-    std::vector<RootedTree> pool = movePool(
-        heard, coverage,
-        hashHeardMatrix(heard) ^ (remaining * 0x9e3779b97f4a7c15ull));
-    std::vector<Child> children;
-    for (RootedTree& mv : pool) {
-      const DelayScore score = evaluateCandidate(heard, coverage, mv, scratch);
-      if (score.finishes) continue;
-      bool duplicate = false;
-      for (const Child& c : children) {
-        if (c.heard == scratch.heard) {
-          duplicate = true;
-          break;
-        }
-      }
-      if (duplicate) continue;
-      children.push_back(Child{std::move(mv), scratch.heard,
-                               scratch.coverage, score.potential});
-    }
-    std::stable_sort(children.begin(), children.end(),
-                     [](const Child& a, const Child& b) {
-                       return a.potential < b.potential;
-                     });
-    for (Child& c : children) {
-      if (dfs(c.heard, c.coverage, remaining - 1, line)) {
-        line[line.size() - remaining] = std::move(c.move);
-        return true;
-      }
-    }
-    const auto [fit, inserted] = failedAt.emplace(key, remaining);
-    if (!inserted && fit->second > remaining) fit->second = remaining;
-    return false;
-  }
-};
-
 /// Replays a parent-array line on the row encoding; returns the round
 /// in which broadcast completes (0 = never within the line).
 std::size_t replayRows(std::size_t n, const std::vector<RootedTree>& play) {
@@ -637,45 +528,38 @@ std::vector<RootedTree> ExactSolver::optimalPlay() {
 std::vector<RootedTree> ExactSolver::witnessPlay(
     std::size_t targetRounds, ExactWitnessOptions witnessOptions) {
   if (targetRounds == 0) return {};
-  const bool exhaustive = rootedTreeCount(n_) <= kExhaustivePoolLimit;
-
-  MovePool pool;
-  if (exhaustive) pool.build(n_);
-  ExhaustiveWitness packed{n_, pool, witnessOptions,
-                           options_.canonicalize};
-  StructuredWitness structured{n_, witnessOptions};
-
-  // Descending targets: the failure memos carry over, so a failed
-  // attempt at t seeds the attempt at t − 1. Target 1 always succeeds
-  // (an empty line plus the star finisher).
-  for (std::size_t t = targetRounds; t >= 1; --t) {
-    std::vector<RootedTree> play;
-    bool found = false;
-    if (exhaustive) {
+  std::vector<RootedTree> play;
+  if (rootedTreeCount(n_) <= kExhaustivePoolLimit) {
+    MovePool pool;
+    pool.build(n_);
+    ExhaustiveWitness search{n_, pool, witnessOptions,
+                             options_.canonicalize};
+    // Descending targets: the failure memo carries over, so a failed
+    // attempt at t seeds the attempt at t − 1. Target 1 always succeeds
+    // (an empty line plus the star finisher).
+    for (std::size_t t = targetRounds; t >= 1; --t) {
       std::vector<std::uint32_t> line(t - 1, 0);
-      if (packed.dfs(encodeIdentity(n_), t - 1, line)) {
+      if (search.dfs(encodeIdentity(n_), t - 1, line)) {
         for (const std::uint32_t m : line) play.push_back(pool.tree(m));
-        found = true;
-      }
-    } else {
-      std::vector<DynBitset> heard(n_, DynBitset(n_));
-      for (std::size_t y = 0; y < n_; ++y) heard[y].set(y);
-      std::vector<RootedTree> line(t - 1, RootedTree::trivial());
-      if (structured.dfs(heard, std::vector<std::size_t>(n_, 1), t - 1,
-                         line)) {
-        play = std::move(line);
-        found = true;
+        break;
       }
     }
-    if (!found) continue;
-    // One completing move always exists: a star makes every process
-    // hear the center's full history, center included.
-    play.push_back(makeStar(n_, 0));
-    DYNBCAST_ASSERT_MSG(replayRows(n_, play) == play.size(),
-                        "witness line does not replay to its length");
-    return play;
+  } else {
+    // Beyond the complete pool, the two-phase construction: it first
+    // broadcasts in round lowerBound(n), so any shorter prefix survives.
+    const std::size_t rounds =
+        std::min<std::size_t>(targetRounds, bounds::lowerBound(n_));
+    TwoPhaseAdversary construction(n_);
+    for (std::size_t i = 1; i < rounds; ++i) {
+      play.push_back(construction.next());
+    }
   }
-  return {};  // unreachable: t = 1 cannot fail
+  // One completing move always exists: a star makes every process hear
+  // the center's full history, center included.
+  play.push_back(makeStar(n_, 0));
+  DYNBCAST_ASSERT_MSG(replayRows(n_, play) == play.size(),
+                      "witness line does not replay to its length");
+  return play;
 }
 
 }  // namespace dynbcast

@@ -20,13 +20,13 @@
 //   solve()/optimalPlay() — the exhaustive game value. Feasible while
 //   the full move pool n^(n−1) is enumerable (n ≤ 8 structurally;
 //   practical through n = 5).
-//   witnessPlay(target) — a certified lower-bound line of play: a
-//   depth-first search for `target` rounds of survival, pruned by a
-//   canonical-form failure memo. For n ≤ 8 the search branches over the
-//   complete move pool; beyond that over a structured pool (damage
-//   trees, freezes, heard-order paths, noisy damage trees). The
-//   returned sequence replays to exactly its length — reaching the
-//   ⌈(3n−1)/2⌉−2 bound of [14] through n = 9 in seconds.
+//   witnessPlay(target) — a certified lower-bound line of play. For
+//   n ≤ 8 it is a depth-first search over the complete move pool for
+//   `target` rounds of survival, pruned by a canonical-form failure
+//   memo — the cross-check. Beyond that it is a prefix of the two-phase
+//   construction (TwoPhaseAdversary in oblivious.h), which reaches the
+//   ⌈(3n−1)/2⌉−2 bound of [14] at every n with no search. Either way the
+//   returned sequence replays to exactly its length.
 //
 // This module validates everything else at small scale: the simulators,
 // the bound formulas of Theorem 3.1, and how close the heuristic
@@ -60,8 +60,9 @@ struct ExactResult {
 };
 
 struct ExactWitnessOptions {
-  /// Search-node budget; the search gives up (returning the best play
-  /// found at smaller targets) once exhausted.
+  /// Search-node budget of the complete-pool search (n ≤ 8); it gives up
+  /// (returning the best play found at smaller targets) once exhausted.
+  /// The construction used beyond n = 8 does no search and ignores it.
   std::uint64_t nodeBudget = 2'000'000;
 };
 
@@ -84,14 +85,14 @@ class ExactSolver {
   /// (replay it on a simulator and count rounds). Requires n ≤ 8.
   [[nodiscard]] std::vector<RootedTree> optimalPlay();
 
-  /// Searches for a play achieving `targetRounds` and returns the
-  /// longest certified play found (its length may fall short of the
-  /// target when the search space or node budget is exhausted; it never
-  /// exceeds the target). The returned sequence replays from the
-  /// identity state to broadcast in exactly its length — verified
-  /// internally before returning. Unlike solve(), works for all
-  /// 2 ≤ n ≤ kMaxN: the branching pool is complete for n ≤ 8 and
-  /// structured beyond.
+  /// Returns a certified play of at most `targetRounds` rounds: for
+  /// n ≤ 8 the longest the complete-pool search finds (it may fall short
+  /// of the target when the search space or node budget is exhausted);
+  /// beyond, the first min(target, L) − 1 trees of the two-phase
+  /// construction plus a star finisher, L = ⌈(3n−1)/2⌉−2. The sequence
+  /// replays from the identity state to broadcast in exactly its length
+  /// — verified internally before returning. Unlike solve(), works for
+  /// all 2 ≤ n ≤ kMaxN.
   [[nodiscard]] std::vector<RootedTree> witnessPlay(
       std::size_t targetRounds, ExactWitnessOptions witnessOptions = {});
 

@@ -185,6 +185,14 @@ void registerBuiltins(AdversaryRegistry& reg) {
                                                           seed ^ 0x5eedull);
            },
            nullptr});
+  reg.add({"two-phase",
+           "oblivious lower-bound line: a chain shrinking from both ends, "
+           "then a cut circle; t* = ceil((3n-1)/2)-2 exactly",
+           {},
+           [](std::size_t n, std::uint64_t, const SpecParams&) {
+             return std::make_unique<TwoPhaseAdversary>(n);
+           },
+           nullptr});
   reg.add({"heard-asc-path",
            "path ordered by |Heard| ascending",
            {},

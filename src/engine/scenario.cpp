@@ -78,6 +78,19 @@ void checkRowCount(const ScenarioSpec& spec, std::size_t members) {
 
 }  // namespace
 
+void validateScenarioSize(std::size_t n) {
+  if (n == 0) {
+    throw std::invalid_argument(
+        "scenario: size 0 has no processes; every size must be >= 1");
+  }
+  if (n > kMaxScenarioSize) {
+    throw std::invalid_argument(
+        "scenario: size " + std::to_string(n) +
+        " exceeds the maximum scenario size of " +
+        std::to_string(kMaxScenarioSize) + " (kMaxScenarioSize)");
+  }
+}
+
 void validateScenario(const ScenarioSpec& spec) {
   if (spec.seedsPerSize == 0) {
     throw std::invalid_argument("scenario: seedsPerSize must be >= 1");
@@ -86,18 +99,7 @@ void validateScenario(const ScenarioSpec& spec) {
     throw std::invalid_argument(
         "scenario: no sizes given; a scenario needs at least one size >= 1");
   }
-  for (const std::size_t n : spec.sizes) {
-    if (n == 0) {
-      throw std::invalid_argument(
-          "scenario: size 0 has no processes; every size must be >= 1");
-    }
-    if (n > kMaxScenarioSize) {
-      throw std::invalid_argument(
-          "scenario: size " + std::to_string(n) +
-          " exceeds the maximum scenario size of " +
-          std::to_string(kMaxScenarioSize) + " (kMaxScenarioSize)");
-    }
-  }
+  for (const std::size_t n : spec.sizes) validateScenarioSize(n);
   checkRowCount(spec, 1);
   const DynamicsSpec dynamics = DynamicsSpec::parse(spec.dynamics);
   const DynamicsRegistry& dynRegistry = DynamicsRegistry::instance();

@@ -90,6 +90,11 @@ struct ScenarioSpec {
 [[nodiscard]] std::vector<std::string> defaultAdversarySpecs(
     const std::string& dynamics);
 
+/// Throws std::invalid_argument unless 1 <= n <= kMaxScenarioSize: the
+/// per-size rule of validateScenario, shared with single-instance
+/// commands.
+void validateScenarioSize(std::size_t n);
+
 /// Checks the spec is runnable: at least one size, every size in
 /// [1, kMaxScenarioSize], at most kMaxScenarioRows rows, known
 /// dynamics/adversary names and keys (with suggestions), parameter

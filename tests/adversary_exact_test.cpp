@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "src/adversary/oblivious.h"
 #include "src/bounds/bounds.h"
 #include "src/graph/properties.h"
 #include "src/sim/broadcast_sim.h"
@@ -120,6 +123,20 @@ TEST(OptimalPlayTest, AllMovesAreValidTrees) {
   }
 }
 
+/// Rounds the two-phase construction takes on a fresh simulator.
+std::size_t twoPhaseRounds(std::size_t n) {
+  TwoPhaseAdversary construction(n);
+  const BroadcastRun run = runAdversary(n, construction, defaultRoundCap(n));
+  EXPECT_TRUE(run.completed) << "n=" << n;
+  return run.rounds;
+}
+
+TEST(TwoPhaseExactTest, EqualsTheGameValueWhereSolveIsFeasible) {
+  for (const std::size_t n : {2u, 3u, 4u, 5u}) {
+    EXPECT_EQ(twoPhaseRounds(n), ExactSolver(n).solve().tStar) << "n=" << n;
+  }
+}
+
 TEST(WitnessPlayTest, MatchesExactValueWhereSolveIsFeasible) {
   // For n ≤ 5 the exact value is known (= the paper's lower bound): the
   // witness search must find a play of exactly that length, and the
@@ -140,11 +157,13 @@ TEST(WitnessPlayTest, MatchesExactValueWhereSolveIsFeasible) {
 
 TEST(WitnessPlayTest, CertifiesLowerBoundThroughN7) {
   // Beyond solve()'s practical range: a certified line of play reaching
-  // ⌈(3n−1)/2⌉−2 rounds (the [14] lower bound) via the complete pool.
+  // ⌈(3n−1)/2⌉−2 rounds (the [14] lower bound) via the complete pool,
+  // as long as the two-phase construction's.
   for (const std::size_t n : {6u, 7u}) {
     const std::vector<RootedTree> play =
         ExactSolver(n).witnessPlay(bounds::lowerBound(n));
     EXPECT_EQ(play.size(), bounds::lowerBound(n)) << "n=" << n;
+    EXPECT_EQ(play.size(), twoPhaseRounds(n)) << "n=" << n;
   }
 }
 
@@ -152,11 +171,31 @@ TEST(WitnessPlayTest, CertifiesLowerBoundAtN8) {
   const std::vector<RootedTree> play =
       ExactSolver(8).witnessPlay(bounds::lowerBound(8));
   EXPECT_EQ(play.size(), bounds::lowerBound(8));  // = 10
+  EXPECT_EQ(play.size(), twoPhaseRounds(8));
+}
+
+TEST(WitnessPlayTest, ConstructionPrefixBeyondTheCompletePool) {
+  // n > 8: the first min(t, L) − 1 construction trees plus the star
+  // finisher, so the play is exactly min(t, L) rounds long and first
+  // broadcasts in its last round.
+  for (std::size_t n = 9; n <= ExactSolver::kMaxN; ++n) {
+    const std::size_t lower = bounds::lowerBound(n);
+    for (std::size_t t = 1; t <= lower + 2; ++t) {
+      const std::vector<RootedTree> play = ExactSolver(n).witnessPlay(t);
+      ASSERT_EQ(play.size(), std::min(t, lower)) << "n=" << n << " t=" << t;
+      BroadcastSim sim(n);
+      for (const RootedTree& tree : play) {
+        EXPECT_FALSE(sim.broadcastDone()) << "n=" << n << " t=" << t;
+        sim.applyTree(tree);
+      }
+      EXPECT_TRUE(sim.broadcastDone()) << "n=" << n << " t=" << t;
+    }
+  }
 }
 
 TEST(WitnessPlayTest, CertifiesLowerBoundAtN9) {
-  // Past the packed-uint64 / exhaustive-pool ceiling: the structured
-  // branching pool certifies t*(T_9) >= ⌈26/2⌉−2 = 11.
+  // Past the exhaustive-pool ceiling: the two-phase construction
+  // certifies t*(T_9) >= ⌈26/2⌉−2 = 11.
   const std::vector<RootedTree> play =
       ExactSolver(9).witnessPlay(bounds::lowerBound(9));
   EXPECT_EQ(play.size(), bounds::lowerBound(9));  // = 11
@@ -173,12 +212,13 @@ TEST(WitnessPlayTest, ExhaustedBudgetStillReturnsAValidShorterPlay) {
   // A starved search degrades to the longest line it certified — down to
   // the always-available single finishing move — never to an invalid
   // sequence.
+  // n = 6 is within the complete pool, where the budget applies.
   ExactWitnessOptions opts;
   opts.nodeBudget = 0;
   const std::vector<RootedTree> play =
-      ExactSolver(9).witnessPlay(bounds::lowerBound(9), opts);
+      ExactSolver(6).witnessPlay(bounds::lowerBound(6), opts);
   ASSERT_EQ(play.size(), 1u);
-  BroadcastSim sim(9);
+  BroadcastSim sim(6);
   sim.applyTree(play[0]);
   EXPECT_TRUE(sim.broadcastDone());
 }

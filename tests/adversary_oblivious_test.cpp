@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/bounds/bounds.h"
+#include "src/bounds/theorem.h"
 #include "src/tree/families.h"
 
 namespace dynbcast {
@@ -49,6 +52,49 @@ TEST(RandomAdversaryTest, ResetReplaysIdenticalRun) {
   const BroadcastRun a = runAdversary(15, adv, defaultRoundCap(15));
   const BroadcastRun b = runAdversary(15, adv, defaultRoundCap(15));
   EXPECT_EQ(a.rounds, b.rounds);  // runAdversary resets the RNG
+
+  // The two-phase line keeps its window and round count; reset() rewinds
+  // both, so a second pass plays the same trees.
+  TwoPhaseAdversary twoPhase(15);
+  std::vector<std::vector<std::size_t>> first;
+  for (std::size_t r = 0; r < bounds::lowerBound(15); ++r) {
+    first.push_back(twoPhase.next().parents());
+  }
+  twoPhase.reset();
+  for (std::size_t r = 0; r < first.size(); ++r) {
+    EXPECT_EQ(twoPhase.next().parents(), first[r]) << "round " << r + 1;
+  }
+}
+
+void expectTwoPhaseMeetsLowerBound(std::size_t n) {
+  TwoPhaseAdversary adv(n);
+  const BroadcastRun run = runAdversary(n, adv, defaultRoundCap(n));
+  EXPECT_TRUE(run.completed) << "n=" << n;
+  EXPECT_EQ(run.rounds, bounds::lowerBound(n)) << "n=" << n;
+  const TheoremCheck check = checkTheorem31(n, run.rounds);
+  EXPECT_TRUE(check.witnessesLower && check.withinUpper) << check.toString();
+}
+
+TEST(TwoPhaseAdversaryTest, MeetsTheLowerBoundExactly) {
+  // Equality, not >=: the construction reaches ⌈(3n−1)/2⌉−2 of [14]
+  // at every n and no more.
+  for (std::size_t n = 2; n <= 256; ++n) expectTwoPhaseMeetsLowerBound(n);
+}
+
+TEST(TwoPhaseAdversaryTest, MeetsTheLowerBoundAtLargeN) {
+#ifndef NDEBUG
+  GTEST_SKIP() << "n = 512..2048 replays run in optimized builds only";
+#endif
+  for (const std::size_t n : {512u, 1024u, 2048u}) {
+    expectTwoPhaseMeetsLowerBound(n);
+  }
+}
+
+TEST(TwoPhaseAdversaryTest, SingleProcessCompletesInZeroRounds) {
+  TwoPhaseAdversary adv(1);
+  const BroadcastRun run = runAdversary(1, adv, defaultRoundCap(1));
+  EXPECT_TRUE(run.completed);
+  EXPECT_EQ(run.rounds, 0u);
 }
 
 TEST(RandomPathAdversaryTest, CompletesAndRespectsBound) {

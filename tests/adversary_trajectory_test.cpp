@@ -1,4 +1,4 @@
-// Trajectory pins for the adaptive adversaries and witness searches.
+// Trajectory pins for the adaptive adversaries and witness lines.
 //
 // The golden CSVs pin only aggregates (the portfolio maximum, the beam's
 // round count), so a change to one candidate pool can alter the trees an
@@ -11,8 +11,7 @@
 // static path, which would leave most of its pool unpinned. So each
 // adaptive spec is also played off its trajectory: every other round the
 // sim takes a seeded random tree instead, and the adversary must answer
-// states it did not steer towards. The exact solver's structured pool
-// (n > 8) is pinned through the line witnessPlay returns.
+// states it did not steer towards.
 //
 // The digests must not depend on the SIMD tier: CI also runs this suite
 // with DYNBCAST_FORCE_SCALAR=1. A digest changes only when some
@@ -28,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "src/adversary/exact_solver.h"
 #include "src/adversary/registry.h"
 #include "src/sim/broadcast_sim.h"
 #include "src/support/rng.h"
@@ -103,7 +101,8 @@ std::uint64_t trajectoryDigest(const std::string& spec, bool perturbed) {
 struct Pin {
   const char* spec;
   std::uint64_t plain;
-  /// 0: not played off its trajectory (the beam replays a fixed line).
+  /// 0: not played off its trajectory (the beam and the two-phase
+  /// construction play fixed lines).
   std::uint64_t perturbed;
 };
 
@@ -128,6 +127,7 @@ constexpr Pin kPins[] = {
     {"lookahead:depth=3", 0x96080d60e3d6f5ddull, 0x718a77d4b0fad4f8ull},
     {"beam:width=8", 0x1a7f993a94d0ed3cull, 0},
     {"beam:noise=0,width=8", 0x96602efc223147c5ull, 0},
+    {"two-phase", 0xcd4883c7753838d9ull, 0},
 };
 
 class AdversaryTrajectoryTest : public ::testing::TestWithParam<Pin> {};
@@ -151,22 +151,6 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
-
-TEST(AdversaryTrajectoryTest, ExactStructuredWitnessIsPinned) {
-  // n = 9 is past the exhaustive pool, so witnessPlay searches the
-  // structured pool (damage trees, freezes, heard-order paths, noisy
-  // damage trees). The search needs about 10^5 nodes to certify 11
-  // rounds; below that the line collapses to the bare star finisher.
-  ExactWitnessOptions options;
-  options.nodeBudget = 200'000;
-  const std::vector<RootedTree> play =
-      ExactSolver(9).witnessPlay(11, options);
-  ASSERT_GT(play.size(), 1u);
-  Digest digest;
-  for (const RootedTree& tree : play) digest.fold(tree);
-  EXPECT_EQ(digest.value, 0xa56590ecd65bd6a5ull) << "witness now digests to "
-                                  << hex(digest.value);
-}
 
 }  // namespace
 }  // namespace dynbcast

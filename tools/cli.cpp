@@ -64,8 +64,6 @@ int usage(std::ostream& os) {
         "  duel       all listed adversaries fight one instance\n"
         "             [--n=32] [--seed=7] [--adversaries=SPECS] "
         "[--csv=path]\n"
-        "  witness    offline beam witness search with verification\n"
-        "             [--n=16] [--seed=7] [--beam=256] [--restarts=3]\n"
         "  list       registered adversaries, the dynamics model zoo, and "
         "scenario vocabulary\n"
         "  serve      experiment service: checkpointed manifests, "
@@ -401,11 +399,13 @@ int runDuel(int argc, const char* const* argv) {
     std::vector<std::string> specs =
         splitSpecList(opts.getString("adversaries", ""));
     if (specs.empty()) specs = standardPortfolioSpecs();
+    validateScenarioSize(n);  // before any output
+    const std::vector<PortfolioMember> members =
+        membersFromSpecs(specs, n, seed);
 
     std::cout << "adversary duel at n = " << n << " (seed " << seed
               << ")\n\n";
-    const PortfolioResult result =
-        runPortfolio(n, seed, membersFromSpecs(specs, n, seed));
+    const PortfolioResult result = runPortfolio(n, seed, members);
 
     TextTable table({"adversary", "t*", "t*/n", "vs static path"});
     for (const auto& e : result.entries) {
@@ -432,47 +432,6 @@ int runDuel(int argc, const char* const* argv) {
               << "Theorem 3.1 bracket [" << check.lower << ", "
               << check.upper << "]; champion ratio " << check.ratio << "\n";
     return 0;
-  });
-}
-
-int runWitness(int argc, const char* const* argv) {
-  return guarded([&] {
-    const Options opts(argc, argv);
-    opts.requireKnown({"n", "seed", "restarts", "beam"});
-    const std::size_t n = opts.getUInt("n", 16);
-    const std::uint64_t seed = opts.getUInt("seed", 7);
-    const std::size_t restarts = opts.getUInt("restarts", 3);
-
-    BeamConfig cfg;
-    cfg.beamWidth = opts.getUInt("beam", 256);
-    cfg.randomMovesPerState = 8;
-    cfg.diversityPercent = 40;
-
-    std::cout << "beam witness search at n = " << n << " (beam "
-              << cfg.beamWidth << ", " << restarts << " restarts)\n\n";
-
-    BeamResult best;
-    for (std::size_t r = 0; r < restarts; ++r) {
-      BeamResult attempt = beamSearchWitness(n, seed + r, cfg);
-      std::cout << "restart " << r << ": " << attempt.rounds << " rounds ("
-                << attempt.statesExpanded << " states)\n";
-      if (attempt.rounds > best.rounds) best = std::move(attempt);
-    }
-
-    const std::size_t verified = verifyWitness(n, best.witness);
-    std::cout << "\nbest witness: " << best.rounds
-              << " rounds; independent replay says " << verified << '\n';
-
-    const TheoremCheck check = checkTheorem31(n, verified);
-    std::cout << "Theorem 3.1: t*(T_" << n << ") >= " << verified
-              << ", bracket [" << check.lower << ", " << check.upper
-              << "], ratio " << check.ratio << '\n';
-    std::cout << "static baseline (best single tree): " << n - 1 << " — "
-              << (verified > n - 1 ? "beaten: dynamic adversaries are "
-                                     "strictly stronger"
-                                   : "not beaten at this search effort")
-              << '\n';
-    return verified == best.rounds ? 0 : 1;
   });
 }
 
@@ -710,7 +669,6 @@ int dispatch(int argc, const char* const* argv) {
   if (subcommand == "sweep") return runSweepCommand(argc - 1, argv + 1);
   if (subcommand == "portfolio") return runPortfolio(argc - 1, argv + 1);
   if (subcommand == "duel") return runDuel(argc - 1, argv + 1);
-  if (subcommand == "witness") return runWitness(argc - 1, argv + 1);
   if (subcommand == "list") return runList(argc - 1, argv + 1);
   if (subcommand == "serve") return runServe(argc - 1, argv + 1);
   if (subcommand == "submit") return runSubmit(argc - 1, argv + 1);
@@ -721,8 +679,8 @@ int dispatch(int argc, const char* const* argv) {
   }
   std::cerr << "dynbcast: "
             << unknownNameMessage("subcommand", subcommand,
-                                  {"sweep", "portfolio", "duel", "witness",
-                                   "list", "serve", "submit", "work"},
+                                  {"sweep", "portfolio", "duel", "list",
+                                   "serve", "submit", "work"},
                                   "")
             << "\n\n";
   return usage(std::cerr);

@@ -14,7 +14,6 @@
 //              adversary spec list, unified per-run rows.
 //   duel       every listed adversary fights one (n, seed) instance;
 //              champion vs the theorem bracket.
-//   witness    offline beam witness search at one n, with verification.
 //   list       registered adversary specs, the dynamics model zoo, and
 //              the scenario vocabulary.
 //   serve      the experiment service: accepts submit requests over a
@@ -51,7 +50,6 @@ namespace dynbcast::cli {
 int runSweepCommand(int argc, const char* const* argv);
 int runPortfolio(int argc, const char* const* argv);
 int runDuel(int argc, const char* const* argv);
-int runWitness(int argc, const char* const* argv);
 int runList(int argc, const char* const* argv);
 int runServe(int argc, const char* const* argv);
 int runSubmit(int argc, const char* const* argv);
