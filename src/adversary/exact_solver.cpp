@@ -3,26 +3,19 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cstring>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
-#include "src/adversary/oblivious.h"
-#include "src/bounds/bounds.h"
 #include "src/support/assert.h"
 #include "src/support/hashing.h"
 #include "src/tree/enumerate.h"
-#include "src/tree/families.h"
 
 namespace dynbcast {
 
 namespace {
 
-constexpr std::size_t kStride = 8;  // bits per row in the packed state
-/// Largest full move pool the exhaustive queries enumerate: covers
-/// n = 8 (8^7 = 2,097,152 trees); n = 9 would need 43M.
-constexpr std::uint64_t kExhaustivePoolLimit = 4'000'000;
 /// Orbit-scan abort threshold: a state whose invariant partition still
 /// admits more permutations than this is left un-canonicalized. Sound —
 /// the memo merely merges fewer equivalent states.
@@ -31,34 +24,22 @@ constexpr std::uint64_t kMaxOrbitPerms = 1'000'000;
 /// and near-symmetric states can have millions of pairwise-incomparable
 /// successors that the filter would scan for nothing).
 constexpr std::size_t kDominanceLimit = 2048;
-/// Children the exhaustive witness search explores per node,
-/// best-potential first. Bounds memory on the exhaustive pool, where one
-/// state can have millions of distinct successors.
-constexpr std::size_t kMaxChildrenPerNode = 4096;
 
-std::uint64_t rowOf(std::uint64_t state, std::size_t y) {
-  return (state >> (y * kStride)) & 0xFFu;
-}
-
-/// Row-array state: row y = Heard(y) as a 16-bit mask; rows >= n are 0.
-using Rows = std::array<std::uint16_t, ExactSolver::kMaxN>;
+/// Row-array state: row y = Heard(y) as an 8-bit mask; rows >= n are 0.
+using Row = std::uint8_t;
+using Rows = std::array<Row, ExactSolver::kMaxN>;
+static_assert(sizeof(Rows) == sizeof(std::uint64_t));
 
 struct RowsHash {
   std::size_t operator()(const Rows& r) const noexcept {
-    std::uint64_t h = 0x9e3779b97f4a7c15ull;
-    for (std::size_t c = 0; c < 4; ++c) {
-      std::uint64_t chunk = 0;
-      std::memcpy(&chunk, r.data() + c * 4, sizeof(chunk));
-      h = hashCombine(h, hashMix(chunk));
-    }
-    return static_cast<std::size_t>(h);
+    return static_cast<std::size_t>(hashMix(std::bit_cast<std::uint64_t>(r)));
   }
 };
 
 Rows identityRows(std::size_t n) {
   Rows s{};
   for (std::size_t y = 0; y < n; ++y) {
-    s[y] = static_cast<std::uint16_t>(1u << y);
+    s[y] = static_cast<Row>(1u << y);
   }
   return s;
 }
@@ -67,15 +48,15 @@ Rows applyParents(const Rows& s, const std::uint8_t* parents,
                   std::size_t n) {
   Rows out = s;
   for (std::size_t y = 0; y < n; ++y) {
-    out[y] = static_cast<std::uint16_t>(out[y] | s[parents[y]]);
+    out[y] = static_cast<Row>(out[y] | s[parents[y]]);
   }
   return out;
 }
 
 bool isBroadcastRows(const Rows& s, std::size_t n) {
-  std::uint16_t common = s[0];
+  Row common = s[0];
   for (std::size_t y = 1; y < n && common != 0; ++y) {
-    common = static_cast<std::uint16_t>(common & s[y]);
+    common = static_cast<Row>(common & s[y]);
   }
   return common != 0;
 }
@@ -138,12 +119,12 @@ struct OrbitScan {
   void consider() {
     Rows out{};
     for (std::size_t y = 0; y < n; ++y) {
-      std::uint16_t bits = s[y];
-      std::uint16_t img = 0;
+      Row bits = s[y];
+      Row img = 0;
       while (bits != 0) {
         const unsigned x = static_cast<unsigned>(std::countr_zero(bits));
-        img = static_cast<std::uint16_t>(img | (1u << perm[x]));
-        bits = static_cast<std::uint16_t>(bits & (bits - 1));
+        img = static_cast<Row>(img | (1u << perm[x]));
+        bits = static_cast<Row>(bits & (bits - 1));
       }
       out[perm[y]] = img;
     }
@@ -158,10 +139,10 @@ Rows canonicalRows(const Rows& s, std::size_t n) {
   // Base signatures: (|row|, |column|) per node.
   std::array<std::uint8_t, ExactSolver::kMaxN> colCount{};
   for (std::size_t y = 0; y < n; ++y) {
-    std::uint16_t bits = s[y];
+    Row bits = s[y];
     while (bits != 0) {
       ++colCount[static_cast<unsigned>(std::countr_zero(bits))];
-      bits = static_cast<std::uint16_t>(bits & (bits - 1));
+      bits = static_cast<Row>(bits & (bits - 1));
     }
   }
   std::array<std::uint64_t, ExactSolver::kMaxN> sig{};
@@ -176,10 +157,10 @@ Rows canonicalRows(const Rows& s, std::size_t n) {
     for (std::size_t v = 0; v < n; ++v) {
       std::uint64_t h = hashMix(sig[v]);
       neigh.clear();
-      std::uint16_t bits = s[v];
+      Row bits = s[v];
       while (bits != 0) {
         neigh.push_back(sig[static_cast<unsigned>(std::countr_zero(bits))]);
-        bits = static_cast<std::uint16_t>(bits & (bits - 1));
+        bits = static_cast<Row>(bits & (bits - 1));
       }
       std::sort(neigh.begin(), neigh.end());
       for (const std::uint64_t t : neigh) h = hashCombine(h, t);
@@ -232,9 +213,6 @@ struct MovePool {
 
   void build(std::size_t n_) {
     n = n_;
-    DYNBCAST_ASSERT_MSG(
-        rootedTreeCount(n) <= kExhaustivePoolLimit,
-        "exhaustive move pool infeasible beyond n = 8; use witnessPlay()");
     parents.reserve(static_cast<std::size_t>(rootedTreeCount(n)) * n);
     forEachRootedTree(n, [&](const RootedTree& t) {
       for (std::size_t y = 0; y < n; ++y) {
@@ -343,147 +321,13 @@ struct SolveContext {
   }
 };
 
-// --- Witness search ---------------------------------------------------------
-//
-// Depth-first search for `target` rounds of survival: a line of
-// target − 1 non-completing moves (one completing move — any star —
-// always exists, so surviving k moves certifies k + 1 rounds).
-// Children are ordered by the convex coverage potential, which walks
-// almost straight to the ⌈(3n−1)/2⌉−2 witness when the pool is
-// complete; a canonical-form failure memo prunes relabelings of
-// already-refuted states.
-
-/// Exhaustive-pool search on the packed uint64 encoding (n ≤ 8).
-struct ExhaustiveWitness {
-  std::size_t n;
-  const MovePool& pool;
-  ExactWitnessOptions opts;
-  bool canonicalize = true;
-  std::unordered_map<Rows, std::size_t, RowsHash> failedAt{};
-  std::uint64_t nodes = 0;
-
-  static Rows toRows(std::uint64_t s, std::size_t n) {
-    Rows out{};
-    for (std::size_t y = 0; y < n; ++y) {
-      out[y] = static_cast<std::uint16_t>(rowOf(s, y));
-    }
-    return out;
-  }
-
-  static std::uint32_t potentialKey(std::uint64_t s, std::size_t n) {
-    std::uint32_t key = 0;
-    for (std::size_t x = 0; x < n; ++x) {
-      const std::uint64_t mask = 0x0101010101010101ull << x;
-      key += 1u << std::popcount(s & mask);
-    }
-    return key;
-  }
-
-  struct Child {
-    std::uint64_t state;
-    std::uint32_t move;
-    std::uint32_t pot;
-  };
-
-  bool dfs(std::uint64_t state, std::size_t remaining,
-           std::vector<std::uint32_t>& line) {
-    if (remaining == 0) return true;
-    if (++nodes > opts.nodeBudget) return false;
-    Rows key = toRows(state, n);
-    if (canonicalize) key = canonicalRows(key, n);
-    const auto it = failedAt.find(key);
-    if (it != failedAt.end() && remaining >= it->second) return false;
-    std::vector<Child> succ;
-    succ.reserve(pool.count);
-    for (std::size_t m = 0; m < pool.count; ++m) {
-      std::uint64_t s2 = state;
-      const std::uint8_t* par = pool[m];
-      for (std::size_t y = 0; y < n; ++y) {
-        s2 |= rowOf(state, par[y]) << (y * kStride);
-      }
-      if (!ExactSolver::isBroadcastState(s2, n)) {
-        succ.push_back({s2, static_cast<std::uint32_t>(m), 0});
-      }
-    }
-    std::sort(succ.begin(), succ.end(), [](const Child& a, const Child& b) {
-      if (a.state != b.state) return a.state < b.state;
-      return a.move < b.move;
-    });
-    succ.erase(std::unique(succ.begin(), succ.end(),
-                           [](const Child& a, const Child& b) {
-                             return a.state == b.state;
-                           }),
-               succ.end());
-    for (Child& c : succ) c.pot = potentialKey(c.state, n);
-    std::sort(succ.begin(), succ.end(), [](const Child& a, const Child& b) {
-      if (a.pot != b.pot) return a.pot < b.pot;
-      return a.state < b.state;
-    });
-    if (succ.size() > kMaxChildrenPerNode) {
-      succ.resize(kMaxChildrenPerNode);
-      succ.shrink_to_fit();  // release before recursing (n = 8: ~30 MB)
-    }
-    for (const Child& c : succ) {
-      if (dfs(c.state, remaining - 1, line)) {
-        line[line.size() - remaining] = c.move;
-        return true;
-      }
-    }
-    const auto [fit, inserted] = failedAt.emplace(key, remaining);
-    if (!inserted && fit->second > remaining) fit->second = remaining;
-    return false;
-  }
-};
-
-/// Replays a parent-array line on the row encoding; returns the round
-/// in which broadcast completes (0 = never within the line).
-std::size_t replayRows(std::size_t n, const std::vector<RootedTree>& play) {
-  Rows s = identityRows(n);
-  for (std::size_t i = 0; i < play.size(); ++i) {
-    std::array<std::uint8_t, ExactSolver::kMaxN> par{};
-    for (std::size_t y = 0; y < n; ++y) {
-      par[y] = static_cast<std::uint8_t>(play[i].parent(y));
-    }
-    s = applyParents(s, par.data(), n);
-    if (isBroadcastRows(s, n)) return i + 1;
-  }
-  return 0;
-}
-
 }  // namespace
-
-std::uint64_t ExactSolver::encodeIdentity(std::size_t n) {
-  std::uint64_t s = 0;
-  for (std::size_t y = 0; y < n; ++y) {
-    s |= std::uint64_t{1} << (y * kStride + y);
-  }
-  return s;
-}
-
-std::uint64_t ExactSolver::applyTreeEncoded(
-    std::uint64_t state, const std::vector<std::size_t>& parents) {
-  std::uint64_t out = state;
-  for (std::size_t y = 0; y < parents.size(); ++y) {
-    const std::size_t p = parents[y];
-    if (p != y) {
-      out |= rowOf(state, p) << (y * kStride);
-    }
-  }
-  return out;
-}
-
-bool ExactSolver::isBroadcastState(std::uint64_t state, std::size_t n) {
-  std::uint64_t common = rowOf(state, 0);
-  for (std::size_t y = 1; y < n && common != 0; ++y) {
-    common &= rowOf(state, y);
-  }
-  return common != 0;
-}
 
 ExactSolver::ExactSolver(std::size_t n, ExactOptions options)
     : n_(n), options_(options) {
   DYNBCAST_ASSERT_MSG(n >= 2 && n <= kMaxN,
-                      "ExactSolver supports 2 <= n <= 16");
+                      "ExactSolver supports 2 <= n <= " +
+                          std::to_string(kMaxN));
 }
 
 ExactResult ExactSolver::solve() {
@@ -522,43 +366,6 @@ std::vector<RootedTree> ExactSolver::optimalPlay() {
     ++depth;
   }
   DYNBCAST_ASSERT(isBroadcastRows(state, n_));
-  return play;
-}
-
-std::vector<RootedTree> ExactSolver::witnessPlay(
-    std::size_t targetRounds, ExactWitnessOptions witnessOptions) {
-  if (targetRounds == 0) return {};
-  std::vector<RootedTree> play;
-  if (rootedTreeCount(n_) <= kExhaustivePoolLimit) {
-    MovePool pool;
-    pool.build(n_);
-    ExhaustiveWitness search{n_, pool, witnessOptions,
-                             options_.canonicalize};
-    // Descending targets: the failure memo carries over, so a failed
-    // attempt at t seeds the attempt at t − 1. Target 1 always succeeds
-    // (an empty line plus the star finisher).
-    for (std::size_t t = targetRounds; t >= 1; --t) {
-      std::vector<std::uint32_t> line(t - 1, 0);
-      if (search.dfs(encodeIdentity(n_), t - 1, line)) {
-        for (const std::uint32_t m : line) play.push_back(pool.tree(m));
-        break;
-      }
-    }
-  } else {
-    // Beyond the complete pool, the two-phase construction: it first
-    // broadcasts in round lowerBound(n), so any shorter prefix survives.
-    const std::size_t rounds =
-        std::min<std::size_t>(targetRounds, bounds::lowerBound(n_));
-    TwoPhaseAdversary construction(n_);
-    for (std::size_t i = 1; i < rounds; ++i) {
-      play.push_back(construction.next());
-    }
-  }
-  // One completing move always exists: a star makes every process hear
-  // the center's full history, center included.
-  play.push_back(makeStar(n_, 0));
-  DYNBCAST_ASSERT_MSG(replayRows(n_, play) == play.size(),
-                      "witness line does not replay to its length");
   return play;
 }
 

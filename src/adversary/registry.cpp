@@ -341,10 +341,11 @@ void registerBuiltins(AdversaryRegistry& reg) {
              return std::make_unique<ExactReplayAdversary>(n);
            },
            [](const SpecParams&, std::size_t n) {
-             if (n < 2 || n > 8) {
+             if (n < 2 || n > ExactSolver::kMaxN) {
                throw std::invalid_argument(
                    "adversary 'exact': the exhaustive solver supports "
-                   "2 <= n <= 8 (got n=" + std::to_string(n) + ")");
+                   "2 <= n <= " + std::to_string(ExactSolver::kMaxN) +
+                   " (got n=" + std::to_string(n) + ")");
              }
            }});
 }

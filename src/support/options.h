@@ -3,10 +3,11 @@
 //
 // Supports --key=value, --key value, and --flag forms; positional
 // arguments are collected in order. Parsing itself accepts any option.
-// The dynbcast subcommands then call requireKnown() with the flags they
-// read, so a typo in an experiment script is an error there; bench
-// binaries, examples and perfbench stay permissive. Unsigned values
-// (getUInt, parseSizeList) must be all digits.
+// The dynbcast subcommands and bench_exact_small_n then call
+// requireKnown() with the flags they read, so a typo in an experiment
+// script is an error there; the other bench binaries, examples and
+// perfbench stay permissive. Unsigned values (getUInt, parseSizeList)
+// must be all digits.
 #pragma once
 
 #include <cstdint>

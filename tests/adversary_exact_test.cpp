@@ -2,63 +2,21 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "src/adversary/oblivious.h"
 #include "src/bounds/bounds.h"
 #include "src/graph/properties.h"
 #include "src/sim/broadcast_sim.h"
+#include "src/sim/process_sim.h"
 #include "src/support/assert.h"
-#include "src/tree/families.h"
 
 namespace dynbcast {
 namespace {
 
-TEST(EncodingTest, IdentityEncodesDiagonal) {
-  const std::uint64_t s = ExactSolver::encodeIdentity(4);
-  for (std::size_t y = 0; y < 4; ++y) {
-    const std::uint64_t row = (s >> (y * 8)) & 0xFF;
-    EXPECT_EQ(row, std::uint64_t{1} << y);
-  }
-}
-
-TEST(EncodingTest, ApplyTreeMatchesRecurrence) {
-  // Path 0→1→2 on the identity: heard(1) gains 0, heard(2) gains 1.
-  const std::uint64_t s0 = ExactSolver::encodeIdentity(3);
-  const std::uint64_t s1 = ExactSolver::applyTreeEncoded(s0, {0, 0, 1});
-  EXPECT_EQ((s1 >> 0) & 0xFF, 0b001u);   // heard(0) = {0}
-  EXPECT_EQ((s1 >> 8) & 0xFF, 0b011u);   // heard(1) = {0,1}
-  EXPECT_EQ((s1 >> 16) & 0xFF, 0b110u);  // heard(2) = {1,2}
-}
-
-TEST(EncodingTest, BroadcastDetection) {
-  // Make node 2 heard by everyone on n = 3.
-  std::uint64_t s = ExactSolver::encodeIdentity(3);
-  s |= (std::uint64_t{1} << 2) << 0;
-  s |= (std::uint64_t{1} << 2) << 8;
-  EXPECT_TRUE(ExactSolver::isBroadcastState(s, 3));
-  EXPECT_FALSE(
-      ExactSolver::isBroadcastState(ExactSolver::encodeIdentity(3), 3));
-}
-
-TEST(EncodingTest, SingleStarRoundIsBroadcast) {
-  const std::uint64_t s0 = ExactSolver::encodeIdentity(4);
-  // Star centered at 1.
-  const std::uint64_t s1 = ExactSolver::applyTreeEncoded(s0, {1, 1, 1, 1});
-  EXPECT_TRUE(ExactSolver::isBroadcastState(s1, 4));
-}
-
 TEST(ExactSolverTest, RejectsOutOfRangeN) {
+  // n = 9 would need the full 9^8 = 43M move pool and 9-bit rows.
   EXPECT_THROW(ExactSolver(1), AssertionError);
-  EXPECT_THROW(ExactSolver(17), AssertionError);
-}
-
-TEST(ExactSolverTest, ExhaustiveQueriesRejectInfeasiblePool) {
-  // n = 9 is constructible (row-array encoding), but the exhaustive
-  // queries need the full 9^8 = 43M move pool — only witnessPlay works.
-  ExactSolver solver(9);
-  EXPECT_THROW((void)solver.solve(), AssertionError);
-  EXPECT_THROW((void)solver.optimalPlay(), AssertionError);
+  EXPECT_THROW(ExactSolver(9), AssertionError);
+  EXPECT_NO_THROW(ExactSolver(ExactSolver::kMaxN));
 }
 
 TEST(ExactSolverTest, N2IsOneRound) {
@@ -100,9 +58,15 @@ INSTANTIATE_TEST_SUITE_P(SmallN, ExactBoundsTest, ::testing::Values(2, 3, 4));
 TEST(OptimalPlayTest, SequenceAchievesGameValueOnSimulator) {
   // The extracted optimal line of play is a machine-checkable
   // certificate: replaying it reaches broadcast exactly at t*(T_n).
+  // The game values and canonical memo sizes are pinned too, so a change
+  // to the state encoding or the canonical form cannot move them.
+  const std::size_t pinnedTStar[] = {1, 2, 4, 5};
+  const std::uint64_t pinnedStates[] = {1, 2, 19, 817};
   for (const std::size_t n : {2u, 3u, 4u, 5u}) {
     ExactSolver solver(n);
     const ExactResult exact = solver.solve();
+    EXPECT_EQ(exact.tStar, pinnedTStar[n - 2]) << "n=" << n;
+    EXPECT_EQ(exact.statesMemoized, pinnedStates[n - 2]) << "n=" << n;
     const std::vector<RootedTree> play = solver.optimalPlay();
     EXPECT_EQ(play.size(), exact.tStar) << "n=" << n;
     BroadcastSim sim(n);
@@ -137,94 +101,28 @@ TEST(TwoPhaseExactTest, EqualsTheGameValueWhereSolveIsFeasible) {
   }
 }
 
-TEST(WitnessPlayTest, MatchesExactValueWhereSolveIsFeasible) {
-  // For n ≤ 5 the exact value is known (= the paper's lower bound): the
-  // witness search must find a play of exactly that length, and the
-  // play must replay to its own length.
-  for (const std::size_t n : {2u, 3u, 4u, 5u}) {
-    ExactSolver solver(n);
-    const std::vector<RootedTree> play =
-        solver.witnessPlay(bounds::lowerBound(n));
-    EXPECT_EQ(play.size(), bounds::lowerBound(n)) << "n=" << n;
+TEST(TwoPhaseExactTest, ReplaysOnTheProcessSimulator) {
+  // The construction is the repo's lower-bound witness, so certify it on
+  // the executable-spec simulator too: message passing first broadcasts
+  // in round ⌈(3n−1)/2⌉−2, and every process knows exactly as many ids
+  // as its heard-of row holds in BroadcastSim after every round.
+  for (std::size_t n = 2; n <= 64; ++n) {
+    TwoPhaseAdversary construction(n);
+    ProcessSim processes(n);
     BroadcastSim sim(n);
-    for (std::size_t r = 0; r < play.size(); ++r) {
-      EXPECT_FALSE(sim.broadcastDone()) << "n=" << n << " round=" << r;
-      sim.applyTree(play[r]);
-    }
-    EXPECT_TRUE(sim.broadcastDone()) << "n=" << n;
-  }
-}
-
-TEST(WitnessPlayTest, CertifiesLowerBoundThroughN7) {
-  // Beyond solve()'s practical range: a certified line of play reaching
-  // ⌈(3n−1)/2⌉−2 rounds (the [14] lower bound) via the complete pool,
-  // as long as the two-phase construction's.
-  for (const std::size_t n : {6u, 7u}) {
-    const std::vector<RootedTree> play =
-        ExactSolver(n).witnessPlay(bounds::lowerBound(n));
-    EXPECT_EQ(play.size(), bounds::lowerBound(n)) << "n=" << n;
-    EXPECT_EQ(play.size(), twoPhaseRounds(n)) << "n=" << n;
-  }
-}
-
-TEST(WitnessPlayTest, CertifiesLowerBoundAtN8) {
-  const std::vector<RootedTree> play =
-      ExactSolver(8).witnessPlay(bounds::lowerBound(8));
-  EXPECT_EQ(play.size(), bounds::lowerBound(8));  // = 10
-  EXPECT_EQ(play.size(), twoPhaseRounds(8));
-}
-
-TEST(WitnessPlayTest, ConstructionPrefixBeyondTheCompletePool) {
-  // n > 8: the first min(t, L) − 1 construction trees plus the star
-  // finisher, so the play is exactly min(t, L) rounds long and first
-  // broadcasts in its last round.
-  for (std::size_t n = 9; n <= ExactSolver::kMaxN; ++n) {
     const std::size_t lower = bounds::lowerBound(n);
-    for (std::size_t t = 1; t <= lower + 2; ++t) {
-      const std::vector<RootedTree> play = ExactSolver(n).witnessPlay(t);
-      ASSERT_EQ(play.size(), std::min(t, lower)) << "n=" << n << " t=" << t;
-      BroadcastSim sim(n);
-      for (const RootedTree& tree : play) {
-        EXPECT_FALSE(sim.broadcastDone()) << "n=" << n << " t=" << t;
-        sim.applyTree(tree);
+    for (std::size_t r = 1; r <= lower; ++r) {
+      ASSERT_FALSE(processes.broadcastDone()) << "n=" << n << " round=" << r;
+      const RootedTree tree = construction.next();
+      processes.applyTree(tree);
+      sim.applyTree(tree);
+      for (std::size_t y = 0; y < n; ++y) {
+        ASSERT_EQ(processes.heardCount(y), sim.heardCount(y))
+            << "n=" << n << " round=" << r << " y=" << y;
       }
-      EXPECT_TRUE(sim.broadcastDone()) << "n=" << n << " t=" << t;
     }
+    EXPECT_TRUE(processes.broadcastDone()) << "n=" << n;
   }
-}
-
-TEST(WitnessPlayTest, CertifiesLowerBoundAtN9) {
-  // Past the exhaustive-pool ceiling: the two-phase construction
-  // certifies t*(T_9) >= ⌈26/2⌉−2 = 11.
-  const std::vector<RootedTree> play =
-      ExactSolver(9).witnessPlay(bounds::lowerBound(9));
-  EXPECT_EQ(play.size(), bounds::lowerBound(9));  // = 11
-  BroadcastSim sim(9);
-  std::size_t completedAt = 0;
-  for (std::size_t r = 0; r < play.size(); ++r) {
-    sim.applyTree(play[r]);
-    if (sim.broadcastDone() && completedAt == 0) completedAt = r + 1;
-  }
-  EXPECT_EQ(completedAt, play.size());
-}
-
-TEST(WitnessPlayTest, ExhaustedBudgetStillReturnsAValidShorterPlay) {
-  // A starved search degrades to the longest line it certified — down to
-  // the always-available single finishing move — never to an invalid
-  // sequence.
-  // n = 6 is within the complete pool, where the budget applies.
-  ExactWitnessOptions opts;
-  opts.nodeBudget = 0;
-  const std::vector<RootedTree> play =
-      ExactSolver(6).witnessPlay(bounds::lowerBound(6), opts);
-  ASSERT_EQ(play.size(), 1u);
-  BroadcastSim sim(6);
-  sim.applyTree(play[0]);
-  EXPECT_TRUE(sim.broadcastDone());
-}
-
-TEST(WitnessPlayTest, ZeroTargetIsEmpty) {
-  EXPECT_TRUE(ExactSolver(5).witnessPlay(0).empty());
 }
 
 TEST(ExactSolverTest, DepthCapViolationThrows) {

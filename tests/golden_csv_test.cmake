@@ -1,7 +1,7 @@
 # Bit-identity regression for sweep CSVs: runs a sweep binary and
 # byte-compares its --csv artifact against the committed golden file.
 # Invoked by ctest (see CMakeLists.txt) with:
-#   -DBENCH=<path to bench_thm31_adversary_sweep or the dynbcast CLI>
+#   -DBENCH=<path to a sweep bench binary or the dynbcast CLI>
 #   -DSUBCOMMAND=<optional subcommand, e.g. sweep for the dynbcast CLI>
 #   -DJOBS=<worker count>  (1 and 8 both must reproduce the golden bytes)
 #   -DSIZES=<--sizes sweep spec, e.g. 4:128:4>

@@ -1,8 +1,7 @@
 // The dynbcast CLI: one binary over the whole experiment surface.
 //
-// Subcommands (each also callable as a library function, so bench
-// binaries can forward to them — bench_thm31_adversary_sweep is
-// `cli::runSweepCommand` under its historical name):
+// Subcommands (each also callable as a library function, e.g.
+// `cli::runSweepCommand` for sweep):
 //
 //   sweep      Theorem 3.1 reproduction under the default rooted-tree
 //              dynamics: portfolio sweep + beam witnesses vs the paper's
