@@ -13,10 +13,15 @@ namespace dynbcast {
 namespace {
 
 TEST(ExactSolverTest, RejectsOutOfRangeN) {
-  // n = 9 would need the full 9^8 = 43M move pool and 9-bit rows.
   EXPECT_THROW(ExactSolver(1), AssertionError);
-  EXPECT_THROW(ExactSolver(9), AssertionError);
   EXPECT_NO_THROW(ExactSolver(ExactSolver::kMaxN));
+}
+
+TEST(ExactSolverTest, ExhaustiveQueriesRejectInfeasiblePool) {
+  // n = 9 would need the full 9^8 = 43M move pool and 9-bit rows, so
+  // the constructor refuses it before solve() or optimalPlay() can run.
+  EXPECT_THROW(ExactSolver(ExactSolver::kMaxN + 1), AssertionError);
+  EXPECT_THROW(ExactSolver(9), AssertionError);
 }
 
 TEST(ExactSolverTest, N2IsOneRound) {
