@@ -57,6 +57,12 @@ DEFAULT_GATES = {
     # (deaths, births merged with the survivors, arc decode); absolute
     # ns, upward.
     "kernel:edgeMarkovianRound:65536:ns_per_op": 60.0,
+    # The per-move cost every adversary shares (one RootedTree built by
+    # makePath at n = 256) and one whole greedy-delay round on a fixed
+    # n = 256 mid-game state (the thm31 and served workloads' dominant
+    # layer); absolute ns, upward.
+    "kernel:rootedTree:256:ns_per_op": 60.0,
+    "kernel:greedyDelayRound:256:ns_per_op": 60.0,
     # Search-core counters: deterministic for the fixed seed/size the
     # harness uses (quick and full run the same search), so the slack only
     # absorbs deliberate tuning of the move pool or pruning rules.

@@ -1,8 +1,9 @@
 // perf_harness: the repo's perf telemetry source of truth.
 //
 // Times (a) the raw-word kernels (through the runtime SIMD dispatch
-// table), the damage-greedy tree builder, and the blocked boolean
-// product against naive references, (b) BroadcastSim round throughput
+// table), tree construction, the damage-greedy tree builder, one
+// greedy-delay round, and the blocked boolean product against naive
+// references, (b) BroadcastSim round throughput
 // and the dense-vs-sparse t* crossover, and (c) the end-to-end thm31
 // portfolio sweep, then emits machine-readable JSON:
 //
@@ -51,6 +52,7 @@
 #include "src/support/eval_scratch.h"
 #include "src/support/rng.h"
 #include "src/support/table.h"
+#include "src/tree/families.h"
 #include "src/tree/generators.h"
 
 namespace dynbcast {
@@ -138,8 +140,9 @@ KernelResult benchOrCount(std::size_t bits, double minSeconds, Rng& rng) {
 /// the beam's amplitude 8) on a state greedy-delay itself reaches after
 /// n/2 rounds, the kind of state the thm31 sweep builds its trees on.
 /// The state is bound once, as the beam binds each frontier state once
-/// for its ten trees, so ns/op is the per-tree Prim cost (n relax-kernel
-/// calls + argmin scans) without the transpose.
+/// for its ten trees, so ns/op is the per-tree Prim cost (n − 1
+/// relax-kernel calls, each returning the next pick) without the
+/// transpose.
 KernelResult benchDamageTree(std::size_t n, bool noisy, double minSeconds,
                              Rng& rng) {
   BroadcastSim sim(n);
@@ -159,6 +162,44 @@ KernelResult benchDamageTree(std::size_t n, bool noisy, double minSeconds,
   });
   KernelResult r{noisy ? "noisyDamageTree" : "damageTree", n, reps, 0.0,
                  0.0};
+  r.nsPerOp = secs * 1e9 / static_cast<double>(reps);
+  return r;
+}
+
+/// One RootedTree construction per op: makePath over a fixed random
+/// permutation, i.e. the parent array plus the children lists, depths
+/// and BFS check every adversary move pays for.
+KernelResult benchRootedTree(std::size_t n, double minSeconds, Rng& rng) {
+  const std::vector<std::size_t> order = rng.permutation(n);
+  auto [reps, secs] = timeLoop(minSeconds, [&] {
+    const RootedTree t = makePath(order);
+    consume(t.height());
+  });
+  KernelResult r{"rootedTree", n, reps, 0.0, 0.0};
+  r.nsPerOp = secs * 1e9 / static_cast<double>(reps);
+  return r;
+}
+
+/// One GreedyDelayAdversary::nextTree per op on the state greedy-delay
+/// itself reaches after n/2 rounds: coverage counts, the candidate pool
+/// (paths, broom, random and damage-greedy trees) and its evaluation.
+/// The same adversary answers every op on that one state, so its
+/// carried order and RNG move on but the state does not.
+KernelResult benchGreedyDelayRound(std::size_t n, double minSeconds,
+                                   Rng& rng) {
+  BroadcastSim sim(n);
+  GreedyDelayAdversary greedy(n, rng());
+  for (std::size_t r = 0; r < n / 2 && !sim.broadcastDone(); ++r) {
+    sim.applyTree(greedy.nextTree(sim));
+  }
+  auto [reps, secs] = timeLoop(
+      minSeconds,
+      [&] {
+        const RootedTree t = greedy.nextTree(sim);
+        consume(t.root());
+      },
+      /*firstBatch=*/8);
+  KernelResult r{"greedyDelayRound", n, reps, 0.0, 0.0};
   r.nsPerOp = secs * 1e9 / static_cast<double>(reps);
   return r;
 }
@@ -555,6 +596,12 @@ int main(int argc, char** argv) {
   // mode alike (CI gates it), timed for at least 0.25 s in both.
   kernels.push_back(
       benchEdgeMarkovianRound(65536, std::max(minSeconds, 0.25), rng));
+  // The per-move cost every adversary shares (one tree construction) and
+  // one whole greedy-delay round, both at the n = 256 of the thm31
+  // sweep's largest row; fixed in quick and full mode alike (CI gates
+  // both). Last, so the rows above draw the same random inputs as before.
+  kernels.push_back(benchRootedTree(256, minSeconds, rng));
+  kernels.push_back(benchGreedyDelayRound(256, minSeconds, rng));
 
   TextTable kernelTable({"kernel", "bits/n", "reps", "ns/op", "GiB/s"});
   for (const KernelResult& k : kernels) {

@@ -1,7 +1,9 @@
 #include "src/adversary/adaptive.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 
 #include "src/support/assert.h"
@@ -15,8 +17,11 @@ std::vector<std::size_t> coverageCounts(const BroadcastSim& state) {
   std::vector<std::size_t> coverage(n, 0);
   for (std::size_t y = 0; y < n; ++y) {
     const DynBitset& h = state.heardBy(y);
-    for (std::size_t x = h.findFirst(); x < n; x = h.findNext(x + 1)) {
-      ++coverage[x];
+    const std::uint64_t* words = h.wordData();
+    for (std::size_t wi = 0; wi < h.wordCount(); ++wi) {
+      for (std::uint64_t w = words[wi]; w != 0; w &= w - 1) {
+        ++coverage[wi * 64 + static_cast<std::size_t>(std::countr_zero(w))];
+      }
     }
   }
   return coverage;

@@ -248,13 +248,15 @@ class GreedyDelayAdversary final : public Adversary {
 /// positive.
 ///
 /// Cost: binding a state is one 64×64-block transpose of the heard
-/// matrix (O(n²/64) words) plus n exp2 calls. A tree is n−1 argmin scans
-/// of O(n) plus n relax calls of about |Heard(pick)| · ⌈open/lanes⌉
-/// vector additions: 8 lanes over the packed open y of each 64-y block
-/// with AVX-512, 4 lanes up to the highest open y with AVX2, and exactly
-/// the needed additions on the scalar tier. That is O(n³/lanes) in the
-/// worst case (measured per tree: `damageTree` in BENCH_kernels.json),
-/// and nothing but the returned tree is allocated.
+/// matrix (O(n²/64) words) plus n exp2 calls. A tree is n−1 relax calls
+/// of about |Heard(pick)| · ⌈open/lanes⌉ vector additions: 8 lanes over
+/// the packed open y of each 64-y block with AVX-512, 4 lanes up to the
+/// highest open y with AVX2, and exactly the needed additions on the
+/// scalar tier. There is no separate argmin scan: each relax call also
+/// returns the next pick, a min over the costs it has just written,
+/// with the same strict-< tie rule. That is O(n³/lanes) in the worst
+/// case (measured per tree: `damageTree` in BENCH_kernels.json), and
+/// nothing but the returned tree is allocated.
 class DamageTrees {
  public:
   /// Binds scratch.damage to the state: transposes `heard` and derives

@@ -2,7 +2,8 @@
 //
 // Binding a state transposes its heard matrix into the scratch's
 // `unaware` blocks and derives the coverage weights; each tree then runs
-// Prim with one dispatched bitword::Kernels::damageRelax call per pick.
+// Prim with one dispatched bitword::Kernels::damageRelax call per pick,
+// which relaxes the open y and returns the next pick.
 // The exactness contract (same picks, ties and IEEE additions as a
 // per-pair serial loop) is spelled out in adaptive.h and checked against
 // that loop, on every kernel tier, by DamageTreeOracleTest.
@@ -10,7 +11,6 @@
 // bodies here (rule hot-alloc); setup/diagnostic exceptions carry allow().
 // dynbcast-lint: hot-path
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <utility>
@@ -123,15 +123,7 @@ RootedTree DamageTrees::build(std::size_t root, const double* weight) {
   // Prim over the complete damage graph: heard sets are start-of-round
   // snapshots, so edge costs never change mid-build.
   for (std::size_t step = 1; step < n; ++step) {
-    kernels_.damageRelax(relax);
-    std::size_t pick = n;
-    for (std::size_t w = 0; w < nwords; ++w) {
-      for (std::uint64_t m = open[w]; m != 0; m &= m - 1) {
-        const std::size_t y =
-            w * 64 + static_cast<std::size_t>(std::countr_zero(m));
-        if (pick == n || cost[y] < cost[pick]) pick = y;
-      }
-    }
+    const std::size_t pick = kernels_.damageRelax(relax);
     open[pick / 64] &= ~(std::uint64_t{1} << (pick % 64));
     relax.pickHeard = heard_[pick].wordData();
     relax.pick = pick;

@@ -57,6 +57,12 @@ class ExactSolver {
   /// Row-array encoding limit: 8 rows of 8-bit masks.
   static constexpr std::size_t kMaxN = 8;
 
+  /// Largest n at which solve() and optimalPlay() finish in practical
+  /// time: n = 5 takes well under a second, n = 6 does not finish in
+  /// minutes. The `exact` adversary runs optimalPlay() from scratch, so
+  /// its registry entry refuses larger n.
+  static constexpr std::size_t kMaxPracticalN = 5;
+
   /// Precondition: 2 ≤ n ≤ kMaxN (throws AssertionError otherwise).
   explicit ExactSolver(std::size_t n, ExactOptions options = {});
 

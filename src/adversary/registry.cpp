@@ -74,7 +74,8 @@ class BeamWitnessAdversary final : public ReplayAdversary {
   BeamConfig config_;
 };
 
-/// "exact": optimal play extracted from the exhaustive solver (n ≤ 8).
+/// "exact": optimal play extracted from the exhaustive solver
+/// (n ≤ ExactSolver::kMaxPracticalN).
 class ExactReplayAdversary final : public ReplayAdversary {
  public:
   explicit ExactReplayAdversary(std::size_t n) : ReplayAdversary(n, "exact") {}
@@ -334,18 +335,20 @@ void registerBuiltins(AdversaryRegistry& reg) {
              }
            }});
   reg.add({"exact",
-           "optimal play from the exhaustive game solver (n <= 8; "
-           "practical for n <= 5)",
+           "optimal play from the exhaustive game solver (2 <= n <= " +
+               std::to_string(ExactSolver::kMaxPracticalN) + ")",
            {},
            [](std::size_t n, std::uint64_t, const SpecParams&) {
              return std::make_unique<ExactReplayAdversary>(n);
            },
            [](const SpecParams&, std::size_t n) {
-             if (n < 2 || n > ExactSolver::kMaxN) {
+             if (n < 2 || n > ExactSolver::kMaxPracticalN) {
                throw std::invalid_argument(
-                   "adversary 'exact': the exhaustive solver supports "
-                   "2 <= n <= " + std::to_string(ExactSolver::kMaxN) +
-                   " (got n=" + std::to_string(n) + ")");
+                   "adversary 'exact': optimal play is practical only for "
+                   "2 <= n <= " +
+                   std::to_string(ExactSolver::kMaxPracticalN) +
+                   " (ExactSolver::kMaxPracticalN; got n=" +
+                   std::to_string(n) + ")");
              }
            }});
 }

@@ -61,6 +61,12 @@ enum class SimdLevel { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 /// own lane and performs exactly these IEEE additions in exactly this
 /// order (no horizontal reduction, no reassociation), so all tiers, and
 /// a per-pair serial loop, agree bit for bit.
+///
+/// The call returns the next pick from the costs it has just written:
+/// the open y of least cost, the lowest such y on a tie (exactly what a
+/// strict-< scan in ascending y picks), or n when no y is open. Costs of
+/// open y must be finite and ≥ +0.0 (weights are), so the vector tiers'
+/// min and equality tests are exact and agree with that scan.
 struct DamageRelax {
   const std::uint64_t* pickHeard;  ///< Heard(pick): nwords words
   /// Transposed complement of the heard matrix, block-major: bit j of
@@ -85,9 +91,10 @@ struct Kernels {
                          std::size_t nwords) noexcept;
   std::size_t (*andAssignCount)(std::uint64_t* dst, const std::uint64_t* src,
                                 std::size_t nwords) noexcept;
-  /// One damage-tree Prim pick (see DamageRelax). Always dispatched,
+  /// One damage-tree Prim step (see DamageRelax): relaxes the open y
+  /// against args.pick and returns the next pick. Always dispatched,
   /// whatever n: one call covers O(n · |Heard(pick)|) lane additions.
-  void (*damageRelax)(const DamageRelax& args) noexcept;
+  std::size_t (*damageRelax)(const DamageRelax& args) noexcept;
   SimdLevel level;
   const char* name;
 };

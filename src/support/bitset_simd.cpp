@@ -9,8 +9,10 @@
 // non-AVX path stays testable on AVX hardware.
 //
 // All tiers are exact drop-ins: same results word for word, including
-// popcounts, and bit-identical damage-relax sums (each y owns one lane
-// and receives the same IEEE additions in the same order on every tier).
+// popcounts, bit-identical damage-relax sums (each y owns one lane and
+// receives the same IEEE additions in the same order on every tier) and
+// the same next pick (an exact min over the freshly written costs, then
+// the lowest y that attains it).
 // The AVX tiers assume nothing about alignment (loadu/storeu) and fall
 // back to scalar words for the remainder of the span.
 // Allocation-free hot path: dynbcast_lint bans allocation in function
@@ -21,6 +23,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdlib>
+#include <limits>
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #define DYNBCAST_SIMD_X86 1
@@ -64,10 +67,22 @@ inline std::size_t lowBit(std::uint64_t w) noexcept {
   return static_cast<std::size_t>(std::countr_zero(w));
 }
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// The running next pick of a damage relax: the least cost over the open
+/// y visited so far. Blocks are visited in ascending y and the pick moves
+/// only on a strict improvement, so the lowest y wins a tie; costs are
+/// finite, so the first open y always replaces the +inf start.
+struct RelaxPick {
+  double cost;
+  std::size_t y;
+};
+
 // The damage relax visits y in blocks of 64 (one open/unaware word). The
 // scalar tier walks only the set bits of (open & unaware[x]), so it does
 // exactly the additions a per-pair loop does and no masked-off work.
-void damageRelaxScalar(const DamageRelax& a) noexcept {
+std::size_t damageRelaxScalar(const DamageRelax& a) noexcept {
+  RelaxPick best{kInf, a.n};
   for (std::size_t b = 0; b < a.nwords; ++b) {
     const std::uint64_t open = a.open[b];
     if (open == 0) continue;
@@ -90,8 +105,10 @@ void damageRelaxScalar(const DamageRelax& a) noexcept {
         cost[j] = acc[j];
         parent[j] = a.pick;
       }
+      if (cost[j] < best.cost) best = {cost[j], b * 64 + j};
     }
   }
+  return best.y;
 }
 
 constexpr Kernels kScalarKernels{
@@ -180,6 +197,8 @@ __attribute__((target("avx2,popcnt"))) std::size_t andAssignCountAvx2(
 // half stay in registers; G stops at the highest open y of the half.
 // blendv keeps every lane whose y is closed or already knows x at its
 // old value, so each lane sees exactly the scalar tier's additions.
+// The next pick comes from the new costs still in registers: a min over
+// the half (closed lanes read +inf), then the first lane equal to it.
 
 /// kNibbleLanes.masks[k]: 64-bit lane i is all ones iff bit i of k is set.
 struct NibbleLanes {
@@ -204,10 +223,18 @@ __attribute__((target("avx2,popcnt"))) inline __m256i nibbleLanes(
       kNibbleLanes.masks[(bits >> (4 * group)) & 15]));
 }
 
+__attribute__((target("avx2,popcnt"))) inline double leastLane(
+    __m256d v) noexcept {
+  __m128d m = _mm_min_pd(_mm256_castpd256_pd128(v),
+                         _mm256_extractf128_pd(v, 1));
+  m = _mm_min_sd(m, _mm_unpackhi_pd(m, m));
+  return _mm_cvtsd_f64(m);
+}
+
 template <std::size_t G>
 __attribute__((target("avx2,popcnt"))) void damageRelaxHalfAvx2(
     const DamageRelax& a, std::size_t b, std::size_t shift,
-    std::uint64_t open) noexcept {
+    std::uint64_t open, RelaxPick& best) noexcept {
   const std::uint64_t* unaware = a.unaware + b * a.n;
   __m256d acc[G];
 #pragma GCC unroll 8
@@ -245,38 +272,59 @@ __attribute__((target("avx2,popcnt"))) void damageRelaxHalfAvx2(
   double* cost = a.cost + b * 64 + shift;
   auto* parent = reinterpret_cast<long long*>(a.parent + b * 64 + shift);
   const __m256i pick = _mm256_set1_epi64x(static_cast<long long>(a.pick));
+  const __m256d inf = _mm256_set1_pd(kInf);
+  __m256d fresh[G];
+  __m256d least = inf;
 #pragma GCC unroll 8
   for (std::size_t g = 0; g < G; ++g) {
-    __m256i update = nibbleLanes(open, g);
+    const __m256i groupOpen = nibbleLanes(open, g);
+    __m256i update = groupOpen;
+    __m256d now = acc[g];
     if (!a.assign) {
-      const __m256d less =
-          _mm256_cmp_pd(acc[g], _mm256_loadu_pd(cost + 4 * g), _CMP_LT_OQ);
+      const __m256d old = _mm256_loadu_pd(cost + 4 * g);
+      const __m256d less = _mm256_cmp_pd(acc[g], old, _CMP_LT_OQ);
       update = _mm256_and_si256(update, _mm256_castpd_si256(less));
+      now = _mm256_blendv_pd(old, acc[g], less);
     }
     _mm256_maskstore_pd(cost + 4 * g, update, acc[g]);
     _mm256_maskstore_epi64(parent + 4 * g, update, pick);
+    fresh[g] = _mm256_blendv_pd(inf, now, _mm256_castsi256_pd(groupOpen));
+    least = _mm256_min_pd(least, fresh[g]);
+  }
+  const double m = leastLane(least);
+  if (!(m < best.cost)) return;
+  const __m256d target = _mm256_set1_pd(m);
+  for (std::size_t g = 0; g < G; ++g) {
+    const auto equal = static_cast<std::uint64_t>(
+        _mm256_movemask_pd(_mm256_cmp_pd(fresh[g], target, _CMP_EQ_OQ)));
+    if (equal != 0) {
+      best = {m, b * 64 + shift + 4 * g + lowBit(equal)};
+      return;
+    }
   }
 }
 
-__attribute__((target("avx2,popcnt"))) void damageRelaxAvx2(
+__attribute__((target("avx2,popcnt"))) std::size_t damageRelaxAvx2(
     const DamageRelax& a) noexcept {
   static_assert(sizeof(std::size_t) == sizeof(long long));
+  RelaxPick best{kInf, a.n};
   for (std::size_t b = 0; b < a.nwords; ++b) {
     for (std::size_t shift = 0; shift < 64; shift += 32) {
       const std::uint64_t open = (a.open[b] >> shift) & 0xffffffffull;
       if (open == 0) continue;
       switch ((64 - std::countl_zero(open) + 3) / 4) {
-        case 1: damageRelaxHalfAvx2<1>(a, b, shift, open); break;
-        case 2: damageRelaxHalfAvx2<2>(a, b, shift, open); break;
-        case 3: damageRelaxHalfAvx2<3>(a, b, shift, open); break;
-        case 4: damageRelaxHalfAvx2<4>(a, b, shift, open); break;
-        case 5: damageRelaxHalfAvx2<5>(a, b, shift, open); break;
-        case 6: damageRelaxHalfAvx2<6>(a, b, shift, open); break;
-        case 7: damageRelaxHalfAvx2<7>(a, b, shift, open); break;
-        default: damageRelaxHalfAvx2<8>(a, b, shift, open); break;
+        case 1: damageRelaxHalfAvx2<1>(a, b, shift, open, best); break;
+        case 2: damageRelaxHalfAvx2<2>(a, b, shift, open, best); break;
+        case 3: damageRelaxHalfAvx2<3>(a, b, shift, open, best); break;
+        case 4: damageRelaxHalfAvx2<4>(a, b, shift, open, best); break;
+        case 5: damageRelaxHalfAvx2<5>(a, b, shift, open, best); break;
+        case 6: damageRelaxHalfAvx2<6>(a, b, shift, open, best); break;
+        case 7: damageRelaxHalfAvx2<7>(a, b, shift, open, best); break;
+        default: damageRelaxHalfAvx2<8>(a, b, shift, open, best); break;
       }
     }
   }
+  return best.y;
 }
 
 constexpr Kernels kAvx2Kernels{
@@ -358,11 +406,26 @@ __attribute__((DYNBCAST_AVX512_TARGET)) std::size_t andAssignCountAvx512(
 // G = ⌈|open|/8⌉ accumulators belongs to the k-th open y of the block
 // and closed y cost no work; mask_add_pd leaves every lane whose y
 // already knows x untouched. expandload then moves the packed sums back
-// to their y positions for the compare and the masked stores.
+// to their y positions for the compare and the masked stores, and the
+// next pick is a masked min over the block's new costs, then the first
+// lane equal to it.
+//
+// The masked min keeps gcc 12's unmasked _mm512_min_pd and its
+// _mm512_undefined_pd (the -Werror=uninitialized trap noted above) out.
+
+__attribute__((DYNBCAST_AVX512_TARGET)) double leastLane512(
+    __m512d v) noexcept {
+  alignas(64) double lanes[8];
+  _mm512_store_pd(lanes, v);
+  double m = lanes[0];
+  for (const double c : lanes) m = c < m ? c : m;
+  return m;
+}
 
 template <std::size_t G>
 __attribute__((DYNBCAST_AVX512_TARGET)) void damageRelaxBlockAvx512(
-    const DamageRelax& a, std::size_t b, std::uint64_t open) noexcept {
+    const DamageRelax& a, std::size_t b, std::uint64_t open,
+    RelaxPick& best) noexcept {
   const std::uint64_t* unaware = a.unaware + b * a.n;
   __m512d acc[G];
 #pragma GCC unroll 8
@@ -400,6 +463,8 @@ __attribute__((DYNBCAST_AVX512_TARGET)) void damageRelaxBlockAvx512(
   double* cost = a.cost + b * 64;
   std::size_t* parent = a.parent + b * 64;
   const __m512i pick = _mm512_set1_epi64(static_cast<long long>(a.pick));
+  __m512d fresh[8];  // new costs, valid in the group's open lanes
+  __m512d least = _mm512_set1_pd(kInf);
   std::size_t next = 0;  // packed index of the group's first open y
   for (std::size_t g = 0; g < 8; ++g) {
     const auto lanes = static_cast<__mmask8>(open >> (8 * g));
@@ -407,31 +472,50 @@ __attribute__((DYNBCAST_AVX512_TARGET)) void damageRelaxBlockAvx512(
     const __m512d sums = _mm512_maskz_expandloadu_pd(lanes, packed + next);
     next += static_cast<std::size_t>(std::popcount(lanes));
     __mmask8 update = lanes;
+    __m512d now = sums;
     if (!a.assign) {
-      update = _mm512_mask_cmp_pd_mask(
-          lanes, sums, _mm512_loadu_pd(cost + 8 * g), _CMP_LT_OQ);
+      const __m512d old = _mm512_loadu_pd(cost + 8 * g);
+      update = _mm512_mask_cmp_pd_mask(lanes, sums, old, _CMP_LT_OQ);
+      now = _mm512_mask_blend_pd(update, old, sums);
     }
     _mm512_mask_storeu_pd(cost + 8 * g, update, sums);
     _mm512_mask_storeu_epi64(parent + 8 * g, update, pick);
+    fresh[g] = now;
+    least = _mm512_mask_min_pd(least, lanes, least, now);
+  }
+  const double m = leastLane512(least);
+  if (!(m < best.cost)) return;
+  const __m512d target = _mm512_set1_pd(m);
+  for (std::size_t g = 0; g < 8; ++g) {
+    const auto lanes = static_cast<__mmask8>(open >> (8 * g));
+    if (lanes == 0) continue;
+    const auto equal = static_cast<std::uint64_t>(
+        _mm512_mask_cmp_pd_mask(lanes, fresh[g], target, _CMP_EQ_OQ));
+    if (equal != 0) {
+      best = {m, b * 64 + 8 * g + lowBit(equal)};
+      return;
+    }
   }
 }
 
-__attribute__((DYNBCAST_AVX512_TARGET)) void damageRelaxAvx512(
+__attribute__((DYNBCAST_AVX512_TARGET)) std::size_t damageRelaxAvx512(
     const DamageRelax& a) noexcept {
+  RelaxPick best{kInf, a.n};
   for (std::size_t b = 0; b < a.nwords; ++b) {
     const std::uint64_t open = a.open[b];
     if (open == 0) continue;
     switch ((std::popcount(open) + 7) / 8) {
-      case 1: damageRelaxBlockAvx512<1>(a, b, open); break;
-      case 2: damageRelaxBlockAvx512<2>(a, b, open); break;
-      case 3: damageRelaxBlockAvx512<3>(a, b, open); break;
-      case 4: damageRelaxBlockAvx512<4>(a, b, open); break;
-      case 5: damageRelaxBlockAvx512<5>(a, b, open); break;
-      case 6: damageRelaxBlockAvx512<6>(a, b, open); break;
-      case 7: damageRelaxBlockAvx512<7>(a, b, open); break;
-      default: damageRelaxBlockAvx512<8>(a, b, open); break;
+      case 1: damageRelaxBlockAvx512<1>(a, b, open, best); break;
+      case 2: damageRelaxBlockAvx512<2>(a, b, open, best); break;
+      case 3: damageRelaxBlockAvx512<3>(a, b, open, best); break;
+      case 4: damageRelaxBlockAvx512<4>(a, b, open, best); break;
+      case 5: damageRelaxBlockAvx512<5>(a, b, open, best); break;
+      case 6: damageRelaxBlockAvx512<6>(a, b, open, best); break;
+      case 7: damageRelaxBlockAvx512<7>(a, b, open, best); break;
+      default: damageRelaxBlockAvx512<8>(a, b, open, best); break;
     }
   }
+  return best.y;
 }
 
 #undef DYNBCAST_AVX512_TARGET

@@ -14,32 +14,39 @@ RootedTree::RootedTree(std::size_t root, std::vector<std::size_t> parent)
   DYNBCAST_ASSERT_MSG(root_ < n, "root out of range");
   DYNBCAST_ASSERT_MSG(parent_[root_] == root_,
                       "parent[root] must equal root");
-  children_.assign(n, {});
+  // Counting pass: childStart_[p + 1] counts p's children, then a prefix
+  // sum turns counts into offsets and a fill in ascending v lists each
+  // node's children in ascending order.
+  childStart_.assign(n + 1, 0);
   for (std::size_t v = 0; v < n; ++v) {
     DYNBCAST_ASSERT_MSG(parent_[v] < n, "parent out of range");
     if (v != root_) {
       DYNBCAST_ASSERT_MSG(parent_[v] != v, "non-root node with self parent");
-      children_[parent_[v]].push_back(v);
+      ++childStart_[parent_[v] + 1];
     }
+  }
+  for (std::size_t v = 0; v < n; ++v) {
+    childStart_[v + 1] += childStart_[v];
+    if (childStart_[v + 1] == childStart_[v]) ++leafCount_;
+  }
+  // depth_ doubles as the per-parent fill cursor until the BFS below.
+  childList_.resize(n - 1);
+  depth_.assign(childStart_.begin(), childStart_.end() - 1);
+  for (std::size_t v = 0; v < n; ++v) {
+    if (v != root_) childList_[depth_[parent_[v]]++] = v;
   }
   // BFS from the root assigns depths and simultaneously proves acyclicity:
   // all n nodes must be discovered.
-  depth_.assign(n, 0);
-  std::vector<std::size_t> queue{root_};
-  queue.reserve(n);
-  for (std::size_t qi = 0; qi < queue.size(); ++qi) {
-    const std::size_t v = queue[qi];
-    for (const std::size_t c : children_[v]) {
-      depth_[c] = depth_[v] + 1;
-      height_ = std::max(height_, depth_[c]);
-      queue.push_back(c);
-    }
+  depth_[root_] = 0;
+  std::vector<std::size_t> queue;
+  bfsOrderInto(queue);
+  for (std::size_t qi = 1; qi < queue.size(); ++qi) {
+    const std::size_t c = queue[qi];
+    depth_[c] = depth_[parent_[c]] + 1;
+    height_ = std::max(height_, depth_[c]);
   }
   DYNBCAST_ASSERT_MSG(queue.size() == n,
                       "parent links contain a cycle or unreachable node");
-  for (std::size_t v = 0; v < n; ++v) {
-    if (children_[v].empty()) ++leafCount_;
-  }
 }
 
 RootedTree RootedTree::trivial() { return RootedTree(0, {0}); }
@@ -48,7 +55,7 @@ std::vector<std::size_t> RootedTree::leaves() const {
   std::vector<std::size_t> out;
   out.reserve(leafCount_);
   for (std::size_t v = 0; v < size(); ++v) {
-    if (children_[v].empty()) out.push_back(v);
+    if (childrenOf(v).empty()) out.push_back(v);
   }
   return out;
 }
@@ -64,7 +71,7 @@ void RootedTree::bfsOrderInto(std::vector<std::size_t>& out) const {
   out.reserve(size());
   out.push_back(root_);
   for (std::size_t qi = 0; qi < out.size(); ++qi) {
-    for (const std::size_t c : children_[out[qi]]) out.push_back(c);
+    for (const std::size_t c : childrenOf(out[qi])) out.push_back(c);
   }
 }
 

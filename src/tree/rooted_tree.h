@@ -6,12 +6,16 @@
 // from exactly {parent_t(y), y}, which yields the heard-of recurrence
 //   Heard_t(y) = Heard_{t−1}(y) ∪ Heard_{t−1}(parent_t(y)).
 //
-// Representation: a parent array with parent[root] == root. The children
-// adjacency is precomputed at construction since simulators and
-// generators both traverse downward.
+// Representation: a parent array with parent[root] == root, plus the
+// children adjacency in compressed (CSR) form, precomputed at construction
+// since simulators and generators both traverse downward: the children of
+// v are childList_[childStart_[v] .. childStart_[v + 1]), ascending. A
+// tree is four flat arrays whatever its shape, with no per-node
+// allocation.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,9 +44,11 @@ class RootedTree {
     return parent_;
   }
 
-  [[nodiscard]] const std::vector<std::size_t>& childrenOf(
+  /// Children of v, ascending.
+  [[nodiscard]] std::span<const std::size_t> childrenOf(
       std::size_t v) const noexcept {
-    return children_[v];
+    return {childList_.data() + childStart_[v],
+            childList_.data() + childStart_[v + 1]};
   }
 
   /// Depth of node v (root has depth 0).
@@ -86,7 +92,8 @@ class RootedTree {
  private:
   std::size_t root_ = 0;
   std::vector<std::size_t> parent_;
-  std::vector<std::vector<std::size_t>> children_;
+  std::vector<std::size_t> childStart_;  ///< n + 1 offsets into childList_
+  std::vector<std::size_t> childList_;   ///< n − 1 child ids, by parent
   std::vector<std::size_t> depth_;
   std::size_t height_ = 0;
   std::size_t leafCount_ = 0;

@@ -218,11 +218,28 @@ TEST(DamageTreeOracleTest, MatchesPerPairPrimOnEveryTier) {
   EXPECT_TRUE(sawZeroTies) << "no zero-cost tie state";
 }
 
+/// The serial Prim pick after a relax: the open y of least cost, strict
+/// < in ascending y (so the lowest y wins a tie), or n when nothing is
+/// open.
+std::size_t serialArgmin(const std::vector<double>& cost,
+                         const std::vector<std::uint64_t>& open,
+                         std::size_t n) {
+  std::size_t pick = n;
+  for (std::size_t y = 0; y < n; ++y) {
+    if (((open[y / 64] >> (y % 64)) & 1) != 0 &&
+        (pick == n || cost[y] < cost[pick])) {
+      pick = y;
+    }
+  }
+  return pick;
+}
+
 TEST(DamageTreeOracleTest, RelaxSumsAreBitIdenticalToSerialLoop) {
   // Trees only expose the argmin decisions; this checks the sums
   // themselves. Weights span 2^1 .. 2^50 × 1e6 with noise, so most
   // sums round, and any reordering of the additions would show up in
-  // the last bit. Closed entries must keep their sentinels.
+  // the last bit. Closed entries must keep their sentinels, and the
+  // returned next pick must be the serial argmin of the costs written.
   const std::vector<SimdLevel> levels = supportedLevels();
   Rng rng(0x5e1a);
   for (const std::size_t n : {5, 63, 64, 65, 130, 257}) {
@@ -238,12 +255,8 @@ TEST(DamageTreeOracleTest, RelaxSumsAreBitIdenticalToSerialLoop) {
       w = std::exp2(static_cast<double>(1 + rng.uniform(50))) *
           (rng.uniform(4) == 0 ? 1e6 : 1.0) * (1.0 + 8.0 * rng.uniformReal());
     }
-    for (int trial = 0; trial < 6; ++trial) {
-      const std::size_t pick = rng.uniform(n);
-      std::vector<std::uint64_t> open(nwords, 0);
-      for (std::size_t y = 0; y < n; ++y) {
-        if (y != pick && rng.uniform(3) != 0) open[y / 64] |= 1ull << (y % 64);
-      }
+    // The serial sums: expect[y] = Σ weight[x], x ∈ Heard(pick) \ Heard(y).
+    const auto sumsFor = [&](std::size_t pick) {
       std::vector<double> expect(n, 0.0);
       for (std::size_t y = 0; y < n; ++y) {
         bitword::forEachInDifference(heard[pick].wordData(),
@@ -252,8 +265,15 @@ TEST(DamageTreeOracleTest, RelaxSumsAreBitIdenticalToSerialLoop) {
                                        expect[y] += weight[x];
                                      });
       }
-      std::vector<double> base(nwords * 64);
-      for (double& c : base) c = rng.uniformReal() * expect[rng.uniform(n)];
+      return expect;
+    };
+    // Runs one relax per tier and mode from `base` and checks every
+    // entry and the returned pick.
+    const auto check = [&](std::size_t pick,
+                           const std::vector<std::uint64_t>& open,
+                           const std::vector<double>& base,
+                           const std::string& label) {
+      const std::vector<double> expect = sumsFor(pick);
       for (const SimdLevel level : levels) {
         for (const bool assign : {true, false}) {
           std::vector<double> cost = base;
@@ -268,29 +288,58 @@ TEST(DamageTreeOracleTest, RelaxSumsAreBitIdenticalToSerialLoop) {
                                      nwords,
                                      pick,
                                      assign};
-          kernelsFor(level).damageRelax(relax);
+          const std::size_t next = kernelsFor(level).damageRelax(relax);
+          const std::string where = std::string(tierName(level)) +
+                                    " n=" + std::to_string(n) + " " + label +
+                                    (assign ? " assign" : " relax");
+          EXPECT_EQ(next, serialArgmin(cost, open, n)) << where << " pick";
           for (std::size_t y = 0; y < nwords * 64; ++y) {
             const bool isOpen = y < n && ((open[y / 64] >> (y % 64)) & 1);
             const bool updated =
                 isOpen && (assign || expect[y] < base[y]);
-            const std::string where = std::string(tierName(level)) +
-                                      " n=" + std::to_string(n) +
-                                      " y=" + std::to_string(y) +
-                                      (assign ? " assign" : " relax");
+            const std::string at = where + " y=" + std::to_string(y);
             if (updated) {
               EXPECT_EQ(std::bit_cast<std::uint64_t>(cost[y]),
                         std::bit_cast<std::uint64_t>(expect[y]))
-                  << where;
-              EXPECT_EQ(parent[y], pick) << where;
+                  << at;
+              EXPECT_EQ(parent[y], pick) << at;
             } else {
               EXPECT_EQ(std::bit_cast<std::uint64_t>(cost[y]),
                         std::bit_cast<std::uint64_t>(base[y]))
-                  << where << " must stay untouched";
-              EXPECT_EQ(parent[y], n + 7) << where << " must stay untouched";
+                  << at << " must stay untouched";
+              EXPECT_EQ(parent[y], n + 7) << at << " must stay untouched";
             }
           }
         }
       }
+    };
+    for (int trial = 0; trial < 6; ++trial) {
+      const std::size_t pick = rng.uniform(n);
+      std::vector<std::uint64_t> open(nwords, 0);
+      for (std::size_t y = 0; y < n; ++y) {
+        if (y != pick && rng.uniform(3) != 0) open[y / 64] |= 1ull << (y % 64);
+      }
+      const std::vector<double> expect = sumsFor(pick);
+      std::vector<double> base(nwords * 64);
+      for (double& c : base) c = rng.uniformReal() * expect[rng.uniform(n)];
+      check(pick, open, base, "trial=" + std::to_string(trial));
+    }
+    // All-equal costs: relaxing against +0.0 never updates, so every
+    // open y ties and the pick must be the lowest open y, wherever it
+    // sits relative to the 8-lane groups, 32-y halves and 64-y blocks.
+    // An empty open set returns n.
+    const std::vector<double> zeros(nwords * 64, 0.0);
+    for (const std::size_t first :
+         {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{8},
+          std::size_t{31}, std::size_t{32}, std::size_t{63}, std::size_t{64},
+          std::size_t{65}, std::size_t{128}, std::size_t{129}, n - 1, n}) {
+      if (first > n) continue;
+      const std::size_t pick = first == 0 ? n - 1 : 0;
+      std::vector<std::uint64_t> open(nwords, 0);
+      for (std::size_t y = first; y < n; ++y) {
+        if (y != pick) open[y / 64] |= 1ull << (y % 64);
+      }
+      check(pick, open, zeros, "ties-from=" + std::to_string(first));
     }
   }
 }

@@ -244,6 +244,29 @@ TEST(AdversaryRegistryTest, ExactReplayAchievesTheSolverValue) {
   EXPECT_EQ(again.rounds, truth.tStar);
 }
 
+TEST(AdversaryRegistryTest, ExactRefusesSizesPastItsPracticalLimit) {
+  // optimalPlay() runs from scratch on reset; n = 6 would never return,
+  // so the spec is refused at make() time with the limit in the message.
+  static_assert(ExactSolver::kMaxPracticalN <= ExactSolver::kMaxN);
+  const AdversaryRegistry& registry = AdversaryRegistry::instance();
+  EXPECT_NO_THROW(
+      (void)registry.make("exact", ExactSolver::kMaxPracticalN, 1));
+  for (const std::size_t n : {std::size_t{1}, ExactSolver::kMaxPracticalN + 1,
+                              ExactSolver::kMaxN}) {
+    try {
+      (void)registry.make("exact", n, 1);
+      ADD_FAILURE() << "n=" << n << ": accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "adversary 'exact': optimal play is practical only for "
+                    "2 <= n <= 5 (ExactSolver::kMaxPracticalN; got n=" +
+                    std::to_string(n) + ")"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(AdversaryRegistryTest, BeamReplayIsDeterministicAndVerified) {
   const std::size_t n = 8;
   auto a = AdversaryRegistry::instance().make("beam:width=16", n, 3);

@@ -29,7 +29,8 @@ _SPEC.loader.exec_module(gate)
 
 
 def kernels_doc(gib=12.0, ns=5.0, tree_ns=400000.0, graph_ns=1.0e7,
-                check_ns=6.0e6, step_ns=6.0e7):
+                check_ns=6.0e6, step_ns=6.0e7, build_ns=6.0e3,
+                round_ns=2.0e6):
     return {"kernels": [
         {"name": "orAssign", "bits": 1024, "gib_per_s": gib, "ns_per_op": ns},
         {"name": "orCount", "bits": 1024, "gib_per_s": gib, "ns_per_op": ns},
@@ -43,6 +44,10 @@ def kernels_doc(gib=12.0, ns=5.0, tree_ns=400000.0, graph_ns=1.0e7,
          "ns_per_op": check_ns},
         {"name": "edgeMarkovianRound", "bits": 65536, "gib_per_s": 0.0,
          "ns_per_op": step_ns},
+        {"name": "rootedTree", "bits": 256, "gib_per_s": 0.0,
+         "ns_per_op": build_ns},
+        {"name": "greedyDelayRound", "bits": 256, "gib_per_s": 0.0,
+         "ns_per_op": round_ns},
     ]}
 
 
@@ -202,6 +207,24 @@ class TestGate(GateHarness):
                                      sweep_doc())
         self.assertNotEqual(code, 0)
         self.assertIn("kernel:edgeMarkovianRound:65536:ns_per_op", out)
+
+    def test_tree_and_greedy_round_times_regress_upward(self):
+        baseline, _ = self.write_fresh_baseline()
+        # One tree construction and one greedy-delay round at n = 256
+        # (60% tolerance) regress by GROWING: 1.5x slower passes, a return
+        # to one allocation per node (~4x for the tree) fails.
+        code, _, _ = self.run_gate(
+            baseline, kernels_doc(build_ns=9.0e3, round_ns=3.0e6),
+            sweep_doc())
+        self.assertEqual(code, 0)
+        for overrides, key in (({"build_ns": 2.4e4},
+                                "kernel:rootedTree:256:ns_per_op"),
+                               ({"round_ns": 4.0e6},
+                                "kernel:greedyDelayRound:256:ns_per_op")):
+            code, out, _ = self.run_gate(baseline, kernels_doc(**overrides),
+                                         sweep_doc())
+            self.assertNotEqual(code, 0)
+            self.assertIn(key, out)
 
     def test_missing_metric_fails(self):
         baseline, _ = self.write_fresh_baseline()

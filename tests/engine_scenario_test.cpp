@@ -178,7 +178,8 @@ TEST(ScenarioTest, ParameterValuesAreCheckedAtEverySize) {
       {"rooted-tree", {"k-leaf:k=3"}, {8, 2}, "k must satisfy 1 <= k <= n-1"},
       {"restricted:class=k-leaf,k=3", {}, {2, 8}, "(got k=3, n=2)"},
       {"rooted-tree", {"static-path", "k-leaf:k=50"}, {6}, "got k=50, n=6"},
-      {"rooted-tree", {"exact"}, {4, 9}, "2 <= n <= 8 (got n=9)"},
+      {"rooted-tree", {"exact"}, {4, 6},
+       "2 <= n <= 5 (ExactSolver::kMaxPracticalN; got n=6)"},
       {"rooted-tree", {"local-search:freeze-depth=0"}, {8},
        "freeze-depth must be >= 1"},
       {"rooted-tree", {"beam:width=0"}, {4}, "adversary 'beam': "},

@@ -175,6 +175,17 @@ TEST(ServiceProtocolTest, OverwideBeamsAreRejectedBeforeAJobId) {
   EXPECT_EQ(validationError({"sizes=4", "adversaries=beam:width=65536"}), "");
 }
 
+TEST(ServiceProtocolTest, ExactPastItsPracticalLimitIsRejectedBeforeAJobId) {
+  // The exact member would run optimalPlay() from scratch and hang its
+  // worker at n = 6; the request must be refused while it is validated.
+  EXPECT_NE(validationError({"sizes=4,6", "adversaries=exact"})
+                .find("adversary 'exact': optimal play is practical only "
+                      "for 2 <= n <= 5 (ExactSolver::kMaxPracticalN; got "
+                      "n=6)"),
+            std::string::npos);
+  EXPECT_EQ(validationError({"sizes=2:5", "adversaries=exact"}), "");
+}
+
 TEST(ServiceProtocolTest, HashPrimitivesAreStable) {
   // These values land in on-disk filenames (manifests, cache buckets);
   // pin them so a refactor cannot silently orphan existing state.

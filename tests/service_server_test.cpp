@@ -222,6 +222,9 @@ TEST_F(ServiceServerTest, ValueErrorsLeaveNoJobState) {
   wideBeam.beamWidth = 1000000000;
   ServiceRequest huge;
   huge.scenario.sizes = {std::size_t{1} << 40};
+  ServiceRequest exactN6;
+  exactN6.scenario.adversaries = {"exact"};
+  exactN6.scenario.sizes = {6};
   const std::pair<ServiceRequest, const char*> cases[] = {
       {beamMember, "adversary 'beam': beam config: width must be >= 1"},
       {restricted,
@@ -229,6 +232,8 @@ TEST_F(ServiceServerTest, ValueErrorsLeaveNoJobState) {
       {beamWidth, "beam config: width must be >= 1 (got 0)"},
       {wideBeam, "width must be <= kMaxBeamWidth = 65536 (got 1000000000)"},
       {huge, "exceeds the maximum scenario size of 1048576"},
+      {exactN6,
+       "adversary 'exact': optimal play is practical only for 2 <= n <= 5"},
   };
 
   std::thread server = startServer(std::size(cases));

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/support/assert.h"
 #include "src/support/rng.h"
+#include "src/tree/families.h"
 #include "src/tree/generators.h"
 
 namespace dynbcast {
@@ -116,6 +120,58 @@ TEST(RootedTreeTest, DepthConsistentWithParents) {
       EXPECT_EQ(t.depthOf(v), 0u);
     } else {
       EXPECT_EQ(t.depthOf(v), t.depthOf(t.parent(v)) + 1);
+    }
+  }
+}
+
+TEST(RootedTreeTest, RejectsOutOfRangeParent) {
+  EXPECT_THROW(RootedTree(0, {0, 2}), AssertionError);
+  EXPECT_THROW(RootedTree(1, {7, 1, 1}), AssertionError);
+}
+
+TEST(RootedTreeTest, FlatChildrenMatchParentArray) {
+  // The compressed children lists, the BFS order and the per-node facts
+  // derived from them must equal a reference built straight from the
+  // parent array: children are {u != root : parent(u) = v} ascending,
+  // and the BFS visits each node's children in that order.
+  Rng rng(29);
+  for (const std::size_t n : {1, 2, 63, 64, 65, 257}) {
+    std::vector<std::pair<std::string, RootedTree>> trees;
+    for (int i = 0; i < 3; ++i) {
+      trees.emplace_back("random", randomRootedTree(n, rng));
+    }
+    trees.emplace_back("path", randomPath(n, rng));
+    trees.emplace_back("star", makeStar(n, rng.uniform(n)));
+    trees.emplace_back("broom",
+                       makeBroom(rng.permutation(n), 1 + rng.uniform(n)));
+    for (const auto& [label, t] : trees) {
+      const std::string where = label + " n=" + std::to_string(n);
+      std::vector<std::vector<std::size_t>> children(n);
+      for (std::size_t u = 0; u < n; ++u) {
+        if (u != t.root()) children[t.parent(u)].push_back(u);
+      }
+      std::vector<std::size_t> order{t.root()};
+      std::vector<std::size_t> depth(n, 0);
+      for (std::size_t qi = 0; qi < order.size(); ++qi) {
+        for (const std::size_t c : children[order[qi]]) {
+          depth[c] = depth[order[qi]] + 1;
+          order.push_back(c);
+        }
+      }
+      std::size_t leaves = 0;
+      for (std::size_t v = 0; v < n; ++v) {
+        const auto flat = t.childrenOf(v);
+        EXPECT_EQ(std::vector<std::size_t>(flat.begin(), flat.end()),
+                  children[v])
+            << where << " v=" << v;
+        EXPECT_EQ(flat.empty(), children[v].empty()) << where;
+        EXPECT_EQ(t.depthOf(v), depth[v]) << where << " v=" << v;
+        if (children[v].empty()) ++leaves;
+      }
+      EXPECT_EQ(t.bfsOrder(), order) << where;
+      EXPECT_EQ(t.height(), *std::max_element(depth.begin(), depth.end()))
+          << where;
+      EXPECT_EQ(t.leafCount(), leaves) << where;
     }
   }
 }
