@@ -244,8 +244,10 @@ class GreedyDelayAdversary final : public Adversary {
 /// exactly n rng.uniformReal() values, in ascending x, before Prim
 /// starts, and scales weight[x] by 1 + amplitude·u_x. amplitude <= 0
 /// draws nothing and builds the plain tree. Amplitudes must be finite
-/// (validateBeamConfig enforces it), so every weight is finite and
-/// positive.
+/// (validateBeamConfig enforces it), so every weight is ≥ 1 and never
+/// NaN; a huge amplitude may overflow weights and costs to +inf, and the
+/// pick rule treats +inf like any other cost (all-+inf picks the lowest
+/// open y).
 ///
 /// Cost: binding a state is one 64×64-block transpose of the heard
 /// matrix (O(n²/64) words) plus n exp2 calls. A tree is n−1 relax calls

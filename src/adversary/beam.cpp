@@ -106,8 +106,8 @@ void validateBeamConfig(const BeamConfig& config) {
         "beam config: diversity must be <= 100 percent (got " +
         std::to_string(config.diversityPercent) + ")");
   }
-  // The damage-tree kernel's input contract: every weight finite and
-  // positive, so the noise factor 1 + noise·u must be.
+  // The damage-tree kernel's input contract: every weight positive and
+  // never NaN, so the noise factor 1 + noise·u must be finite and >= 1.
   if (!std::isfinite(config.noiseAmplitude) || config.noiseAmplitude < 0.0) {
     throw std::invalid_argument(
         "beam config: noise must be finite and >= 0 (got " +

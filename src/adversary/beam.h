@@ -55,7 +55,7 @@ inline constexpr std::size_t kMaxBeamWidth = 65536;
 /// must be in [1, kMaxBeamWidth] (an empty beam has no lineage to report),
 /// diversityPercent <= 100 (larger values used to underflow the elite
 /// slot count) and noiseAmplitude finite and >= 0 (the damage-tree
-/// weights must stay finite and positive). Called eagerly by
+/// weights must stay positive and never NaN). Called eagerly by
 /// beamSearchWitness and the registry.
 void validateBeamConfig(const BeamConfig& config);
 

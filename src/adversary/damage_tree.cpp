@@ -124,6 +124,7 @@ RootedTree DamageTrees::build(std::size_t root, const double* weight) {
   // snapshots, so edge costs never change mid-build.
   for (std::size_t step = 1; step < n; ++step) {
     const std::size_t pick = kernels_.damageRelax(relax);
+    DYNBCAST_ASSERT(pick < n);  // n − step y are open, so one is picked
     open[pick / 64] &= ~(std::uint64_t{1} << (pick % 64));
     relax.pickHeard = heard_[pick].wordData();
     relax.pick = pick;

@@ -64,9 +64,11 @@ enum class SimdLevel { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 ///
 /// The call returns the next pick from the costs it has just written:
 /// the open y of least cost, the lowest such y on a tie (exactly what a
-/// strict-< scan in ascending y picks), or n when no y is open. Costs of
-/// open y must be finite and ≥ +0.0 (weights are), so the vector tiers'
-/// min and equality tests are exact and agree with that scan.
+/// strict-< scan in ascending y picks, +inf ties included), or n when no
+/// y is open. Costs of open y must be ≥ +0.0 and not NaN (weights are ≥ 1
+/// and never NaN; a huge noise amplitude may overflow a weight or a sum to
+/// +inf), so the vector tiers' min and equality tests are exact and agree
+/// with that scan.
 struct DamageRelax {
   const std::uint64_t* pickHeard;  ///< Heard(pick): nwords words
   /// Transposed complement of the heard matrix, block-major: bit j of

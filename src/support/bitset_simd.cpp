@@ -71,8 +71,10 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// The running next pick of a damage relax: the least cost over the open
 /// y visited so far. Blocks are visited in ascending y and the pick moves
-/// only on a strict improvement, so the lowest y wins a tie; costs are
-/// finite, so the first open y always replaces the +inf start.
+/// only on a strict improvement, so the lowest y wins a tie. The first
+/// open y always replaces the empty start (y = n), even at cost +inf, so
+/// a tie at +inf (noise large enough to overflow the weights) also yields
+/// the lowest open y, never n.
 struct RelaxPick {
   double cost;
   std::size_t y;
@@ -105,7 +107,7 @@ std::size_t damageRelaxScalar(const DamageRelax& a) noexcept {
         cost[j] = acc[j];
         parent[j] = a.pick;
       }
-      if (cost[j] < best.cost) best = {cost[j], b * 64 + j};
+      if (cost[j] < best.cost || best.y == a.n) best = {cost[j], b * 64 + j};
     }
   }
   return best.y;
@@ -198,7 +200,7 @@ __attribute__((target("avx2,popcnt"))) std::size_t andAssignCountAvx2(
 // blendv keeps every lane whose y is closed or already knows x at its
 // old value, so each lane sees exactly the scalar tier's additions.
 // The next pick comes from the new costs still in registers: a min over
-// the half (closed lanes read +inf), then the first lane equal to it.
+// the half (closed lanes read +inf), then the first open lane equal to it.
 
 /// kNibbleLanes.masks[k]: 64-bit lane i is all ones iff bit i of k is set.
 struct NibbleLanes {
@@ -292,11 +294,14 @@ __attribute__((target("avx2,popcnt"))) void damageRelaxHalfAvx2(
     least = _mm256_min_pd(least, fresh[g]);
   }
   const double m = leastLane(least);
-  if (!(m < best.cost)) return;
+  if (!(m < best.cost) && best.y != a.n) return;
   const __m256d target = _mm256_set1_pd(m);
   for (std::size_t g = 0; g < G; ++g) {
-    const auto equal = static_cast<std::uint64_t>(
-        _mm256_movemask_pd(_mm256_cmp_pd(fresh[g], target, _CMP_EQ_OQ)));
+    // Closed lanes read +inf too: mask them out for an all-+inf half.
+    const auto equal =
+        static_cast<std::uint64_t>(_mm256_movemask_pd(
+            _mm256_cmp_pd(fresh[g], target, _CMP_EQ_OQ))) &
+        ((open >> (4 * g)) & 15);
     if (equal != 0) {
       best = {m, b * 64 + shift + 4 * g + lowBit(equal)};
       return;
@@ -484,7 +489,7 @@ __attribute__((DYNBCAST_AVX512_TARGET)) void damageRelaxBlockAvx512(
     least = _mm512_mask_min_pd(least, lanes, least, now);
   }
   const double m = leastLane512(least);
-  if (!(m < best.cost)) return;
+  if (!(m < best.cost) && best.y != a.n) return;
   const __m512d target = _mm512_set1_pd(m);
   for (std::size_t g = 0; g < 8; ++g) {
     const auto lanes = static_cast<__mmask8>(open >> (8 * g));

@@ -9,13 +9,16 @@
 // States are reachable ones, chosen to hit every corner of the contract:
 // sizes straddling the 64-lane block and the 8/4-lane vector groups,
 // zero-cost ties (Heard(root) ⊆ Heard(y) for many y), coverage past the
-// 2^50 weight cap, and coverage n−1 (the 1e6 factor).
+// 2^50 weight cap, and coverage n−1 (the 1e6 factor). Noise amplitudes
+// 1e290 and 1e308 overflow some sums, or every weight, to +inf, where
+// the reference's scan falls back to the lowest open y.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -194,7 +197,7 @@ TEST(DamageTreeOracleTest, MatchesPerPairPrimOnEveryTier) {
               << tierName(levels[li]) << " n=" << n << " " << state.label
               << " root=" << root << " plain";
         }
-        for (const double amplitude : {8.0, 0.5}) {
+        for (const double amplitude : {8.0, 0.5, 1e290, 1e308}) {
           const std::uint64_t seed = rng();
           Rng expectRng(seed);
           const RootedTree noisy = referenceDamageTree(
@@ -340,6 +343,31 @@ TEST(DamageTreeOracleTest, RelaxSumsAreBitIdenticalToSerialLoop) {
         if (y != pick) open[y / 64] |= 1ull << (y % 64);
       }
       check(pick, open, zeros, "ties-from=" + std::to_string(first));
+    }
+    // All-+inf costs: with every weight +inf (noise past the double
+    // range) each open y unaware of some x ∈ Heard(pick) costs +inf, and
+    // relaxing +inf against +inf never updates. That is a tie like any
+    // other, so the pick is still the lowest open y, never n.
+    std::fill(weight.begin(), weight.end(),
+              std::numeric_limits<double>::infinity());
+    const std::vector<double> infs(nwords * 64,
+                                   std::numeric_limits<double>::infinity());
+    for (const std::size_t first :
+         {std::size_t{0}, std::size_t{1}, std::size_t{31}, std::size_t{32},
+          std::size_t{63}, std::size_t{64}, std::size_t{65}, n - 1}) {
+      if (first >= n) continue;
+      const std::size_t pick = first == 0 ? n - 1 : 0;
+      const std::vector<double> expect = sumsFor(pick);
+      std::vector<std::uint64_t> open(nwords, 0);
+      std::size_t opened = 0;
+      for (std::size_t y = first; y < n; ++y) {
+        if (y != pick && expect[y] != 0.0) {
+          open[y / 64] |= 1ull << (y % 64);
+          ++opened;
+        }
+      }
+      if (opened == 0) continue;
+      check(pick, open, infs, "inf-from=" + std::to_string(first));
     }
   }
 }

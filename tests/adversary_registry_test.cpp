@@ -203,6 +203,24 @@ TEST(AdversaryRegistryTest, SearchParamRangesAreRejectedAtMake) {
   EXPECT_NO_THROW((void)registry.make("local-search:rev-p=1", 4, 1));
 }
 
+TEST(AdversaryRegistryTest, BeamNoiseThatOverflowsTheWeightsStillPlays) {
+  // Any finite noise is legal, but 1e308 overflows every noisy
+  // damage-tree weight to +inf, and 1e290 overflows the costs of the
+  // high-coverage processes, so relax steps tie at +inf. Each pick must
+  // still be an open process (it used to be n, past the end of the
+  // build's buffers), so the beam plays a valid game to completion.
+  const AdversaryRegistry& registry = AdversaryRegistry::instance();
+  for (const char* spec :
+       {"beam:width=4,noise=1e308", "beam:width=4,noise=1e290"}) {
+    for (const std::size_t n : {std::size_t{8}, std::size_t{70}}) {
+      auto adversary = registry.make(spec, n, 1);
+      const BroadcastRun run =
+          runAdversary(n, *adversary, defaultRoundCap(n));
+      EXPECT_TRUE(run.completed) << spec << " n=" << n;
+    }
+  }
+}
+
 TEST(AdversaryRegistryTest, BeamNameCarriesTheFullSpec) {
   // Rebuilding a parameterized beam from its own name() must reproduce
   // the same configuration, not just the same width.

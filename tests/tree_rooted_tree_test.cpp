@@ -89,6 +89,8 @@ TEST(RootedTreeTest, RejectsBadRoot) {
 
 TEST(RootedTreeTest, RejectsSelfParentNonRoot) {
   EXPECT_THROW(RootedTree(0, {0, 1}), AssertionError);
+  EXPECT_THROW(RootedTree(0, {0, 2}), AssertionError);     // out of range
+  EXPECT_THROW(RootedTree(1, {7, 1, 1}), AssertionError);  // out of range
 }
 
 TEST(RootedTreeTest, RejectsEmptyTree) {
@@ -122,11 +124,6 @@ TEST(RootedTreeTest, DepthConsistentWithParents) {
       EXPECT_EQ(t.depthOf(v), t.depthOf(t.parent(v)) + 1);
     }
   }
-}
-
-TEST(RootedTreeTest, RejectsOutOfRangeParent) {
-  EXPECT_THROW(RootedTree(0, {0, 2}), AssertionError);
-  EXPECT_THROW(RootedTree(1, {7, 1, 1}), AssertionError);
 }
 
 TEST(RootedTreeTest, FlatChildrenMatchParentArray) {
