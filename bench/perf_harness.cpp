@@ -2,8 +2,8 @@
 //
 // Times (a) the raw-word kernels (through the runtime SIMD dispatch
 // table), tree construction, the damage-greedy tree builder, one
-// greedy-delay round, and the blocked boolean product against naive
-// references, (b) BroadcastSim round throughput
+// greedy-delay and one local-search round, and the blocked boolean
+// product against naive references, (b) BroadcastSim round throughput
 // and the dense-vs-sparse t* crossover, and (c) the end-to-end thm31
 // portfolio sweep, then emits machine-readable JSON:
 //
@@ -35,6 +35,7 @@
 #include "bench/driver.h"
 #include "src/adversary/adaptive.h"
 #include "src/adversary/beam.h"
+#include "src/adversary/local_search.h"
 #include "src/adversary/lookahead.h"
 #include "src/adversary/portfolio.h"
 #include "src/dynamics/registry.h"
@@ -200,6 +201,31 @@ KernelResult benchGreedyDelayRound(std::size_t n, double minSeconds,
       },
       /*firstBatch=*/8);
   KernelResult r{"greedyDelayRound", n, reps, 0.0, 0.0};
+  r.nsPerOp = secs * 1e9 / static_cast<double>(reps);
+  return r;
+}
+
+/// One LocalSearchPathAdversary::nextTree per op on the state
+/// local-search itself reaches after n/4 rounds: coverage counts, the
+/// starting freeze order and its 64 scored swaps and reversals. As with
+/// greedyDelayRound, the state stays fixed while the adversary's carried
+/// order and RNG move on. The adversary is seeded with `seed` rather than
+/// from the shared stream, so quick and full runs time the same state.
+KernelResult benchLocalSearchRound(std::size_t n, double minSeconds,
+                                   std::uint64_t seed) {
+  BroadcastSim sim(n);
+  LocalSearchPathAdversary search(n, seed);
+  for (std::size_t r = 0; r < n / 4 && !sim.broadcastDone(); ++r) {
+    sim.applyTree(search.nextTree(sim));
+  }
+  auto [reps, secs] = timeLoop(
+      minSeconds,
+      [&] {
+        const RootedTree t = search.nextTree(sim);
+        consume(t.root());
+      },
+      /*firstBatch=*/8);
+  KernelResult r{"localSearchRound", n, reps, 0.0, 0.0};
   r.nsPerOp = secs * 1e9 / static_cast<double>(reps);
   return r;
 }
@@ -373,13 +399,15 @@ double timePortfolioSweep(std::size_t n, std::uint64_t seed,
 /// worker loop against one shared result cache — once cold (every task
 /// executes and its record + cache entry are fsynced) and once warm
 /// (fresh manifests, every task satisfied from the cache). The specs/s
-/// pair is the experiment service's headline number, and the warm:cold
-/// ratio is the machine-relative gate: it collapses to ~1 if the cache
-/// pre-pass stops short-circuiting execution.
+/// pair is the experiment service's headline number. The warm pass's
+/// task counts are the gate: it must execute nothing, every task a cache
+/// hit. The warm:cold ratio is reported only, since faster execution
+/// shrinks the cold pass and with it the ratio.
 struct ServiceThroughput {
   std::size_t specs = 0;
   double coldMs = 0.0;
   double warmMs = 0.0;
+  WorkerReport warm;  ///< executed and cacheHits summed over the warm pass
 
   [[nodiscard]] double coldSpecsPerS() const { return specs * 1e3 / coldMs; }
   [[nodiscard]] double warmSpecsPerS() const { return specs * 1e3 / warmMs; }
@@ -407,7 +435,8 @@ ServiceThroughput timeServiceThroughput(const std::string& scratchDir,
     requests.push_back(request);
   }
 
-  const auto runAll = [&](const char* tag) {
+  // Returns the pass's wall ms and adds its worker counts to `total`.
+  const auto runAll = [&](const char* tag, WorkerReport& total) {
     const auto start = Clock::now();
     for (std::size_t i = 0; i < requests.size(); ++i) {
       const std::string manifest = scratchDir + "/" + tag + "-" +
@@ -417,12 +446,15 @@ ServiceThroughput timeServiceThroughput(const std::string& scratchDir,
       WorkerOptions work;
       work.manifestPath = manifest;
       work.cacheDir = cacheDir;
-      consume(runManifestWorker(work).executed);
+      const WorkerReport report = runManifestWorker(work);
+      total.executed += report.executed;
+      total.cacheHits += report.cacheHits;
     }
     return secondsSince(start) * 1e3;
   };
-  t.coldMs = runAll("cold");
-  t.warmMs = runAll("warm");
+  WorkerReport cold;
+  t.coldMs = runAll("cold", cold);
+  t.warmMs = runAll("warm", t.warm);
   std::filesystem::remove_all(scratchDir);
   return t;
 }
@@ -545,6 +577,10 @@ void writeSweepJson(const std::string& path, std::size_t n,
                service.warmSpecsPerS());
   std::fprintf(f, "  \"service_warm_speedup\": %.4f,\n",
                service.warmSpeedup());
+  std::fprintf(f, "  \"service_warm_executed\": %zu,\n",
+               service.warm.executed);
+  std::fprintf(f, "  \"service_warm_cache_hits\": %zu,\n",
+               service.warm.cacheHits);
   std::fprintf(f, "  \"best_rounds\": %zu\n}\n", bestRounds);
   std::fclose(f);
   std::cout << "wrote " << path << '\n';
@@ -602,6 +638,9 @@ int main(int argc, char** argv) {
   // both). Last, so the rows above draw the same random inputs as before.
   kernels.push_back(benchRootedTree(256, minSeconds, rng));
   kernels.push_back(benchGreedyDelayRound(256, minSeconds, rng));
+  // One local-search round at the same n, gated like greedyDelayRound;
+  // appended, so every row above draws the same random inputs as before.
+  kernels.push_back(benchLocalSearchRound(256, minSeconds, driver.seed()));
 
   TextTable kernelTable({"kernel", "bits/n", "reps", "ns/op", "GiB/s"});
   for (const KernelResult& k : kernels) {
@@ -641,14 +680,17 @@ int main(int argc, char** argv) {
   const ServiceThroughput service = timeServiceThroughput(
       outDir + "/BENCH_service_scratch", driver.seed(), quick);
   TextTable serviceTable({"specs", "cold ms", "warm ms", "cold specs/s",
-                          "warm specs/s", "warm speedup"});
+                          "warm specs/s", "warm speedup", "warm executed",
+                          "warm hits"});
   serviceTable.row()
       .add(static_cast<std::uint64_t>(service.specs))
       .add(service.coldMs, 1)
       .add(service.warmMs, 1)
       .add(service.coldSpecsPerS(), 2)
       .add(service.warmSpecsPerS(), 2)
-      .add(service.warmSpeedup(), 2);
+      .add(service.warmSpeedup(), 2)
+      .add(static_cast<std::uint64_t>(service.warm.executed))
+      .add(static_cast<std::uint64_t>(service.warm.cacheHits));
 
   // --- dense vs sparse backend crossover (above the mirror threshold) -
   const std::size_t frontierN = quick ? 4608 : 8192;

@@ -12,54 +12,119 @@
 
 namespace dynbcast {
 
-std::vector<std::size_t> coverageCounts(const BroadcastSim& state) {
-  const std::size_t n = state.processCount();
-  std::vector<std::size_t> coverage(n, 0);
-  for (std::size_t y = 0; y < n; ++y) {
-    const DynBitset& h = state.heardBy(y);
-    const std::uint64_t* words = h.wordData();
-    for (std::size_t wi = 0; wi < h.wordCount(); ++wi) {
-      for (std::uint64_t w = words[wi]; w != 0; w &= w - 1) {
-        ++coverage[wi * 64 + static_cast<std::size_t>(std::countr_zero(w))];
+namespace {
+
+/// Column counts of a stream of n-bit rows, bit-sliced: plane k of word
+/// wi holds bit k of the running count of each of that word's 64
+/// columns, so adding a row word is a short ripple of ANDs and XORs, not
+/// one increment per set bit. Counts never exceed n rows, so
+/// bit_width(n) planes cannot overflow.
+class ColumnCounts {
+ public:
+  ColumnCounts(std::size_t n, std::vector<std::uint64_t>& planes)
+      : n_(n), depth_(std::bit_width(n)), planes_(planes) {
+    planes_.assign(((n + 63) / 64) * depth_, 0);
+  }
+
+  /// Adds one row's word wi to the counts of its 64 columns.
+  void add(std::size_t wi, std::uint64_t word) noexcept {
+    std::uint64_t* plane = planes_.data() + wi * depth_;
+    for (std::uint64_t carry = word; carry != 0; ++plane) {
+      const std::uint64_t next = *plane & carry;
+      *plane ^= carry;
+      carry = next;
+    }
+  }
+
+  /// Adds every column's count to counts[x].
+  void addTo(std::size_t* counts) const noexcept {
+    for (std::size_t wi = 0; wi * 64 < n_; ++wi) {
+      for (std::size_t k = 0; k < depth_; ++k) {
+        for (std::uint64_t w = planes_[wi * depth_ + k]; w != 0; w &= w - 1) {
+          counts[wi * 64 + static_cast<std::size_t>(std::countr_zero(w))] +=
+              std::size_t{1} << k;
+        }
       }
     }
   }
-  return coverage;
-}
 
-DelayScore evaluateCandidate(const std::vector<DynBitset>& heard,
-                             const std::vector<std::size_t>& coverage,
-                             const RootedTree& tree, EvalScratch& scratch) {
+ private:
+  std::size_t n_;
+  std::size_t depth_;
+  std::vector<std::uint64_t>& planes_;
+};
+
+/// The scoring core of evaluateCandidate and evaluatePath: `parent` is a
+/// tree's parent array (parent[root] == root). Every row reads only the
+/// round-t snapshot, Heard'(y) = Heard(y) ∪ Heard(parent(y)), so one pass
+/// in ascending y gives the post-round state whatever the tree's shape.
+DelayScore scoreParents(const std::vector<DynBitset>& heard,
+                        const std::vector<std::size_t>& coverage,
+                        const std::size_t* parent, EvalScratch& scratch) {
   const std::size_t n = heard.size();
-  DYNBCAST_ASSERT(tree.size() == n && coverage.size() == n);
-  // Walk the tree in reverse BFS exactly like the simulator would, but
-  // only materialize the deltas: for each node, the processes it newly
-  // learns about bump their coverage. The delta is iterated straight off
-  // the raw words ((parent & ~child) per word, ascending bits — the same
-  // order the old findNext loop produced), so no temporary bitset exists.
-  scratch.assignHeard(heard);
-  scratch.coverage.assign(coverage.begin(), coverage.end());
+  DYNBCAST_ASSERT(coverage.size() == n);
+  DYNBCAST_ASSERT_MSG(&heard != &scratch.heard,
+                      "the snapshot must not live in the scratch it fills");
+  if (scratch.heard.size() != n) scratch.heard.resize(n);
+  ColumnCounts fresh(n, scratch.columnPlanes);
   DelayScore score;
-  tree.bfsOrderInto(scratch.order);
-  const std::size_t nwords = n == 0 ? 0 : heard[0].wordCount();
-  for (std::size_t i = scratch.order.size(); i-- > 0;) {
-    const std::size_t y = scratch.order[i];
-    const std::size_t p = tree.parent(y);
-    if (p == y) continue;
-    bitword::forEachInDifference(scratch.heard[p].wordData(),
-                                 scratch.heard[y].wordData(), nwords,
-                                 [&](std::size_t x) {
-                                   ++scratch.coverage[x];
-                                   ++score.newEdges;
-                                 });
-    scratch.heard[y].orWith(scratch.heard[p]);
+  for (std::size_t y = 0; y < n; ++y) {
+    DynBitset& out = scratch.heard[y];
+    if (out.size() != n) out = DynBitset(n);  // first use at this n
+    const std::size_t p = parent[y];
+    const std::uint64_t* own = heard[y].wordData();
+    const std::uint64_t* from = heard[p].wordData();
+    std::uint64_t* dst = out.wordData();
+    for (std::size_t wi = 0; wi < out.wordCount(); ++wi) {
+      // p == y (the root) learns nothing: learned is 0 and dst = own.
+      const std::uint64_t learned = from[wi] & ~own[wi];
+      dst[wi] = own[wi] | from[wi];
+      score.newEdges += static_cast<std::size_t>(std::popcount(learned));
+      fresh.add(wi, learned);
+    }
   }
+  scratch.coverage.assign(coverage.begin(), coverage.end());
+  fresh.addTo(scratch.coverage.data());
   for (const std::size_t c : scratch.coverage) {
     score.maxCoverage = std::max(score.maxCoverage, c);
     if (c == n) score.finishes = true;
   }
   score.potential = coveragePotential(scratch.coverage);
   return score;
+}
+
+}  // namespace
+
+std::vector<std::size_t> coverageCounts(const BroadcastSim& state) {
+  const std::size_t n = state.processCount();
+  std::vector<std::uint64_t> planes;
+  ColumnCounts columns(n, planes);
+  for (std::size_t y = 0; y < n; ++y) {
+    const DynBitset& h = state.heardBy(y);
+    for (std::size_t wi = 0; wi < h.wordCount(); ++wi) {
+      columns.add(wi, h.wordData()[wi]);
+    }
+  }
+  std::vector<std::size_t> coverage(n, 0);
+  columns.addTo(coverage.data());
+  return coverage;
+}
+
+DelayScore evaluateCandidate(const std::vector<DynBitset>& heard,
+                             const std::vector<std::size_t>& coverage,
+                             const RootedTree& tree, EvalScratch& scratch) {
+  DYNBCAST_ASSERT(tree.size() == heard.size());
+  return scoreParents(heard, coverage, tree.parents().data(), scratch);
+}
+
+DelayScore evaluatePath(const std::vector<DynBitset>& heard,
+                        const std::vector<std::size_t>& coverage,
+                        const std::vector<std::size_t>& order,
+                        EvalScratch& scratch) {
+  DYNBCAST_ASSERT_MSG(order.size() == heard.size(),
+                      "order must list every process once");
+  pathParentsInto(order, scratch.pathParent);
+  return scoreParents(heard, coverage, scratch.pathParent.data(), scratch);
 }
 
 std::vector<std::size_t> identityOrder(std::size_t n) {
@@ -126,20 +191,27 @@ std::vector<std::size_t> freezeOrdering(
     const std::vector<std::size_t>& baseOrder) {
   const std::size_t n = heard.size();
   DYNBCAST_ASSERT(baseOrder.size() == n);
-  // Stable sort by the knower signature only: for the primary leader,
-  // non-knowers strictly before knowers; ties resolved by the next
-  // leader; everything else keeps its baseOrder position. std::stable_sort
-  // delivers exactly that semantics.
+  // The order is a stable sort by the knower signature (non-knowers of
+  // x_1 first, ties broken by x_2, …, then baseOrder). Sorting on one
+  // leader at a time, last leader first, with a stable partition each
+  // (non-knowers keep their places in front, knowers follow in order) is
+  // that same sort, least significant key first.
   std::vector<std::size_t> order = baseOrder;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     for (const std::size_t x : leaders) {
-                       const bool ka = heard[a].test(x);
-                       const bool kb = heard[b].test(x);
-                       if (ka != kb) return !ka;  // non-knowers first
-                     }
-                     return false;  // equal signature: keep stable order
-                   });
+  std::vector<std::size_t> knowers;
+  knowers.reserve(n);
+  for (auto x = leaders.rbegin(); x != leaders.rend(); ++x) {
+    knowers.clear();
+    std::size_t kept = 0;
+    for (const std::size_t y : order) {  // writes trail the reads
+      if (heard[y].test(*x)) {
+        knowers.push_back(y);
+      } else {
+        order[kept++] = y;
+      }
+    }
+    std::copy(knowers.begin(), knowers.end(),
+              order.begin() + static_cast<std::ptrdiff_t>(kept));
+  }
   return order;
 }
 
@@ -276,14 +348,13 @@ RootedTree GreedyDelayAdversary::nextTree(const BroadcastSim& state) {
 
   // Evaluate everything; prefer path candidates on ties (stability).
   // All evaluations share the adversary's scratch arena — zero
-  // allocations per candidate once the buffers are warm.
+  // allocations per candidate once the buffers are warm — and a path is
+  // scored from its order, so only the winner becomes a RootedTree.
   bool bestIsPath = true;
   std::size_t bestIdx = 0;
-  DelayScore bestScore =
-      evaluateCandidate(heard, coverage, makePath(orders[0]), scratch_);
+  DelayScore bestScore = evaluatePath(heard, coverage, orders[0], scratch_);
   for (std::size_t i = 1; i < orders.size(); ++i) {
-    const DelayScore s =
-        evaluateCandidate(heard, coverage, makePath(orders[i]), scratch_);
+    const DelayScore s = evaluatePath(heard, coverage, orders[i], scratch_);
     if (s < bestScore) {
       bestScore = s;
       bestIdx = i;

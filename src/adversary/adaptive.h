@@ -39,8 +39,9 @@
 
 namespace dynbcast {
 
-/// Per-process coverage: coverage[x] = |{y : x ∈ Heard(y)}|. Broadcast is
-/// done exactly when some coverage[x] == n.
+/// Per-process coverage: coverage[x] = |{y : x ∈ Heard(y)}|, the column
+/// counts of the heard matrix (bit-sliced, like evaluateCandidate's).
+/// Broadcast is done exactly when some coverage[x] == n.
 [[nodiscard]] std::vector<std::size_t> coverageCounts(
     const BroadcastSim& state);
 
@@ -71,17 +72,41 @@ struct DelayScore {
   }
 };
 
-/// Evaluates one candidate tree against the current heard state without
-/// mutating it. `coverage` must equal coverageCounts of the same state.
-/// All working state lives in `scratch`, which is reused across calls.
+/// Scores one candidate tree against the round-t heard state `heard`
+/// (the snapshot) without mutating it. `coverage` must equal
+/// coverageCounts of the same state, and `heard` must not be
+/// scratch.heard.
+///
+/// The score depends on the tree's parent array alone. Each post-round
+/// row reads only the snapshot, Heard'(y) = Heard(y) ∪ Heard(parent(y)),
+/// so one pass in ascending y writes scratch.heard[y] and adds the
+/// learned bits Heard(parent(y)) \ Heard(y) to newEdges (a popcount per
+/// word) and to per-column counters (bit-sliced, a few word operations
+/// per row word); each x's coverage then grows by the number of rows
+/// that learned it. No BFS order is built and the snapshot is not copied
+/// first; the result equals applying the tree in any node order, as
+/// BroadcastSim does.
+///
 /// On return, scratch.heard holds the candidate's post-round heard
 /// matrix and scratch.coverage its post-round coverage — callers that
 /// keep a successor state (beam, lookahead) copy from there instead of
-/// re-applying the tree.
+/// re-applying the tree. The rows of scratch.heard are sized on first
+/// use at this n (EvalScratch::forProcessCount sizes them up front), so
+/// a warm scratch allocates nothing.
 [[nodiscard]] DelayScore evaluateCandidate(
     const std::vector<DynBitset>& heard,
     const std::vector<std::size_t>& coverage, const RootedTree& tree,
     EvalScratch& scratch);
+
+/// evaluateCandidate(heard, coverage, makePath(order), scratch) without
+/// building the tree: the path's parent array goes into
+/// scratch.pathParent, under makePath's checks (order lists each of the
+/// n processes exactly once; AssertionError otherwise). Same score, same
+/// post-round scratch.heard and scratch.coverage.
+[[nodiscard]] DelayScore evaluatePath(const std::vector<DynBitset>& heard,
+                                      const std::vector<std::size_t>& coverage,
+                                      const std::vector<std::size_t>& order,
+                                      EvalScratch& scratch);
 
 /// Path adversary that freezes the top-`depth` coverage leaders with
 /// nested knower/non-knower blocks, applied as a STABLE partition of the
@@ -212,7 +237,8 @@ class GreedyDelayAdversary final : public Adversary {
 /// knows leader x_1 is moved after everyone who does not, with nested
 /// stable sub-partitions for x_2 … x_d; all other relative positions in
 /// `baseOrder` are preserved. Takes the heard matrix (not a sim) so the
-/// search adversaries can call it on their own state copies.
+/// search adversaries can call it on their own state copies. Cost: d
+/// stable partitions of n ids, one heard-bit test per id and leader.
 [[nodiscard]] std::vector<std::size_t> freezeOrdering(
     const std::vector<DynBitset>& heard,
     const std::vector<std::size_t>& leaders,

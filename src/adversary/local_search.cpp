@@ -30,13 +30,15 @@ RootedTree LocalSearchPathAdversary::nextTree(const BroadcastSim& state) {
   const std::vector<DynBitset>& heard = state.heardMatrix();
 
   // Start from the stable freeze of the carried order, then hill-climb.
+  // Every trial is scored from its order in the one reused `trial`
+  // buffer; only the final path is built as a tree.
   std::vector<std::size_t> order = freezeOrdering(
       heard, coverageLeaders(coverage, config_.freezeDepth), order_);
-  DelayScore best =
-      evaluateCandidate(heard, coverage, makePath(order), scratch_);
+  DelayScore best = evaluatePath(heard, coverage, order, scratch_);
 
+  std::vector<std::size_t> trial;
   for (std::size_t it = 0; it < config_.iterations && n_ >= 2; ++it) {
-    std::vector<std::size_t> trial = order;
+    trial = order;
     const std::size_t i = rng_.uniform(n_);
     std::size_t j = rng_.uniform(n_ - 1);
     if (j >= i) ++j;
@@ -47,11 +49,10 @@ RootedTree LocalSearchPathAdversary::nextTree(const BroadcastSim& state) {
     } else {
       std::swap(trial[i], trial[j]);
     }
-    const DelayScore s =
-        evaluateCandidate(heard, coverage, makePath(trial), scratch_);
+    const DelayScore s = evaluatePath(heard, coverage, trial, scratch_);
     if (s < best) {
       best = s;
-      order = std::move(trial);
+      std::swap(order, trial);
     }
   }
   order_ = order;

@@ -168,21 +168,6 @@ inline void orAssign(std::uint64_t* dst, const std::uint64_t* src,
   return c;
 }
 
-/// Invokes fn(index) for every bit set in (a & ~b), ascending — the
-/// "delta iteration" of candidate evaluation, with no temporary bitset.
-template <typename Fn>
-void forEachInDifference(const std::uint64_t* a, const std::uint64_t* b,
-                         std::size_t nwords, Fn&& fn) {
-  for (std::size_t wi = 0; wi < nwords; ++wi) {
-    std::uint64_t w = a[wi] & ~b[wi];
-    while (w != 0) {
-      const auto bit = static_cast<std::size_t>(std::countr_zero(w));
-      fn(wi * 64 + bit);
-      w &= w - 1;
-    }
-  }
-}
-
 }  // namespace bitword
 
 class DynBitset {

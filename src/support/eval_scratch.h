@@ -2,11 +2,11 @@
 //
 // Search adversaries (beam, greedy-delay, lookahead, local search)
 // evaluate thousands of candidate trees per round, and every evaluation
-// needs a writable copy of the n-row heard matrix plus a coverage vector.
+// writes an n-row post-round heard matrix plus a coverage vector.
 // Allocating those per candidate dominated the profile; an EvalScratch
 // owns them across evaluations, so steady-state evaluation never touches
-// the allocator (row assignment reuses each row's word storage once the
-// shapes match, which they do after the first call at a given n).
+// the allocator (the rows are sized on first use at a given n and then
+// overwritten word by word).
 //
 // Recursive searches (lookahead) keep one EvalScratch per depth level:
 // level d's buffers must stay alive while level d+1 evaluates its own
@@ -21,6 +21,7 @@
 // dynbcast-lint: hot-path
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -38,8 +39,13 @@ struct EvalScratch {
   /// Post-move coverage of the last evaluation.
   std::vector<std::size_t> coverage;
 
-  /// Reused BFS-order buffer.
-  std::vector<std::size_t> order;
+  /// Bit-sliced column counters of the fresh bits of the last
+  /// evaluation (⌈n/64⌉ × bit_width(n) words).
+  std::vector<std::uint64_t> columnPlanes;
+
+  /// Parent array of the path evaluatePath scores (parent[order[i]] =
+  /// order[i − 1], the first id its own parent), refilled per call.
+  std::vector<std::size_t> pathParent;
 
   /// Damage-greedy tree buffers for an n-process state (nwords = ⌈n/64⌉).
   struct DamageBuffers {
@@ -76,15 +82,10 @@ struct EvalScratch {
     EvalScratch scratch;
     scratch.heard.assign(n, DynBitset(n));
     scratch.coverage.assign(n, 0);
-    scratch.order.reserve(n);
+    scratch.pathParent.reserve(n);
+    scratch.columnPlanes.reserve(((n + 63) / 64) * std::bit_width(n));
     scratch.damage.resize(n);
     return scratch;
-  }
-
-  /// Copies `src` into `heard`, reusing existing row storage.
-  void assignHeard(const std::vector<DynBitset>& src) {
-    heard.resize(src.size());
-    for (std::size_t y = 0; y < src.size(); ++y) heard[y] = src[y];
   }
 };
 

@@ -33,17 +33,18 @@ Rng::result_type Rng::operator()() noexcept {
 
 std::uint64_t Rng::uniform(std::uint64_t bound) noexcept {
   DYNBCAST_ASSERT(bound > 0);
-  // Lemire's nearly-divisionless bounded generation with rejection.
-  const std::uint64_t threshold = (~bound + 1) % bound;  // == 2^64 mod bound
-  for (;;) {
-    const std::uint64_t x = (*this)();
-    const auto m = static_cast<unsigned __int128>(x) *
-                   static_cast<unsigned __int128>(bound);
-    const auto lo = static_cast<std::uint64_t>(m);
-    if (lo >= threshold) {
-      return static_cast<std::uint64_t>(m >> 64);
+  // Lemire's nearly-divisionless bounded generation with rejection: a
+  // draw is rejected when the low word of x·bound is below 2^64 mod bound.
+  // That threshold is below bound, so it is computed (one division) only
+  // when the low word is; every other draw is accepted at once.
+  auto m = static_cast<unsigned __int128>((*this)()) * bound;
+  if (static_cast<std::uint64_t>(m) < bound) {
+    const std::uint64_t threshold = (~bound + 1) % bound;  // 2^64 mod bound
+    while (static_cast<std::uint64_t>(m) < threshold) {
+      m = static_cast<unsigned __int128>((*this)()) * bound;
     }
   }
+  return static_cast<std::uint64_t>(m >> 64);
 }
 
 std::int64_t Rng::uniformInt(std::int64_t lo, std::int64_t hi) noexcept {

@@ -6,26 +6,25 @@
 
 namespace dynbcast {
 
-namespace {
-
-void checkPermutation(const std::vector<std::size_t>& order) {
+void pathParentsInto(const std::vector<std::size_t>& order,
+                     std::vector<std::size_t>& parent) {
   const std::size_t n = order.size();
-  std::vector<bool> seen(n, false);
+  DYNBCAST_ASSERT(n > 0);
+  // n marks an id not yet placed, so one pass both fills the array and
+  // proves the order a permutation: every id in range, none twice.
+  parent.assign(n, n);
+  std::size_t prev = order[0];
   for (const std::size_t v : order) {
-    DYNBCAST_ASSERT_MSG(v < n && !seen[v], "order must be a permutation");
-    seen[v] = true;
+    DYNBCAST_ASSERT_MSG(v < n && parent[v] == n,
+                        "order must be a permutation");
+    parent[v] = prev;
+    prev = v;
   }
 }
 
-}  // namespace
-
 RootedTree makePath(const std::vector<std::size_t>& order) {
-  checkPermutation(order);
-  const std::size_t n = order.size();
-  DYNBCAST_ASSERT(n > 0);
-  std::vector<std::size_t> parent(n);
-  parent[order[0]] = order[0];
-  for (std::size_t i = 1; i < n; ++i) parent[order[i]] = order[i - 1];
+  std::vector<std::size_t> parent;
+  pathParentsInto(order, parent);
   return RootedTree(order[0], std::move(parent));
 }
 
@@ -43,16 +42,11 @@ RootedTree makeStar(std::size_t n, std::size_t center) {
 
 RootedTree makeBroom(const std::vector<std::size_t>& order,
                      std::size_t handleLen) {
-  checkPermutation(order);
+  std::vector<std::size_t> parent;
+  pathParentsInto(order, parent);  // the handle; bristles re-hung below
   const std::size_t n = order.size();
-  DYNBCAST_ASSERT(n > 0);
   DYNBCAST_ASSERT_MSG(handleLen >= 1 && handleLen <= n,
                       "handleLen must be in [1, n]");
-  std::vector<std::size_t> parent(n);
-  parent[order[0]] = order[0];
-  for (std::size_t i = 1; i < handleLen; ++i) {
-    parent[order[i]] = order[i - 1];
-  }
   for (std::size_t i = handleLen; i < n; ++i) {
     parent[order[i]] = order[handleLen - 1];
   }

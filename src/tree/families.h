@@ -17,6 +17,13 @@ namespace dynbcast {
 /// of [n]. Height n−1 — the slowest static tree.
 [[nodiscard]] RootedTree makePath(const std::vector<std::size_t>& order);
 
+/// The parent array of makePath(order), written into `parent` (resized to
+/// n, capacity reused): parent[order[i]] = order[i − 1] and
+/// parent[order[0]] = order[0]. Runs makePath's checks — order non-empty
+/// and a permutation of [n] — and throws AssertionError otherwise.
+void pathParentsInto(const std::vector<std::size_t>& order,
+                     std::vector<std::size_t>& parent);
+
 /// Identity path 0 → 1 → … → n−1.
 [[nodiscard]] RootedTree makePath(std::size_t n);
 

@@ -80,24 +80,37 @@ RootedTree orientTree(std::size_t n, const UndirectedTree& t,
                       std::size_t root) {
   DYNBCAST_ASSERT(root < n);
   DYNBCAST_ASSERT_MSG(t.size() + 1 == n, "tree must have n-1 edges");
-  std::vector<std::vector<std::size_t>> adj(n);
+  // CSR adjacency: the neighbours of u are adj[start[u] .. start[u + 1]),
+  // in edge-list order, as a per-node push_back would list them.
+  std::vector<std::size_t> start(n + 1, 0);
   for (const auto& [u, v] : t) {
-    adj[u].push_back(v);
-    adj[v].push_back(u);
+    DYNBCAST_ASSERT_MSG(u < n && v < n, "edge endpoint out of range");
+    ++start[u + 1];
+    ++start[v + 1];
+  }
+  for (std::size_t u = 0; u < n; ++u) start[u + 1] += start[u];
+  std::vector<std::size_t> adj(start[n]);
+  std::vector<std::size_t> fill(start.begin(), start.end() - 1);
+  for (const auto& [u, v] : t) {
+    adj[fill[u]++] = v;
+    adj[fill[v]++] = u;
   }
   std::vector<std::size_t> parent(n, n);
   parent[root] = root;
-  std::vector<std::size_t> queue{root};
-  for (std::size_t qi = 0; qi < queue.size(); ++qi) {
+  std::vector<std::size_t> queue(n);
+  queue[0] = root;
+  std::size_t queued = 1;
+  for (std::size_t qi = 0; qi < queued; ++qi) {
     const std::size_t u = queue[qi];
-    for (const std::size_t v : adj[u]) {
+    for (std::size_t e = start[u]; e < start[u + 1]; ++e) {
+      const std::size_t v = adj[e];
       if (parent[v] == n) {
         parent[v] = u;
-        queue.push_back(v);
+        queue[queued++] = v;
       }
     }
   }
-  DYNBCAST_ASSERT_MSG(queue.size() == n, "edges do not connect all nodes");
+  DYNBCAST_ASSERT_MSG(queued == n, "edges do not connect all nodes");
   return RootedTree(root, std::move(parent));
 }
 

@@ -74,8 +74,8 @@ class RootedTree {
   [[nodiscard]] std::vector<std::size_t> bfsOrder() const;
 
   /// bfsOrder written into a caller-owned buffer, reusing its capacity —
-  /// the simulator and candidate evaluators call this every round and must
-  /// not allocate on the hot path.
+  /// the simulator calls this every round and must not allocate on the
+  /// hot path.
   void bfsOrderInto(std::vector<std::size_t>& out) const;
 
   /// Communication graph: tree edges + one self-loop per node. This is the

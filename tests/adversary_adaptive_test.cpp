@@ -11,6 +11,7 @@
 #include "src/adversary/lookahead.h"
 #include "src/adversary/oblivious.h"
 #include "src/bounds/bounds.h"
+#include "src/support/assert.h"
 #include "src/support/rng.h"
 #include "src/tree/families.h"
 #include "src/tree/generators.h"
@@ -33,6 +34,26 @@ TEST(CoverageTest, StarMakesCenterFullCoverage) {
     if (x != 2) {
       EXPECT_EQ(cov[x], 1u);
     }
+  }
+}
+
+TEST(CoverageTest, MatchesPerBitCountAtWordBoundaries) {
+  // From the first rounds to a finished gossip, where every count is n
+  // (a power of two at 64, 128 and 256) and fills the top counter bit.
+  Rng rng(12);
+  for (const std::size_t n :
+       {1u, 2u, 63u, 64u, 65u, 127u, 128u, 129u, 256u, 257u}) {
+    BroadcastSim sim(n);
+    for (std::size_t r = 0; r <= 10 * n; ++r) {
+      std::vector<std::size_t> expect(n, 0);
+      for (std::size_t y = 0; y < n; ++y) {
+        for (std::size_t x = 0; x < n; ++x) expect[x] += sim.heardBy(y).test(x);
+      }
+      ASSERT_EQ(coverageCounts(sim), expect) << "n=" << n << " round " << r;
+      if (sim.gossipDone()) break;
+      sim.applyTree(randomRootedTree(n, rng));
+    }
+    EXPECT_TRUE(sim.gossipDone()) << "n=" << n;
   }
 }
 
@@ -315,10 +336,11 @@ INSTANTIATE_TEST_SUITE_P(Sizes, AdaptiveUpperBoundSweep,
 // the allocating shape the arena replaced). They must agree bit-for-bit
 // on every field and on the post-move state, at word-boundary sizes too.
 
-/// The obviously-correct reference: apply the tree to a copied matrix,
-/// counting coverage bumps per freshly-learned process. Same fp sum
-/// order as the kernel path (ascending bits per node, reverse BFS), so
-/// `potential` must match exactly, not approximately.
+/// The obviously-correct reference: apply the tree to a copied matrix in
+/// reverse BFS order, as the simulator once did, counting coverage bumps
+/// per freshly-learned process. The potential is summed over the final
+/// coverage in ascending x, as coveragePotential does, so `potential`
+/// must match exactly, not approximately.
 DelayScore referenceEvaluateCandidate(const std::vector<DynBitset>& heard,
                                       const std::vector<std::size_t>& coverage,
                                       const RootedTree& tree,
@@ -405,6 +427,116 @@ TEST(EvalScratchTest, FactoryScratchMatchesDefaultConstructed) {
   EXPECT_EQ(sized.heard, fresh.heard);
   EXPECT_EQ(sized.heard, wrongSize.heard);
   EXPECT_EQ(sized.coverage, fresh.coverage);
+}
+
+// --- path scoring and freeze orders vs their references ---------------
+
+/// A mid-game state: `rounds` random trees applied to the identity state.
+BroadcastSim midGameState(std::size_t n, int rounds, Rng& rng) {
+  BroadcastSim sim(n);
+  for (int r = 0; r < rounds; ++r) sim.applyTree(randomRootedTree(n, rng));
+  return sim;
+}
+
+TEST(EvaluatePathTest, MatchesEvaluateCandidateOfMakePath) {
+  Rng rng(4242);
+  for (const std::size_t n : {1u, 2u, 63u, 64u, 65u, 257u}) {
+    for (const int rounds : {0, 2, 5}) {
+      const BroadcastSim sim = midGameState(n, rounds, rng);
+      const std::vector<DynBitset>& heard = sim.heardMatrix();
+      const std::vector<std::size_t> coverage = coverageCounts(sim);
+      std::vector<std::vector<std::size_t>> orders = {
+          identityOrder(n), heardSizeOrder(heard, false),
+          freezeOrdering(heard, coverageLeaders(coverage, 2),
+                         rng.permutation(n))};
+      for (int i = 0; i < 4; ++i) orders.push_back(rng.permutation(n));
+      // One scratch carries every earlier evaluation, stale rows included.
+      EvalScratch shared = EvalScratch::forProcessCount(n);
+      for (const std::vector<std::size_t>& order : orders) {
+        EvalScratch treeScratch;
+        const DelayScore tree =
+            evaluateCandidate(heard, coverage, makePath(order), treeScratch);
+        const DelayScore path = evaluatePath(heard, coverage, order, shared);
+        EXPECT_EQ(path.finishes, tree.finishes) << "n=" << n;
+        EXPECT_EQ(path.potential, tree.potential) << "n=" << n;
+        EXPECT_EQ(path.maxCoverage, tree.maxCoverage) << "n=" << n;
+        EXPECT_EQ(path.newEdges, tree.newEdges) << "n=" << n;
+        EXPECT_EQ(shared.heard, treeScratch.heard) << "n=" << n;
+        EXPECT_EQ(shared.coverage, treeScratch.coverage) << "n=" << n;
+        // And both equal the simulator's own round.
+        BroadcastSim applied = sim;
+        applied.applyTree(makePath(order));
+        EXPECT_EQ(shared.heard, applied.heardMatrix()) << "n=" << n;
+        EXPECT_EQ(shared.coverage, coverageCounts(applied)) << "n=" << n;
+      }
+    }
+  }
+}
+
+TEST(EvaluatePathTest, RejectsWhatMakePathRejects) {
+  const std::size_t n = 5;
+  Rng rng(17);
+  const BroadcastSim sim = midGameState(n, 2, rng);
+  const std::vector<std::size_t> coverage = coverageCounts(sim);
+  EvalScratch scratch = EvalScratch::forProcessCount(n);
+  const std::vector<std::vector<std::size_t>> bad = {
+      {0, 1, 2, 2, 4},     // duplicate id
+      {0, 1, 2, 3, 5},     // id out of range
+      {0, 1, 2, 3},        // too short (a permutation of [4])
+      {0, 1, 2, 3, 4, 5},  // too long (a permutation of [6])
+      {}};
+  const std::vector<DynBitset>& heard = sim.heardMatrix();
+  for (const std::vector<std::size_t>& order : bad) {
+    EXPECT_THROW((void)evaluatePath(heard, coverage, order, scratch),
+                 AssertionError);
+    EXPECT_THROW(
+        (void)evaluateCandidate(heard, coverage, makePath(order), scratch),
+        AssertionError);
+  }
+}
+
+/// The freeze order as first written: one std::stable_sort of the base
+/// order by the leaders' knower bits, non-knowers first, x_1 most
+/// significant.
+std::vector<std::size_t> referenceFreezeOrdering(
+    const std::vector<DynBitset>& heard,
+    const std::vector<std::size_t>& leaders,
+    const std::vector<std::size_t>& baseOrder) {
+  std::vector<std::size_t> order = baseOrder;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     for (const std::size_t x : leaders) {
+                       const bool ka = heard[a].test(x);
+                       const bool kb = heard[b].test(x);
+                       if (ka != kb) return !ka;
+                     }
+                     return false;
+                   });
+  return order;
+}
+
+TEST(FreezeOrderingTest, MatchesStableSortReference) {
+  Rng rng(606);
+  for (const std::size_t n : {1u, 2u, 7u, 64u, 65u, 130u}) {
+    for (const int rounds : {0, 1, 3, 6}) {
+      const BroadcastSim sim = midGameState(n, rounds, rng);
+      const std::vector<DynBitset>& heard = sim.heardMatrix();
+      const std::vector<std::size_t> coverage = coverageCounts(sim);
+      for (std::size_t depth = 0; depth <= 6; ++depth) {
+        const std::vector<std::size_t> base = rng.permutation(n);
+        // The leaders the adversaries pass, and arbitrary ones (repeats
+        // allowed) so that every signature pattern is reachable.
+        std::vector<std::size_t> arbitrary(depth);
+        for (std::size_t& x : arbitrary) x = rng.uniform(n);
+        for (const std::vector<std::size_t>& leaders :
+             {coverageLeaders(coverage, depth), arbitrary}) {
+          EXPECT_EQ(freezeOrdering(heard, leaders, base),
+                    referenceFreezeOrdering(heard, leaders, base))
+              << "n=" << n << " depth=" << depth;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

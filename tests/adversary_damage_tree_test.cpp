@@ -52,12 +52,11 @@ RootedTree referenceDamageTree(const std::vector<DynBitset>& heard,
       weight[x] *= 1.0 + noiseAmplitude * rng->uniformReal();
     }
   }
-  const std::size_t nwords = heard[0].wordCount();
   const auto damage = [&](std::size_t p, std::size_t y) {
     double d = 0.0;
-    bitword::forEachInDifference(heard[p].wordData(), heard[y].wordData(),
-                                 nwords,
-                                 [&](std::size_t x) { d += weight[x]; });
+    for (std::size_t x = 0; x < n; ++x) {
+      if (heard[p].test(x) && !heard[y].test(x)) d += weight[x];
+    }
     return d;
   };
   std::vector<std::size_t> parent(n, n);
@@ -262,11 +261,11 @@ TEST(DamageTreeOracleTest, RelaxSumsAreBitIdenticalToSerialLoop) {
     const auto sumsFor = [&](std::size_t pick) {
       std::vector<double> expect(n, 0.0);
       for (std::size_t y = 0; y < n; ++y) {
-        bitword::forEachInDifference(heard[pick].wordData(),
-                                     heard[y].wordData(), nwords,
-                                     [&](std::size_t x) {
-                                       expect[y] += weight[x];
-                                     });
+        for (std::size_t x = 0; x < n; ++x) {
+          if (heard[pick].test(x) && !heard[y].test(x)) {
+            expect[y] += weight[x];
+          }
+        }
       }
       return expect;
     };

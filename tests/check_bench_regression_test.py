@@ -30,7 +30,7 @@ _SPEC.loader.exec_module(gate)
 
 def kernels_doc(gib=12.0, ns=5.0, tree_ns=400000.0, graph_ns=1.0e7,
                 check_ns=6.0e6, step_ns=6.0e7, build_ns=6.0e3,
-                round_ns=2.0e6):
+                round_ns=2.0e6, search_ns=1.0e6):
     return {"kernels": [
         {"name": "orAssign", "bits": 1024, "gib_per_s": gib, "ns_per_op": ns},
         {"name": "orCount", "bits": 1024, "gib_per_s": gib, "ns_per_op": ns},
@@ -48,6 +48,8 @@ def kernels_doc(gib=12.0, ns=5.0, tree_ns=400000.0, graph_ns=1.0e7,
          "ns_per_op": build_ns},
         {"name": "greedyDelayRound", "bits": 256, "gib_per_s": 0.0,
          "ns_per_op": round_ns},
+        {"name": "localSearchRound", "bits": 256, "gib_per_s": 0.0,
+         "ns_per_op": search_ns},
     ]}
 
 
@@ -60,6 +62,8 @@ def sweep_doc(**overrides):
         "transposition_hit_rate": 0.5,
         "lookahead_tt_hit_rate": 0.5,
         "service_warm_speedup": 6.0,
+        "service_warm_executed": 0,
+        "service_warm_cache_hits": 40,
     }
     doc.update(overrides)
     return doc
@@ -125,6 +129,7 @@ class TestDirection(unittest.TestCase):
         self.assertTrue(gate.lower_is_better("sweep:portfolio_ms"))
         self.assertTrue(gate.lower_is_better("sweep:beam_unique_states"))
         self.assertTrue(gate.lower_is_better("sweep:lookahead_nodes"))
+        self.assertTrue(gate.lower_is_better("sweep:service_warm_executed"))
         self.assertFalse(gate.lower_is_better("kernel:x:1024:gib_per_s"))
         self.assertFalse(gate.lower_is_better("sweep:product_blocked_speedup"))
         self.assertFalse(gate.lower_is_better("sweep:beam_rounds"))
@@ -225,6 +230,36 @@ class TestGate(GateHarness):
                                          sweep_doc())
             self.assertNotEqual(code, 0)
             self.assertIn(key, out)
+
+    def test_local_search_round_time_regresses_upward(self):
+        baseline, _ = self.write_fresh_baseline()
+        # One local-search round at n = 256 (60% tolerance): 1.5x slower
+        # passes, 2x slower fails.
+        code, _, _ = self.run_gate(baseline, kernels_doc(search_ns=1.5e6),
+                                   sweep_doc())
+        self.assertEqual(code, 0)
+        code, out, _ = self.run_gate(baseline, kernels_doc(search_ns=2.0e6),
+                                     sweep_doc())
+        self.assertNotEqual(code, 0)
+        self.assertIn("kernel:localSearchRound:256:ns_per_op", out)
+
+    def test_warm_service_pass_must_execute_nothing(self):
+        baseline, _ = self.write_fresh_baseline()
+        self.assertEqual(
+            baseline["metrics"]["sweep:service_warm_executed"],
+            {"value": 0, "tolerance_pct": 0.0})
+        # One executed task in the warm pass means a cache miss: fails.
+        code, out, _ = self.run_gate(
+            baseline, kernels_doc(),
+            sweep_doc(service_warm_executed=1, service_warm_cache_hits=39))
+        self.assertNotEqual(code, 0)
+        self.assertIn("sweep:service_warm_executed", out)
+        # The cold/warm time ratio is reported but not gated: a faster
+        # cold pass that shrinks it to ~1 still passes.
+        self.assertNotIn("sweep:service_warm_speedup", baseline["metrics"])
+        code, _, _ = self.run_gate(baseline, kernels_doc(),
+                                   sweep_doc(service_warm_speedup=1.1))
+        self.assertEqual(code, 0)
 
     def test_missing_metric_fails(self):
         baseline, _ = self.write_fresh_baseline()

@@ -79,24 +79,6 @@ TEST(BitwordKernelTest, AndAssignCountMatchesNaiveLoop) {
   }
 }
 
-TEST(BitwordKernelTest, ForEachInDifferenceAscendingAndComplete) {
-  Rng rng(15);
-  for (const std::size_t n : kSizes) {
-    for (int trial = 0; trial < 20; ++trial) {
-      const DynBitset a = randomBits(n, 0.4, rng);
-      const DynBitset b = randomBits(n, 0.4, rng);
-      std::vector<std::size_t> expect;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (a.test(i) && !b.test(i)) expect.push_back(i);
-      }
-      std::vector<std::size_t> got;
-      bitword::forEachInDifference(a.wordData(), b.wordData(), a.wordCount(),
-                                   [&](std::size_t i) { got.push_back(i); });
-      EXPECT_EQ(got, expect) << "n=" << n;
-    }
-  }
-}
-
 TEST(BitwordKernelTest, OrCountWithPreservesTailInvariant) {
   // After fused OR+count at a non-aligned size, bits past size() must
   // still be zero — all() and count() would silently break otherwise.

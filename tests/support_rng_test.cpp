@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 namespace dynbcast {
 namespace {
@@ -36,6 +37,58 @@ TEST(RngTest, UniformRespectsBound) {
 TEST(RngTest, UniformBound1IsAlwaysZero) {
   Rng rng(3);
   for (int i = 0; i < 20; ++i) EXPECT_EQ(rng.uniform(1), 0u);
+}
+
+/// The bounded draw as it was first written: 2^64 mod bound divided out
+/// before every call. Counts its raw draws into `draws`.
+std::uint64_t alwaysDividingUniform(Rng& rng, std::uint64_t bound,
+                                    std::size_t& draws) {
+  const std::uint64_t threshold = (~bound + 1) % bound;
+  for (;;) {
+    const std::uint64_t x = rng();
+    ++draws;
+    const auto m = static_cast<unsigned __int128>(x) * bound;
+    if (static_cast<std::uint64_t>(m) >= threshold) {
+      return static_cast<std::uint64_t>(m >> 64);
+    }
+  }
+}
+
+TEST(RngTest, UniformMatchesAlwaysDividingLoopDrawForDraw) {
+  // Dividing only when the low word is below bound accepts exactly the
+  // same draws, so every value and the raw-draw count of every call are
+  // those of the loop that always divides. 2^63 + 1 rejects about half
+  // of all draws, so the rejection path runs too.
+  std::vector<std::uint64_t> bounds = {
+      1, 2, 3, (1ull << 32) + 1, (1ull << 63) + 1, ~0ull};
+  Rng pick(99);
+  for (int i = 0; i < 8; ++i) {
+    const std::uint64_t wide = pick();  // rejects up to half of all draws
+    bounds.push_back(i % 2 == 0 ? wide : wide >> pick.uniform(64));
+  }
+  for (const std::uint64_t bound : bounds) {
+    if (bound == 0) continue;
+    Rng rng(bound ^ 0x5eedull);
+    Rng reference = rng;
+    std::size_t rejected = 0;
+    for (int call = 0; call < 2000; ++call) {
+      std::size_t draws = 0;
+      const std::uint64_t expected =
+          alwaysDividingUniform(reference, bound, draws);
+      Rng before = rng;
+      ASSERT_EQ(rng.uniform(bound), expected) << "bound " << bound;
+      for (std::size_t d = 0; d < draws; ++d) (void)before();
+      Rng after = rng;
+      ASSERT_EQ(before(), after()) << "bound " << bound << ": uniform took "
+                                   << "a different number of raw draws than "
+                                   << draws;
+      rejected += draws - 1;
+    }
+    if (bound == (1ull << 63) + 1) {
+      EXPECT_GT(rejected, 500u);
+    }
+    EXPECT_EQ(rng(), reference());
+  }
 }
 
 TEST(RngTest, UniformCoversAllResidues) {

@@ -6,6 +6,7 @@
 #include <functional>
 #include <set>
 
+#include "src/support/assert.h"
 #include "src/support/rng.h"
 
 namespace dynbcast {
@@ -118,6 +119,63 @@ TEST(OrientTest, RootedFromPruferMatchesManualPipeline) {
   const RootedTree direct = rootedFromPrufer(seq, 2);
   const RootedTree manual = orientTree(4, pruferDecode(seq), 2);
   EXPECT_EQ(direct, manual);
+}
+
+/// orientTree as first written: one std::vector of neighbours per node,
+/// filled in edge-list order, then a BFS from the root.
+std::vector<std::size_t> referenceOrientParents(std::size_t n,
+                                                const UndirectedTree& t,
+                                                std::size_t root) {
+  std::vector<std::vector<std::size_t>> adj(n);
+  for (const auto& [u, v] : t) {
+    adj[u].push_back(v);
+    adj[v].push_back(u);
+  }
+  std::vector<std::size_t> parent(n, n);
+  parent[root] = root;
+  std::vector<std::size_t> queue{root};
+  for (std::size_t qi = 0; qi < queue.size(); ++qi) {
+    for (const std::size_t v : adj[queue[qi]]) {
+      if (parent[v] == n) {
+        parent[v] = queue[qi];
+        queue.push_back(v);
+      }
+    }
+  }
+  return parent;
+}
+
+TEST(OrientTest, MatchesAdjacencyListReference) {
+  Rng rng(909);
+  for (const std::size_t n : {2u, 3u, 5u, 63u, 64u, 65u, 257u}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<std::size_t> seq(n - 2);
+      for (auto& a : seq) a = rng.uniform(n);
+      UndirectedTree shape = pruferDecode(seq);
+      if (trial % 2 == 1) {  // any edge order and orientation
+        rng.shuffle(shape);
+        for (auto& e : shape) {
+          if (rng.chance(0.5)) std::swap(e.first, e.second);
+        }
+      }
+      const std::size_t root = rng.uniform(n);
+      const RootedTree t = orientTree(n, shape, root);
+      EXPECT_EQ(t.root(), root);
+      EXPECT_EQ(t.parents(), referenceOrientParents(n, shape, root))
+          << "n=" << n;
+    }
+  }
+  EXPECT_EQ(orientTree(1, {}, 0), RootedTree::trivial());
+}
+
+TEST(OrientTest, RejectsEdgesThatDoNotSpan) {
+  // n − 1 edges that close a cycle and leave node 3 unreachable.
+  EXPECT_THROW((void)orientTree(4, {{0, 1}, {1, 2}, {2, 0}}, 0),
+               AssertionError);
+  EXPECT_THROW((void)orientTree(4, {{0, 1}, {1, 2}, {2, 0}}, 3),
+               AssertionError);
+  EXPECT_THROW((void)orientTree(3, {{0, 1}}, 0), AssertionError);
+  EXPECT_THROW((void)orientTree(3, {{0, 1}, {1, 3}}, 0), AssertionError);
 }
 
 }  // namespace
