@@ -1,7 +1,6 @@
 #include "src/adversary/portfolio.h"
 
 #include "src/adversary/registry.h"
-#include "src/support/assert.h"
 
 namespace dynbcast {
 
@@ -46,24 +45,18 @@ void PortfolioResult::add(PortfolioEntry entry) {
   entries.push_back(std::move(entry));
 }
 
-PortfolioResult runPortfolio(std::size_t n, std::uint64_t seed,
-                             bool recordHistory) {
-  return runPortfolio(n, seed, standardPortfolio(n, seed), recordHistory);
+PortfolioResult runPortfolio(std::size_t n, std::uint64_t seed) {
+  return runPortfolio(n, standardPortfolio(n, seed));
 }
 
-PortfolioResult runPortfolio(std::size_t n, std::uint64_t seed,
-                             const std::vector<PortfolioMember>& members,
-                             bool recordHistory) {
-  (void)seed;
+PortfolioResult runPortfolio(std::size_t n,
+                             const std::vector<PortfolioMember>& members) {
   PortfolioResult result;
   const std::size_t cap = defaultRoundCap(n);
   for (const PortfolioMember& member : members) {
     const std::unique_ptr<Adversary> adversary = member.make();
-    // One run per member: history is recorded in the same run that
-    // produces the t* witness, never by replaying the member.
-    BroadcastRun run = runAdversary(n, *adversary, cap, recordHistory);
-    result.add(
-        {member.name, run.rounds, run.completed, std::move(run.history)});
+    const BroadcastRun run = runAdversary(n, *adversary, cap);
+    result.add({member.name, run.rounds, run.completed});
   }
   return result;
 }

@@ -46,10 +46,6 @@ struct PortfolioEntry {
   std::string name;
   std::size_t rounds = 0;
   bool completed = false;
-  /// Per-round metrics of THIS member's run; empty unless the caller
-  /// asked for history. Captured during the one and only run of the
-  /// member — history never costs a re-run.
-  std::vector<RoundMetrics> history;
 };
 
 struct PortfolioResult {
@@ -66,15 +62,15 @@ struct PortfolioResult {
   void add(PortfolioEntry entry);
 };
 
-/// Runs each member to completion (cap defaultRoundCap(n)) and collects
-/// the per-member broadcast times. Each member runs exactly once; with
-/// recordHistory, its per-round metrics land in the matching entry.
-[[nodiscard]] PortfolioResult runPortfolio(std::size_t n, std::uint64_t seed,
-                                           bool recordHistory = false);
+/// Runs each standard member to completion (cap defaultRoundCap(n)),
+/// exactly once, and collects the per-member broadcast times. Per-round
+/// history is a scenario concern: ScenarioSpec::recordHistory fills
+/// SweepRow::history.
+[[nodiscard]] PortfolioResult runPortfolio(std::size_t n, std::uint64_t seed);
 
-/// Runs only the named members (useful for quick benches).
+/// Runs only the given members at size n; each member's make() already
+/// carries its seed.
 [[nodiscard]] PortfolioResult runPortfolio(
-    std::size_t n, std::uint64_t seed,
-    const std::vector<PortfolioMember>& members, bool recordHistory = false);
+    std::size_t n, const std::vector<PortfolioMember>& members);
 
 }  // namespace dynbcast

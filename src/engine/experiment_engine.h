@@ -11,7 +11,7 @@
 // collected results are bit-identical at any --jobs value, so
 // parallelism is free to use everywhere — including inside determinism
 // tests. Scenario grids (sizes × seed replicates × members) are planned
-// and executed on top of map by src/engine/task_plan.h.
+// by src/engine/task_plan.h, and their rows run as one map task each.
 #pragma once
 
 #include <cstdint>
@@ -49,9 +49,8 @@ struct SweepRow {
   }
 };
 
-/// Per-(n, seed) aggregate: the portfolio view of one instance. Entry
-/// histories are left empty here — per-round metrics live only in
-/// SweepResult::rows, to avoid holding them twice.
+/// Per-(n, seed) aggregate: the portfolio view of one instance.
+/// Per-round metrics live only in SweepResult::rows.
 struct SweepInstance {
   std::size_t n = 0;
   std::size_t seedIndex = 0;

@@ -1,10 +1,8 @@
 #include "src/engine/scenario.h"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 #include "src/adversary/registry.h"
 #include "src/dynamics/registry.h"
@@ -177,14 +175,14 @@ ScenarioResult runScenario(const ScenarioSpec& spec,
                            ExperimentEngine& engine) {
   validateScenario(spec);
   const ScenarioPlan plan(spec);
-  std::vector<std::size_t> positions(plan.rowCount());
-  std::iota(positions.begin(), positions.end(), std::size_t{0});
+  // One task per position. map()'s own seeds go unused — rows draw
+  // theirs from their positions, which is what makes them independent of
+  // the thread, the job count and the process.
   ScenarioResult result;
-  result.rows.resize(positions.size());
-  plan.runPositions(positions, engine,
-                    [&result](std::size_t position, SweepRow row) {
-                      result.rows[position] = std::move(row);
-                    });
+  result.rows = engine.map<SweepRow>(
+      plan.rowCount(), 0, [&plan](std::size_t position, std::uint64_t) {
+        return plan.run(position);
+      });
   result.instances = plan.aggregate(result.rows);
   return result;
 }

@@ -6,9 +6,9 @@
 // which sizes × seed replicates, and AGAINST which adversaries, the
 // latter as AdversaryRegistry spec strings ("freeze-path:depth=3",
 // "beam:width=64"). Both axes are data, so composing a new experiment
-// never means writing a new main(). runScenario() executes the spec on an
-// ExperimentEngine through the task plan's executor
-// (src/engine/task_plan.h): every row is a position in the (size,
+// never means writing a new main(). runScenario() plans the spec once
+// (src/engine/task_plan.h) and maps ScenarioPlan::run over its row
+// positions on an ExperimentEngine: every row is a position in the (size,
 // replicate, member) grid, seeded from that position, so the rows come
 // back in the same deterministic order — byte-identical at any job count
 // and in any service worker that runs the same positions. Every
@@ -112,10 +112,10 @@ void validateScenario(const ScenarioSpec& spec);
 using ScenarioRow = SweepRow;
 using ScenarioResult = SweepResult;
 
-/// Validates the scenario, builds its ScenarioPlan once and runs every
-/// row position through the plan's executor on the engine. A default rooted-tree broadcast
-/// scenario reproduces runPortfolio(n, instanceSeed) per instance
-/// bit-for-bit.
+/// Validates the scenario, builds its ScenarioPlan once and maps
+/// ScenarioPlan::run over every row position on the engine, one task per
+/// position. A default rooted-tree broadcast scenario reproduces
+/// runPortfolio(n, instanceSeed) per instance bit-for-bit.
 [[nodiscard]] ScenarioResult runScenario(const ScenarioSpec& spec,
                                          ExperimentEngine& engine);
 

@@ -117,19 +117,6 @@ SweepRow ScenarioPlan::run(std::size_t position) const {
   return row;
 }
 
-void ScenarioPlan::runPositions(const std::vector<std::size_t>& positions,
-                                ExperimentEngine& engine,
-                                const ScenarioRowSink& sink) const {
-  // One task per position. map()'s own seeds go unused — rows draw
-  // theirs from their positions, which is what makes them independent of
-  // the thread, the job count and the process.
-  (void)engine.map<char>(
-      positions.size(), 0, [&](std::size_t t, std::uint64_t) -> char {
-        sink(positions[t], run(positions[t]));
-        return 0;
-      });
-}
-
 std::vector<SweepInstance> ScenarioPlan::aggregate(
     const std::vector<SweepRow>& rows) const {
   const std::size_t width = memberSpecs_.size();
@@ -144,9 +131,7 @@ std::vector<SweepInstance> ScenarioPlan::aggregate(
     aggregate.instanceSeed = seeds_.at(p);
     for (std::size_t m = 0; m < width; ++m) {
       const SweepRow& row = rows[p * width + m];
-      // History stays in rows only — copying the per-round metrics here
-      // would double the sweep's dominant allocation at large n.
-      aggregate.portfolio.add({row.member, row.rounds, row.completed, {}});
+      aggregate.portfolio.add({row.member, row.rounds, row.completed});
     }
     instances.push_back(std::move(aggregate));
   }

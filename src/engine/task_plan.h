@@ -1,5 +1,5 @@
-// The scenario task plan and its executor: every scenario, flattened into
-// addressable, independently executable row positions.
+// The scenario task plan: every scenario, flattened into addressable,
+// independently executable row positions.
 //
 // A ScenarioSpec's rows form a grid (sizes × seed replicates × members)
 // whose unit is "row position p of scenario S". Everything about a
@@ -11,15 +11,14 @@
 // ScenarioPlan is that grid, resolved once: its constructor resolves,
 // canonicalizes and parses the members, and every position is then
 // planned, run or aggregated through it without parsing anything.
-// runScenario() builds one plan and runs every position through its
-// executor, runPositions; a service worker builds one per job and runs
-// its pending positions through the same call, so the two cannot drift
-// apart. planScenarioRow re-plans per call and exists for callers
-// outside the library.
+// Every row anywhere runs through ScenarioPlan::run: runScenario() maps
+// it over all positions on the engine, and a service job
+// (src/service/job.h) calls it for each row task, so direct and served
+// rows cannot drift apart. planScenarioRow re-plans per call and exists
+// for callers outside the library.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -55,11 +54,6 @@ struct ScenarioRowPlan {
 [[nodiscard]] std::vector<std::string> resolvedScenarioMemberSpecs(
     const ScenarioSpec& spec);
 
-/// Receives each row the executor finishes, with its position. Called
-/// from pool threads, once per position, in no particular order.
-using ScenarioRowSink =
-    std::function<void(std::size_t position, SweepRow row)>;
-
 /// A scenario with its member specs resolved and parsed once, so that
 /// planning and running a position parses nothing. Holds its own copy
 /// of the spec. The constructor throws std::invalid_argument on unknown
@@ -91,17 +85,9 @@ class ScenarioPlan {
   /// cache key names it.
   [[nodiscard]] bool runsSparse(std::size_t n) const;
 
-  /// Executes `position` on the calling thread and returns the row
-  /// runScenario() produces there, byte-identical.
+  /// Executes `position` on the calling thread and returns its row:
+  /// the one row executor, which runScenario() maps over every position.
   [[nodiscard]] SweepRow run(std::size_t position) const;
-
-  /// The executor: runs every listed position (each < rowCount(), no
-  /// duplicates) on the engine's pool, one task per position, and hands
-  /// each finished row — equal to run(position) — to `sink`. The
-  /// lowest-indexed task's exception propagates.
-  void runPositions(const std::vector<std::size_t>& positions,
-                    ExperimentEngine& engine,
-                    const ScenarioRowSink& sink) const;
 
   /// Regroups a full row vector (ordered by position) into per-instance
   /// aggregates — runScenario()'s instances field, reproduced from rows.

@@ -4,7 +4,6 @@
 #include <ostream>
 #include <stdexcept>
 
-#include "src/service/job.h"
 #include "src/support/socket.h"
 
 namespace dynbcast {
@@ -103,7 +102,7 @@ SubmitOutcome submitRequest(const std::string& socketPath,
       continue;
     }
     if (words[0] == "TASK") {
-      if (words.size() != 4) {
+      if (words.size() != 4 || (words[3] != "0" && words[3] != "1")) {
         throw std::runtime_error("submit: malformed server line '" + line +
                                  "'");
       }
@@ -112,6 +111,10 @@ SubmitOutcome submitRequest(const std::string& socketPath,
         throw std::runtime_error("submit: task position " +
                                  std::to_string(position) +
                                  " out of range");
+      }
+      if (seen[position] != 0) {
+        throw std::runtime_error("submit: malformed server line '" + line +
+                                 "'");
       }
       results[position].rounds = parseCount(line, words[2]);
       results[position].completed = words[3] == "1";
@@ -144,21 +147,13 @@ SubmitOutcome submitRequest(const std::string& socketPath,
   if (!job.has_value()) {
     throw std::runtime_error("submit: server finished without ACCEPTED");
   }
-  const ServiceJobPlan& plan = job->plan();
-  for (std::size_t position = 0; position < plan.taskCount(); ++position) {
+  for (std::size_t position = 0; position < seen.size(); ++position) {
     if (seen[position] == 0) {
       throw std::runtime_error("submit: server never reported task " +
                                std::to_string(position));
     }
   }
-
-  outcome.beamRounds.reserve(plan.beamCount);
-  for (std::size_t i = 0; i < plan.beamCount; ++i) {
-    outcome.beamRounds.push_back(results[plan.rowCount + i].rounds);
-  }
-  results.resize(plan.rowCount);
-  outcome.rows = job->assembleRows(results);
-  outcome.instances = job->scenario().aggregate(outcome.rows);
+  static_cast<ServiceJobResult&>(outcome) = job->assemble(results);
   return outcome;
 }
 

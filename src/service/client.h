@@ -14,20 +14,15 @@
 #include <string>
 #include <vector>
 
-#include "src/engine/task_plan.h"
+#include "src/service/job.h"
 #include "src/service/protocol.h"
 
 namespace dynbcast {
 
-struct SubmitOutcome {
-  /// Scenario rows, position order — matches runScenario(spec).rows
-  /// (minus per-round history, which the service never records).
-  std::vector<SweepRow> rows;
-  /// Per-instance aggregates over `rows`, matching runScenario().
-  std::vector<SweepInstance> instances;
-  /// Verified beam-witness rounds per size index (empty unless the
-  /// request has a beam pass; 0 = no witness at that size).
-  std::vector<std::size_t> beamRounds;
+/// The job's assembled rows, instances and beam rounds (exactly what
+/// ServiceJob::assemble makes of the same results in-process), plus the
+/// server's accounting.
+struct SubmitOutcome : ServiceJobResult {
   std::string jobId;
   /// Server-side accounting: total tasks, tasks already checkpointed
   /// when the job was (re)opened, tasks satisfied from the result
@@ -41,8 +36,9 @@ struct SubmitOutcome {
 /// Submits `request` to the server at `socketPath` and blocks until the
 /// job finishes. Server-side PROGRESS lines stream to `progress` when
 /// non-null (one line each, prefixed "service: "). Throws
-/// std::runtime_error on connection failures, protocol violations, or a
-/// server-reported ERROR.
+/// std::runtime_error on connection failures, protocol violations (a
+/// TASK line whose completed flag is not 0 or 1, a position reported
+/// twice or never), or a server-reported ERROR.
 [[nodiscard]] SubmitOutcome submitRequest(const std::string& socketPath,
                                           const ServiceRequest& request,
                                           std::ostream* progress);

@@ -69,17 +69,22 @@ ServiceTaskResult ServiceJob::execute(std::size_t position) const {
   return {row.rounds, row.completed};
 }
 
-std::vector<SweepRow> ServiceJob::assembleRows(
-    const std::vector<ServiceTaskResult>& rowResults) const {
-  DYNBCAST_ASSERT(rowResults.size() == plan_.rowCount);
-  std::vector<SweepRow> rows;
-  rows.reserve(rowResults.size());
-  for (std::size_t position = 0; position < rowResults.size(); ++position) {
-    rows.push_back(scenario_.identity(position));
-    rows.back().rounds = rowResults[position].rounds;
-    rows.back().completed = rowResults[position].completed;
+ServiceJobResult ServiceJob::assemble(
+    const std::vector<ServiceTaskResult>& results) const {
+  DYNBCAST_ASSERT(results.size() == plan_.taskCount());
+  ServiceJobResult out;
+  out.rows.reserve(plan_.rowCount);
+  for (std::size_t position = 0; position < plan_.rowCount; ++position) {
+    out.rows.push_back(scenario_.identity(position));
+    out.rows.back().rounds = results[position].rounds;
+    out.rows.back().completed = results[position].completed;
   }
-  return rows;
+  out.instances = scenario_.aggregate(out.rows);
+  out.beamRounds.reserve(plan_.beamCount);
+  for (std::size_t i = 0; i < plan_.beamCount; ++i) {
+    out.beamRounds.push_back(results[plan_.rowCount + i].rounds);
+  }
+  return out;
 }
 
 ServiceJobPlan planServiceJob(const ServiceRequest& request) {

@@ -10,14 +10,16 @@
 //
 // Every task is a pure function of (request, position): what it computes
 // (ServiceJob::execute), its result-cache identity (ServiceJob::taskKey),
-// and where its output lands (ServiceJob::assembleRows) are all
-// derivable by any process independently. That is the whole
-// distribution story — a manifest records positions, workers execute
-// arbitrary subsets, and the merged results are byte-identical to a
-// single-process run. A ServiceJob is the request planned once (its one
-// ScenarioPlan); the server's cache pass, each worker and the client
-// build one per job. Workers run row tasks through the executor
-// runScenario uses, so served rows run exactly as `dynbcast sweep` rows.
+// and where its output lands (ServiceJob::assemble) are all derivable by
+// any process independently. That is the whole distribution story — a
+// manifest records positions, workers execute arbitrary subsets, and the
+// merged results are byte-identical to a single-process run. A
+// ServiceJob is the request planned once (its one ScenarioPlan); the
+// server's cache pass, each worker, the client and `dynbcast sweep`
+// build one per job. Row tasks run through ScenarioPlan::run, the row
+// executor runScenario maps, and `dynbcast sweep` runs exactly the tasks
+// a server would: one engine map of execute over every position, then
+// assemble.
 #pragma once
 
 #include <cstdint>
@@ -59,6 +61,18 @@ struct ServiceTaskResult {
   bool completed = false;
 };
 
+/// A job's task results in the shape the sweep reports print.
+struct ServiceJobResult {
+  /// Scenario rows, position order — runScenario()'s rows, minus
+  /// per-round history, which a job never records.
+  std::vector<SweepRow> rows;
+  /// Per-instance aggregates over `rows`, matching runScenario().
+  std::vector<SweepInstance> instances;
+  /// Verified beam-witness rounds per size index (empty unless the
+  /// request has a beam pass; 0 = no witness at that size).
+  std::vector<std::size_t> beamRounds;
+};
+
 /// One request's job, planned once. The constructor throws
 /// std::invalid_argument on unknown names; tasks may only be keyed or
 /// executed once the request satisfies validateServiceRequest().
@@ -84,11 +98,11 @@ class ServiceJob {
   /// Executes task `position` on the calling thread.
   [[nodiscard]] ServiceTaskResult execute(std::size_t position) const;
 
-  /// Reconstructs full SweepRows from the row-range results (indexed by
-  /// position, size rowCount) — byte-identical to runScenario()'s rows,
-  /// minus per-round history, which the service never records.
-  [[nodiscard]] std::vector<SweepRow> assembleRows(
-      const std::vector<ServiceTaskResult>& rowResults) const;
+  /// Turns every task's result (indexed by position, size taskCount)
+  /// into rows, instances and beam rounds: the rows byte-identical to
+  /// runScenario()'s, the beam rounds runScenarioBeamTask's per size.
+  [[nodiscard]] ServiceJobResult assemble(
+      const std::vector<ServiceTaskResult>& results) const;
 
  private:
   ScenarioPlan scenario_;

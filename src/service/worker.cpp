@@ -1,5 +1,6 @@
 #include "src/service/worker.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -58,43 +59,27 @@ WorkerReport runManifestWorker(const WorkerOptions& options) {
   config.jobs = options.jobs;
   ExperimentEngine engine(config);
 
-  // Cache pass. The seeds map() derives are unused here and below —
-  // every task derives its own from (request, position), which is what
-  // makes re-execution by any process byte-identical.
+  // One pool task per pending position, rows and beam tasks alike: a
+  // cache hit is recorded as is, a miss executes and checkpoints. The
+  // durability contract: a task is "done" once its record is fsynced —
+  // and only then. The seeds map() derives go unused — every task
+  // derives its own from (request, position), which is what makes
+  // re-execution by any process byte-identical.
   const std::vector<char> hits = engine.map<char>(
       pending.size(), 0, [&](std::size_t index, std::uint64_t) -> char {
-        return static_cast<char>(recordCachedTask(job, pending[index], cache,
-                                                  options.manifestPath));
-      });
-
-  // The durability contract: a task is "done" once its record is
-  // fsynced — and only then.
-  const auto finish = [&](std::size_t position, std::size_t rounds,
-                          bool completed) {
-    cache.put(job.taskKey(position), {rounds, completed});
-    appendTaskRecord(options.manifestPath, {position, rounds, completed});
-  };
-  std::vector<std::size_t> rows;
-  std::vector<std::size_t> beams;
-  for (std::size_t index = 0; index < pending.size(); ++index) {
-    if (hits[index] != 0) continue;
-    (pending[index] < plan.rowCount ? rows : beams).push_back(pending[index]);
-  }
-  report.cacheHits = pending.size() - rows.size() - beams.size();
-  report.executed = rows.size() + beams.size();
-
-  // Row tasks run on the scenario executor, exactly as runScenario runs
-  // them, and beam tasks one per pool task.
-  job.scenario().runPositions(rows, engine,
-                              [&](std::size_t position, SweepRow row) {
-                                finish(position, row.rounds, row.completed);
-                              });
-  (void)engine.map<char>(
-      beams.size(), 0, [&](std::size_t index, std::uint64_t) -> char {
-        const ServiceTaskResult result = job.execute(beams[index]);
-        finish(beams[index], result.rounds, result.completed);
+        const std::size_t position = pending[index];
+        if (recordCachedTask(job, position, cache, options.manifestPath)) {
+          return 1;
+        }
+        const ServiceTaskResult result = job.execute(position);
+        cache.put(job.taskKey(position), {result.rounds, result.completed});
+        appendTaskRecord(options.manifestPath,
+                         {position, result.rounds, result.completed});
         return 0;
       });
+  report.cacheHits = static_cast<std::size_t>(
+      std::count(hits.begin(), hits.end(), char{1}));
+  report.executed = pending.size() - report.cacheHits;
   return report;
 }
 

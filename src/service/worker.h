@@ -60,8 +60,9 @@ class ServiceJob;
                                     const std::string& manifestPath);
 
 /// Runs the worker loop to completion (or the maxTasks budget): builds
-/// the manifest's ServiceJob once, runs the cache pass over the pending
-/// tasks of its range, then executes the rest. Throws
+/// the manifest's ServiceJob once, cuts its range's pending tasks to the
+/// budget, then runs them in one pool map, each task a recordCachedTask
+/// or, on a miss, execute → cache put → manifest append. Throws
 /// std::runtime_error on a missing/corrupt manifest and
 /// std::invalid_argument when its request no longer decodes.
 [[nodiscard]] WorkerReport runManifestWorker(const WorkerOptions& options);

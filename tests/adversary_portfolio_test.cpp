@@ -81,39 +81,23 @@ TEST(PortfolioTest, BestAtLeastStaticBaselineAtMidSize) {
 TEST(PortfolioTest, SubsetRunsOnlyRequestedMembers) {
   auto members = standardPortfolio(8, 1);
   members.resize(2);
-  const PortfolioResult result = runPortfolio(8, 1, members);
+  const PortfolioResult result = runPortfolio(8, members);
   EXPECT_EQ(result.entries.size(), 2u);
 }
 
-TEST(PortfolioTest, HistoryComesFromASingleRunPerMember) {
-  // Regression for the latent inefficiency: asking for history used to
-  // mean re-running a member from scratch. Each member must run exactly
-  // once whether or not history is recorded.
-  int runsWithHistory = 0;
-  int runsWithout = 0;
+TEST(PortfolioTest, EachMemberRunsExactlyOnce) {
+  int runs = 0;
   const std::size_t n = 9;
-  std::vector<PortfolioMember> withHistory;
-  withHistory.push_back({"run-counting", [n, &runsWithHistory] {
-                           return std::make_unique<RunCountingAdversary>(
-                               n, runsWithHistory);
-                         }});
-  std::vector<PortfolioMember> without;
-  without.push_back({"run-counting", [n, &runsWithout] {
-                       return std::make_unique<RunCountingAdversary>(
-                           n, runsWithout);
+  std::vector<PortfolioMember> members;
+  members.push_back({"run-counting", [n, &runs] {
+                       return std::make_unique<RunCountingAdversary>(n, runs);
                      }});
 
-  const PortfolioResult plain = runPortfolio(n, 1, without);
-  const PortfolioResult traced =
-      runPortfolio(n, 1, withHistory, /*recordHistory=*/true);
+  const PortfolioResult result = runPortfolio(n, members);
 
-  EXPECT_EQ(runsWithout, 1);
-  EXPECT_EQ(runsWithHistory, 1) << "history recording must not re-run";
-  ASSERT_EQ(plain.entries.size(), 1u);
-  ASSERT_EQ(traced.entries.size(), 1u);
-  EXPECT_EQ(plain.entries[0].rounds, traced.entries[0].rounds);
-  EXPECT_TRUE(plain.entries[0].history.empty());
-  EXPECT_EQ(traced.entries[0].history.size(), traced.entries[0].rounds);
+  EXPECT_EQ(runs, 1);
+  ASSERT_EQ(result.entries.size(), 1u);
+  EXPECT_TRUE(result.entries[0].completed);
 }
 
 TEST(PortfolioTest, SingleProcessHasAWinnerAtRoundZero) {
@@ -125,13 +109,6 @@ TEST(PortfolioTest, SingleProcessHasAWinnerAtRoundZero) {
   }
   EXPECT_EQ(result.bestName, result.entries.front().name);
   EXPECT_EQ(result.bestRounds, 0u);
-}
-
-TEST(PortfolioTest, HistoryEmptyByDefault) {
-  const PortfolioResult result = runPortfolio(8, 2);
-  for (const auto& e : result.entries) {
-    EXPECT_TRUE(e.history.empty()) << e.name;
-  }
 }
 
 TEST(PortfolioTest, DeterministicAcrossInvocations) {

@@ -23,14 +23,17 @@ namespace {
 
 TEST(EngineTest, EmptySweepProducesNoRows) {
   // validateScenario rejects an empty size list, so the empty sweep is
-  // the executor handed no positions (a worker with nothing pending).
+  // the row executor mapped over no positions (a worker with nothing
+  // pending).
   ExperimentEngine engine;
   ScenarioSpec spec;
   spec.sizes = {8};
-  std::size_t rows = 0;
-  ScenarioPlan(spec).runPositions(
-      {}, engine, [&rows](std::size_t, SweepRow) { ++rows; });
-  EXPECT_EQ(rows, 0u);
+  const ScenarioPlan plan(spec);
+  const std::vector<SweepRow> rows = engine.map<SweepRow>(
+      0, 0, [&plan](std::size_t position, std::uint64_t) {
+        return plan.run(position);
+      });
+  EXPECT_TRUE(rows.empty());
 }
 
 TEST(EngineTest, SingletonSweepMatchesDirectPortfolioRun) {

@@ -152,27 +152,77 @@ TEST(ServiceJobTest, BeamTasksMatchTheSweepDerivation) {
   }
 }
 
-TEST(ServiceJobTest, AssembledRowsMatchRunScenario) {
-  ServiceRequest request;
-  request.scenario.sizes = {4, 6};
-  request.scenario.seedsPerSize = 2;
-  request.scenario.masterSeed = 3;
-
+/// Every position of `request` through ServiceJob::execute, then
+/// ServiceJob::assemble, against runScenario and runScenarioBeamTask.
+void expectAssemblyMatchesDirectRuns(const ServiceRequest& request) {
   EngineConfig config;
   config.jobs = 2;
   ExperimentEngine engine(config);
-  const ScenarioResult direct = runScenario(request.scenario, engine);
+  const ScenarioSpec& spec = request.scenario;
+  const ScenarioResult direct = runScenario(spec, engine);
 
   const ServiceJob job(request);
   std::vector<ServiceTaskResult> results;
-  for (std::size_t p = 0; p < job.plan().rowCount; ++p) {
+  for (std::size_t p = 0; p < job.plan().taskCount(); ++p) {
     results.push_back(job.execute(p));
   }
-  const std::vector<SweepRow> assembled = job.assembleRows(results);
-  ASSERT_EQ(assembled.size(), direct.rows.size());
-  for (std::size_t i = 0; i < assembled.size(); ++i) {
-    EXPECT_EQ(assembled[i], direct.rows[i]) << "row " << i;
+  const ServiceJobResult assembled = job.assemble(results);
+
+  ASSERT_EQ(assembled.rows.size(), direct.rows.size());
+  for (std::size_t i = 0; i < assembled.rows.size(); ++i) {
+    EXPECT_EQ(assembled.rows[i], direct.rows[i]) << "row " << i;
   }
+  ASSERT_EQ(assembled.instances.size(), direct.instances.size());
+  for (std::size_t i = 0; i < assembled.instances.size(); ++i) {
+    const SweepInstance& got = assembled.instances[i];
+    const SweepInstance& want = direct.instances[i];
+    EXPECT_EQ(got.n, want.n) << "instance " << i;
+    EXPECT_EQ(got.seedIndex, want.seedIndex) << "instance " << i;
+    EXPECT_EQ(got.instanceSeed, want.instanceSeed) << "instance " << i;
+    EXPECT_EQ(got.portfolio.bestRounds, want.portfolio.bestRounds)
+        << "instance " << i;
+    EXPECT_EQ(got.portfolio.bestName, want.portfolio.bestName)
+        << "instance " << i;
+    ASSERT_EQ(got.portfolio.entries.size(), want.portfolio.entries.size());
+    for (std::size_t m = 0; m < got.portfolio.entries.size(); ++m) {
+      EXPECT_EQ(got.portfolio.entries[m].name, want.portfolio.entries[m].name);
+      EXPECT_EQ(got.portfolio.entries[m].rounds,
+                want.portfolio.entries[m].rounds);
+      EXPECT_EQ(got.portfolio.entries[m].completed,
+                want.portfolio.entries[m].completed);
+    }
+  }
+
+  if (!requestWantsBeamWitnesses(request)) {
+    EXPECT_TRUE(assembled.beamRounds.empty());
+    return;
+  }
+  ASSERT_EQ(assembled.beamRounds.size(), spec.sizes.size());
+  for (std::size_t i = 0; i < spec.sizes.size(); ++i) {
+    const std::size_t n = spec.sizes[i];
+    const std::size_t expected =
+        n <= request.beamMaxN
+            ? runScenarioBeamTask(n, spec.masterSeed, i, request.beamWidth)
+            : 0;
+    EXPECT_EQ(assembled.beamRounds[i], expected) << "size " << n;
+  }
+}
+
+TEST(ServiceJobTest, AssembledRowsMatchRunScenario) {
+  ServiceRequest thm31;
+  thm31.scenario.sizes = {4, 6, 12};
+  thm31.scenario.seedsPerSize = 2;
+  thm31.scenario.masterSeed = 3;
+  thm31.beamMaxN = 6;  // n = 12 gets a trivial, unsearched beam task
+  thm31.beamWidth = 16;
+  expectAssemblyMatchesDirectRuns(thm31);
+
+  ServiceRequest model;
+  model.scenario.dynamics = "edge-markovian:p=0.3,q=0.3";
+  model.scenario.sizes = {6, 8, 10};
+  model.scenario.seedsPerSize = 3;
+  model.scenario.masterSeed = 5;
+  expectAssemblyMatchesDirectRuns(model);
 }
 
 /// FNV-1a of every task key of `request`, one per line, position order.

@@ -10,13 +10,17 @@
 #   2. submit a spec with a bad parameter value — it must exit 2 and
 #      leave the state dir's manifest count unchanged;
 #   3. resubmit the first request — zero tasks may execute (100% cache
-#      hits), same bytes.
+#      hits), same bytes;
+#   4. submit a model-zoo sweep (edge-markovian) — its CSV must be
+#      byte-identical to the golden `dynbcast sweep --dynamics=…` is
+#      gated against, which sits next to <golden-csv>.
 #
 # Usage: service_smoke_test.sh <dynbcast-binary> <golden-csv> <workdir> <workers>
 set -euo pipefail
 
 BIN="$1"
 GOLDEN="$2"
+DYNAMICS_GOLDEN="$(dirname "$GOLDEN")/cli_dynamics_edge_markovian_sizes8_32_2.csv"
 WORKDIR="$3"
 WORKERS="$4"
 
@@ -25,7 +29,7 @@ mkdir -p "$WORKDIR"
 SOCK="$WORKDIR/sock"
 
 "$BIN" serve --socket="$SOCK" --state="$WORKDIR/state" \
-  --workers="$WORKERS" --jobs=2 --worker-max-tasks=7 --max-requests=2 \
+  --workers="$WORKERS" --jobs=2 --worker-max-tasks=7 --max-requests=3 \
   >"$WORKDIR/serve.log" 2>&1 &
 SERVER=$!
 trap 'kill "$SERVER" 2>/dev/null || true' EXIT
@@ -82,6 +86,16 @@ grep -Eq 'service: .* cache-hits=[1-9][0-9]* executed=0$' \
   exit 1
 }
 
+# The model-zoo report through the service, against the direct sweep's
+# golden (its first worker wave is fault-injected too).
+"$BIN" submit --socket="$SOCK" --dynamics=edge-markovian:p=0.05,q=0.25 \
+  --sizes=8:32:2 --seeds=4 --csv="$WORKDIR/served_dynamics.csv" \
+  >"$WORKDIR/submit3.out"
+cmp "$WORKDIR/served_dynamics.csv" "$DYNAMICS_GOLDEN" || {
+  echo "FAIL: served dynamics CSV differs from the sweep golden (workers=$WORKERS)"
+  exit 1
+}
+
 wait "$SERVER"
 trap - EXIT
-echo "PASS: served CSV byte-identical (workers=$WORKERS), resubmit 100% cached, bad value rejected"
+echo "PASS: served CSVs byte-identical (workers=$WORKERS), resubmit 100% cached, bad value rejected"

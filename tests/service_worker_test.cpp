@@ -70,13 +70,13 @@ void writeManifestFor(const std::string& manifestPath,
   EXPECT_TRUE(state.has_value() && state->complete());
   const ServiceJob job(request);
   std::vector<ServiceTaskResult> results;
-  for (std::size_t p = 0; p < job.plan().rowCount; ++p) {
+  for (std::size_t p = 0; p < job.plan().taskCount(); ++p) {
     const auto& record = state->records[p];
     EXPECT_TRUE(record.has_value()) << "position " << p;
     results.push_back({record->rounds, record->completed});
   }
   TextTable table({"n", "seed", "member", "rounds", "completed"});
-  for (const SweepRow& row : job.assembleRows(results)) {
+  for (const SweepRow& row : job.assemble(results).rows) {
     table.row()
         .add(static_cast<std::uint64_t>(row.n))
         .add(row.instanceSeed)
@@ -255,6 +255,58 @@ TEST_F(ServiceWorkerTest, OverlappingSweepsExecuteOnlyTheDelta) {
   EXPECT_EQ(thirdReport.cacheHits, 4u);
   EXPECT_EQ(thirdReport.executed, 0u);
   EXPECT_EQ(manifestCsv(again, small), manifestCsv(smallRef, small));
+}
+
+// The budget cuts the pending list before any cache lookup, so under
+// maxTasks a partly cached range counts hits and executions together
+// against the budget, in position order.
+TEST_F(ServiceWorkerTest, BudgetCoversCacheHitsAndExecutionsAlike) {
+  const ServiceRequest small = makeRequest({6, 8});          // 4 rows
+  const ServiceRequest large = makeRequest({6, 8, 10, 12});  // 8 rows
+  const std::string cacheDir = path("cache");
+
+  const std::string reference = path("reference.manifest");
+  writeManifestFor(reference, large);
+  WorkerOptions cold;
+  cold.manifestPath = reference;
+  (void)runManifestWorker(cold);
+
+  // Positions 0-3 (sizes 6 and 8) land in the cache.
+  const std::string smallManifest = path("small.manifest");
+  writeManifestFor(smallManifest, small);
+  WorkerOptions warmup;
+  warmup.manifestPath = smallManifest;
+  warmup.cacheDir = cacheDir;
+  ASSERT_EQ(runManifestWorker(warmup).executed, 4u);
+
+  // Range [2, 8) is 6 pending tasks, 2 of them cached; the budget of 4
+  // takes positions 2-5: the two cached ones and two misses.
+  const std::string manifest = path("budget.manifest");
+  writeManifestFor(manifest, large);
+  WorkerOptions budget;
+  budget.manifestPath = manifest;
+  budget.cacheDir = cacheDir;
+  budget.rangeBegin = 2;
+  budget.maxTasks = 4;
+  const WorkerReport first = runManifestWorker(budget);
+  EXPECT_EQ(first.assigned, 6u);
+  EXPECT_EQ(first.cacheHits + first.executed, 4u);
+  EXPECT_EQ(first.cacheHits, 2u);
+  EXPECT_EQ(first.executed, 2u);
+  EXPECT_EQ(first.remaining, 2u);
+  EXPECT_EQ(loadManifest(manifest)->doneCount, 4u);
+
+  // An unrestricted run over the whole manifest drains the rest:
+  // positions 0 and 1 from the cache, 6 and 7 executed.
+  WorkerOptions finish;
+  finish.manifestPath = manifest;
+  finish.cacheDir = cacheDir;
+  const WorkerReport second = runManifestWorker(finish);
+  EXPECT_EQ(second.alreadyDone, 4u);
+  EXPECT_EQ(second.cacheHits, 2u);
+  EXPECT_EQ(second.executed, 2u);
+  EXPECT_EQ(second.remaining, 0u);
+  EXPECT_EQ(manifestCsv(manifest, large), manifestCsv(reference, large));
 }
 
 /// A rooted-tree request with 9 replicates per (size, member) cell of two

@@ -10,7 +10,6 @@
 #include <map>
 
 #include "bench/driver.h"
-#include "src/adversary/beam.h"
 #include "src/adversary/portfolio.h"
 #include "src/adversary/registry.h"
 #include "src/analysis/csv.h"
@@ -146,9 +145,7 @@ void emitSummary(const std::vector<SweepRow>& rows) {
 }
 
 /// The Theorem 3.1 bracket table: one row per size, best-of portfolio
-/// and beam witness vs the paper's bounds. Shared by `sweep` (direct
-/// execution) and `submit` (served execution) — byte-identical output
-/// is a requirement, so there is exactly one renderer.
+/// and beam witness vs the paper's bounds.
 [[nodiscard]] TextTable thm31Table(
     const std::vector<std::size_t>& sizes, std::size_t replicates,
     const std::vector<SweepInstance>& instances,
@@ -198,11 +195,12 @@ void emitPerAdversaryDetail(const std::vector<SweepInstance>& instances) {
   std::cout << per.render() << '\n';
 }
 
-/// The model-zoo sweep table: one row per (n, seed, member) run. Shared
-/// by `sweep --dynamics=SPEC` and `submit` for the same reason as
-/// thm31Table.
-[[nodiscard]] TextTable dynamicsRowsTable(const std::vector<SweepRow>& rows) {
-  TextTable table({"n", "seed", "member", "rounds", "rounds/n", "completed"});
+/// One table row per (n, seed, member) run: the model-zoo sweep's table
+/// (member column "member") and `portfolio`'s ("adversary").
+[[nodiscard]] TextTable rowsTable(const std::vector<SweepRow>& rows,
+                                  const std::string& memberColumn) {
+  TextTable table(
+      {"n", "seed", memberColumn, "rounds", "rounds/n", "completed"});
   for (const SweepRow& row : rows) {
     table.row()
         .add(static_cast<std::uint64_t>(row.n))
@@ -215,30 +213,88 @@ void emitPerAdversaryDetail(const std::vector<SweepInstance>& instances) {
   return table;
 }
 
-/// `sweep --dynamics=SPEC` for anything but the default rooted-tree
-/// dynamics: the model-zoo sweep. Same driver dialect, unified rows,
-/// deterministic at any --jobs.
-int runDynamicsSweep(BenchDriver& driver, const std::string& dynamicsText,
-                     bool wantSummary) {
-  ScenarioSpec scenario;
-  scenario.dynamics = dynamicsText;
-  scenario.sizes = driver.sizes();
-  scenario.masterSeed = driver.seed();
-  scenario.seedsPerSize = driver.seedsPerSize();
-  scenario.roundCap = driver.options().getUInt("cap", 0);
-  scenario.adversaries =
-      splitSpecList(driver.options().getString("adversaries", ""));
-  scenario.backend =
-      parseBackendChoice(driver.options().getString("backend", "auto"));
+/// Prints the table; also writes it to --csv when the flag is present.
+void emitTable(const Options& opts, const TextTable& table) {
+  std::cout << table.render() << '\n';
+  if (opts.has("csv")) {
+    const std::string path = opts.getString("csv", "sweep.csv");
+    writeCsv(path, table);
+    std::cout << "wrote CSV to " << path << '\n';
+  }
+}
 
-  validateScenario(scenario);  // before any output
-  driver.printHeader("SWEEP — dynamics=" +
-                     DynamicsSpec::parse(dynamicsText).toString() +
-                     ", backend=" + backendChoiceName(scenario.backend));
-  const ScenarioResult result = runScenario(scenario, driver.engine());
-  driver.emit(dynamicsRowsTable(result.rows));
-  if (wantSummary) emitSummary(result.rows);
+/// What sets one command's report apart from the other's: the banner's
+/// parenthetical, a note under the banner, and lines after the tables.
+struct ReportFrame {
+  std::string provenance;
+  std::string preamble;
+  std::string footer;
+};
+
+/// The one report of a finished job, shared by `sweep` (in-process) and
+/// `submit` (served), whose stdout and CSV must match byte for byte: the
+/// Theorem 3.1 bracket report when the request has a beam pass, else the
+/// model-zoo rows. Returns the exit code, 1 on an upper-bound violation.
+int emitJobReport(const Options& opts, const ServiceRequest& request,
+                  const ServiceJobResult& result, const ReportFrame& frame) {
+  const ScenarioSpec& spec = request.scenario;
+  const bool thm31 = requestWantsBeamWitnesses(request);
+  const std::string title =
+      thm31 ? std::string("THM31 — adversaries vs Theorem 3.1")
+            : "SWEEP — dynamics=" +
+                  DynamicsSpec::parse(spec.dynamics).toString() +
+                  ", backend=" + backendChoiceName(spec.backend);
+  std::cout << title << " (" << frame.provenance << ")\n\n" << frame.preamble;
+  if (!thm31) {
+    emitTable(opts, rowsTable(result.rows, "member"));
+    if (opts.has("summary")) emitSummary(result.rows);
+    std::cout << frame.footer;
+    return 0;
+  }
+  bool anyViolation = false;
+  emitTable(opts, thm31Table(spec.sizes, spec.seedsPerSize, result.instances,
+                             result.beamRounds, &anyViolation));
+  emitPerAdversaryDetail(result.instances);
+  if (opts.has("summary")) emitSummary(result.rows);
+  std::cout << frame.footer;
+  if (anyViolation) {
+    std::cout << "RESULT: UPPER BOUND VIOLATION DETECTED (bug!)\n";
+    return 1;
+  }
+  std::cout << "RESULT: all runs within the theorem's upper bound.\n";
   return 0;
+}
+
+/// The scenario flags the scenario commands share (--objective,
+/// --dynamics, --sizes, --seed, --seeds, --cap, --adversaries,
+/// --backend), read into a spec. A command rejects the flags it does not
+/// take before this runs, so those keep their defaults.
+[[nodiscard]] ScenarioSpec scenarioFromFlags(const Options& opts,
+                                             const std::string& defaultSizes) {
+  ScenarioSpec scenario;
+  scenario.objective = parseObjective(opts.getString("objective", "broadcast"));
+  scenario.dynamics = opts.getString("dynamics", "rooted-tree");
+  scenario.sizes = parseSizeList(opts.getString("sizes", defaultSizes));
+  scenario.masterSeed = opts.getUInt("seed", 1);
+  scenario.seedsPerSize = opts.getUInt("seeds", 1);
+  scenario.roundCap = opts.getUInt("cap", 0);
+  scenario.adversaries = splitSpecList(opts.getString("adversaries", ""));
+  scenario.backend = parseBackendChoice(opts.getString("backend", "auto"));
+  return scenario;
+}
+
+/// The request `sweep` runs and `submit` sends, validated before any
+/// output: bad specs fail with the registry's or the beam's message.
+[[nodiscard]] ServiceRequest requestFromFlags(const Options& opts) {
+  ServiceRequest request;
+  request.scenario = scenarioFromFlags(opts, "4:128:2");
+  // Beam witness search is the strongest (offline) adversary; it costs
+  // real time and its advantage concentrates at small-to-mid n, so it
+  // runs only up to a size cap by default.
+  request.beamMaxN = opts.getUInt("beam-maxn", 32);
+  request.beamWidth = opts.getUInt("beam-width", 256);
+  validateServiceRequest(request);
+  return request;
 }
 
 }  // namespace
@@ -270,63 +326,30 @@ int runSweepCommand(int argc, const char* const* argv) {
     driver.options().requireKnown(
         {"sizes", "seed", "seeds", "jobs", "csv", "summary", "dynamics",
          "adversaries", "cap", "backend", "beam-maxn", "beam-width"});
-    const bool wantSummary = driver.options().has("summary");
-    const std::string dynamicsText =
-        driver.options().getString("dynamics", "rooted-tree");
-    if (DynamicsSpec::parse(dynamicsText).toString() != "rooted-tree") {
-      // Any non-default dynamics runs the model-zoo sweep; the theorem
-      // bracket below is specific to unrestricted rooted trees.
-      return runDynamicsSweep(driver, dynamicsText, wantSummary);
+    // The same job a server would run for `submit` with these flags: any
+    // non-default dynamics is a model-zoo sweep, the default rooted-tree
+    // dynamics adds one beam-witness task per size. Every task, rows and
+    // beam tasks alike, is one pool task; map()'s seeds go unused, as
+    // tasks derive theirs from (request, position).
+    const ServiceRequest request = requestFromFlags(driver.options());
+    const ServiceJob job(request);
+    const std::vector<ServiceTaskResult> results =
+        driver.engine().map<ServiceTaskResult>(
+            job.plan().taskCount(), 0,
+            [&job](std::size_t position, std::uint64_t) {
+              return job.execute(position);
+            });
+
+    ReportFrame frame;
+    frame.provenance = "seed=" + std::to_string(driver.seed()) +
+                       ", jobs=" + std::to_string(driver.jobs());
+    if (requestWantsBeamWitnesses(request)) {
+      frame.preamble =
+          "best t* = max(online portfolio, offline beam witness for n <= " +
+          std::to_string(request.beamMaxN) + ")\n\n";
     }
-    // Beam witness search is the strongest (offline) adversary; it costs
-    // real time and its advantage concentrates at small-to-mid n, so it
-    // runs only up to a size cap by default.
-    const std::size_t beamMaxN = driver.options().getUInt("beam-maxn", 32);
-    const std::size_t beamWidth = driver.options().getUInt("beam-width", 256);
-    // Portfolio sweep as a declarative scenario: sizes × seed replicates
-    // × adversary specs (default = the standard portfolio).
-    ScenarioSpec scenario;
-    scenario.sizes = driver.sizes();
-    scenario.masterSeed = driver.seed();
-    scenario.seedsPerSize = driver.seedsPerSize();
-    scenario.roundCap = driver.options().getUInt("cap", 0);
-    scenario.adversaries =
-        splitSpecList(driver.options().getString("adversaries", ""));
-    // Rooted trees are adversary-driven, so only dense/auto resolve;
-    // validateScenario rejects an explicit --backend=sparse with the
-    // right error instead of silently ignoring the flag.
-    scenario.backend =
-        parseBackendChoice(driver.options().getString("backend", "auto"));
-    // Check the beam pass's config and the scenario before any output.
-    validateBeamConfig(scenarioBeamConfig(beamWidth));
-    validateScenario(scenario);
-
-    driver.printHeader("THM31 — adversaries vs Theorem 3.1");
-    std::cout << "best t* = max(online portfolio, offline beam witness for "
-                 "n <= "
-              << beamMaxN << ")\n\n";
-    const ScenarioResult sweep = runScenario(scenario, driver.engine());
-
-    // Beam witnesses fan out too: one task per size within the beam cap.
-    const std::vector<std::size_t>& sizes = driver.sizes();
-    const auto beamRows = driver.engine().map<std::size_t>(
-        sizes.size(), 0, [&](std::size_t i, std::uint64_t) -> std::size_t {
-          if (sizes[i] > beamMaxN) return 0;
-          return runScenarioBeamTask(sizes[i], driver.seed(), i, beamWidth);
-        });
-
-    bool anyViolation = false;
-    driver.emit(thm31Table(sizes, driver.seedsPerSize(), sweep.instances,
-                           beamRows, &anyViolation));
-    emitPerAdversaryDetail(sweep.instances);
-    if (wantSummary) emitSummary(sweep.rows);
-
-    if (anyViolation) {
-      std::cout << "RESULT: UPPER BOUND VIOLATION DETECTED (bug!)\n";
-      return 1;
-    }
-    std::cout << "RESULT: all runs within the theorem's upper bound.\n";
-    return 0;
+    return emitJobReport(driver.options(), request, job.assemble(results),
+                         frame);
   });
 }
 
@@ -336,20 +359,7 @@ int runPortfolio(int argc, const char* const* argv) {
     driver.options().requireKnown({"sizes", "seed", "seeds", "jobs", "csv",
                                    "summary", "objective", "dynamics",
                                    "adversaries", "cap", "backend"});
-    ScenarioSpec scenario;
-    scenario.objective =
-        parseObjective(driver.options().getString("objective", "broadcast"));
-    scenario.dynamics =
-        driver.options().getString("dynamics", "rooted-tree");
-    scenario.sizes = driver.sizes();
-    scenario.masterSeed = driver.seed();
-    scenario.seedsPerSize = driver.seedsPerSize();
-    scenario.roundCap = driver.options().getUInt("cap", 0);
-    scenario.adversaries =
-        splitSpecList(driver.options().getString("adversaries", ""));
-    scenario.backend =
-        parseBackendChoice(driver.options().getString("backend", "auto"));
-
+    const ScenarioSpec scenario = scenarioFromFlags(driver.options(), "8:64:2");
     validateScenario(scenario);  // before any output
     driver.printHeader(
         "SCENARIO — objective=" + objectiveName(scenario.objective) +
@@ -357,20 +367,7 @@ int runPortfolio(int argc, const char* const* argv) {
         ", backend=" + backendChoiceName(scenario.backend));
     const ScenarioResult result = runScenario(scenario, driver.engine());
 
-    TextTable table(
-        {"n", "seed", "adversary", "rounds", "rounds/n", "completed"});
-    for (const ScenarioRow& row : result.rows) {
-      table.row()
-          .add(static_cast<std::uint64_t>(row.n))
-          .add(static_cast<std::uint64_t>(row.seedIndex))
-          .add(row.member)
-          .add(static_cast<std::uint64_t>(row.rounds))
-          .add(static_cast<double>(row.rounds) /
-                   static_cast<double>(row.n),
-               3)
-          .add(row.completed ? "yes" : "no");
-    }
-    driver.emit(table);
+    emitTable(driver.options(), rowsTable(result.rows, "adversary"));
 
     std::cout << "strongest adversary per instance (Definition 2.3's "
                  "max over the listed specs):\n";
@@ -405,7 +402,7 @@ int runDuel(int argc, const char* const* argv) {
 
     std::cout << "adversary duel at n = " << n << " (seed " << seed
               << ")\n\n";
-    const PortfolioResult result = runPortfolio(n, seed, members);
+    const PortfolioResult result = runPortfolio(n, members);
 
     TextTable table({"adversary", "t*", "t*/n", "vs static path"});
     for (const auto& e : result.entries) {
@@ -515,13 +512,6 @@ namespace {
   return std::string(buffer);
 }
 
-void emitServiceStats(const SubmitOutcome& outcome) {
-  std::cout << "service: job=" << outcome.jobId
-            << " tasks=" << outcome.tasks << " resumed=" << outcome.resumed
-            << " cache-hits=" << outcome.cacheHits
-            << " executed=" << outcome.executed << '\n';
-}
-
 }  // namespace
 
 int runServe(int argc, const char* const* argv) {
@@ -569,64 +559,23 @@ int runSubmit(int argc, const char* const* argv) {
     if (socket.empty()) {
       throw std::invalid_argument("submit: --socket=PATH is required");
     }
-    ServiceRequest request;
-    request.scenario.objective =
-        parseObjective(opts.getString("objective", "broadcast"));
-    request.scenario.dynamics = opts.getString("dynamics", "rooted-tree");
-    request.scenario.sizes =
-        parseSizeList(opts.getString("sizes", "4:128:2"));
-    request.scenario.masterSeed = opts.getUInt("seed", 1);
-    request.scenario.seedsPerSize = opts.getUInt("seeds", 1);
-    request.scenario.roundCap = opts.getUInt("cap", 0);
-    request.scenario.adversaries =
-        splitSpecList(opts.getString("adversaries", ""));
-    request.scenario.backend =
-        parseBackendChoice(opts.getString("backend", "auto"));
-    request.beamMaxN = opts.getUInt("beam-maxn", 32);
-    request.beamWidth = opts.getUInt("beam-width", 256);
-    // Fail bad specs client-side with the registry's full message
-    // instead of a round-trip to the server.
-    validateServiceRequest(request);
+    // Validated client-side: a bad spec fails with the registry's full
+    // message instead of a round-trip to the server.
+    const ServiceRequest request = requestFromFlags(opts);
 
     // PROGRESS goes to stderr so stdout stays table-shaped like sweep's.
     const SubmitOutcome outcome =
         submitRequest(socket, request, &std::cerr);
 
-    const auto emitTable = [&](const TextTable& table) {
-      std::cout << table.render() << '\n';
-      if (opts.has("csv")) {
-        const std::string path = opts.getString("csv", "sweep.csv");
-        writeCsv(path, table);
-        std::cout << "wrote CSV to " << path << '\n';
-      }
-    };
-
-    if (requestWantsBeamWitnesses(request)) {
-      std::cout << "THM31 — adversaries vs Theorem 3.1 (served; seed="
-                << request.scenario.masterSeed << ")\n\n";
-      bool anyViolation = false;
-      emitTable(thm31Table(request.scenario.sizes,
-                           request.scenario.seedsPerSize, outcome.instances,
-                           outcome.beamRounds, &anyViolation));
-      emitPerAdversaryDetail(outcome.instances);
-      if (opts.has("summary")) emitSummary(outcome.rows);
-      emitServiceStats(outcome);
-      if (anyViolation) {
-        std::cout << "RESULT: UPPER BOUND VIOLATION DETECTED (bug!)\n";
-        return 1;
-      }
-      std::cout << "RESULT: all runs within the theorem's upper bound.\n";
-      return 0;
-    }
-
-    std::cout << "SWEEP — dynamics="
-              << DynamicsSpec::parse(request.scenario.dynamics).toString()
-              << ", backend=" << backendChoiceName(request.scenario.backend)
-              << " (served; seed=" << request.scenario.masterSeed << ")\n\n";
-    emitTable(dynamicsRowsTable(outcome.rows));
-    if (opts.has("summary")) emitSummary(outcome.rows);
-    emitServiceStats(outcome);
-    return 0;
+    ReportFrame frame;
+    frame.provenance =
+        "served; seed=" + std::to_string(request.scenario.masterSeed);
+    frame.footer = "service: job=" + outcome.jobId +
+                   " tasks=" + std::to_string(outcome.tasks) +
+                   " resumed=" + std::to_string(outcome.resumed) +
+                   " cache-hits=" + std::to_string(outcome.cacheHits) +
+                   " executed=" + std::to_string(outcome.executed) + "\n";
+    return emitJobReport(opts, request, outcome, frame);
   });
 }
 
