@@ -2,9 +2,10 @@
 //
 // Times (a) the raw-word kernels (through the runtime SIMD dispatch
 // table), tree construction, the damage-greedy tree builder, one
-// greedy-delay and one local-search round, and the blocked boolean
-// product against naive references, (b) BroadcastSim round throughput
-// and the dense-vs-sparse t* crossover, and (c) the end-to-end thm31
+// greedy-delay and one local-search round, the sparse t* certifier on
+// the two-phase line, and the blocked boolean product against naive
+// references, (b) BroadcastSim round throughput and the
+// dense-vs-sparse t* crossover, and (c) the end-to-end thm31
 // portfolio sweep, then emits machine-readable JSON:
 //
 //   BENCH_kernels.json — per-kernel ns/op and GiB/s
@@ -33,6 +34,7 @@
 #include <filesystem>
 
 #include "bench/driver.h"
+#include "bench/two_phase_rounds.h"
 #include "src/adversary/adaptive.h"
 #include "src/adversary/beam.h"
 #include "src/adversary/local_search.h"
@@ -49,6 +51,7 @@
 #include "src/service/worker.h"
 #include "src/support/file_lock.h"
 #include "src/sim/broadcast_sim.h"
+#include "src/sim/frontier_sim.h"
 #include "src/support/bitset.h"
 #include "src/support/eval_scratch.h"
 #include "src/support/rng.h"
@@ -274,6 +277,21 @@ KernelResult benchEdgeMarkovianRound(std::size_t n, double minSeconds,
       },
       /*firstBatch=*/1);
   KernelResult r{"edgeMarkovianRound", n, reps, 0.0, 0.0};
+  r.nsPerOp = secs * 1e9 / static_cast<double>(reps);
+  return r;
+}
+
+/// One runFrontierTStar per op over the two-phase line at n: the sparse
+/// certifier on an adversarial line, t* = lowerBound(n) ≈ 1.5n rounds.
+KernelResult benchFrontierTwoPhase(std::size_t n, double minSeconds) {
+  TwoPhaseRoundSource source(n);
+  FrontierTStarOptions options;
+  options.maxRounds = 4 * n;
+  auto [reps, secs] = timeLoop(
+      minSeconds,
+      [&] { consume(runFrontierTStar(n, source, options).rounds); },
+      /*firstBatch=*/1);
+  KernelResult r{"frontierTStar:twoPhase", n, reps, 0.0, 0.0};
   r.nsPerOp = secs * 1e9 / static_cast<double>(reps);
   return r;
 }
@@ -641,6 +659,9 @@ int main(int argc, char** argv) {
   // One local-search round at the same n, gated like greedyDelayRound;
   // appended, so every row above draws the same random inputs as before.
   kernels.push_back(benchLocalSearchRound(256, minSeconds, driver.seed()));
+  // The sparse t* certifier on the two-phase line at n = 1024, fixed in
+  // quick and full mode alike and not gated; last, like the row above.
+  kernels.push_back(benchFrontierTwoPhase(1024, minSeconds));
 
   TextTable kernelTable({"kernel", "bits/n", "reps", "ns/op", "GiB/s"});
   for (const KernelResult& k : kernels) {

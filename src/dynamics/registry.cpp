@@ -4,6 +4,7 @@
 #include "src/dynamics/registry.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -302,9 +303,11 @@ class EdgeMarkovianModel final : public SeededGraphModel {
 
   /// One native chain step of sparseKeys_. Every death is drawn first,
   /// in key order, as one bit per present key; then the births are
-  /// skip-sampled in ascending order and merged with the survivors in a
-  /// single pass, a cursor over the old keys rejecting present pairs.
-  /// The RNG draws are those of "all deaths, then all births".
+  /// skip-sampled in ascending order into a fixed-size chunk, and each
+  /// full chunk is merged with the surviving old keys by a branch-free
+  /// two-pointer pass (mergeBirthChunk). The RNG draws are those of "all
+  /// deaths, then all births": the merge draws nothing, so chunking
+  /// cannot reorder them.
   void evolveSparseKeys(std::uint64_t space) {
     const std::size_t present = sparseKeys_.size();
     deathBits_.assign((present + 63) / 64, 0);
@@ -312,46 +315,79 @@ class EdgeMarkovianModel final : public SeededGraphModel {
       deathBits_[k / 64] |= static_cast<std::uint64_t>(rng_.chance(q_))
                             << (k % 64);
     }
-    // Survivors are written without a branch: each slot is filled and
-    // kept only when its key lives, so the buffer needs room for every
-    // remaining old key plus one birth. It grows by a sixteenth, not by
-    // vector's doubling, since births and deaths nearly balance.
-    const auto makeRoom = [this](std::size_t needed) {
-      if (needed > mergedKeys_.capacity()) {
-        mergedKeys_.reserve(needed + needed / 16 + 64);
-      }
-      mergedKeys_.resize(mergedKeys_.capacity());
-    };
     // Its old contents are stale: drop them when a reallocation would
     // copy them.
     if (mergedKeys_.capacity() <= present) mergedKeys_.clear();
-    makeRoom(present + 1);
+    MergeCursor at;
+    std::size_t pending = 0;
+    skipSampleBernoulli(space, p_, rng_, [&](std::uint64_t i) {
+      birthChunk_[pending++] = i;
+      if (pending == birthChunk_.size()) {
+        mergeBirthChunk(pending, at);
+        pending = 0;
+      }
+    });
+    mergeBirthChunk(pending, at);
+    // The survivors above the last birth.
     const std::uint64_t* old = sparseKeys_.data();
     const std::uint64_t* dead = deathBits_.data();
-    std::size_t written = 0;
-    std::size_t k = 0;
-    const auto keepSurvivorsBelow = [&](std::uint64_t bound) {
-      std::uint64_t* next = mergedKeys_.data();
-      std::size_t w = written;
-      std::size_t j = k;
-      for (; j < present && old[j] < bound; ++j) {
-        next[w] = old[j];
-        w += ((dead[j / 64] >> (j % 64)) & 1) ^ 1;
-      }
-      written = w;
-      k = j;
-    };
-    skipSampleBernoulli(space, p_, rng_, [&](std::uint64_t i) {
-      keepSurvivorsBelow(i);
-      if (k < present && old[k] == i) return;  // present: no birth
-      if (written + (present - k) + 1 > mergedKeys_.size()) {
-        makeRoom(written + (present - k) + 1);
-      }
-      mergedKeys_[written++] = i;
-    });
-    keepSurvivorsBelow(space);
-    mergedKeys_.resize(written);
+    std::uint64_t* next = mergedKeys_.data();
+    std::size_t w = at.written;
+    for (std::size_t k = at.old; k < present; ++k) {
+      next[w] = old[k];
+      w += ((dead[k / 64] >> (k % 64)) & 1) ^ 1;
+    }
+    mergedKeys_.resize(w);
     sparseKeys_.swap(mergedKeys_);
+  }
+
+  /// Where the merge of one chain step stands: the old keys consumed and
+  /// the next round's keys written so far.
+  struct MergeCursor {
+    std::size_t old = 0;
+    std::size_t written = 0;
+  };
+
+  /// Merges birthChunk_[0, count) with the old keys from at.old on,
+  /// until the chunk is consumed. Each step writes min(old key, birth)
+  /// and advances the side(s) that hold it; an old key is kept only if
+  /// it lives, and a birth equal to an old key is rejected (a present
+  /// pair only faces death this round, exactly as in the dense step). No
+  /// step branches on the keys, so a birth landing between survivors
+  /// costs no mispredict.
+  void mergeBirthChunk(std::size_t count, MergeCursor& at) {
+    const std::size_t present = sparseKeys_.size();
+    // Every slot is written before it is kept, so the buffer needs room
+    // for every remaining old key plus the chunk. It grows by a
+    // sixteenth, not by vector's doubling, since births and deaths
+    // nearly balance.
+    const std::size_t needed = at.written + (present - at.old) + count;
+    if (needed > mergedKeys_.capacity()) {
+      mergedKeys_.reserve(needed + needed / 16 + 64);
+    }
+    mergedKeys_.resize(mergedKeys_.capacity());
+    const std::uint64_t* old = sparseKeys_.data();
+    const std::uint64_t* dead = deathBits_.data();
+    const std::uint64_t* births = birthChunk_.data();
+    std::uint64_t* next = mergedKeys_.data();
+    std::size_t w = at.written;
+    std::size_t k = at.old;
+    std::size_t b = 0;
+    while (b < count && k < present) {
+      const std::uint64_t key = old[k];
+      const std::uint64_t birth = births[b];
+      const std::size_t takeOld = key <= birth;
+      const std::size_t takeBirth = birth <= key;
+      const std::size_t died = (dead[k / 64] >> (k % 64)) & 1;
+      next[w] = std::min(key, birth);
+      w += 1 - (takeOld & died);
+      k += takeOld;
+      b += takeBirth;
+    }
+    // The old keys ran out: the rest of the chunk are all births.
+    for (; b < count; ++b) next[w++] = births[b];
+    at.written = w;
+    at.old = k;
   }
 
   double p_;
@@ -364,10 +400,11 @@ class EdgeMarkovianModel final : public SeededGraphModel {
   /// Present off-diagonal arcs as sorted pair-space indices (see
   /// AscendingPairDecoder) — the O(edges) state of the native sparse chain.
   std::vector<std::uint64_t> sparseKeys_;
-  /// Scratch of evolveSparseKeys: the next round's keys, and one death
-  /// bit per present key.
+  /// Scratch of evolveSparseKeys: the next round's keys, one death bit
+  /// per present key, and the births not yet merged.
   std::vector<std::uint64_t> mergedKeys_;
   std::vector<std::uint64_t> deathBits_;
+  std::array<std::uint64_t, 256> birthChunk_{};
 };
 
 /// "t-interval": a uniformly random spanning tree, symmetrized (both

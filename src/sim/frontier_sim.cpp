@@ -1,6 +1,7 @@
 #include "src/sim/frontier_sim.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <numeric>
@@ -191,19 +192,49 @@ void backwardReach(std::size_t t, const std::vector<std::uint32_t>& targets,
   }
 }
 
-/// Exact probe of the monotone predicate "broadcast done by round t":
-/// sampled backward filter over-approximates the broadcaster set
-/// (anything heard by all n nodes is heard by the sampled targets), and
-/// forward certification of candidate batches settles it. When a batch
-/// fails, the nodes it provably missed become the next filter's targets,
-/// so every iteration removes at least the batch — termination is
-/// structural, and the refined targets are the actual laggards.
-bool testRound(std::size_t n, std::size_t t, std::size_t samples,
-               RoundReplayer& rounds, Rng& rng,
-               std::vector<std::uint64_t>& cover,
-               std::vector<std::uint64_t>& prev,
-               std::vector<std::uint64_t>& back) {
-  std::vector<std::uint32_t> targets = pickDistinct(n, samples, rng);
+/// The `count` nodes that the fewest sampled sources had reached in
+/// `words` (one bit per source), ties broken by lowest id, in ascending
+/// id order. A bucket count by popcount picks them in two passes.
+std::vector<std::uint32_t> laggards(const std::vector<std::uint64_t>& words,
+                                    std::size_t count) {
+  std::size_t perCount[65] = {};
+  for (const std::uint64_t w : words) ++perCount[std::popcount(w)];
+  // Every node reached by fewer than `cut` sources is taken, then the
+  // lowest ids among those reached by exactly `cut`.
+  std::size_t cut = 0;
+  std::size_t below = 0;
+  while (below + perCount[cut] < count) below += perCount[cut++];
+  std::size_t atCut = count - below;
+  std::vector<std::uint32_t> out;
+  out.reserve(count);
+  for (std::size_t y = 0; y < words.size(); ++y) {
+    const auto reached = static_cast<std::size_t>(std::popcount(words[y]));
+    if (reached > cut) continue;
+    if (reached == cut) {
+      if (atCut == 0) continue;
+      --atCut;
+    }
+    out.push_back(static_cast<std::uint32_t>(y));
+  }
+  return out;
+}
+
+/// Probes the monotone predicate "broadcast done by round t" exactly and
+/// returns the round at which a certified broadcaster completed (≤ t),
+/// or 0 when none does. The backward filter from `targets`
+/// over-approximates the broadcaster set (anything heard by all n nodes
+/// is heard by the targets), and forward certification of candidate
+/// batches settles it. When a batch fails, the nodes it provably missed
+/// become the next filter's targets, so every iteration removes at least
+/// the batch — termination is structural, and the refined targets are
+/// the batch's actual laggards.
+std::size_t testRound(std::size_t n, std::size_t t,
+                      const std::vector<std::uint32_t>& targets,
+                      RoundReplayer& rounds, FrontierTStarResult& result,
+                      std::vector<std::uint64_t>& cover,
+                      std::vector<std::uint64_t>& prev,
+                      std::vector<std::uint64_t>& back) {
+  ++result.probes;
   backwardReach(t, targets, rounds, back, prev);
   std::uint64_t mask = allBits(targets.size());
   std::vector<std::uint32_t> candidates;
@@ -214,9 +245,10 @@ bool testRound(std::size_t n, std::size_t t, std::size_t samples,
   while (!candidates.empty()) {
     const std::size_t batchSize = std::min<std::size_t>(64, candidates.size());
     batch.assign(candidates.begin(), candidates.begin() + batchSize);
-    if (forwardCompletionRound(n, batch, t, rounds, cover, prev) != 0) {
-      return true;
-    }
+    ++result.batches;
+    const std::size_t done =
+        forwardCompletionRound(n, batch, t, rounds, cover, prev);
+    if (done != 0) return done;
     // Each batch member missed someone; collect one miss per member.
     std::vector<std::uint32_t> missed;
     std::uint64_t unassigned = allBits(batchSize);
@@ -236,7 +268,7 @@ bool testRound(std::size_t n, std::size_t t, std::size_t samples,
     }
     candidates.swap(next);
   }
-  return false;
+  return 0;
 }
 
 }  // namespace
@@ -266,27 +298,34 @@ FrontierTStarResult runFrontierTStar(std::size_t n, SparseRoundSource& source,
     result.roundsGenerated = rounds.totalGenerated();
     return result;
   }
+  // The backward targets of every probe: the nodes the sampled sources
+  // had reached least by round upper − 1, where the first probe looks.
+  const std::vector<std::uint32_t> targets = laggards(prev, samples);
   std::vector<std::uint64_t> back(n);
-  std::size_t hi = upper;
-  if (upper == 0) {
-    // No sampled source finished; an unsampled one still might have.
-    result.certified = true;
-    if (!testRound(n, options.maxRounds, samples, rounds, rng, cover, prev,
-                   back)) {
-      result.rounds = options.maxRounds;
-      result.completed = false;
-      result.roundsGenerated = rounds.totalGenerated();
-      return result;
-    }
-    hi = options.maxRounds;
+  // With no sampled source finished, an unsampled one still might have.
+  std::size_t hi = upper != 0 ? upper
+                              : testRound(n, options.maxRounds, targets,
+                                          rounds, result, cover, prev, back);
+  if (hi == 0) {
+    result.rounds = options.maxRounds;
+    result.completed = false;
+    result.roundsGenerated = rounds.totalGenerated();
+    return result;
   }
-  // Binary search the monotone completion predicate; hi is known-true.
+  // Search the monotone completion predicate; hi is known-true. The
+  // sampled bound is usually within a round of t*, so its first probe
+  // looks one round below it, where a failure settles t* = hi at once;
+  // then it bisects. A success moves hi to the round its batch
+  // completed, which may lie below the probe.
   std::size_t lo = 1;
+  bool belowBound = upper != 0;
   while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    result.certified = true;
-    if (testRound(n, mid, samples, rounds, rng, cover, prev, back)) {
-      hi = mid;
+    const std::size_t mid = belowBound ? hi - 1 : lo + (hi - lo) / 2;
+    belowBound = false;
+    const std::size_t done =
+        testRound(n, mid, targets, rounds, result, cover, prev, back);
+    if (done != 0) {
+      hi = done;
     } else {
       lo = mid + 1;
     }

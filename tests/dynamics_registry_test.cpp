@@ -351,7 +351,10 @@ TEST(DynamicsRegistryTest, NativeSparseRoundsArePinned) {
   // Above kSparseDenseMirrorMaxN the models draw arcs natively, with no
   // dense twin to compare against; these hashes pin exactly which arcs
   // (and RNG draws) that path produces, so a rewrite of the native
-  // generators must reproduce them bit for bit.
+  // generators must reproduce them bit for bit. At p = 0.02 births often
+  // land on present pairs and fill many merge chunks; at q = 1 every
+  // present arc dies, so a birth that lands on one is rejected and
+  // leaves that pair absent.
   struct Pin {
     const char* spec;
     std::size_t n;
@@ -360,6 +363,10 @@ TEST(DynamicsRegistryTest, NativeSparseRoundsArePinned) {
   const Pin pins[] = {
       {"edge-markovian:p=0.0002,q=0.5", 4097, 0x194d5d42ef69c060ull},
       {"edge-markovian:p=0.0002,q=0.5", 5000, 0x2dd99bbeb0495976ull},
+      {"edge-markovian:p=0.02,q=0.2", 4097, 0x95bb4e1ea11e3ceeull},
+      {"edge-markovian:p=0.02,q=0.2", 5000, 0x7860992730150158ull},
+      {"edge-markovian:p=0.02,q=1", 4097, 0xdec3fd6e731bbea3ull},
+      {"edge-markovian:p=0.02,q=1", 5000, 0xb333a41e671d4e79ull},
       {"nonsplit-random", 4097, 0x5ee81f331c80f35full},
       {"nonsplit-random", 5000, 0x8ecdc00a009ebe82ull},
       {"nonsplit-random:p=0.001", 4097, 0x1894f2d776cef873ull},

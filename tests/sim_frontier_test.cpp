@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
+#include "bench/two_phase_rounds.h"
+#include "src/bounds/bounds.h"
 #include "src/graph/bitmatrix.h"
 #include "src/sim/broadcast_sim.h"
 #include "src/sim/frontier_sim.h"
@@ -60,6 +63,11 @@ class VectorRoundSource final : public SparseRoundSource {
   return 0;  // never completed
 }
 
+/// 1 + ⌈log₂ u⌉: the most probes a search below the bound u may take.
+[[nodiscard]] std::size_t probeBound(std::size_t u) {
+  return 1 + static_cast<std::size_t>(std::bit_width(u - 1));
+}
+
 class FrontierTStarTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(FrontierTStarTest, MatchesDenseTStarOnScriptedSequences) {
@@ -81,6 +89,14 @@ TEST_P(FrontierTStarTest, MatchesDenseTStarOnScriptedSequences) {
     options.maxRounds = cap;
     options.sampleSeed = rng();
     const FrontierTStarResult result = runFrontierTStar(n, source, options);
+    // The sampled bound never exceeds the cap, so neither do the probes
+    // of a search below it; the counters replay exactly.
+    EXPECT_LE(result.probes, probeBound(cap))
+        << "n=" << n << " trial=" << trial;
+    const FrontierTStarResult again = runFrontierTStar(n, source, options);
+    EXPECT_EQ(again.probes, result.probes) << "n=" << n << " trial=" << trial;
+    EXPECT_EQ(again.batches, result.batches)
+        << "n=" << n << " trial=" << trial;
     if (expected == 0) {
       EXPECT_FALSE(result.completed) << "n=" << n << " trial=" << trial;
       EXPECT_EQ(result.rounds, cap);
@@ -231,6 +247,25 @@ TEST(FrontierTStarTest, SampleSeedOnlyAffectsPerformance) {
       EXPECT_EQ(result.rounds, expected)
           << "seed=" << seed << " samples=" << samples;
     }
+  }
+}
+
+TEST(FrontierTStarTest, ReproducesTheLowerBoundLine) {
+  // The construction meets ⌈(3n−1)/2⌉ − 2 exactly; above n = 64 the
+  // sampled bound, the laggard targets and the certifier must land on
+  // it too. On this line the sampled bound already is t*, so the first
+  // probe, one round below it, fails and settles t* alone.
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 2; n <= 256; ++n) sizes.push_back(n);
+  sizes.push_back(1024);
+  for (const std::size_t n : sizes) {
+    TwoPhaseRoundSource source(n);
+    FrontierTStarOptions options;
+    options.maxRounds = 4 * n;
+    const FrontierTStarResult result = runFrontierTStar(n, source, options);
+    EXPECT_TRUE(result.completed) << "n=" << n;
+    EXPECT_EQ(result.rounds, bounds::lowerBound(n)) << "n=" << n;
+    EXPECT_LE(result.probes, 1u) << "n=" << n;
   }
 }
 
