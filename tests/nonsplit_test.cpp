@@ -37,7 +37,9 @@ TEST(NonsplitGeneratorTest, SkewedGraphsAreNonsplit) {
 // The graphs themselves, not just the t* they lead to: the content hash
 // of one graph per (generator, n) and the RNG draw that follows it. Any
 // change to which pairs get repaired, or to the order of the draws,
-// moves one of the two. Sizes straddle the 64-bit word boundary.
+// moves one of the two. Sizes straddle the 64-bit word boundary; the
+// random and bernoulli pins at 63 and 127..129 sit where the repair's
+// per-word cursor advances a word or stops at the tail.
 struct GraphPin {
   const char* generator;
   std::size_t n;
@@ -56,12 +58,20 @@ TEST(NonsplitGeneratorTest, GraphsAndNextDrawArePinned) {
   static const GraphPin kPins[] = {
       {"random", 1, 0x57fbe32951ec2d93ull, 0x3a93f636a8fdc171ull},
       {"random", 64, 0xc3a529b385b6565full, 0x2b1c7cf2eab37eaeull},
+      {"random", 63, 0xe71cea156cb928c0ull, 0x269c084ffe045054ull},
       {"random", 65, 0x9de3ee4c39cd4b79ull, 0x10dad9e8776deb05ull},
+      {"random", 127, 0x73a77243814b171full, 0xa905e6dfba51e012ull},
+      {"random", 128, 0x4d74333ba3d978e9ull, 0xe8f50b83d7923615ull},
+      {"random", 129, 0x7a3ed700e46d12fcull, 0xf67d3c01bb838018ull},
       {"random", 257, 0x5691ac5a5511b0adull, 0x5c33d66d9202d05aull},
       {"random", 2048, 0x90ac0f875154d78dull, 0x66a89b67c9be6ef9ull},
       {"bernoulli", 1, 0x57fbe32951ec2d93ull, 0xcd45c7f1de81ef56ull},
       {"bernoulli", 64, 0x7a311cf303b82d60ull, 0xae55fc63ddb0403full},
+      {"bernoulli", 63, 0x625a88c39030ce52ull, 0xa232dc3fe9087014ull},
       {"bernoulli", 65, 0x08546bff50dc548full, 0x377f7a9edfe41d88ull},
+      {"bernoulli", 127, 0x42597abfb4265745ull, 0x087e921c1d4dc8b5ull},
+      {"bernoulli", 128, 0xac7f8e79630692f0ull, 0xa4e9899db128ea1dull},
+      {"bernoulli", 129, 0x1d56b643e17790b3ull, 0x9d80791c2163a9c3ull},
       {"bernoulli", 257, 0x0926ea6542ef5cd4ull, 0x0206f657f5e816b4ull},
       {"bernoulli", 2048, 0xf22a95737b703d57ull, 0xaa67f8875e41c039ull},
       {"skewed", 1, 0x57fbe32951ec2d93ull, 0xcd45c7f1de81ef56ull},
