@@ -3,10 +3,10 @@
 // Times (a) the raw-word kernels (through the runtime SIMD dispatch
 // table), tree construction, the damage-greedy tree builder, one
 // greedy-delay and one local-search round, the sparse t* certifier on
-// the two-phase line, and the blocked boolean product against naive
-// references, (b) BroadcastSim round throughput and the
-// dense-vs-sparse t* crossover, and (c) the end-to-end thm31
-// portfolio sweep, then emits machine-readable JSON:
+// the two-phase line, two dense applyGraph rounds, and the blocked
+// boolean product against naive references, (b) BroadcastSim round
+// throughput and the dense-vs-sparse t* crossover, and (c) the
+// end-to-end thm31 portfolio sweep, then emits machine-readable JSON:
 //
 //   BENCH_kernels.json — per-kernel ns/op and GiB/s
 //   BENCH_sweep.json   — sweep wall times, speedup factors and
@@ -258,6 +258,28 @@ KernelResult benchIsNonsplit(std::size_t n, double minSeconds, Rng& rng) {
   return r;
 }
 
+/// Two applyGraph rounds from the identity per op, on two
+/// randomNonsplitGraph(n, 2n) graphs drawn once: zoo-dense's round
+/// kernel. Round 1's sources are singletons (the bitwise path), round 2's
+/// hold ~140 bits each (the whole-row OR).
+KernelResult benchApplyGraph(std::size_t n, double minSeconds, Rng& rng) {
+  const BitMatrix g1 = randomNonsplitGraph(n, 2 * n, rng);
+  const BitMatrix g2 = randomNonsplitGraph(n, 2 * n, rng);
+  BroadcastSim sim(n);
+  auto [reps, secs] = timeLoop(
+      minSeconds,
+      [&] {
+        sim.reset();
+        sim.applyGraph(g1);
+        sim.applyGraph(g2);
+        consume(sim.heardCount(0));
+      },
+      /*firstBatch=*/1);
+  KernelResult r{"applyGraph", n, reps, 0.0, 0.0};
+  r.nsPerOp = secs * 1e9 / static_cast<double>(reps);
+  return r;
+}
+
 /// One native edge-markovian step per op at zoo-sparse's largest n and
 /// density (p = 0.0002, q = 0.5): deaths, births merged with the
 /// survivors, and the arcs decoded. Two warm-up rounds first, so the
@@ -296,16 +318,13 @@ KernelResult benchFrontierTwoPhase(std::size_t n, double minSeconds) {
   return r;
 }
 
-/// The pre-rewrite textbook product (row-gather via findNext), kept here
-/// as the blocked kernel's reference and A/B partner.
+/// The pre-rewrite textbook product (row-gather over the set bits of each
+/// row of a), kept here as the blocked kernel's reference and A/B partner.
 BitMatrix productNaive(const BitMatrix& a, const BitMatrix& b) {
   const std::size_t n = a.dim();
   BitMatrix out(n);
   for (std::size_t x = 0; x < n; ++x) {
-    const DynBitset& aRow = a.row(x);
-    for (std::size_t z = aRow.findFirst(); z < n; z = aRow.findNext(z + 1)) {
-      out.row(x).orWith(b.row(z));
-    }
+    a.row(x).forEachSet([&](std::size_t z) { out.row(x).orWith(b.row(z)); });
   }
   return out;
 }
@@ -662,6 +681,10 @@ int main(int argc, char** argv) {
   // The sparse t* certifier on the two-phase line at n = 1024, fixed in
   // quick and full mode alike and not gated; last, like the row above.
   kernels.push_back(benchFrontierTwoPhase(1024, minSeconds));
+  // zoo-dense's round kernel at its n = 2048 (two applyGraph rounds from
+  // the identity), fixed in quick and full mode alike and not gated;
+  // last, like the row above.
+  kernels.push_back(benchApplyGraph(2048, minSeconds, rng));
 
   TextTable kernelTable({"kernel", "bits/n", "reps", "ns/op", "GiB/s"});
   for (const KernelResult& k : kernels) {

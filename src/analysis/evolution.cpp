@@ -33,11 +33,11 @@ EvolutionSummary analyzeTrace(const SimTrace& trace) {
       }
     }
     const DynBitset bc = sim.broadcasters();
-    for (std::size_t x = bc.findFirst(); x < n; x = bc.findNext(x + 1)) {
+    bc.forEachSet([&summary, &sim](std::size_t x) {
       if (summary.coveredAllAt[x] == 0) {
         summary.coveredAllAt[x] = sim.round();
       }
-    }
+    });
     if (summary.broadcastRound == 0 && bc.any()) {
       summary.broadcastRound = sim.round();
     }

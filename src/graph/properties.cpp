@@ -15,13 +15,12 @@ DynBitset reachableFrom(const BitMatrix& g, std::size_t start) {
   while (!stack.empty()) {
     const std::size_t x = stack.back();
     stack.pop_back();
-    const DynBitset& row = g.row(x);
-    for (std::size_t y = row.findFirst(); y < n; y = row.findNext(y + 1)) {
+    g.row(x).forEachSet([&seen, &stack](std::size_t y) {
       if (!seen.test(y)) {
         seen.set(y);
         stack.push_back(y);
       }
-    }
+    });
   }
   return seen;
 }
@@ -58,9 +57,9 @@ void pairCoverageFrom(const BitMatrix& g, const DynBitset& inOfY,
   const std::size_t span = cov.wordCount() - first;
   std::uint64_t* dst = cov.wordData() + first;
   for (std::size_t i = 0; i < span; ++i) dst[i] = 0;
-  for (std::size_t z = inOfY.findFirst(); z < n; z = inOfY.findNext(z + 1)) {
+  inOfY.forEachSet([&g, dst, first, span](std::size_t z) {
     bitword::orAssign(dst, g.row(z).wordData() + first, span);
-  }
+  });
 }
 
 bool isRootedTreeWithSelfLoops(const BitMatrix& g) {
@@ -76,12 +75,11 @@ bool isRootedTreeWithSelfLoops(const BitMatrix& g) {
   for (std::size_t y = 0; y < n; ++y) {
     std::size_t deg = 0;
     std::size_t p = n;
-    const DynBitset& col = t.row(y);
-    for (std::size_t x = col.findFirst(); x < n; x = col.findNext(x + 1)) {
-      if (x == y) continue;  // self-loop
+    t.row(y).forEachSet([y, &deg, &p](std::size_t x) {
+      if (x == y) return;  // self-loop
       ++deg;
       p = x;
-    }
+    });
     if (deg == 0) {
       ++rootCount;
       root = y;
@@ -127,13 +125,12 @@ std::size_t treeDepth(const BitMatrix& g) {
   std::size_t maxDepth = 0;
   for (std::size_t qi = 0; qi < queue.size(); ++qi) {
     const std::size_t x = queue[qi];
-    const DynBitset& row = g.row(x);
-    for (std::size_t y = row.findFirst(); y < n; y = row.findNext(y + 1)) {
-      if (y == x) continue;
+    g.row(x).forEachSet([x, &depth, &maxDepth, &queue](std::size_t y) {
+      if (y == x) return;
       depth[y] = depth[x] + 1;
       maxDepth = std::max(maxDepth, depth[y]);
       queue.push_back(y);
-    }
+    });
   }
   return maxDepth;
 }

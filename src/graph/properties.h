@@ -34,7 +34,10 @@ namespace dynbcast {
 /// from word y/64 on with the OR of g.row(z) over every z in `inOfY`
 /// (column y of g, the in-neighbors of y); lower words are left as they
 /// are. Afterwards, for y2 >= y, bit y2 of `cov` is set iff y and y2
-/// share an in-neighbor. Costs |inOfY|·(n − y)/64 word ORs.
+/// share an in-neighbor. The in-neighbors are walked a word at a time
+/// (DynBitset::forEachSet), so each costs one (n − y)/64-word OR and no
+/// search call: |inOfY|·(n − y)/64 word ORs in all. Both the nonsplit
+/// repair (src/nonsplit) and isNonsplit run this once per row.
 /// Preconditions: cov.size() == inOfY.size() == g.dim(), y < g.dim().
 void pairCoverageFrom(const BitMatrix& g, const DynBitset& inOfY,
                       std::size_t y, DynBitset& cov);

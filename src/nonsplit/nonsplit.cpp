@@ -1,5 +1,8 @@
 #include "src/nonsplit/nonsplit.h"
 
+#include <bit>
+#include <cstdint>
+
 #include "src/sim/broadcast_sim.h"
 #include "src/support/assert.h"
 
@@ -9,24 +12,42 @@ namespace {
 
 /// Repair pass shared by the random generators: give every
 /// common-in-neighbor-less pair a random one. Pairs are visited in
-/// (y1, y2) order and tested against the graph as repaired so far; row
-/// y1's coverage (pairCoverageFrom) answers every test of that row, and
-/// a repair through z ORs z's new out-row into it. O(n²/64 + E·n/64 +
-/// repairs·n/64) word operations instead of one O(n/64) test per pair.
+/// (y1, y2) order and tested against the graph as repaired so far.
+/// Row y1's coverage (pairCoverageFrom) answers every test of that row:
+/// a clear bit y2 > y1 is an open pair. The open bits of the current
+/// coverage word are held in a register cursor, lowest first. A repair
+/// through z sets z → y1 and z → y2, clears z's new out-row word from
+/// the cursor (y2 and every other pair z now covers) and ORs only the
+/// words above the cursor into the coverage, since the words below it
+/// are never read again. No pass rescans the coverage for its next clear
+/// bit. Tail bits past n read as open in the last word, so the row ends
+/// at the first y2 >= n. O(n²/64 + E·n/64 + repairs·n/64) word
+/// operations instead of one O(n/64) test per pair.
 void repairNonsplit(BitMatrix& g, std::size_t n, Rng& rng) {
+  constexpr std::size_t kBits = DynBitset::kBits;
   BitMatrix in = g.transposed();
   DynBitset cov(n);
+  std::uint64_t* const covWords = cov.wordData();
+  const std::size_t nwords = cov.wordCount();
   for (std::size_t y1 = 0; y1 < n; ++y1) {
     pairCoverageFrom(g, in.row(y1), y1, cov);
-    const std::size_t first = y1 / DynBitset::kBits;
-    for (std::size_t y2 = cov.findNextClear(y1 + 1); y2 < n;
-         y2 = cov.findNextClear(y2 + 1)) {
+    std::size_t wi = (y1 + 1) / kBits;
+    std::uint64_t open =
+        wi < nwords ? ~covWords[wi] & (~std::uint64_t{0} << ((y1 + 1) % kBits))
+                    : 0;
+    for (;;) {
+      while (open == 0 && ++wi < nwords) open = ~covWords[wi];
+      if (open == 0) break;
+      const std::size_t y2 =
+          wi * kBits + static_cast<std::size_t>(std::countr_zero(open));
+      if (y2 >= n) break;
       const std::size_t z = rng.uniform(n);
       g.set(z, y1);
       g.set(z, y2);
       in.set(y2, z);  // in(y1) is not read again
-      bitword::orAssign(cov.wordData() + first, g.row(z).wordData() + first,
-                        cov.wordCount() - first);
+      const std::uint64_t* zRow = g.row(z).wordData();
+      open &= ~zRow[wi];
+      bitword::orAssign(covWords + wi + 1, zRow + wi + 1, nwords - wi - 1);
     }
   }
 }

@@ -43,8 +43,14 @@ class BroadcastSim {
 
   /// Applies one round along an arbitrary reflexive directed graph (used
   /// for the nonsplit-adversary experiments). The graph must have all
-  /// self-loops, matching the model's no-forgetting guarantee.
+  /// self-loops, matching the model's no-forgetting guarantee. Sources
+  /// with at most kSparseSourceBits heard bits are applied bit by bit,
+  /// denser ones by a whole-row OR; both give the same rows.
   void applyGraph(const BitMatrix& g);
+
+  /// applyGraph's crossover between its two per-source paths (set out,
+  /// with the measurements behind it, in broadcast_sim.cpp).
+  static const std::size_t kSparseSourceBits;
 
   /// Heard set of process y: who y has heard of so far.
   [[nodiscard]] const DynBitset& heardBy(std::size_t y) const noexcept {

@@ -41,11 +41,9 @@ void ProcessSim::applyGraph(const BitMatrix& g) {
                       "model requires self-loops (no forgetting)");
   std::vector<Message> network;
   for (const Process& p : processes_) {
-    const DynBitset& row = g.row(p.id);
-    for (std::size_t y = row.findFirst(); y < processCount();
-         y = row.findNext(y + 1)) {
+    g.row(p.id).forEachSet([&network, &p](std::size_t y) {
       if (y != p.id) network.push_back(Message{p.id, y, p.knowledge});
-    }
+    });
   }
   for (const Message& msg : network) {
     auto& knowledge = processes_[msg.receiver].knowledge;

@@ -66,44 +66,25 @@ bool DynBitset::isSupersetOf(const DynBitset& other) const noexcept {
   return true;
 }
 
-std::size_t DynBitset::findFirst() const noexcept { return findNext(0); }
-
-namespace {
-
-/// Index of the lowest bit >= from of (words XOR kFlip), or size when
-/// none: kFlip = 0 finds set bits, kFlip = ~0 clear ones. The zero tail
-/// bits past size read as clear, so the result is clamped to size.
-template <std::uint64_t kFlip>
-std::size_t findFrom(const std::vector<std::uint64_t>& words,
-                     std::size_t size, std::size_t from) noexcept {
-  constexpr std::size_t kBits = DynBitset::kBits;
-  if (from >= size) return size;
+std::size_t DynBitset::findNextClear(std::size_t from) const noexcept {
+  // The zero tail bits past size read as clear, so the result is clamped
+  // to size.
+  if (from >= size_) return size_;
   std::size_t wi = from / kBits;
-  const std::uint64_t w = (words[wi] ^ kFlip) >> (from % kBits);
+  std::uint64_t w = ~words_[wi] >> (from % kBits);
   if (w != 0) {
-    const std::size_t r =
-        from + static_cast<std::size_t>(std::countr_zero(w));
-    return r < size ? r : size;
+    const std::size_t r = from + static_cast<std::size_t>(std::countr_zero(w));
+    return r < size_ ? r : size_;
   }
-  for (++wi; wi < words.size(); ++wi) {
-    const std::uint64_t x = words[wi] ^ kFlip;
-    if (x != 0) {
+  for (++wi; wi < words_.size(); ++wi) {
+    w = ~words_[wi];
+    if (w != 0) {
       const std::size_t r =
-          wi * kBits + static_cast<std::size_t>(std::countr_zero(x));
-      return r < size ? r : size;
+          wi * kBits + static_cast<std::size_t>(std::countr_zero(w));
+      return r < size_ ? r : size_;
     }
   }
-  return size;
-}
-
-}  // namespace
-
-std::size_t DynBitset::findNext(std::size_t from) const noexcept {
-  return findFrom<0>(words_, size_, from);
-}
-
-std::size_t DynBitset::findNextClear(std::size_t from) const noexcept {
-  return findFrom<~std::uint64_t{0}>(words_, size_, from);
+  return size_;
 }
 
 std::vector<std::size_t> DynBitset::toIndices() const {
@@ -112,9 +93,7 @@ std::vector<std::size_t> DynBitset::toIndices() const {
   // dynbcast-lint: allow(hot-alloc) -- diagnostic conversion only
   std::vector<std::size_t> out;
   out.reserve(count());
-  for (std::size_t i = findFirst(); i < size_; i = findNext(i + 1)) {
-    out.push_back(i);
-  }
+  forEachSet([&out](std::size_t i) { out.push_back(i); });
   return out;
 }
 

@@ -248,11 +248,18 @@ class DynBitset {
   /// True when every bit of `other` is also set here.
   [[nodiscard]] bool isSupersetOf(const DynBitset& other) const noexcept;
 
-  /// Index of the lowest set bit, or size() when none.
-  [[nodiscard]] std::size_t findFirst() const noexcept;
-
-  /// Index of the lowest set bit >= from, or size() when none.
-  [[nodiscard]] std::size_t findNext(std::size_t from) const noexcept;
+  /// Calls fn(i) for every set bit i, ascending. Walks one word at a
+  /// time: the word is loaded once and its bits are peeled off with
+  /// countr_zero, so a sparse set costs one load per word plus one step
+  /// per set bit, with no call per bit. fn must not modify this set.
+  template <typename Fn>
+  void forEachSet(Fn&& fn) const {
+    for (std::size_t wi = 0; wi < words_.size(); ++wi) {
+      for (std::uint64_t w = words_[wi]; w != 0; w &= w - 1) {
+        fn(wi * kBits + static_cast<std::size_t>(std::countr_zero(w)));
+      }
+    }
+  }
 
   /// Index of the lowest clear bit >= from, or size() when none.
   [[nodiscard]] std::size_t findNextClear(std::size_t from) const noexcept;

@@ -357,10 +357,10 @@ DelayScore referenceEvaluateCandidate(const std::vector<DynBitset>& heard,
     if (p == y) continue;
     DynBitset delta = work[p];
     delta.subtract(work[y]);
-    for (std::size_t x = delta.findFirst(); x < n; x = delta.findNext(x + 1)) {
+    delta.forEachSet([&cov, &score](std::size_t x) {
       ++cov[x];
       ++score.newEdges;
-    }
+    });
     work[y].orWith(work[p]);
   }
   for (const std::size_t c : cov) {

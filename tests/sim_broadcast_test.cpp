@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/graph/properties.h"
 #include "src/sim/sim_backend.h"
 #include "src/support/assert.h"
@@ -279,6 +282,97 @@ TEST(BroadcastSimIncrementalTest, MatchesRecomputeOnGraphRounds) {
     }
     sim.applyGraph(g);
     expectCompletionStateConsistent(sim);
+  }
+}
+
+// applyGraph applies a source with at most kSparseSourceBits heard bits
+// bit by bit and a denser one by a whole-row OR. Both paths are checked
+// against the round's definition, Heard'(y) = ⋃ Heard(x) over the
+// in-arcs (x, y), over several rounds at sizes around the word
+// boundaries. The first round reaches rows of exactly the crossover
+// count, one more, and full rows, so the next round mixes both paths.
+
+std::vector<DynBitset> referenceGraphRound(const std::vector<DynBitset>& heard,
+                                           const BitMatrix& g) {
+  const std::size_t n = heard.size();
+  std::vector<DynBitset> next(n, DynBitset(n));
+  for (std::size_t y = 0; y < n; ++y) {
+    for (std::size_t x = 0; x < n; ++x) {
+      if (!g.get(x, y)) continue;
+      for (std::size_t b = 0; b < n; ++b) {
+        if (heard[x].test(b)) next[y].set(b);
+      }
+    }
+  }
+  return next;
+}
+
+// From the identity, row y ends the round holding y plus its in-arcs:
+// in-degree k - 1 besides the self-loop leaves exactly k bits.
+BitMatrix graphWithRowCounts(const std::vector<std::size_t>& counts,
+                             Rng& rng) {
+  const std::size_t n = counts.size();
+  BitMatrix g = BitMatrix::identity(n);
+  for (std::size_t y = 0; y < n; ++y) {
+    std::size_t inDegree = 1;
+    while (inDegree < std::min(counts[y], n)) {
+      const std::size_t x = rng.uniform(n);
+      if (!g.get(x, y)) {
+        g.set(x, y);
+        ++inDegree;
+      }
+    }
+  }
+  return g;
+}
+
+TEST(BroadcastSimTest, ApplyGraphMatchesReferenceOnBothPaths) {
+  const std::size_t k = BroadcastSim::kSparseSourceBits;
+  Rng rng(41);
+  for (const std::size_t n : {1u, 2u, 63u, 64u, 65u, 130u, 257u}) {
+    for (int trial = 0; trial < 3; ++trial) {
+      BroadcastSim sim(n);
+      std::vector<DynBitset> ref(n, DynBitset(n));
+      for (std::size_t y = 0; y < n; ++y) ref[y].set(y);
+      // Trial 0 starts from plain random rounds (all sources singletons
+      // in round 1); the others shape the rows first.
+      std::vector<std::size_t> counts(n);
+      for (std::size_t y = 0; y < n; ++y) {
+        const std::size_t pick = (y + static_cast<std::size_t>(trial)) % 4;
+        counts[y] = pick == 0 ? k : pick == 1 ? k + 1 : pick == 2 ? n : 1;
+      }
+      for (int r = 0; r < 6; ++r) {
+        BitMatrix g = BitMatrix::identity(n);
+        if (r == 0 && trial > 0) {
+          g = graphWithRowCounts(counts, rng);
+        } else {
+          const std::size_t arcs = rng.uniform(2 * n + 1);
+          for (std::size_t e = 0; e < arcs; ++e) {
+            g.set(rng.uniform(n), rng.uniform(n));
+          }
+        }
+        sim.applyGraph(g);
+        ref = referenceGraphRound(ref, g);
+        for (std::size_t y = 0; y < n; ++y) {
+          ASSERT_EQ(sim.heardBy(y), ref[y])
+              << "n=" << n << " trial=" << trial << " round=" << r + 1
+              << " row=" << y;
+        }
+        expectCompletionStateConsistent(sim);
+        if (r == 0 && trial > 0 && n > k + 1) {
+          // The shaped rows feed round 2 with sources on both sides.
+          std::size_t atK = 0, aboveK = 0, full = 0;
+          for (std::size_t y = 0; y < n; ++y) {
+            atK += sim.heardCount(y) == k ? 1 : 0;
+            aboveK += sim.heardCount(y) == k + 1 ? 1 : 0;
+            full += sim.heardCount(y) == n ? 1 : 0;
+          }
+          EXPECT_GT(atK, 0u);
+          EXPECT_GT(aboveK, 0u);
+          EXPECT_GT(full, 0u);
+        }
+      }
+    }
   }
 }
 

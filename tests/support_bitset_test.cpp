@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/support/rng.h"
 
 namespace dynbcast {
@@ -117,17 +119,17 @@ TEST(DynBitsetTest, SupersetRelation) {
   EXPECT_FALSE(a.isSupersetOf(b));
 }
 
-TEST(DynBitsetTest, FindFirstAndNextWalkSetBits) {
+TEST(DynBitsetTest, ForEachSetWalksSetBitsAscending) {
   DynBitset b(200);
   b.set(3);
   b.set(64);
   b.set(199);
-  EXPECT_EQ(b.findFirst(), 3u);
-  EXPECT_EQ(b.findNext(4), 64u);
-  EXPECT_EQ(b.findNext(65), 199u);
-  EXPECT_EQ(b.findNext(200), 200u);
-  DynBitset empty(50);
-  EXPECT_EQ(empty.findFirst(), 50u);
+  std::vector<std::size_t> seen;
+  b.forEachSet([&seen](std::size_t i) { seen.push_back(i); });
+  EXPECT_EQ(seen, (std::vector<std::size_t>{3, 64, 199}));
+  std::size_t calls = 0;
+  DynBitset(50).forEachSet([&calls](std::size_t) { ++calls; });
+  EXPECT_EQ(calls, 0u);
 }
 
 TEST(DynBitsetTest, FindNextClearWalksClearBitsAndHidesTheTail) {
