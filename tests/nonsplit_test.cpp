@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "src/bounds/bounds.h"
 #include "src/nonsplit/reduction.h"
@@ -134,14 +135,56 @@ TEST(NonsplitBroadcastTest, SplitGraphIsRejected) {
   }
 }
 
+// Random tree sequences at sizes that straddle the 64-bit word boundary
+// of the heard rows, trees and paths alternating.
+std::vector<RootedTree> randomSequence(std::size_t n, std::size_t length,
+                                       Rng& rng) {
+  std::vector<RootedTree> trees;
+  for (std::size_t i = 0; i < length; ++i) {
+    trees.push_back(i % 2 == 0 ? randomRootedTree(n, rng)
+                               : randomPath(n, rng));
+  }
+  return trees;
+}
+
+constexpr std::size_t kBoundarySizes[] = {1, 2, 6, 63, 64, 65, 130};
+
 TEST(ReductionTest, ProductOfTreesMatchesManualProduct) {
   Rng rng(5);
-  const std::size_t n = 6;
-  std::vector<RootedTree> trees;
-  for (int i = 0; i < 4; ++i) trees.push_back(randomRootedTree(n, rng));
-  BitMatrix manual = trees[0].toMatrix();
-  for (int i = 1; i < 4; ++i) manual = manual.product(trees[i].toMatrix());
-  EXPECT_EQ(productOfTrees(trees), manual);
+  for (const std::size_t n : kBoundarySizes) {
+    for (int seq = 0; seq < 4; ++seq) {
+      const std::vector<RootedTree> trees =
+          randomSequence(n, 1 + rng.uniform(5), rng);
+      BitMatrix manual = trees[0].toMatrix();
+      for (std::size_t i = 1; i < trees.size(); ++i) {
+        manual = manual.product(trees[i].toMatrix());
+      }
+      EXPECT_EQ(productOfTrees(trees), manual)
+          << "n=" << n << " seq=" << seq << " length=" << trees.size();
+    }
+  }
+}
+
+TEST(ReductionTest, PrefixLengthMatchesPrefixByPrefixProduct) {
+  Rng rng(9);
+  for (const std::size_t n : kBoundarySizes) {
+    for (int seq = 0; seq < 4; ++seq) {
+      const std::vector<RootedTree> trees =
+          randomSequence(n, 1 + rng.uniform(8), rng);
+      std::size_t expected = trees.size() + 1;
+      BitMatrix prefix = trees[0].toMatrix();
+      for (std::size_t length = 1;; ++length) {
+        if (isNonsplit(prefix)) {
+          expected = length;
+          break;
+        }
+        if (length == trees.size()) break;
+        prefix = prefix.product(trees[length].toMatrix());
+      }
+      EXPECT_EQ(nonsplitPrefixLength(trees), expected)
+          << "n=" << n << " seq=" << seq << " length=" << trees.size();
+    }
+  }
 }
 
 TEST(ReductionTest, NMinus1TreeProductIsAlwaysNonsplit) {
