@@ -25,9 +25,9 @@ where <key> is either "kernel:<name>:<bits>:gib_per_s" /
 the comparison direction is inferred from the key.
 
 Runner CPUs vary, so kernel throughput baselines carry generous
-tolerances; the ratio metric (product_blocked_speedup) is
-machine-relative and carries a tighter one. A commit whose message
-contains [bench-skip] bypasses the gate entirely (CI wires that up).
+tolerances; the ratio metric (frontier_sparse_speedup) is
+machine-relative. A commit whose message contains [bench-skip] bypasses
+the gate entirely (CI wires that up).
 """
 
 import argparse
@@ -39,9 +39,8 @@ import sys
 # largest quick-mode size catches "the kernel stopped vectorizing" while
 # the wide tolerance absorbs runner variance.
 DEFAULT_GATES = {
-    "sweep:product_blocked_speedup": 40.0,
-    # Machine-relative too, but both sides are full stochastic t* runs at
-    # a single n, so round-count luck adds variance on top of the runner's.
+    # Machine-relative, but both sides are full stochastic t* runs at a
+    # single n, so round-count luck adds variance on top of the runner's.
     "sweep:frontier_sparse_speedup": 60.0,
     "kernel:orAssign:1024:gib_per_s": 60.0,
     "kernel:orCount:1024:gib_per_s": 60.0,
@@ -91,7 +90,7 @@ def flatten(kernels_doc, sweep_doc):
         prefix = "kernel:%s:%d" % (k["name"], k["bits"])
         out[prefix + ":gib_per_s"] = k.get("gib_per_s", 0.0)
         out[prefix + ":ns_per_op"] = k.get("ns_per_op", 0.0)
-    for field in ("product_blocked_speedup", "portfolio_ms",
+    for field in ("portfolio_ms",
                   "frontier_sparse_speedup", "frontier_dense_ms",
                   "frontier_sparse_ms", "beam_rounds",
                   "beam_unique_states", "beam_moves_generated",

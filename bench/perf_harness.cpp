@@ -3,9 +3,8 @@
 // Times (a) the raw-word kernels (through the runtime SIMD dispatch
 // table), tree construction, the damage-greedy tree builder, one
 // greedy-delay and one local-search round, the sparse t* certifier on
-// the two-phase line, two dense applyGraph rounds, and the blocked
-// boolean product against naive references, (b) BroadcastSim round
-// throughput and the dense-vs-sparse t* crossover, and (c) the
+// the two-phase line and two dense applyGraph rounds, (b) BroadcastSim
+// round throughput and the dense-vs-sparse t* crossover, and (c) the
 // end-to-end thm31 portfolio sweep, then emits machine-readable JSON:
 //
 //   BENCH_kernels.json — per-kernel ns/op and GiB/s
@@ -318,17 +317,6 @@ KernelResult benchFrontierTwoPhase(std::size_t n, double minSeconds) {
   return r;
 }
 
-/// The pre-rewrite textbook product (row-gather over the set bits of each
-/// row of a), kept here as the blocked kernel's reference and A/B partner.
-BitMatrix productNaive(const BitMatrix& a, const BitMatrix& b) {
-  const std::size_t n = a.dim();
-  BitMatrix out(n);
-  for (std::size_t x = 0; x < n; ++x) {
-    a.row(x).forEachSet([&](std::size_t z) { out.row(x).orWith(b.row(z)); });
-  }
-  return out;
-}
-
 BitMatrix randomMatrix(std::size_t n, double density, Rng& rng) {
   BitMatrix m(n);
   for (std::size_t x = 0; x < n; ++x) {
@@ -337,32 +325,6 @@ BitMatrix randomMatrix(std::size_t n, double density, Rng& rng) {
     }
   }
   return m;
-}
-
-std::vector<KernelResult> benchProduct(std::size_t n, double minSeconds,
-                                       Rng& rng) {
-  const BitMatrix a = randomMatrix(n, 0.05, rng);
-  const BitMatrix b = randomMatrix(n, 0.05, rng);
-  std::vector<KernelResult> out;
-  {
-    auto [reps, secs] = timeLoop(minSeconds, [&] {
-      const BitMatrix p = productNaive(a, b);
-      consume(p.row(0).words()[0]);
-    });
-    KernelResult r{"productNaive", n, reps, 0.0, 0.0};
-    r.nsPerOp = secs * 1e9 / static_cast<double>(reps);
-    out.push_back(r);
-  }
-  {
-    auto [reps, secs] = timeLoop(minSeconds, [&] {
-      const BitMatrix p = a.productBlocked(b);
-      consume(p.row(0).words()[0]);
-    });
-    KernelResult r{"productBlocked", n, reps, 0.0, 0.0};
-    r.nsPerOp = secs * 1e9 / static_cast<double>(reps);
-    out.push_back(r);
-  }
-  return out;
 }
 
 KernelResult benchSimRound(std::size_t n, double minSeconds, Rng& rng) {
@@ -552,7 +514,7 @@ void writeKernelsJson(const std::string& path,
 
 void writeSweepJson(const std::string& path, std::size_t n,
                     std::uint64_t seed, bool quick, double portfolioMs,
-                    std::size_t bestRounds, double productSpeedup, std::size_t productN,
+                    std::size_t bestRounds,
                     const FrontierCrossover& frontier,
                     const SearchTelemetry& search,
                     const ServiceThroughput& service) {
@@ -568,8 +530,6 @@ void writeSweepJson(const std::string& path, std::size_t n,
   std::fprintf(f, "  \"simd_level\": \"%s\",\n",
                bitword::simdLevelName(bitword::dispatch().level));
   std::fprintf(f, "  \"portfolio_ms\": %.3f,\n", portfolioMs);
-  std::fprintf(f, "  \"product_blocked_speedup\": %.4f,\n", productSpeedup);
-  std::fprintf(f, "  \"product_n\": %zu,\n", productN);
   std::fprintf(f, "  \"frontier_n\": %zu,\n", frontier.n);
   std::fprintf(f, "  \"frontier_dense_ms\": %.3f,\n", frontier.denseMs);
   std::fprintf(f, "  \"frontier_sparse_ms\": %.3f,\n", frontier.sparseMs);
@@ -650,12 +610,11 @@ int main(int argc, char** argv) {
     kernels.push_back(benchOrAssign(bits, minSeconds, rng));
     kernels.push_back(benchOrCount(bits, minSeconds, rng));
   }
-  const std::size_t productN = quick ? 128 : 256;
-  const std::vector<KernelResult> products =
-      benchProduct(productN, minSeconds, rng);
-  kernels.insert(kernels.end(), products.begin(), products.end());
-  const double productSpeedup =
-      products[0].nsPerOp / products[1].nsPerOp;  // naive / blocked
+  // Draws two random matrices that no row uses, so every row below keeps
+  // measuring the random inputs its baseline was recorded on.
+  for (int i = 0; i < 2; ++i) {
+    (void)randomMatrix(quick ? 128 : 256, 0.05, rng);
+  }
   // Fixed sizes in quick and full mode alike (CI gates damageTree:256):
   // the beam's noisy n = 32 regime and greedy-delay's plain n = 256 one.
   kernels.push_back(benchDamageTree(32, /*noisy=*/true, minSeconds, rng));
@@ -761,6 +720,6 @@ int main(int argc, char** argv) {
   writeKernelsJson(outDir + "/BENCH_kernels.json", kernels, quick,
                    driver.jobs());
   writeSweepJson(outDir + "/BENCH_sweep.json", sweepN, driver.seed(), quick,
-                 portfolioMs, bestRounds, productSpeedup, productN, frontier, search, service);
+                 portfolioMs, bestRounds, frontier, search, service);
   return 0;
 }

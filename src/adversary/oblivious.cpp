@@ -29,14 +29,6 @@ RootedTree twoPhaseTail(std::size_t n) {
 
 }  // namespace
 
-StaticTreeAdversary::StaticTreeAdversary(RootedTree tree)
-    : tree_(std::move(tree)) {}
-
-RootedTree StaticTreeAdversary::nextTree(const BroadcastSim& state) {
-  DYNBCAST_ASSERT(state.processCount() == tree_.size());
-  return tree_;
-}
-
 StaticPathAdversary::StaticPathAdversary(std::size_t n)
     : tree_(makePath(n)) {}
 

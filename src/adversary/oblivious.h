@@ -16,18 +16,6 @@
 
 namespace dynbcast {
 
-/// Repeats one fixed tree forever. t* equals the tree's height.
-class StaticTreeAdversary final : public Adversary {
- public:
-  explicit StaticTreeAdversary(RootedTree tree);
-
-  [[nodiscard]] RootedTree nextTree(const BroadcastSim& state) override;
-  [[nodiscard]] std::string name() const override { return "static-tree"; }
-
- private:
-  RootedTree tree_;
-};
-
 /// Repeats the identity path 0 → 1 → … → n−1. t* = n−1 (paper §2).
 class StaticPathAdversary final : public Adversary {
  public:

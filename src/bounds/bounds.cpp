@@ -54,6 +54,4 @@ std::uint64_t kInnerUpper(std::size_t n, std::size_t k) {
 
 std::uint64_t nonsplitLogUpper(std::size_t n) { return ceilLog2(n); }
 
-double linearUpperSlope() noexcept { return 1.0 + std::sqrt(2.0); }
-
 }  // namespace dynbcast::bounds

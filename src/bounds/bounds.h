@@ -44,9 +44,6 @@ namespace dynbcast::bounds {
 /// [2]: nonsplit-graph adversaries broadcast within ⌈log₂ n⌉ rounds.
 [[nodiscard]] std::uint64_t nonsplitLogUpper(std::size_t n);
 
-/// The (1+√2) constant itself, for ratio reporting.
-[[nodiscard]] double linearUpperSlope() noexcept;
-
 /// ⌈log₂ n⌉ helper shared by the formulas above.
 [[nodiscard]] std::uint64_t ceilLog2(std::uint64_t n);
 

@@ -1,10 +1,7 @@
 #include "src/graph/bitmatrix.h"
 
 #include <algorithm>
-#include <bit>
 #include <ostream>
-
-#include "src/support/assert.h"
 
 namespace dynbcast {
 
@@ -14,54 +11,6 @@ BitMatrix BitMatrix::identity(std::size_t n) {
   BitMatrix m(n);
   for (std::size_t i = 0; i < n; ++i) m.set(i, i);
   return m;
-}
-
-BitMatrix BitMatrix::full(std::size_t n) {
-  BitMatrix m(n);
-  for (auto& r : m.rows_) r.setAll();
-  return m;
-}
-
-DynBitset BitMatrix::column(std::size_t y) const {
-  DYNBCAST_ASSERT(y < n_);
-  DynBitset col(n_);
-  for (std::size_t x = 0; x < n_; ++x) {
-    if (rows_[x].test(y)) col.set(x);
-  }
-  return col;
-}
-
-BitMatrix BitMatrix::product(const BitMatrix& other) const {
-  return productBlocked(other);
-}
-
-BitMatrix BitMatrix::productBlocked(const BitMatrix& other) const {
-  DYNBCAST_ASSERT(n_ == other.n_);
-  BitMatrix out(n_);
-  if (n_ == 0) return out;
-  const std::size_t nwords = rows_[0].wordCount();
-  // z-block outer loop: the 64 rows other.rows_[zw*64 .. zw*64+63] are
-  // reused by every x before the block is evicted. Within a block, set
-  // bits of the left word select which rows to OR in.
-  for (std::size_t zw = 0; zw < nwords; ++zw) {
-    const std::size_t zBase = zw * DynBitset::kBits;
-    for (std::size_t x = 0; x < n_; ++x) {
-      std::uint64_t w = rows_[x].words()[zw];
-      std::uint64_t* outRow = out.rows_[x].wordData();
-      while (w != 0) {
-        const auto z =
-            zBase + static_cast<std::size_t>(std::countr_zero(w));
-        w &= w - 1;
-        bitword::orAssign(outRow, other.rows_[z].wordData(), nwords);
-      }
-    }
-  }
-  return out;
-}
-
-void BitMatrix::orWith(const BitMatrix& other) {
-  DYNBCAST_ASSERT(n_ == other.n_);
-  for (std::size_t x = 0; x < n_; ++x) rows_[x].orWith(other.rows_[x]);
 }
 
 namespace {
@@ -125,13 +74,6 @@ bool BitMatrix::isReflexive() const noexcept {
   return true;
 }
 
-bool BitMatrix::isFull() const noexcept {
-  for (const auto& r : rows_) {
-    if (!r.all()) return false;
-  }
-  return true;
-}
-
 std::vector<std::size_t> BitMatrix::completeRows() const {
   std::vector<std::size_t> out;
   out.reserve(n_);
@@ -145,21 +87,6 @@ std::vector<std::size_t> BitMatrix::broadcasters() const {
   // x is a broadcaster iff (x, y) == 1 for every y, i.e. row(x) is full.
   // (Rows are reach-sets under our orientation; see bitmatrix.h.)
   return completeRows();
-}
-
-bool BitMatrix::hasBroadcaster() const noexcept {
-  for (const auto& r : rows_) {
-    if (r.all()) return true;
-  }
-  return false;
-}
-
-std::uint64_t BitMatrix::hash() const noexcept {
-  std::uint64_t h = 0x243f6a8885a308d3ull ^ n_;
-  for (const auto& r : rows_) {
-    h ^= r.hash() + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-  }
-  return h;
 }
 
 std::string BitMatrix::toString() const {

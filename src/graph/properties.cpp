@@ -6,37 +6,6 @@
 
 namespace dynbcast {
 
-DynBitset reachableFrom(const BitMatrix& g, std::size_t start) {
-  const std::size_t n = g.dim();
-  DYNBCAST_ASSERT(start < n);
-  DynBitset seen(n);
-  std::vector<std::size_t> stack{start};
-  seen.set(start);
-  while (!stack.empty()) {
-    const std::size_t x = stack.back();
-    stack.pop_back();
-    g.row(x).forEachSet([&seen, &stack](std::size_t y) {
-      if (!seen.test(y)) {
-        seen.set(y);
-        stack.push_back(y);
-      }
-    });
-  }
-  return seen;
-}
-
-bool isRooted(const BitMatrix& g) { return findRoot(g).has_value(); }
-
-std::optional<std::size_t> findRoot(const BitMatrix& g) {
-  const std::size_t n = g.dim();
-  if (n == 0) return std::nullopt;
-  // Tries every node as the start of one DFS: O(n·(n + E)) worst case.
-  for (std::size_t x = 0; x < n; ++x) {
-    if (reachableFrom(g, x).all()) return x;
-  }
-  return std::nullopt;
-}
-
 bool isNonsplit(const BitMatrix& g) {
   const std::size_t n = g.dim();
   const BitMatrix t = g.transposed();
@@ -104,35 +73,6 @@ bool isRootedTreeWithSelfLoops(const BitMatrix& g) {
   // Finally, total edge count must be exactly n self-loops + (n-1) tree
   // edges — excludes extra forward edges hiding behind valid in-degrees.
   return g.countOnes() == 2 * n - 1;
-}
-
-std::size_t treeDepth(const BitMatrix& g) {
-  DYNBCAST_ASSERT_MSG(isRootedTreeWithSelfLoops(g),
-                      "treeDepth requires a member of T_n");
-  const std::size_t n = g.dim();
-  // BFS from the root along non-loop edges.
-  const BitMatrix t = g.transposed();
-  std::size_t root = n;
-  for (std::size_t y = 0; y < n; ++y) {
-    if (t.row(y).count() == 1) {  // only the self-loop
-      root = y;
-      break;
-    }
-  }
-  DYNBCAST_ASSERT(root < n);
-  std::vector<std::size_t> depth(n, 0);
-  std::vector<std::size_t> queue{root};
-  std::size_t maxDepth = 0;
-  for (std::size_t qi = 0; qi < queue.size(); ++qi) {
-    const std::size_t x = queue[qi];
-    g.row(x).forEachSet([x, &depth, &maxDepth, &queue](std::size_t y) {
-      if (y == x) return;
-      depth[y] = depth[x] + 1;
-      maxDepth = std::max(maxDepth, depth[y]);
-      queue.push_back(y);
-    });
-  }
-  return maxDepth;
 }
 
 }  // namespace dynbcast

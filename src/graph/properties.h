@@ -1,27 +1,16 @@
 // Structural predicates on directed graphs, phrased on BitMatrix.
 //
 // These implement the model-side definitions the paper and its cited
-// results rely on: rooted (some node reaches everyone), nonsplit (every
-// pair of nodes has a common in-neighbor, per Charron-Bost & Schiper),
-// and rooted-tree-with-self-loops membership in T_n.
+// results rely on: nonsplit (every pair of nodes has a common in-neighbor,
+// per Charron-Bost & Schiper) and rooted-tree-with-self-loops membership
+// in T_n.
 #pragma once
 
-#include <cstdint>
-#include <optional>
-#include <vector>
+#include <cstddef>
 
 #include "src/graph/bitmatrix.h"
 
 namespace dynbcast {
-
-/// Nodes reachable from `start` (including itself) following edges forward.
-[[nodiscard]] DynBitset reachableFrom(const BitMatrix& g, std::size_t start);
-
-/// True when some node reaches all others (the graph is "rooted").
-[[nodiscard]] bool isRooted(const BitMatrix& g);
-
-/// A node that reaches all others, if one exists.
-[[nodiscard]] std::optional<std::size_t> findRoot(const BitMatrix& g);
 
 /// True when every pair of nodes (including pairs (y,y)) has a common
 /// in-neighbor. This is the "nonsplit" property of [2]/[9]. One transpose
@@ -48,10 +37,5 @@ void pairCoverageFrom(const BitMatrix& g, const DynBitset& inOfY,
 /// every other node has in-degree 2 (loop + tree parent); tree edges are
 /// acyclic and connect everyone to the root.
 [[nodiscard]] bool isRootedTreeWithSelfLoops(const BitMatrix& g);
-
-/// Longest directed distance from the root along tree edges; the broadcast
-/// time of the *static* adversary repeating this tree. Requires
-/// isRootedTreeWithSelfLoops(g).
-[[nodiscard]] std::size_t treeDepth(const BitMatrix& g);
 
 }  // namespace dynbcast

@@ -1,18 +1,20 @@
 #include "src/nonsplit/reduction.h"
 
 #include "src/graph/properties.h"
+#include "src/sim/broadcast_sim.h"
 #include "src/support/assert.h"
 
 namespace dynbcast {
 
+// Both run the trees through BroadcastSim: after round t its reachMatrix()
+// is exactly G_1 ∘ … ∘ G_t, and each tree costs O(n²/64) words where a
+// general boolean product would cost O(n³/64).
+
 BitMatrix productOfTrees(const std::vector<RootedTree>& trees) {
   DYNBCAST_ASSERT(!trees.empty());
-  BitMatrix product = trees.front().toMatrix();
-  for (std::size_t i = 1; i < trees.size(); ++i) {
-    DYNBCAST_ASSERT(trees[i].size() == product.dim());
-    product = product.product(trees[i].toMatrix());
-  }
-  return product;
+  BroadcastSim sim(trees.front().size());
+  for (const RootedTree& tree : trees) sim.applyTree(tree);
+  return sim.reachMatrix();
 }
 
 bool treeProductIsNonsplit(const std::vector<RootedTree>& trees) {
@@ -21,12 +23,10 @@ bool treeProductIsNonsplit(const std::vector<RootedTree>& trees) {
 
 std::size_t nonsplitPrefixLength(const std::vector<RootedTree>& trees) {
   DYNBCAST_ASSERT(!trees.empty());
-  BitMatrix product = trees.front().toMatrix();
-  if (isNonsplit(product)) return 1;
-  for (std::size_t i = 1; i < trees.size(); ++i) {
-    DYNBCAST_ASSERT(trees[i].size() == product.dim());
-    product = product.product(trees[i].toMatrix());
-    if (isNonsplit(product)) return i + 1;
+  BroadcastSim sim(trees.front().size());
+  for (std::size_t i = 0; i < trees.size(); ++i) {
+    sim.applyTree(trees[i]);
+    if (isNonsplit(sim.reachMatrix())) return i + 1;
   }
   return trees.size() + 1;
 }

@@ -1,19 +1,17 @@
-// SimBackend: the concept every simulation backend satisfies.
+// SimBackend: the concept every round-by-round simulation engine
+// satisfies.
 //
-// Two engines implement the paper's model round by round, each with a
-// different representation:
+// The library's engine is BroadcastSim (dense heard-of bit matrix). The
+// tests check it against ProcessSim (literal message objects, the
+// executable spec), a test oracle in tests/oracles/ that no program
+// links. (The sparse backend, runFrontierTStar in frontier_sim.h,
+// computes t* alone and is not a round-by-round engine.)
 //
-//   * BroadcastSim — dense heard-of bit matrix, the fast reference
-//   * ProcessSim   — literal message objects, the executable spec
-//
-// (The sparse backend, runFrontierTStar in frontier_sim.h, computes t*
-// alone and is not a round-by-round engine.)
-//
-// They grew the same public surface by convention; this concept makes
-// the convention a compile-time contract (conformance is static_asserted
-// in tests/sim_backend_test.cpp), so a drifting signature is a build
-// error instead of a latent engine-selection bug. runUntil and the
-// differential suites program against exactly this surface.
+// This concept makes their shared public surface a compile-time contract
+// (conformance of both is static_asserted in tests/sim_backend_test.cpp),
+// so a drifting signature is a build error instead of a silent mismatch.
+// runUntil and the differential suites program against exactly this
+// surface.
 //
 // Contract (beyond the signatures): applyTree applies one synchronous
 // round along a rooted tree; applyGraph one round along a reflexive

@@ -47,25 +47,6 @@ void DynBitset::orWith(const DynBitset& other) noexcept {
   bitword::orAssign(words_.data(), other.words_.data(), words_.size());
 }
 
-void DynBitset::andWith(const DynBitset& other) noexcept {
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    words_[i] &= other.words_[i];
-  }
-}
-
-void DynBitset::subtract(const DynBitset& other) noexcept {
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    words_[i] &= ~other.words_[i];
-  }
-}
-
-bool DynBitset::isSupersetOf(const DynBitset& other) const noexcept {
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    if ((other.words_[i] & ~words_[i]) != 0) return false;
-  }
-  return true;
-}
-
 std::size_t DynBitset::findNextClear(std::size_t from) const noexcept {
   // The zero tail bits past size read as clear, so the result is clamped
   // to size.
@@ -85,16 +66,6 @@ std::size_t DynBitset::findNextClear(std::size_t from) const noexcept {
     }
   }
   return size_;
-}
-
-std::vector<std::size_t> DynBitset::toIndices() const {
-  // toIndices is a diagnostic/test conversion; kernels iterate words
-  // directly.
-  // dynbcast-lint: allow(hot-alloc) -- diagnostic conversion only
-  std::vector<std::size_t> out;
-  out.reserve(count());
-  forEachSet([&out](std::size_t i) { out.push_back(i); });
-  return out;
 }
 
 std::string DynBitset::toString() const {

@@ -6,9 +6,9 @@
 // simulator's per-round cost is O(n^2/64) thanks to word-parallel OR.
 //
 // Unlike std::vector<bool>, DynBitset exposes word-level bulk operations
-// (orWith, andWith, isSupersetOf, count) and guarantees that all bits
-// past size() are zero (the "tail invariant"), so whole-set predicates
-// are plain word comparisons.
+// (orWith, orCountWith, count) and guarantees that all bits past size()
+// are zero (the "tail invariant"), so whole-set predicates are plain word
+// comparisons.
 // Allocation-free hot path: dynbcast_lint bans allocation in function
 // bodies here (rule hot-alloc); setup/diagnostic exceptions carry allow().
 // dynbcast-lint: hot-path
@@ -239,15 +239,6 @@ class DynBitset {
                             words_.size());
   }
 
-  /// In-place intersection. Precondition: other.size() == size().
-  void andWith(const DynBitset& other) noexcept;
-
-  /// In-place difference (this \ other). Precondition: sizes equal.
-  void subtract(const DynBitset& other) noexcept;
-
-  /// True when every bit of `other` is also set here.
-  [[nodiscard]] bool isSupersetOf(const DynBitset& other) const noexcept;
-
   /// Calls fn(i) for every set bit i, ascending. Walks one word at a
   /// time: the word is loaded once and its bits are peeled off with
   /// countr_zero, so a sparse set costs one load per word plus one step
@@ -263,9 +254,6 @@ class DynBitset {
 
   /// Index of the lowest clear bit >= from, or size() when none.
   [[nodiscard]] std::size_t findNextClear(std::size_t from) const noexcept;
-
-  /// Indices of all set bits, ascending.
-  [[nodiscard]] std::vector<std::size_t> toIndices() const;
 
   /// "0101…" rendering, bit 0 first.
   [[nodiscard]] std::string toString() const;

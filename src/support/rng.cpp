@@ -47,15 +47,6 @@ std::uint64_t Rng::uniform(std::uint64_t bound) noexcept {
   return static_cast<std::uint64_t>(m >> 64);
 }
 
-std::int64_t Rng::uniformInt(std::int64_t lo, std::int64_t hi) noexcept {
-  DYNBCAST_ASSERT(lo <= hi);
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-  if (span == 0) {  // full 64-bit range
-    return static_cast<std::int64_t>((*this)());
-  }
-  return lo + static_cast<std::int64_t>(uniform(span));
-}
-
 double Rng::uniformReal() noexcept {
   return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }

@@ -34,10 +34,6 @@ class Rng {
   /// Uniform integer in [0, bound). Precondition: bound > 0.
   [[nodiscard]] std::uint64_t uniform(std::uint64_t bound) noexcept;
 
-  /// Uniform integer in [lo, hi] inclusive. Precondition: lo <= hi.
-  [[nodiscard]] std::int64_t uniformInt(std::int64_t lo,
-                                        std::int64_t hi) noexcept;
-
   /// Uniform double in [0, 1).
   [[nodiscard]] double uniformReal() noexcept;
 

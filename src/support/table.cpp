@@ -30,8 +30,6 @@ TextTable& TextTable::add(const std::string& cell) {
 
 TextTable& TextTable::add(const char* cell) { return add(std::string(cell)); }
 TextTable& TextTable::add(std::uint64_t v) { return add(fmtCount(v)); }
-TextTable& TextTable::add(std::int64_t v) { return add(std::to_string(v)); }
-TextTable& TextTable::add(int v) { return add(std::to_string(v)); }
 TextTable& TextTable::add(double v, int digits) {
   return add(fmtDouble(v, digits));
 }

@@ -22,8 +22,6 @@ class TextTable {
   TextTable& add(const std::string& cell);
   TextTable& add(const char* cell);
   TextTable& add(std::uint64_t v);
-  TextTable& add(std::int64_t v);
-  TextTable& add(int v);
   TextTable& add(double v, int digits = 3);
 
   [[nodiscard]] std::size_t rowCount() const noexcept { return rows_.size(); }

@@ -49,14 +49,4 @@ std::uint64_t forEachRootedTree(
   }
 }
 
-std::vector<RootedTree> allRootedTrees(std::size_t n) {
-  std::vector<RootedTree> out;
-  out.reserve(rootedTreeCount(n));
-  forEachRootedTree(n, [&](const RootedTree& t) {
-    out.push_back(t);
-    return true;
-  });
-  return out;
-}
-
 }  // namespace dynbcast

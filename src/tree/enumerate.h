@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "src/tree/rooted_tree.h"
 
@@ -22,8 +21,5 @@ namespace dynbcast {
 /// returns false. Returns the number of trees visited.
 std::uint64_t forEachRootedTree(
     std::size_t n, const std::function<bool(const RootedTree&)>& visit);
-
-/// Materializes the full pool; intended for n ≤ 6.
-[[nodiscard]] std::vector<RootedTree> allRootedTrees(std::size_t n);
 
 }  // namespace dynbcast

@@ -15,6 +15,7 @@
 #include "src/support/rng.h"
 #include "src/tree/families.h"
 #include "src/tree/generators.h"
+#include "tests/oracles/oracles.h"
 
 namespace dynbcast {
 namespace {
@@ -355,8 +356,7 @@ DelayScore referenceEvaluateCandidate(const std::vector<DynBitset>& heard,
     const std::size_t y = order[i];
     const std::size_t p = tree.parent(y);
     if (p == y) continue;
-    DynBitset delta = work[p];
-    delta.subtract(work[y]);
+    const DynBitset delta = difference(work[p], work[y]);
     delta.forEachSet([&cov, &score](std::size_t x) {
       ++cov[x];
       ++score.newEdges;

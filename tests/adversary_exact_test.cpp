@@ -6,7 +6,7 @@
 #include "src/bounds/bounds.h"
 #include "src/graph/properties.h"
 #include "src/sim/broadcast_sim.h"
-#include "src/sim/process_sim.h"
+#include "tests/oracles/process_sim.h"
 #include "src/support/assert.h"
 
 namespace dynbcast {

@@ -6,7 +6,6 @@
 
 #include "src/bounds/bounds.h"
 #include "src/bounds/theorem.h"
-#include "src/tree/families.h"
 
 namespace dynbcast {
 namespace {
@@ -18,21 +17,6 @@ TEST(StaticAdversaryTest, PathCostsExactlyNMinus1) {
     EXPECT_TRUE(run.completed);
     EXPECT_EQ(run.rounds, n - 1);
   }
-}
-
-TEST(StaticAdversaryTest, TreeCostsItsHeight) {
-  const RootedTree broom = makeBroom({0, 1, 2, 3, 4, 5, 6}, 4);
-  StaticTreeAdversary adv(broom);
-  const BroadcastRun run = runAdversary(7, adv, defaultRoundCap(7));
-  EXPECT_TRUE(run.completed);
-  EXPECT_EQ(run.rounds, broom.height());
-}
-
-TEST(StaticAdversaryTest, StarCostsOneRound) {
-  StaticTreeAdversary adv(makeStar(9, 4));
-  const BroadcastRun run = runAdversary(9, adv, 10);
-  EXPECT_TRUE(run.completed);
-  EXPECT_EQ(run.rounds, 1u);
 }
 
 TEST(RandomAdversaryTest, CompletesWithinTheoremBound) {

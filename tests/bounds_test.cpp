@@ -33,10 +33,6 @@ TEST(BoundsTest, LinearUpperKnownValues) {
   EXPECT_EQ(bounds::linearUpper(100), 241u);
 }
 
-TEST(BoundsTest, LinearUpperSlope) {
-  EXPECT_NEAR(bounds::linearUpperSlope(), 2.41421356, 1e-8);
-}
-
 TEST(BoundsTest, LowerBoundKnownValues) {
   // ⌈(3n−1)/2⌉ − 2.
   EXPECT_EQ(bounds::lowerBound(2), 1u);   // ⌈5/2⌉−2 = 1

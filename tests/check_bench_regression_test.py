@@ -55,7 +55,6 @@ def kernels_doc(gib=12.0, ns=5.0, tree_ns=400000.0, graph_ns=1.0e7,
 
 def sweep_doc(**overrides):
     doc = {
-        "product_blocked_speedup": 2.0,
         "frontier_sparse_speedup": 5.0,
         "beam_unique_states": 1000,
         "beam_rounds": 40,
@@ -115,7 +114,7 @@ class TestFlatten(unittest.TestCase):
         flat = gate.flatten(kernels_doc(gib=7.5, ns=2.0), sweep_doc())
         self.assertEqual(flat["kernel:orAssign:1024:gib_per_s"], 7.5)
         self.assertEqual(flat["kernel:orAssign:1024:ns_per_op"], 2.0)
-        self.assertEqual(flat["sweep:product_blocked_speedup"], 2.0)
+        self.assertEqual(flat["sweep:frontier_sparse_speedup"], 5.0)
         self.assertEqual(flat["kernel:damageTree:256:ns_per_op"], 400000.0)
 
     def test_unknown_sweep_fields_ignored(self):
@@ -131,7 +130,7 @@ class TestDirection(unittest.TestCase):
         self.assertTrue(gate.lower_is_better("sweep:lookahead_nodes"))
         self.assertTrue(gate.lower_is_better("sweep:service_warm_executed"))
         self.assertFalse(gate.lower_is_better("kernel:x:1024:gib_per_s"))
-        self.assertFalse(gate.lower_is_better("sweep:product_blocked_speedup"))
+        self.assertFalse(gate.lower_is_better("sweep:frontier_sparse_speedup"))
         self.assertFalse(gate.lower_is_better("sweep:beam_rounds"))
 
 
@@ -147,13 +146,13 @@ class TestGate(GateHarness):
 
     def test_throughput_regression_beyond_tolerance_fails(self):
         baseline, _ = self.write_fresh_baseline()
-        # product_blocked_speedup tolerance is 40%: 2.0 -> 0.5 is a 75%
+        # frontier_sparse_speedup tolerance is 60%: 5.0 -> 1.25 is a 75%
         # drop.
         code, out, _ = self.run_gate(
-            baseline, kernels_doc(), sweep_doc(product_blocked_speedup=0.5))
+            baseline, kernels_doc(), sweep_doc(frontier_sparse_speedup=1.25))
         self.assertNotEqual(code, 0)
         self.assertIn("REGRESSION", out)
-        self.assertIn("sweep:product_blocked_speedup", out)
+        self.assertIn("sweep:frontier_sparse_speedup", out)
 
     def test_work_counter_regresses_upward(self):
         baseline, _ = self.write_fresh_baseline()
@@ -298,7 +297,7 @@ class TestRatchet(GateHarness):
     def test_ratchet_tightens_after_improvement(self):
         # Regenerating after an improvement moves the floor up: the old
         # (slower) numbers now regress against the new baseline.
-        improved = sweep_doc(product_blocked_speedup=4.0)
+        improved = sweep_doc(frontier_sparse_speedup=20.0)
         code, _, path = self.run_gate(None, kernels_doc(), improved,
                                       write_baseline=True)
         self.assertEqual(code, 0)
@@ -306,7 +305,7 @@ class TestRatchet(GateHarness):
             ratcheted = json.load(f)
         code, out, _ = self.run_gate(ratcheted, kernels_doc(), sweep_doc())
         self.assertNotEqual(code, 0)
-        self.assertIn("sweep:product_blocked_speedup", out)
+        self.assertIn("sweep:frontier_sparse_speedup", out)
 
 
 if __name__ == "__main__":

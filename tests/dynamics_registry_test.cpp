@@ -11,6 +11,7 @@
 #include "src/graph/properties.h"
 #include "src/sim/broadcast_sim.h"
 #include "src/support/assert.h"
+#include "tests/oracles/oracles.h"
 
 namespace dynbcast {
 namespace {

@@ -8,9 +8,13 @@
 #include "src/support/rng.h"
 #include "src/tree/families.h"
 #include "src/tree/generators.h"
+#include "tests/oracles/oracles.h"
 
 namespace dynbcast {
 namespace {
+
+// reachableFrom, findRoot and isRooted are test oracles
+// (tests/oracles/oracles.h); other suites rely on them, so pin them here.
 
 TEST(ReachabilityTest, PathReachesForward) {
   const BitMatrix g = makePath(4).toMatrix();
@@ -38,7 +42,9 @@ TEST(RootedTest, DisconnectedIsNotRooted) {
 }
 
 TEST(NonsplitTest, FullGraphIsNonsplit) {
-  EXPECT_TRUE(isNonsplit(BitMatrix::full(5)));
+  BitMatrix full(5);
+  for (std::size_t x = 0; x < 5; ++x) full.row(x).setAll();
+  EXPECT_TRUE(isNonsplit(full));
 }
 
 TEST(NonsplitTest, IdentityIsNotNonsplitForTwoPlus) {
@@ -165,22 +171,6 @@ TEST(TreeMembershipTest, RejectsCycle) {
   g.set(1, 2);
   g.set(2, 0);  // every node in-degree 2: no root
   EXPECT_FALSE(isRootedTreeWithSelfLoops(g));
-}
-
-TEST(TreeDepthTest, PathDepthIsNMinus1) {
-  EXPECT_EQ(treeDepth(makePath(6).toMatrix()), 5u);
-}
-
-TEST(TreeDepthTest, StarDepthIsOne) {
-  EXPECT_EQ(treeDepth(makeStar(6, 0).toMatrix()), 1u);
-}
-
-TEST(TreeDepthTest, MatchesRootedTreeHeight) {
-  Rng rng(11);
-  for (int t = 0; t < 20; ++t) {
-    const RootedTree tree = randomRootedTree(2 + rng.uniform(10), rng);
-    EXPECT_EQ(treeDepth(tree.toMatrix()), tree.height());
-  }
 }
 
 }  // namespace

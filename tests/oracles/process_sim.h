@@ -1,5 +1,6 @@
 // ProcessSim: a literal synchronous message-passing implementation of the
-// model, used to cross-validate BroadcastSim.
+// model, the test oracle that BroadcastSim is cross-validated against. It
+// lives with the tests: no program runs it.
 //
 // Each process keeps an explicit knowledge set of process ids. In each
 // round, the adversary's rooted tree defines the links; every process
@@ -12,7 +13,7 @@
 // message objects and a delivery queue — an independent executable
 // reading of Definitions 2.1–2.3, not an optimized clone of the bitset
 // recurrence. Integration tests assert both simulators agree round by
-// round on identical tree sequences.
+// round on identical tree sequences and on the model zoo's graphs.
 #pragma once
 
 #include <cstdint>

@@ -13,7 +13,7 @@
 
 #include "src/graph/bitmatrix.h"
 #include "src/sim/broadcast_sim.h"
-#include "src/sim/process_sim.h"
+#include "tests/oracles/process_sim.h"
 #include "src/sim/sim_backend.h"
 #include "src/support/rng.h"
 #include "src/tree/families.h"

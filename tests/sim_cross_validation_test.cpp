@@ -1,20 +1,22 @@
 // Integration: two independent implementations of Definitions 2.1–2.3
 // must agree exactly. BroadcastSim (dense bitsets) and ProcessSim
-// (literal message passing over std::set) are cross-checked round by
-// round on tree sequences; on graph-model dynamics — where ProcessSim has
-// no graph interface — each model's sparse arc rounds are checked against
-// its dense graphs, and the sampled t*-only frontier mode against the
-// dense t*. All randomized sweeps shard through the ExperimentEngine.
+// (literal message passing over std::set, a test oracle) are
+// cross-checked round by round on tree sequences and, at n ≤ 64, on the
+// graph-model dynamics' graphs; there each model's sparse arc rounds are
+// also checked against its dense graphs, and the sampled t*-only
+// frontier mode against the dense t*. All randomized sweeps shard
+// through the ExperimentEngine.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "src/adversary/portfolio.h"
 #include "src/dynamics/registry.h"
 #include "src/engine/experiment_engine.h"
 #include "src/sim/broadcast_sim.h"
-#include "src/sim/process_sim.h"
+#include "tests/oracles/process_sim.h"
 #include "src/support/rng.h"
 #include "src/tree/constrained.h"
 #include "src/tree/families.h"
@@ -156,16 +158,20 @@ TEST(CrossValidationTest, EngineShardedPortfolioAgreementOnRandomInstances) {
 }
 
 // ---------------------------------------------------------------------------
-// Graph-model dynamics: dense ↔ sparse differential sweep.
+// Graph-model dynamics: dense ↔ message-passing ↔ sparse differential.
 //
-// ProcessSim has no graph interface, so the check here pits the dense
-// path against the sparse one in two legs: (a) every round, the model's
+// Three legs: (a) at n ≤ 64, every round's nextGraph also goes through
+// ProcessSim::applyGraph, and both simulators must agree after it; for
+// models with a sparse interface, (b) every round, the model's
 // nextSparseRound arcs plus the identity must equal its dense nextGraph
-// exactly, and (b) the sampled t*-only frontier mode's certified answer
-// must land on the dense t*. Sizes reach past 64 so the t* mode exercises
-// its backward-filter certification path, not just the all-sources
-// shortcut.
+// exactly, and (c) the sampled t*-only frontier mode's certified answer
+// must land on the dense t*. Sizes reach past 64
+// so the t* mode exercises its backward-filter certification path, not
+// just the all-sources shortcut; ProcessSim stops at 64 to keep its
+// std::set rounds cheap.
 // ---------------------------------------------------------------------------
+
+constexpr std::size_t kMaxProcessSimN = 64;
 
 void runGraphModelDifferential(const std::string& specText,
                                std::uint64_t sweepSeed) {
@@ -195,22 +201,35 @@ void runGraphModelDifferential(const std::string& specText,
         const auto sparseModel = registry.make(spec, n, seed);
         denseModel->reset();
         sparseModel->reset();
+        // nonsplit-skewed has no sparse interface: it runs leg (a) alone.
+        const bool sparse = denseModel->supportsSparseRounds();
         BroadcastSim dense(n);
+        std::optional<ProcessSim> processes;
+        if (n <= kMaxProcessSimN) processes.emplace(n);
         const std::size_t cap = denseModel->defaultRoundCap();
         SparseRound round;
         std::size_t denseDone = 0;
+        SCOPED_TRACE(spec.toString() + " at n=" + std::to_string(n) +
+                     " seed=" + std::to_string(seed));
         while (dense.round() < cap && denseDone == 0) {
           const BitMatrix g = denseModel->nextGraph(dense);
           dense.applyGraph(g);
-          sparseModel->nextSparseRound(round);
-          BitMatrix fromArcs = BitMatrix::identity(n);
-          for (const auto& [src, dst] : round.arcs) fromArcs.set(src, dst);
-          if (round.n != n || fromArcs != g) {
-            return fail("round " + std::to_string(dense.round()) +
-                        ": sparse arcs differ from the dense graph");
+          if (processes) {
+            processes->applyGraph(g);
+            expectAgreement(dense, *processes);
+          }
+          if (sparse) {
+            sparseModel->nextSparseRound(round);
+            BitMatrix fromArcs = BitMatrix::identity(n);
+            for (const auto& [src, dst] : round.arcs) fromArcs.set(src, dst);
+            if (round.n != n || fromArcs != g) {
+              return fail("round " + std::to_string(dense.round()) +
+                          ": sparse arcs differ from the dense graph");
+            }
           }
           if (dense.broadcastDone()) denseDone = dense.round();
         }
+        if (!sparse) return verdict;
         // The sampled t*-only mode replays the same seed and must land on
         // the same certified round (or agree broadcast never completed).
         const auto tstarModel = registry.make(spec, n, seed);
@@ -240,6 +259,10 @@ TEST(CrossValidationTest, EngineShardedNonsplitRandomDifferential) {
 
 TEST(CrossValidationTest, EngineShardedNonsplitRandomCountModeDifferential) {
   runGraphModelDifferential("nonsplit-random:edges=12", 0xd1f402);
+}
+
+TEST(CrossValidationTest, EngineShardedNonsplitSkewedDifferential) {
+  runGraphModelDifferential("nonsplit-skewed", 0xd1f406);
 }
 
 TEST(CrossValidationTest, EngineShardedEdgeMarkovianDifferential) {

@@ -1,4 +1,4 @@
-#include "src/sim/process_sim.h"
+#include "tests/oracles/process_sim.h"
 
 #include <gtest/gtest.h>
 

@@ -98,20 +98,6 @@ TEST(RngTest, UniformCoversAllResidues) {
   EXPECT_EQ(seen.size(), 7u);
 }
 
-TEST(RngTest, UniformIntHitsEndpoints) {
-  Rng rng(5);
-  bool sawLo = false, sawHi = false;
-  for (int i = 0; i < 1000; ++i) {
-    const std::int64_t v = rng.uniformInt(-3, 3);
-    EXPECT_GE(v, -3);
-    EXPECT_LE(v, 3);
-    sawLo |= v == -3;
-    sawHi |= v == 3;
-  }
-  EXPECT_TRUE(sawLo);
-  EXPECT_TRUE(sawHi);
-}
-
 TEST(RngTest, UniformRealInUnitInterval) {
   Rng rng(9);
   double sum = 0;

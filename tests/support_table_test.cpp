@@ -22,7 +22,7 @@ TEST(TextTableTest, RendersAlignedColumns) {
 
 TEST(TextTableTest, MarkdownHasPipes) {
   TextTable t({"a", "b"});
-  t.row().add(1).add(2);
+  t.row().add(std::uint64_t{1}).add(std::uint64_t{2});
   const std::string md = t.renderMarkdown();
   EXPECT_EQ(md.substr(0, 1), "|");
   EXPECT_NE(md.find("| a |"), std::string::npos);
@@ -56,8 +56,8 @@ TEST(TextTableTest, DoubleFormatting) {
 TEST(TextTableTest, RowCountTracksRows) {
   TextTable t({"x"});
   EXPECT_EQ(t.rowCount(), 0u);
-  t.row().add(1);
-  t.row().add(2);
+  t.row().add(std::uint64_t{1});
+  t.row().add(std::uint64_t{2});
   EXPECT_EQ(t.rowCount(), 2u);
 }
 

@@ -56,7 +56,11 @@ TEST(EnumerateTest, EarlyStopHonored) {
 }
 
 TEST(EnumerateTest, AllRootedTreesMaterializes) {
-  const std::vector<RootedTree> all = allRootedTrees(3);
+  std::vector<RootedTree> all;
+  forEachRootedTree(3, [&all](const RootedTree& t) {
+    all.push_back(t);
+    return true;
+  });
   EXPECT_EQ(all.size(), 9u);
   // Every root value appears exactly 3 times (3 shapes × 3 roots).
   std::size_t rootZero = 0;
