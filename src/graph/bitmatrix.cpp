@@ -74,21 +74,6 @@ bool BitMatrix::isReflexive() const noexcept {
   return true;
 }
 
-std::vector<std::size_t> BitMatrix::completeRows() const {
-  std::vector<std::size_t> out;
-  out.reserve(n_);
-  for (std::size_t x = 0; x < n_; ++x) {
-    if (rows_[x].all()) out.push_back(x);
-  }
-  return out;
-}
-
-std::vector<std::size_t> BitMatrix::broadcasters() const {
-  // x is a broadcaster iff (x, y) == 1 for every y, i.e. row(x) is full.
-  // (Rows are reach-sets under our orientation; see bitmatrix.h.)
-  return completeRows();
-}
-
 std::string BitMatrix::toString() const {
   std::string s;
   s.reserve(n_ * (n_ + 1));

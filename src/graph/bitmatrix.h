@@ -57,14 +57,6 @@ class BitMatrix {
   /// True when every diagonal entry is 1 (all self-loops present).
   [[nodiscard]] bool isReflexive() const noexcept;
 
-  /// Rows x with row(x).all(): processes that have reached everyone.
-  [[nodiscard]] std::vector<std::size_t> completeRows() const;
-
-  /// The broadcasters of a product graph: nodes x whose row is full,
-  /// i.e. x has an edge to every node, so everyone has heard of x. The
-  /// same rows as completeRows().
-  [[nodiscard]] std::vector<std::size_t> broadcasters() const;
-
   friend bool operator==(const BitMatrix& a, const BitMatrix& b) noexcept {
     return a.n_ == b.n_ && a.rows_ == b.rows_;
   }

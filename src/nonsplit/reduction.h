@@ -4,25 +4,18 @@
 // nonsplit bound into the pre-paper O(n log log n) tree bound (§4).
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <vector>
 
-#include "src/graph/bitmatrix.h"
 #include "src/tree/rooted_tree.h"
 
 namespace dynbcast {
 
-/// Product G_1 ∘ G_2 ∘ … of the trees' communication graphs.
-[[nodiscard]] BitMatrix productOfTrees(const std::vector<RootedTree>& trees);
-
-/// Checks the reduction's statement on a concrete sequence: true when the
-/// product of the given trees is nonsplit. By [1] this always holds when
-/// trees.size() >= n−1; property tests exercise exactly that.
-[[nodiscard]] bool treeProductIsNonsplit(const std::vector<RootedTree>& trees);
-
 /// The smallest prefix length L such that G_1 ∘ … ∘ G_L is nonsplit, or
 /// trees.size()+1 when no prefix suffices. By [1], L ≤ n−1 always; the
-/// benches report how much earlier random sequences get there.
+/// benches report how much earlier random sequences get there. Products
+/// of reflexive graphs only gain arcs, so every longer prefix is
+/// nonsplit too: L ≤ trees.size() says the whole product is.
 [[nodiscard]] std::size_t nonsplitPrefixLength(
     const std::vector<RootedTree>& trees);
 

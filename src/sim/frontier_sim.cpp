@@ -70,7 +70,6 @@ class RoundReplayer {
     while (generated_ < t) {
       const SparseRound& pulled = source_.next();
       ++generated_;
-      ++totalGenerated_;
       if (caching_ && generated_ == cache_.size() + 1) {
         scratch_.assign(n_, pulled);
         if (cachedUnits_ + scratch_.units() <= budgetArcs_) {
@@ -87,10 +86,6 @@ class RoundReplayer {
     return t <= cache_.size() ? cache_[t - 1] : scratch_;
   }
 
-  [[nodiscard]] std::size_t totalGenerated() const noexcept {
-    return totalGenerated_;
-  }
-
  private:
   std::size_t n_;
   SparseRoundSource& source_;
@@ -98,9 +93,8 @@ class RoundReplayer {
   std::vector<CompactRound> cache_;
   std::size_t cachedUnits_ = 0;
   bool caching_ = true;
-  CompactRound scratch_;            // round t when it is not cached
-  std::size_t generated_ = 0;       // rounds pulled since the last reset
-  std::size_t totalGenerated_ = 0;  // lifetime next() calls (diagnostics)
+  CompactRound scratch_;       // round t when it is not cached
+  std::size_t generated_ = 0;  // rounds pulled since the last reset
 };
 
 /// The low `count` bits set (count ≤ 64): one bit per sampled node.
@@ -197,6 +191,7 @@ void backwardReach(std::size_t t, const std::vector<std::uint32_t>& targets,
 /// id order. A bucket count by popcount picks them in two passes.
 std::vector<std::uint32_t> laggards(const std::vector<std::uint64_t>& words,
                                     std::size_t count) {
+  DYNBCAST_ASSERT(count <= words.size());
   std::size_t perCount[65] = {};
   for (const std::uint64_t w : words) ++perCount[std::popcount(w)];
   // Every node reached by fewer than `cut` sources is taken, then the
@@ -219,56 +214,22 @@ std::vector<std::uint32_t> laggards(const std::vector<std::uint64_t>& words,
   return out;
 }
 
-/// Probes the monotone predicate "broadcast done by round t" exactly and
-/// returns the round at which a certified broadcaster completed (≤ t),
-/// or 0 when none does. The backward filter from `targets`
-/// over-approximates the broadcaster set (anything heard by all n nodes
-/// is heard by the targets), and forward certification of candidate
-/// batches settles it. When a batch fails, the nodes it provably missed
-/// become the next filter's targets, so every iteration removes at least
-/// the batch — termination is structural, and the refined targets are
-/// the batch's actual laggards.
-std::size_t testRound(std::size_t n, std::size_t t,
-                      const std::vector<std::uint32_t>& targets,
-                      RoundReplayer& rounds, FrontierTStarResult& result,
-                      std::vector<std::uint64_t>& cover,
-                      std::vector<std::uint64_t>& prev,
-                      std::vector<std::uint64_t>& back) {
-  ++result.probes;
-  backwardReach(t, targets, rounds, back, prev);
-  std::uint64_t mask = allBits(targets.size());
-  std::vector<std::uint32_t> candidates;
-  for (std::size_t x = 0; x < n; ++x) {
-    if (back[x] == mask) candidates.push_back(static_cast<std::uint32_t>(x));
-  }
-  std::vector<std::uint32_t> batch;
-  while (!candidates.empty()) {
-    const std::size_t batchSize = std::min<std::size_t>(64, candidates.size());
-    batch.assign(candidates.begin(), candidates.begin() + batchSize);
-    ++result.batches;
-    const std::size_t done =
-        forwardCompletionRound(n, batch, t, rounds, cover, prev);
-    if (done != 0) return done;
-    // Each batch member missed someone; collect one miss per member.
-    std::vector<std::uint32_t> missed;
-    std::uint64_t unassigned = allBits(batchSize);
-    for (std::size_t y = 0; y < n && unassigned != 0; ++y) {
-      const std::uint64_t hit = ~cover[y] & unassigned;
-      if (hit == 0) continue;
-      missed.push_back(static_cast<std::uint32_t>(y));
-      unassigned &= ~hit;
+/// Keeps, in order, the candidates from index `from` on that reach every
+/// node of `targets` under G_1 ∘ … ∘ G_limit; the rest cannot have
+/// broadcast by `limit`.
+void keepReaching(std::vector<std::uint32_t>& candidates, std::size_t from,
+                  const std::vector<std::uint32_t>& targets, std::size_t limit,
+                  RoundReplayer& rounds, std::vector<std::uint64_t>& back,
+                  std::vector<std::uint64_t>& prev) {
+  std::size_t kept = 0;
+  if (from < candidates.size()) {
+    backwardReach(limit, targets, rounds, back, prev);
+    const std::uint64_t all = allBits(targets.size());
+    for (std::size_t i = from; i < candidates.size(); ++i) {
+      if (back[candidates[i]] == all) candidates[kept++] = candidates[i];
     }
-    DYNBCAST_ASSERT_MSG(unassigned == 0,
-                        "failed batch must miss at least one node each");
-    backwardReach(t, missed, rounds, back, prev);
-    mask = allBits(missed.size());
-    std::vector<std::uint32_t> next;
-    for (std::size_t i = batchSize; i < candidates.size(); ++i) {
-      if (back[candidates[i]] == mask) next.push_back(candidates[i]);
-    }
-    candidates.swap(next);
   }
-  return 0;
+  candidates.resize(kept);
 }
 
 }  // namespace
@@ -283,56 +244,56 @@ FrontierTStarResult runFrontierTStar(std::size_t n, SparseRoundSource& source,
   }
   source.reset();
   RoundReplayer rounds(n, source, options.cacheBudgetArcs);
-  std::size_t samples = std::clamp<std::size_t>(options.samples, 1, 64);
-  if (n <= 64) samples = n;
+  const std::size_t samples =
+      std::min(std::clamp<std::size_t>(options.samples, 1, 64), n);
   Rng rng(options.sampleSeed ^ 0x5bf03635f0a3d7c5ull);
-  const std::vector<std::uint32_t> sources =
-      pickDistinct(n, samples, rng);
+  const std::vector<std::uint32_t> sources = pickDistinct(n, samples, rng);
   std::vector<std::uint64_t> cover(n), prev(n);
-  const std::size_t upper = forwardCompletionRound(
-      n, sources, options.maxRounds, rounds, cover, prev);
-  if (samples == n) {
-    // Every node was a forward source: the scan itself is exact.
-    result.rounds = upper != 0 ? upper : options.maxRounds;
-    result.completed = upper != 0;
-    result.roundsGenerated = rounds.totalGenerated();
-    return result;
-  }
-  // The backward targets of every probe: the nodes the sampled sources
-  // had reached least by round upper − 1, where the first probe looks.
-  const std::vector<std::uint32_t> targets = laggards(prev, samples);
+  // best is the earliest completion seen so far (0: none); only a node
+  // that broadcasts by limit = best − 1 could still lower it.
+  std::size_t best = forwardCompletionRound(n, sources, options.maxRounds,
+                                            rounds, cover, prev);
+  std::size_t limit = best != 0 ? best - 1 : options.maxRounds;
+  // The backward targets: the nodes the sampled sources had reached
+  // least by round limit (prev holds that round when a source completed,
+  // cover when none did). Any broadcaster by limit reaches them all, so
+  // the filter over-approximates the broadcasters.
+  const std::vector<std::uint32_t> targets =
+      laggards(best != 0 ? prev : cover, samples);
   std::vector<std::uint64_t> back(n);
-  // With no sampled source finished, an unsampled one still might have.
-  std::size_t hi = upper != 0 ? upper
-                              : testRound(n, options.maxRounds, targets,
-                                          rounds, result, cover, prev, back);
-  if (hi == 0) {
-    result.rounds = options.maxRounds;
-    result.completed = false;
-    result.roundsGenerated = rounds.totalGenerated();
-    return result;
-  }
-  // Search the monotone completion predicate; hi is known-true. The
-  // sampled bound is usually within a round of t*, so its first probe
-  // looks one round below it, where a failure settles t* = hi at once;
-  // then it bisects. A success moves hi to the round its batch
-  // completed, which may lie below the probe.
-  std::size_t lo = 1;
-  bool belowBound = upper != 0;
-  while (lo < hi) {
-    const std::size_t mid = belowBound ? hi - 1 : lo + (hi - lo) / 2;
-    belowBound = false;
+  std::vector<std::uint32_t> candidates(n);
+  std::iota(candidates.begin(), candidates.end(), 0u);
+  keepReaching(candidates, 0, targets, limit, rounds, back, prev);
+  std::vector<std::uint32_t> batch;
+  while (!candidates.empty()) {
+    const std::size_t batchSize = std::min<std::size_t>(64, candidates.size());
+    batch.assign(candidates.begin(), candidates.begin() + batchSize);
+    ++result.batches;
     const std::size_t done =
-        testRound(n, mid, targets, rounds, result, cover, prev, back);
+        forwardCompletionRound(n, batch, limit, rounds, cover, prev);
     if (done != 0) {
-      hi = done;
-    } else {
-      lo = mid + 1;
+      // Cut every later batch below the new best round.
+      best = done;
+      limit = done - 1;
+      keepReaching(candidates, batchSize, targets, limit, rounds, back, prev);
+      continue;
     }
+    // Each batch member missed someone by limit; collect one miss per
+    // member, and drop the candidates that miss one of them too.
+    std::vector<std::uint32_t> missed;
+    std::uint64_t unassigned = allBits(batchSize);
+    for (std::size_t y = 0; y < n && unassigned != 0; ++y) {
+      const std::uint64_t hit = ~cover[y] & unassigned;
+      if (hit == 0) continue;
+      missed.push_back(static_cast<std::uint32_t>(y));
+      unassigned &= ~hit;
+    }
+    DYNBCAST_ASSERT_MSG(unassigned == 0,
+                        "failed batch must miss at least one node each");
+    keepReaching(candidates, batchSize, missed, limit, rounds, back, prev);
   }
-  result.rounds = hi;
-  result.completed = true;
-  result.roundsGenerated = rounds.totalGenerated();
+  result.completed = best != 0;
+  result.rounds = result.completed ? best : options.maxRounds;
   return result;
 }
 

@@ -10,16 +10,22 @@
 // runFrontierTStar is EXACT — it never approximates t*, so the
 // differential suite can demand bit-for-bit agreement with BroadcastSim.
 // Forward word-parallel propagation of ≤64 sampled sources (one uint64
-// per node) yields an upper bound U on t*. A search over the monotone
-// predicate "⋂_y Heard_t(y) ≠ ∅" then pins t* exactly. Its first probe
-// is at U − 1, since U is usually within a round of t*; then it
-// bisects. Each probe is answered by a backward word-parallel
-// over-approximation (candidates reaching every target ⊇ the true
-// broadcasters) refined by forward certification of candidate batches.
-// The targets are the laggards of the sampled forward pass, the nodes
-// the fewest sources had reached by U − 1. A certified batch reports
-// the round it completed, and the search's upper end moves there, which
-// may lie below the probe.
+// per node) yields an upper bound U on t*. One certification pass then
+// pins t* below U, with no search over rounds:
+//   - A backward word-parallel filter at limit = U − 1 (maxRounds when no
+//     sampled source completed) keeps the candidates that reach every
+//     target: a superset of the nodes that broadcast by limit. The
+//     targets are the laggards of the sampled forward pass, the nodes
+//     the fewest sources had reached by limit.
+//   - Candidate batches of 64 are forwarded over [1, limit]. A batch
+//     that completes at round d becomes the best so far: limit drops to
+//     d − 1 and the remaining candidates are re-filtered there. A batch
+//     that fails yields one node each member missed, and those nodes
+//     refine the remaining candidates at the same limit.
+//   - t* is the last completion round found, else U; with neither, the
+//     run did not complete by maxRounds. Each batch removes at least its
+//     own members, so the pass forwards ≤ ⌈n/64⌉ batches.
+// When n ≤ 64 every node is a sampled source, so the filter passes none.
 //
 // Layering: sim depends only on graph/tree/support, so round sequences
 // arrive through the SparseRoundSource interface; the DynamicsModel
@@ -64,7 +70,8 @@ struct FrontierTStarOptions {
   /// Seeds the (performance-only) choice of sampled sources; the
   /// backward targets follow from what those sources reached.
   std::uint64_t sampleSeed = 0;
-  /// Sampled forward sources / backward targets, clamped to [1, 64].
+  /// Sampled forward sources / backward targets, clamped to
+  /// [1, min(64, n)].
   std::size_t samples = 64;
   /// Round-graph cache budget in arcs. Cached rounds are grouped by
   /// source: 4 bytes per arc (self-loops dropped) plus 4 bytes per node
@@ -78,13 +85,8 @@ struct FrontierTStarOptions {
 struct FrontierTStarResult {
   std::size_t rounds = 0;  ///< t* when completed, else maxRounds
   bool completed = false;
-  /// Diagnostics: total source.next() calls.
-  std::size_t roundsGenerated = 0;
-  /// Deterministic certifier counters: rounds tested exactly (probes)
-  /// and candidate batches forwarded to certify them (batches). Both
-  /// stay 0 when every node is sampled, since the forward scan is then
-  /// exact by itself.
-  std::size_t probes = 0;
+  /// Candidate batches the certification pass forwarded: deterministic,
+  /// at most ⌈n/64⌉, and 0 when the backward filter passes no candidate.
   std::size_t batches = 0;
 };
 

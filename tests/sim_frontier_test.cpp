@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -63,16 +62,16 @@ class VectorRoundSource final : public SparseRoundSource {
   return 0;  // never completed
 }
 
-/// 1 + ⌈log₂ u⌉: the most probes a search below the bound u may take.
-[[nodiscard]] std::size_t probeBound(std::size_t u) {
-  return 1 + static_cast<std::size_t>(std::bit_width(u - 1));
-}
+/// ⌈n/64⌉: the most batches the certification pass may forward, since
+/// each batch removes at least its own members from the candidates.
+[[nodiscard]] std::size_t batchBound(std::size_t n) { return (n + 63) / 64; }
 
 class FrontierTStarTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(FrontierTStarTest, MatchesDenseTStarOnScriptedSequences) {
   // n > 64 exercises the sampled upper bound + backward filter +
-  // certification path; n ≤ 64 takes the exact all-sources shortcut.
+  // certification path; at n ≤ 64 every node is a sampled source, so the
+  // filter must pass none (and the sample count is clamped to n).
   const std::size_t n = GetParam();
   Rng rng(n * 37 + 101);
   for (int trial = 0; trial < 8; ++trial) {
@@ -89,12 +88,10 @@ TEST_P(FrontierTStarTest, MatchesDenseTStarOnScriptedSequences) {
     options.maxRounds = cap;
     options.sampleSeed = rng();
     const FrontierTStarResult result = runFrontierTStar(n, source, options);
-    // The sampled bound never exceeds the cap, so neither do the probes
-    // of a search below it; the counters replay exactly.
-    EXPECT_LE(result.probes, probeBound(cap))
+    // The batch counter is bounded and replays exactly.
+    EXPECT_LE(result.batches, batchBound(n))
         << "n=" << n << " trial=" << trial;
     const FrontierTStarResult again = runFrontierTStar(n, source, options);
-    EXPECT_EQ(again.probes, result.probes) << "n=" << n << " trial=" << trial;
     EXPECT_EQ(again.batches, result.batches)
         << "n=" << n << " trial=" << trial;
     if (expected == 0) {
@@ -109,7 +106,7 @@ TEST_P(FrontierTStarTest, MatchesDenseTStarOnScriptedSequences) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, FrontierTStarTest,
-                         ::testing::Values(2, 5, 17, 64, 65, 100, 130));
+                         ::testing::Values(2, 5, 17, 63, 64, 65, 100, 130));
 
 /// Rounds that stress the per-source regrouping of runFrontierTStar's
 /// round cache: random arcs with every arc doubled and self-loops mixed
@@ -250,23 +247,64 @@ TEST(FrontierTStarTest, SampleSeedOnlyAffectsPerformance) {
   }
 }
 
+/// Runs the two-phase line at n through the sparse engine: the
+/// construction meets ⌈(3n−1)/2⌉ − 2 exactly, and above n = 64 the
+/// sampled bound, the laggard targets and the certifier must land on it
+/// too.
+void expectLowerBoundLine(std::size_t n) {
+  TwoPhaseRoundSource source(n);
+  FrontierTStarOptions options;
+  options.maxRounds = 4 * n;
+  const FrontierTStarResult result = runFrontierTStar(n, source, options);
+  EXPECT_TRUE(result.completed) << "n=" << n;
+  EXPECT_EQ(result.rounds, bounds::lowerBound(n)) << "n=" << n;
+  EXPECT_LE(result.batches, batchBound(n)) << "n=" << n;
+}
+
 TEST(FrontierTStarTest, ReproducesTheLowerBoundLine) {
-  // The construction meets ⌈(3n−1)/2⌉ − 2 exactly; above n = 64 the
-  // sampled bound, the laggard targets and the certifier must land on
-  // it too. On this line the sampled bound already is t*, so the first
-  // probe, one round below it, fails and settles t* alone.
-  std::vector<std::size_t> sizes;
-  for (std::size_t n = 2; n <= 256; ++n) sizes.push_back(n);
-  sizes.push_back(1024);
-  for (const std::size_t n : sizes) {
-    TwoPhaseRoundSource source(n);
-    FrontierTStarOptions options;
-    options.maxRounds = 4 * n;
-    const FrontierTStarResult result = runFrontierTStar(n, source, options);
-    EXPECT_TRUE(result.completed) << "n=" << n;
-    EXPECT_EQ(result.rounds, bounds::lowerBound(n)) << "n=" << n;
-    EXPECT_LE(result.probes, 1u) << "n=" << n;
+  for (std::size_t n = 2; n <= 256; ++n) expectLowerBoundLine(n);
+  expectLowerBoundLine(1024);
+}
+
+TEST(FrontierTStarTest, ReproducesTheLowerBoundLineAt4096) {
+#ifdef NDEBUG
+  expectLowerBoundLine(4096);  // ~5 s in Release
+#else
+  GTEST_SKIP() << "n = 4096 runs in optimized (NDEBUG) builds only";
+#endif
+}
+
+TEST(FrontierTStarTest, LaterBatchesLowerTheBestRound) {
+  // Hub b = 129 and two groups, G1 = {0..64} and G2 = {65..128}. After
+  // two silent rounds, b broadcasts at round 3; G1 reaches b at round 4
+  // and completes with b's round-5 star; G2 reaches b at round 6 and
+  // completes with the round-7 star. So t* = 3.
+  const std::size_t n = 130;
+  const std::uint32_t hub = 129;
+  SparseRound silent, star, g1, g2;
+  for (SparseRound* r : {&silent, &star, &g1, &g2}) r->n = n;
+  for (std::uint32_t x = 0; x < hub; ++x) {
+    star.arcs.emplace_back(hub, x);
+    (x <= 64 ? g1 : g2).arcs.emplace_back(x, hub);
   }
+  const std::vector<SparseRound> script = {silent, silent, star, g1,
+                                           star,   g2,     star};
+  ASSERT_EQ(denseTStar(n, script, 20 * n), 3u);
+
+  // With one sample from G2 (seed 1 picks node 88), the sampled bound is 7
+  // and the one target is node 0, which only G1 and b reach by round 6:
+  // the filter passes those 66 nodes. Batch {0..63} completes at 5; the
+  // re-filter at round 4 leaves b alone, whose batch completes at 3.
+  // Only a sample from G2 makes the pass forward two batches.
+  VectorRoundSource source(script);
+  FrontierTStarOptions options;
+  options.maxRounds = 20 * n;
+  options.samples = 1;
+  options.sampleSeed = 1;
+  const FrontierTStarResult result = runFrontierTStar(n, source, options);
+  EXPECT_TRUE(result.completed);
+  EXPECT_EQ(result.rounds, 3u);
+  EXPECT_EQ(result.batches, 2u);
 }
 
 TEST(FrontierTStarTest, SingleProcessCompletesImmediately) {
