@@ -281,9 +281,10 @@ KernelResult benchApplyGraph(std::size_t n, double minSeconds, Rng& rng) {
 
 /// One native edge-markovian step per op at zoo-sparse's largest n and
 /// density (p = 0.0002, q = 0.5): deaths, births merged with the
-/// survivors, and the arcs decoded. Two warm-up rounds first, so the
-/// stationary draw is not timed and the buffers have their size. A step
-/// takes tens of ms, so callers pass enough time for several of them.
+/// survivors, and the keys written as the round's offsets and heads.
+/// Two warm-up rounds first, so the stationary draw is not timed and
+/// the buffers have their size. A step takes tens of ms, so callers
+/// pass enough time for several of them.
 KernelResult benchEdgeMarkovianRound(std::size_t n, double minSeconds,
                                      Rng& rng) {
   const auto model = DynamicsRegistry::instance().make(

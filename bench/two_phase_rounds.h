@@ -5,6 +5,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "src/adversary/oblivious.h"
 #include "src/sim/frontier_sim.h"
@@ -12,24 +13,26 @@
 namespace dynbcast {
 
 /// Feeds TwoPhaseAdversary::next() as SparseRounds: each tree's arcs
-/// parent(v) → v.
+/// parent(v) → v, regrouped by parent.
 class TwoPhaseRoundSource final : public SparseRoundSource {
  public:
-  explicit TwoPhaseRoundSource(std::size_t n) : line_(n) { round_.n = n; }
+  explicit TwoPhaseRoundSource(std::size_t n) : line_(n) {}
   void reset() override { line_.reset(); }
   const SparseRound& next() override {
     const RootedTree tree = line_.next();
-    round_.arcs.clear();
+    pairs_.clear();
     for (std::size_t v = 0; v < tree.size(); ++v) {
       if (v == tree.root()) continue;
-      round_.arcs.emplace_back(static_cast<std::uint32_t>(tree.parent(v)),
-                               static_cast<std::uint32_t>(v));
+      pairs_.emplace_back(static_cast<std::uint32_t>(tree.parent(v)),
+                          static_cast<std::uint32_t>(v));
     }
+    assignArcs(tree.size(), pairs_, round_);
     return round_;
   }
 
  private:
   TwoPhaseAdversary line_;
+  std::vector<Arc> pairs_;
   SparseRound round_;
 };
 

@@ -86,11 +86,14 @@ class DynamicsModel {
   /// moves inspect the dense simulator state).
   [[nodiscard]] virtual bool supportsSparseRounds() const { return false; }
 
-  /// The communication graph for the next round as a SparseRound
-  /// (self-loops implicit). Contract mirrors nextGraph(): all randomness
-  /// flows from the constructed seed, reset() rewinds the sequence, and
-  /// for n ≤ kSparseDenseMirrorMaxN the emitted graph is bit-identical
-  /// to what nextGraph() would have produced. A model instance must be
+  /// Writes the communication graph for the next round into `out` as a
+  /// SparseRound: n + 1 offsets and the arc heads grouped by source,
+  /// self-loops implicit. `out`'s buffers are reused, so a caller that
+  /// passes the same round every time allocates only when a round
+  /// outgrows them. Contract mirrors nextGraph(): all randomness flows
+  /// from the constructed seed, reset() rewinds the sequence, and for
+  /// n ≤ kSparseDenseMirrorMaxN the emitted graph is bit-identical to
+  /// what nextGraph() would have produced. A model instance must be
   /// driven through ONE of the two interfaces per run (reset() starts a
   /// fresh run). Throws std::logic_error unless supportsSparseRounds().
   virtual void nextSparseRound(SparseRound& out);

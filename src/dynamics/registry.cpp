@@ -14,6 +14,7 @@
 #include "src/adversary/portfolio.h"
 #include "src/bounds/bounds.h"
 #include "src/nonsplit/nonsplit.h"
+#include "src/support/assert.h"
 #include "src/support/rng.h"
 #include "src/tree/generators.h"
 
@@ -21,12 +22,15 @@ namespace dynbcast {
 
 namespace {
 
-/// Extracts a dense round into an arc list (diagonal skipped; self-loops
-/// are implicit on the sparse path) — the mirror-mode bridge that keeps
-/// sparse generation bit-identical to dense at overlapping n.
-void appendArcsFromDense(const BitMatrix& g, SparseRound& out) {
+/// Writes a dense round's rows as `out`, row by row (diagonal skipped;
+/// self-loops are implicit on the sparse path) — the mirror-mode bridge
+/// that keeps sparse generation bit-identical to dense at overlapping n.
+void assignFromDense(const BitMatrix& g, SparseRound& out) {
   const std::size_t n = g.dim();
+  out.offsets.resize(n + 1);
+  out.arcs.clear();
   for (std::size_t x = 0; x < n; ++x) {
+    out.offsets[x] = static_cast<std::uint32_t>(out.arcs.size());
     const DynBitset& row = g.row(x);
     const std::uint64_t* words = row.wordData();
     for (std::size_t wi = 0; wi < row.wordCount(); ++wi) {
@@ -35,12 +39,11 @@ void appendArcsFromDense(const BitMatrix& g, SparseRound& out) {
         const std::size_t y =
             wi * 64 + static_cast<std::size_t>(std::countr_zero(w));
         w &= w - 1;
-        if (y == x) continue;
-        out.arcs.emplace_back(static_cast<std::uint32_t>(x),
-                              static_cast<std::uint32_t>(y));
+        if (y != x) out.arcs.push_back(static_cast<std::uint32_t>(y));
       }
     }
   }
+  out.offsets[n] = static_cast<std::uint32_t>(out.arcs.size());
 }
 
 /// Calls fn(i) for each success of an iid Bernoulli(p) process over
@@ -96,6 +99,31 @@ class AscendingPairDecoder {
   std::uint32_t x_ = 0;
 };
 
+/// Writes ascending pair-space keys as `out` in one pass: the decoder
+/// carries the row forward, and each row a key moves past is closed in
+/// the offsets. The heads keep a sixteenth of slack, so the next round,
+/// about as large, reuses them instead of reallocating.
+void assignAscendingKeys(std::size_t n, const std::vector<std::uint64_t>& keys,
+                         SparseRound& out) {
+  DYNBCAST_ASSERT_MSG(keys.size() <= std::numeric_limits<std::uint32_t>::max(),
+                      "a round's arcs must fit u32 offsets");
+  if (keys.size() > out.arcs.capacity()) {
+    out.arcs.reserve(keys.size() + keys.size() / 16);
+  }
+  out.offsets.resize(n + 1);
+  out.arcs.resize(keys.size());
+  std::uint32_t* offsets = out.offsets.data();
+  AscendingPairDecoder decode(n);
+  std::uint32_t row = 0;
+  offsets[0] = 0;
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    const auto [x, y] = decode(keys[k]);
+    while (row < x) offsets[++row] = static_cast<std::uint32_t>(k);
+    out.arcs[k] = y;
+  }
+  while (row < n) offsets[++row] = static_cast<std::uint32_t>(keys.size());
+}
+
 /// Stall-detector cap for the stochastic models with no sharper published
 /// bound here (edge-Markovian, T-interval): oblivious dynamic sequences
 /// finish broadcast within O(n), so ~10n with slack separates "slow" from
@@ -137,33 +165,34 @@ class NonsplitRandomModel final : public SeededGraphModel {
   [[nodiscard]] bool supportsSparseRounds() const override { return true; }
 
   void nextSparseRound(SparseRound& out) override {
-    out.n = n_;
-    out.arcs.clear();
     if (n_ <= kSparseDenseMirrorMaxN) {
-      appendArcsFromDense(denseDraw(), out);
+      assignFromDense(denseDraw(), out);
       return;
     }
     // Native sparse draw: the same random arcs, but the dense repair
     // pass (which walks all pairs) is replaced by a random hub informing
     // everyone — still nonsplit (the hub is a common in-neighbor of
-    // every pair), distributionally close rather than identical.
+    // every pair), distributionally close rather than identical. The
+    // hub's arcs come last, so the pairs are regrouped by source.
+    pairs_.clear();
     if (p_ > 0.0) {
       AscendingPairDecoder decode(n_);
       skipSampleBernoulli(
           static_cast<std::uint64_t>(n_) * (n_ - 1), p_, rng_,
-          [&](std::uint64_t i) { out.arcs.push_back(decode(i)); });
+          [&](std::uint64_t i) { pairs_.push_back(decode(i)); });
     } else {
       const std::size_t count = edges_ != 0 ? edges_ : 2 * n_;
       for (std::size_t e = 0; e < count; ++e) {
         const auto x = static_cast<std::uint32_t>(rng_.uniform(n_));
         const auto y = static_cast<std::uint32_t>(rng_.uniform(n_));
-        if (x != y) out.arcs.emplace_back(x, y);
+        if (x != y) pairs_.emplace_back(x, y);
       }
     }
     const auto hub = static_cast<std::uint32_t>(rng_.uniform(n_));
     for (std::uint32_t y = 0; y < n_; ++y) {
-      if (y != hub) out.arcs.emplace_back(hub, y);
+      if (y != hub) pairs_.emplace_back(hub, y);
     }
+    assignArcs(n_, pairs_, out);
   }
 
   [[nodiscard]] DynamicsClass graphClass() const override {
@@ -182,6 +211,7 @@ class NonsplitRandomModel final : public SeededGraphModel {
 
   std::size_t edges_;
   double p_;
+  std::vector<Arc> pairs_;  // a native round's arcs before regrouping
 };
 
 /// "nonsplit-skewed": every pair's common in-neighbor is biased towards
@@ -225,13 +255,11 @@ class EdgeMarkovianModel final : public SeededGraphModel {
   [[nodiscard]] bool supportsSparseRounds() const override { return true; }
 
   void nextSparseRound(SparseRound& out) override {
-    out.n = n_;
-    out.arcs.clear();
     if (n_ <= kSparseDenseMirrorMaxN) {
-      // Mirror mode: the exact dense RNG call sequence, arcs extracted
-      // from the evolved matrix.
+      // Mirror mode: the exact dense RNG call sequence, rows read off
+      // the evolved matrix.
       denseStep();
-      appendArcsFromDense(edges_, out);
+      assignFromDense(edges_, out);
       return;
     }
     // Native sparse evolution over the present-arc list: deaths by
@@ -248,15 +276,8 @@ class EdgeMarkovianModel final : public SeededGraphModel {
     } else {
       evolveSparseKeys(space);
     }
-    // A sixteenth of slack: the next round, about as large, then reuses
-    // this buffer instead of holding two at once while it reallocates.
-    if (sparseKeys_.size() > out.arcs.capacity()) {
-      out.arcs.reserve(sparseKeys_.size() + sparseKeys_.size() / 16);
-    }
-    AscendingPairDecoder decode(n_);
-    for (const std::uint64_t key : sparseKeys_) {
-      out.arcs.push_back(decode(key));
-    }
+    // The keys ascend, so they are already grouped by source.
+    assignAscendingKeys(n_, sparseKeys_, out);
   }
 
   [[nodiscard]] DynamicsClass graphClass() const override {
@@ -436,20 +457,20 @@ class TIntervalModel final : public SeededGraphModel {
     // Consumes exactly the same RNG stream as nextGraph (one
     // randomRootedTree per period), so sparse mirrors dense at EVERY n —
     // a tree has 2(n-1) symmetrized arcs, never a dense matrix.
-    out.n = n_;
     if (age_ == 0) {
       const RootedTree tree = randomRootedTree(n_, rng_);
-      sparseArcs_.clear();
-      sparseArcs_.reserve(2 * (n_ - 1));
+      std::vector<Arc> pairs;
+      pairs.reserve(2 * (n_ - 1));
       for (std::size_t v = 0; v < n_; ++v) {
         if (v == tree.root()) continue;
         const auto parent = static_cast<std::uint32_t>(tree.parent(v));
         const auto child = static_cast<std::uint32_t>(v);
-        sparseArcs_.emplace_back(parent, child);
-        sparseArcs_.emplace_back(child, parent);
+        pairs.emplace_back(parent, child);
+        pairs.emplace_back(child, parent);
       }
+      assignArcs(n_, pairs, sparseRound_);
     }
-    out.arcs = sparseArcs_;
+    out = sparseRound_;
     age_ = (age_ + 1) % period_;
   }
 
@@ -465,14 +486,14 @@ class TIntervalModel final : public SeededGraphModel {
     SeededGraphModel::reset();
     age_ = 0;
     current_ = BitMatrix();
-    sparseArcs_.clear();
+    sparseRound_ = SparseRound();
   }
 
  private:
   std::size_t period_;
   std::size_t age_ = 0;
   BitMatrix current_;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> sparseArcs_;
+  SparseRound sparseRound_;  // the current tree's round
 };
 
 }  // namespace

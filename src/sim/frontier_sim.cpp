@@ -11,56 +11,67 @@
 #include "src/support/rng.h"
 
 namespace dynbcast {
+
+void assignArcs(std::size_t n, const std::vector<Arc>& pairs,
+                SparseRound& out) {
+  DYNBCAST_ASSERT_MSG(pairs.size() <= std::numeric_limits<std::uint32_t>::max(),
+                      "a round's arcs must fit u32 offsets");
+  std::vector<std::uint32_t>& offsets = out.offsets;
+  offsets.assign(n + 1, 0);
+  for (const auto& [x, y] : pairs) {
+    DYNBCAST_ASSERT_MSG(x < n, "arc source out of range");
+    if (x != y) ++offsets[x + 1];
+  }
+  // offsets[x + 1] becomes x's first slot; the scatter below advances
+  // it to x's end, which is (x + 1)'s first slot.
+  std::uint32_t start = 0;
+  for (std::size_t x = 0; x < n; ++x) {
+    const std::uint32_t count = offsets[x + 1];
+    offsets[x + 1] = start;
+    start += count;
+  }
+  out.arcs.resize(start);
+  for (const auto& [x, y] : pairs) {
+    if (x != y) out.arcs[offsets[x + 1]++] = y;
+  }
+}
+
 namespace {
 
-/// One round regrouped by source: the out-neighbours of x are
-/// targets[offsets[x] .. offsets[x + 1]), self-loops dropped. Duplicate
-/// arcs are kept; every pass below is idempotent in them.
-struct CompactRound {
-  std::vector<std::uint32_t> offsets;  // n + 1 entries
-  std::vector<std::uint32_t> targets;
-
-  /// Regroups `round`'s arcs by source with a counting sort.
-  void assign(std::size_t n, const SparseRound& round) {
-    DYNBCAST_ASSERT_MSG(
-        round.arcs.size() <= std::numeric_limits<std::uint32_t>::max(),
-        "a round's arcs must fit u32 offsets");
-    offsets.assign(n + 1, 0);
-    for (const auto& [x, y] : round.arcs) {
-      DYNBCAST_ASSERT_MSG(x < n && y < n, "arc endpoint out of range");
-      if (x != y) ++offsets[x + 1];
-    }
-    // offsets[x + 1] becomes x's first slot; the scatter below advances
-    // it to x's end, which is (x + 1)'s first slot.
-    std::uint32_t start = 0;
-    for (std::size_t x = 0; x < n; ++x) {
-      const std::uint32_t count = offsets[x + 1];
-      offsets[x + 1] = start;
-      start += count;
-    }
-    targets.resize(start);
-    for (const auto& [x, y] : round.arcs) {
-      if (x != y) targets[offsets[x + 1]++] = y;
-    }
+/// Asserts the SparseRound shape every pass below indexes by: n + 1
+/// nondecreasing offsets from 0 to arcs.size(), and every head a node.
+void checkRoundShape(std::size_t n, const SparseRound& round) {
+  const std::vector<std::uint32_t>& offsets = round.offsets;
+  DYNBCAST_ASSERT_MSG(offsets.size() == n + 1,
+                      "a round needs n + 1 offsets");
+  DYNBCAST_ASSERT_MSG(
+      round.arcs.size() <= std::numeric_limits<std::uint32_t>::max(),
+      "a round's arcs must fit u32 offsets");
+  DYNBCAST_ASSERT_MSG(offsets[0] == 0 && offsets[n] == round.arcs.size(),
+                      "round offsets must run from 0 to the arc count");
+  bool decreasing = false;
+  for (std::size_t x = 0; x < n; ++x) {
+    decreasing |= offsets[x + 1] < offsets[x];
   }
+  DYNBCAST_ASSERT_MSG(!decreasing, "round offsets must be nondecreasing");
+  std::uint32_t maxHead = 0;
+  for (const std::uint32_t y : round.arcs) maxHead = std::max(maxHead, y);
+  DYNBCAST_ASSERT_MSG(round.arcs.empty() || maxHead < n,
+                      "arc head out of range");
+}
 
-  /// Cache units (4 bytes each) this round occupies.
-  [[nodiscard]] std::size_t units() const noexcept {
-    return offsets.size() + targets.size();
-  }
-};
-
-/// Serves round t (1-based) from a cache of compact rounds while they
-/// fit the budget, else by replaying the source from reset() — the
-/// latter keeps the mode exact with O(n) memory at the price of O(t)
-/// regeneration per backward step.
+/// Serves round t (1-based) from a cache of pulled rounds while they fit
+/// the budget, else by replaying the source from reset() — the latter
+/// keeps the mode exact with O(n) memory at the price of O(t)
+/// regeneration per backward step. An uncached round is the source's
+/// own, valid until the next pull.
 class RoundReplayer {
  public:
   RoundReplayer(std::size_t n, SparseRoundSource& source,
                 std::size_t budgetArcs)
       : n_(n), source_(source), budgetArcs_(budgetArcs) {}
 
-  const CompactRound& round(std::size_t t) {
+  const SparseRound& round(std::size_t t) {
     DYNBCAST_ASSERT_MSG(t >= 1, "rounds are 1-based");
     if (t <= cache_.size()) return cache_[t - 1];
     if (generated_ >= t) {
@@ -68,33 +79,31 @@ class RoundReplayer {
       generated_ = 0;
     }
     while (generated_ < t) {
-      const SparseRound& pulled = source_.next();
+      last_ = &source_.next();
       ++generated_;
+      checkRoundShape(n_, *last_);
       if (caching_ && generated_ == cache_.size() + 1) {
-        scratch_.assign(n_, pulled);
-        if (cachedUnits_ + scratch_.units() <= budgetArcs_) {
-          cachedUnits_ += scratch_.units();
-          cache_.push_back(std::move(scratch_));
-          scratch_ = CompactRound{};
-          continue;
+        const std::size_t units = last_->offsets.size() + last_->arcs.size();
+        if (cachedUnits_ + units <= budgetArcs_) {
+          cachedUnits_ += units;
+          cache_.push_back(*last_);
+        } else {
+          caching_ = false;
         }
-        caching_ = false;
-      } else if (generated_ == t) {
-        scratch_.assign(n_, pulled);
       }
     }
-    return t <= cache_.size() ? cache_[t - 1] : scratch_;
+    return *last_;
   }
 
  private:
   std::size_t n_;
   SparseRoundSource& source_;
   std::size_t budgetArcs_;
-  std::vector<CompactRound> cache_;
+  std::vector<SparseRound> cache_;
   std::size_t cachedUnits_ = 0;
   bool caching_ = true;
-  CompactRound scratch_;       // round t when it is not cached
-  std::size_t generated_ = 0;  // rounds pulled since the last reset
+  const SparseRound* last_ = nullptr;  // the round pulled last
+  std::size_t generated_ = 0;          // rounds pulled since the last reset
 };
 
 /// The low `count` bits set (count ≤ 64): one bit per sampled node.
@@ -140,13 +149,13 @@ std::size_t forwardCompletionRound(std::size_t n,
     cover[sources[j]] |= std::uint64_t{1} << j;
   }
   for (std::size_t t = 1; t <= limit; ++t) {
-    const CompactRound& g = rounds.round(t);
+    const SparseRound& g = rounds.round(t);
     std::copy(cover.begin(), cover.end(), prev.begin());
     for (std::size_t x = 0; x < n; ++x) {
       const std::uint64_t from = prev[x];
       if (from == 0) continue;
       for (std::uint32_t k = g.offsets[x]; k < g.offsets[x + 1]; ++k) {
-        cover[g.targets[k]] |= from;
+        cover[g.arcs[k]] |= from;
       }
     }
     std::uint64_t heardByAll = ~std::uint64_t{0};
@@ -172,13 +181,13 @@ void backwardReach(std::size_t t, const std::vector<std::uint32_t>& targets,
   }
   const std::uint64_t all = allBits(targets.size());
   for (std::size_t s = t; s >= 1; --s) {
-    const CompactRound& g = rounds.round(s);
+    const SparseRound& g = rounds.round(s);
     back.swap(prev);
     for (std::size_t x = 0; x < back.size(); ++x) {
       std::uint64_t reach = prev[x];
       if (reach != all) {
         for (std::uint32_t k = g.offsets[x]; k < g.offsets[x + 1]; ++k) {
-          reach |= prev[g.targets[k]];
+          reach |= prev[g.arcs[k]];
         }
       }
       back[x] = reach;

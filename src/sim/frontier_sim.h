@@ -2,10 +2,11 @@
 //
 // The dense BroadcastSim stores the heard-of matrix as n bitset rows —
 // O(n²) bits per instance, which caps scenarios near n ≈ 10⁴. The sparse
-// backend takes rounds as arc lists (SparseRound) and answers only the
-// question every sparse row asks, t*, in O(n + cached round arcs) memory;
-// this is what unlocks n = 10⁶. Runs that want per-round history use the
-// dense engine.
+// backend takes rounds as arc heads grouped by source (SparseRound, one
+// format from generator to round cache) and answers only the question
+// every sparse row asks, t*, in O(n + cached round arcs) memory; this is
+// what unlocks n = 10⁶. Runs that want per-round history use the dense
+// engine.
 //
 // runFrontierTStar is EXACT — it never approximates t*, so the
 // differential suite can demand bit-for-bit agreement with BroadcastSim.
@@ -39,14 +40,29 @@
 
 namespace dynbcast {
 
-/// One round's communication graph as an arc list. Self-loops are
-/// implicit (the model never forgets), so arcs with src == dst are
-/// ignored by the consumers.
+/// An arc (src, dst): dst hears src this round.
+using Arc = std::pair<std::uint32_t, std::uint32_t>;
+
+/// One round's communication graph, grouped by source (CSR): the nodes
+/// that hear x this round are arcs[offsets[x] .. offsets[x + 1]).
+/// Self-loops are implicit (the model never forgets), so an arc x → x
+/// adds nothing; duplicate heads add nothing either. runFrontierTStar
+/// asserts every round's shape: n + 1 nondecreasing offsets from 0 to
+/// arcs.size(), at most 2³² − 1 arcs, every head < n.
 struct SparseRound {
-  std::size_t n = 0;
-  /// (src, dst): dst hears src this round.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> arcs;
+  std::vector<std::uint32_t> offsets;  // n + 1 entries
+  /// The arc heads, source by source.
+  std::vector<std::uint32_t> arcs;
+
+  friend bool operator==(const SparseRound&, const SparseRound&) = default;
 };
+
+/// Rebuilds `out` over n nodes from `pairs` in any order by a counting
+/// sort on the source: each source keeps its heads in input order, and
+/// self-loops are dropped. For producers that do not emit arcs grouped
+/// by source; the buffers of `out` are reused.
+void assignArcs(std::size_t n, const std::vector<Arc>& pairs,
+                SparseRound& out);
 
 /// A replayable stream of round graphs for the t*-only mode. reset()
 /// must rewind to round 0 so that the next() sequence replays exactly —
@@ -73,12 +89,12 @@ struct FrontierTStarOptions {
   /// Sampled forward sources / backward targets, clamped to
   /// [1, min(64, n)].
   std::size_t samples = 64;
-  /// Round-graph cache budget in arcs. Cached rounds are grouped by
-  /// source: 4 bytes per arc (self-loops dropped) plus 4 bytes per node
-  /// for the offsets, and a round is charged one arc per 4 bytes, so the
-  /// default bounds the cache at 512 MiB. Beyond it the certifier's
-  /// backward and forward passes replay rounds through source.reset()
-  /// instead — slower, still exact.
+  /// Round-graph cache budget in arcs. The cache holds copies of the
+  /// pulled SparseRounds: 4 bytes per arc plus 4 bytes per offset, and a
+  /// round is charged one arc per 4 bytes, so the default bounds the
+  /// cache at 512 MiB. Beyond it the certifier's backward and forward
+  /// passes replay rounds through source.reset() instead — slower,
+  /// still exact.
   std::size_t cacheBudgetArcs = std::size_t(1) << 27;
 };
 

@@ -78,6 +78,18 @@ DynBitset difference(const DynBitset& a, const DynBitset& b) {
   return out;
 }
 
+BitMatrix denseFromRound(const SparseRound& round) {
+  DYNBCAST_ASSERT(!round.offsets.empty());
+  const std::size_t n = round.offsets.size() - 1;
+  BitMatrix g = BitMatrix::identity(n);
+  for (std::size_t x = 0; x < n; ++x) {
+    for (std::uint32_t k = round.offsets[x]; k < round.offsets[x + 1]; ++k) {
+      g.set(x, round.arcs[k]);
+    }
+  }
+  return g;
+}
+
 std::uint64_t matrixHash(const BitMatrix& m) {
   std::uint64_t h = 0x243f6a8885a308d3ull ^ m.dim();
   for (std::size_t x = 0; x < m.dim(); ++x) {

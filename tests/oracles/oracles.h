@@ -9,6 +9,7 @@
 #include <optional>
 
 #include "src/graph/bitmatrix.h"
+#include "src/sim/frontier_sim.h"
 #include "src/support/bitset.h"
 
 namespace dynbcast {
@@ -34,6 +35,10 @@ namespace dynbcast {
 
 /// a \ b. Precondition: equal sizes.
 [[nodiscard]] DynBitset difference(const DynBitset& a, const DynBitset& b);
+
+/// The dense graph of a well-formed SparseRound: the identity (the
+/// implicit self-loops) plus every arc x → arcs[k], k in x's range.
+[[nodiscard]] BitMatrix denseFromRound(const SparseRound& round);
 
 /// 64-bit content hash of a matrix, for pinning generated graphs.
 [[nodiscard]] std::uint64_t matrixHash(const BitMatrix& m);

@@ -16,6 +16,7 @@
 #include "src/dynamics/registry.h"
 #include "src/engine/experiment_engine.h"
 #include "src/sim/broadcast_sim.h"
+#include "tests/oracles/oracles.h"
 #include "tests/oracles/process_sim.h"
 #include "src/support/rng.h"
 #include "src/tree/constrained.h"
@@ -220,9 +221,7 @@ void runGraphModelDifferential(const std::string& specText,
           }
           if (sparse) {
             sparseModel->nextSparseRound(round);
-            BitMatrix fromArcs = BitMatrix::identity(n);
-            for (const auto& [src, dst] : round.arcs) fromArcs.set(src, dst);
-            if (round.n != n || fromArcs != g) {
+            if (round.offsets.size() != n + 1 || denseFromRound(round) != g) {
               return fail("round " + std::to_string(dense.round()) +
                           ": sparse arcs differ from the dense graph");
             }

@@ -11,26 +11,29 @@
 #include "src/graph/bitmatrix.h"
 #include "src/sim/broadcast_sim.h"
 #include "src/sim/frontier_sim.h"
+#include "src/support/assert.h"
 #include "src/support/rng.h"
+#include "tests/oracles/oracles.h"
 
 namespace dynbcast {
 namespace {
 
-[[nodiscard]] SparseRound randomArcRound(std::size_t n, std::size_t arcs,
-                                         Rng& rng) {
+/// A round over n nodes from an arc list in any order, regrouped by the
+/// pair→CSR helper the out-of-order producers use.
+[[nodiscard]] SparseRound roundOf(std::size_t n, const std::vector<Arc>& arcs) {
   SparseRound round;
-  round.n = n;
-  for (std::size_t i = 0; i < arcs; ++i) {
-    round.arcs.emplace_back(static_cast<std::uint32_t>(rng.uniform(n)),
-                            static_cast<std::uint32_t>(rng.uniform(n)));
-  }
+  assignArcs(n, arcs, round);
   return round;
 }
 
-[[nodiscard]] BitMatrix denseFromRound(const SparseRound& round) {
-  BitMatrix g = BitMatrix::identity(round.n);
-  for (const auto& [src, dst] : round.arcs) g.set(src, dst);
-  return g;
+[[nodiscard]] SparseRound randomArcRound(std::size_t n, std::size_t arcs,
+                                         Rng& rng) {
+  std::vector<Arc> pairs;
+  for (std::size_t i = 0; i < arcs; ++i) {
+    pairs.emplace_back(static_cast<std::uint32_t>(rng.uniform(n)),
+                       static_cast<std::uint32_t>(rng.uniform(n)));
+  }
+  return roundOf(n, pairs);
 }
 
 /// Replayable scripted source: cycles over a fixed vector of rounds.
@@ -108,46 +111,45 @@ TEST_P(FrontierTStarTest, MatchesDenseTStarOnScriptedSequences) {
 INSTANTIATE_TEST_SUITE_P(Sizes, FrontierTStarTest,
                          ::testing::Values(2, 5, 17, 63, 64, 65, 100, 130));
 
-/// Rounds that stress the per-source regrouping of runFrontierTStar's
-/// round cache: random arcs with every arc doubled and self-loops mixed
-/// in, a self-loop-only round, an empty round, and a round of arcs only
-/// into and out of node n − 1 — the arc rounds both shuffled and sorted
-/// by source, the rounds in a shuffled order.
+/// Rounds that stress the pair→CSR regrouping (assignArcs) and the
+/// round cache and replay behind it: random arcs with every arc doubled
+/// and self-loops mixed in, a self-loop-only round, an empty round, and
+/// a round of arcs only into and out of node n − 1 — the arc rounds both
+/// shuffled and sorted by source, the rounds in a shuffled order.
 [[nodiscard]] std::vector<SparseRound> awkwardScript(std::size_t n,
                                                      Rng& rng) {
   const auto node = [&] { return static_cast<std::uint32_t>(rng.uniform(n)); };
   const auto last = static_cast<std::uint32_t>(n - 1);
   const auto noisy = [&] {
-    SparseRound round;
-    round.n = n;
+    std::vector<Arc> arcs;
     for (std::size_t i = 0; i < 3 * n; ++i) {
       const std::uint32_t x = node();
       const std::uint32_t y = node();
-      round.arcs.emplace_back(x, y);
-      round.arcs.emplace_back(y, y);
-      round.arcs.emplace_back(x, y);
+      arcs.emplace_back(x, y);
+      arcs.emplace_back(y, y);
+      arcs.emplace_back(x, y);
     }
-    rng.shuffle(round.arcs);
-    return round;
+    rng.shuffle(arcs);
+    return arcs;
   };
-  SparseRound loops;
-  loops.n = n;
-  for (std::uint32_t x = 0; x < n; x += 2) loops.arcs.emplace_back(x, x);
-  SparseRound empty;
-  empty.n = n;
-  SparseRound edge;
-  edge.n = n;
+  std::vector<Arc> loops;
+  for (std::uint32_t x = 0; x < n; x += 2) loops.emplace_back(x, x);
+  std::vector<Arc> edge;
   for (std::uint32_t x = 0; x < last; ++x) {
-    if (rng.chance(0.75)) edge.arcs.emplace_back(last, x);
-    if (rng.chance(0.5)) edge.arcs.emplace_back(x, last);
+    if (rng.chance(0.75)) edge.emplace_back(last, x);
+    if (rng.chance(0.5)) edge.emplace_back(x, last);
   }
-  const auto sorted = [](SparseRound round) {
-    std::sort(round.arcs.begin(), round.arcs.end());
-    return round;
+  const auto sorted = [](std::vector<Arc> arcs) {
+    std::sort(arcs.begin(), arcs.end());
+    return arcs;
   };
-  rng.shuffle(edge.arcs);
-  std::vector<SparseRound> script = {noisy(), sorted(noisy()), loops,
-                                     edge,    sorted(edge),    empty};
+  rng.shuffle(edge);
+  const std::vector<std::vector<Arc>> arcLists = {
+      noisy(), sorted(noisy()), loops, edge, sorted(edge), {}};
+  std::vector<SparseRound> script;
+  for (const std::vector<Arc>& arcs : arcLists) {
+    script.push_back(roundOf(n, arcs));
+  }
   rng.shuffle(script);
   return script;
 }
@@ -181,9 +183,7 @@ TEST(FrontierTStarTest, ReportsIncompleteAtCapOnSilentNetwork) {
   // Arc-free rounds never spread anything: for n >= 2 broadcast cannot
   // complete, and the result must say cap/incomplete, not loop or lie.
   const std::size_t n = 80;
-  SparseRound silent;
-  silent.n = n;
-  VectorRoundSource source({silent});
+  VectorRoundSource source({roundOf(n, {})});
   FrontierTStarOptions options;
   options.maxRounds = 25;
   const FrontierTStarResult result = runFrontierTStar(n, source, options);
@@ -281,14 +281,16 @@ TEST(FrontierTStarTest, LaterBatchesLowerTheBestRound) {
   // completes with the round-7 star. So t* = 3.
   const std::size_t n = 130;
   const std::uint32_t hub = 129;
-  SparseRound silent, star, g1, g2;
-  for (SparseRound* r : {&silent, &star, &g1, &g2}) r->n = n;
+  std::vector<Arc> star, g1, g2;
   for (std::uint32_t x = 0; x < hub; ++x) {
-    star.arcs.emplace_back(hub, x);
-    (x <= 64 ? g1 : g2).arcs.emplace_back(x, hub);
+    star.emplace_back(hub, x);
+    (x <= 64 ? g1 : g2).emplace_back(x, hub);
   }
-  const std::vector<SparseRound> script = {silent, silent, star, g1,
-                                           star,   g2,     star};
+  const SparseRound silent = roundOf(n, {});
+  const SparseRound hubStar = roundOf(n, star);
+  const std::vector<SparseRound> script = {
+      silent, silent, hubStar, roundOf(n, g1), hubStar, roundOf(n, g2),
+      hubStar};
   ASSERT_EQ(denseTStar(n, script, 20 * n), 3u);
 
   // With one sample from G2 (seed 1 picks node 88), the sampled bound is 7
@@ -307,10 +309,83 @@ TEST(FrontierTStarTest, LaterBatchesLowerTheBestRound) {
   EXPECT_EQ(result.batches, 2u);
 }
 
+TEST(FrontierTStarTest, CompletingBatchRefiltersTheRest) {
+  // Round 1 is node 1's star, so t* = 1. Round 2 has B = {64..128} \ {88}
+  // tell node 0, round 3 has node 88 tell everyone else and round 4 has
+  // it tell node 0. The one sample (seed 1 picks node 88) completes at
+  // round 4 and leaves node 0 as the target, which only 0, 1 and B reach
+  // by round 3: 66 candidates. The first batch, {0, 1, 64..126} \ {88},
+  // completes at round 1. The re-filter at round 0 keeps only targets,
+  // so 127 and 128 go too, and the pass ends after one batch; keeping
+  // them would forward a second, failing batch.
+  const std::size_t n = 130;
+  std::vector<Arc> star, toZero, spread;
+  for (std::uint32_t x = 0; x < n; ++x) {
+    if (x != 1) star.emplace_back(1, x);
+    if (x >= 64 && x <= 128 && x != 88) toZero.emplace_back(x, 0);
+    if (x != 0 && x != 88) spread.emplace_back(88, x);
+  }
+  const std::vector<SparseRound> script = {
+      roundOf(n, star), roundOf(n, toZero), roundOf(n, spread),
+      roundOf(n, {{88, 0}})};
+  ASSERT_EQ(denseTStar(n, script, 20 * n), 1u);
+
+  VectorRoundSource source(script);
+  FrontierTStarOptions options;
+  options.maxRounds = 20 * n;
+  options.samples = 1;
+  options.sampleSeed = 1;
+  const FrontierTStarResult result = runFrontierTStar(n, source, options);
+  EXPECT_TRUE(result.completed);
+  EXPECT_EQ(result.rounds, 1u);
+  EXPECT_EQ(result.batches, 1u);
+}
+
+TEST(FrontierTStarTest, RejectsMalformedRounds) {
+  // Every pass indexes a round by its offsets and heads, so each pulled
+  // round's shape is checked before any pass reads it.
+  const std::size_t n = 70;
+  Rng rng(2024);
+  const SparseRound good = randomArcRound(n, 2 * n, rng);
+  ASSERT_GE(good.arcs.size(), 2u);
+  const auto expectRejected = [&](const SparseRound& bad, const char* what) {
+    VectorRoundSource source({good, bad});
+    FrontierTStarOptions options;
+    options.maxRounds = 4;
+    EXPECT_THROW((void)runFrontierTStar(n, source, options), AssertionError)
+        << what;
+  };
+  SparseRound shortOffsets = good;
+  shortOffsets.offsets.pop_back();
+  expectRejected(shortOffsets, "n offsets");
+  SparseRound longOffsets = good;
+  longOffsets.offsets.push_back(longOffsets.offsets.back());
+  expectRejected(longOffsets, "n + 2 offsets");
+  SparseRound decreasing = good;
+  decreasing.offsets[n / 2] = decreasing.offsets[n];
+  ASSERT_LT(decreasing.offsets[n / 2 + 1], decreasing.offsets[n / 2]);
+  expectRejected(decreasing, "a decreasing offset");
+  SparseRound extraArc = good;
+  extraArc.arcs.push_back(0);
+  expectRejected(extraArc, "offsets[n] below the arc count");
+  SparseRound missingArc = good;
+  missingArc.arcs.pop_back();
+  expectRejected(missingArc, "offsets[n] above the arc count");
+  SparseRound shifted = good;
+  shifted.offsets[0] = 1;
+  expectRejected(shifted, "offsets[0] above 0");
+  SparseRound farHead = good;
+  farHead.arcs.back() = static_cast<std::uint32_t>(n);
+  expectRejected(farHead, "a head equal to n");
+  // The well-formed rounds themselves run.
+  VectorRoundSource source({good, good});
+  FrontierTStarOptions options;
+  options.maxRounds = 4;
+  EXPECT_NO_THROW((void)runFrontierTStar(n, source, options));
+}
+
 TEST(FrontierTStarTest, SingleProcessCompletesImmediately) {
-  SparseRound empty;
-  empty.n = 1;
-  VectorRoundSource source({empty});
+  VectorRoundSource source({roundOf(1, {})});
   FrontierTStarOptions options;
   options.maxRounds = 10;
   const FrontierTStarResult result = runFrontierTStar(1, source, options);
